@@ -15,7 +15,8 @@ rides in ``#`` comments), and every subcommand has a ``--format json`` /
 given inputs, flags and seed.
 
 Exit codes: 0 success, 2 parse/input error, 3 enumeration cap exceeded,
-4 invalid experiment config.
+4 invalid experiment config, 5 ``simulate`` finished but an assertion
+block failed (the reports are still written).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .consistency_lab import (
     GraphSpec,
     GridSpec,
     LimitParams,
+    _exact_str,
     build_space,
     build_summary,
     parse_point_label,
@@ -111,14 +113,6 @@ def _emit(args, text: str) -> None:
 
 def _num(value) -> float:
     return float(value)
-
-
-def _exact_str(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    return None
 
 
 def _optimum_lines(result, comment: bool = False) -> list[str]:
@@ -493,7 +487,7 @@ def cmd_simulate(args) -> int:
         failures += 0 if passed else 1
         print(f"[{name}] {status} - {detail}")
     print(f"{failures} failing assertion block(s)" if failures else "all assertion blocks passed")
-    return 0
+    return 5 if failures else 0
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .frechet_solver import (
-    FLOAT_TIE_RTOL,
     MeanSetResult,
+    _min_ties,
     population_mean_set,
     restricted_population_mean_set,
 )
@@ -40,6 +40,8 @@ from .metric_core import (
     DiscreteMeasure,
     MetricSpace,
     Sample,
+    _exact_power_block,
+    _integer_weights,
     check_order,
     interval_grid,
     population_functional,
@@ -272,7 +274,13 @@ class ExperimentResult:
 
 
 class _Engine:
-    """Precomputed distance-power blocks for one experiment configuration."""
+    """Precomputed distance-power blocks for one experiment configuration.
+
+    On the exact path every score is an integer -- sample scores
+    ``block @ counts`` over n, population scores ``block @ weights`` over
+    the weights' common denominator -- and becomes a Fraction only where a
+    checkpoint reports it.
+    """
 
     def __init__(self, space: MetricSpace, cfg: ExperimentConfig):
         self.space = space
@@ -288,23 +296,14 @@ class _Engine:
         all_idx = np.arange(len(space), dtype=np.intp)
         if self.exact:
             self.scale_r = space.scale**r
-            base = space.int_block(all_idx, self.sup_idx).astype(np.int64)
-            if space.max_int_distance**r * cfg.n_max < 2**62:
-                self.block = base**r
-            else:
-                self.block = (base.astype(object)) ** r  # big-int fallback
-            # population functional at every point, exact
-            weights = [Fraction(w) for w in mu.weights]
-            self.pop_values = [
-                sum(Fraction(int(base[i, j]) ** r) * weights[j] for j in range(len(weights)))
-                * self.scale_r
-                for i in range(len(space))
-            ]
+            weights, self.pop_denominator = _integer_weights(mu)
+            self.block = _exact_power_block(
+                space, all_idx, self.sup_idx, r, max(cfg.n_max, self.pop_denominator)
+            )
         else:
-            self.scale_r = None
+            weights, self.pop_denominator = np.array([float(w) for w in mu.weights]), 1
             self.block = space.float_block(all_idx, self.sup_idx) ** float(r)
-            wf = np.array([float(w) for w in mu.weights])
-            self.pop_values = self.block @ wf
+        self.pop_scores = self.block @ weights
         self.block_theta = self.block[sorted(self.theta_idx)]
 
         self.population_res = None
@@ -323,62 +322,42 @@ class _Engine:
             return Fraction(int(value), n) * self.scale_r
         return float(value) / n
 
-    def _min_ties(self, scores) -> tuple:
-        if self.exact:
-            if isinstance(scores, np.ndarray) and scores.dtype != object:
-                best = int(scores.min())
-                return best, [int(i) for i in np.nonzero(scores == best)[0]]
-            best = min(int(v) for v in scores)
-            return best, [i for i, v in enumerate(scores) if int(v) == best]
-        best = float(scores.min())
-        ties = np.nonzero(scores <= best * (1.0 + FLOAT_TIE_RTOL))[0]
-        return best, [int(i) for i in ties]
+    def _population_at(self, idx) -> Fraction | float:
+        """Smallest population functional value over the points ``idx``."""
+        return self._normalize(self.pop_scores[idx].min(), self.pop_denominator)
 
     def checkpoint(self, counts: np.ndarray, n: int) -> CheckpointStats:
-        scores = self.block @ counts
-        best, ties = self._min_ties(scores)
+        best, ties = _min_ties(self.block @ counts, self.exact)
         sigma_hat = self._normalize(best, n)
         mean_set = tuple(self.space.points[i] for i in ties)
         included = all(i in self.theta_idx for i in ties)
         t_star = sigma_hat - self.sigma
-        if self.exact:
-            pop_at_hat = min(self.pop_values[i] for i in ties)
-            theta_best = min(int(v) for v in self.block_theta @ counts)
-        else:
-            pop_at_hat = float(min(self.pop_values[i] for i in ties))
-            theta_best = float((self.block_theta @ counts).min())
-        t_hat_max = sigma_hat - pop_at_hat
-        t_theta_min = self._normalize(theta_best, n) - self.sigma
+        t_hat_max = sigma_hat - self._population_at(ties)
+        t_theta_min = self._normalize((self.block_theta @ counts).min(), n) - self.sigma
 
         extra = {}
         if self.cfg.restricted:
             res_scores = self.block_res @ counts
-            observed = np.nonzero(counts > 0)[0]
-            if self.exact:
-                obs_vals = [int(res_scores[j]) for j in observed]
-            else:
-                obs_vals = [float(res_scores[j]) for j in observed]
-            best_res = min(obs_vals)
-            ties_pos = [int(j) for j, v in zip(observed, obs_vals) if self._res_tie(v, best_res)]
+            observed = np.flatnonzero(counts > 0)
+            obs_scores = res_scores[observed]
+            best_res, pos = _min_ties(obs_scores, self.exact)
+            ties_pos = observed[pos]
             sigma_hat_res = self._normalize(best_res, n)
             mean_set_res = tuple(self.cfg.mu.support[j] for j in ties_pos)
             tr_star = sigma_hat_res - self.sigma_res
-            pop_at = min(self.pop_values[int(self.sup_idx[j])] for j in ties_pos)
-            if not self.exact:
-                pop_at = float(pop_at)
             # upper bound: min over theta* of T_n(theta*) + min_{x' observed} |Fhat(x') - Fhat(theta*)|
             upper = None
             for j_star in self.theta_res_pos:
                 f_star = self._normalize(res_scores[j_star], n)
                 t_theta_star = f_star - self.sigma_res
-                gap = min(abs(self._normalize(v, n) - f_star) for v in obs_vals)
+                gap = min(abs(self._normalize(v, n) - f_star) for v in obs_scores)
                 cand = t_theta_star + gap
                 upper = cand if upper is None or cand < upper else upper
             extra = dict(
                 sigma_hat_res=sigma_hat_res,
                 mean_set_res=mean_set_res,
                 tr_star=tr_star,
-                t_res_hat_max=sigma_hat_res - pop_at,
+                t_res_hat_max=sigma_hat_res - self._population_at(self.sup_idx[ties_pos]),
                 t_res_upper=upper,
                 included_in_population_res=set(mean_set_res) <= self.theta_res_set,
                 subset_of_sampled=all(counts[j] > 0 for j in ties_pos),
@@ -393,11 +372,6 @@ class _Engine:
             included_in_population=included,
             **extra,
         )
-
-    def _res_tie(self, value, best) -> bool:
-        if self.exact:
-            return value == best
-        return value <= best * (1.0 + FLOAT_TIE_RTOL)
 
 
 def run_consistency_experiment(

@@ -2,14 +2,23 @@
 
 Every operation returns the *full* argmin set in canonical space order --
 ties are the object of study here, never collapsed to a representative.
-On exact spaces (integer lattice distances, integer order, rational weights)
-all comparisons happen on exact integers or Fractions, so tie sets are
-bit-reproducible.  On float spaces, a candidate belongs to the tie set iff
-its score is <= optimum * (1 + 1e-9); that tolerance is part of the contract.
 
-Candidate evaluation is data-parallel over chunks; the reduction (min plus
-tie collection) is order-independent, so results do not depend on the chunk
-size.
+Sample means, restricted sample means and (restricted) population means all
+run through :func:`_solve`.  It scores every candidate as ``block**r @ w``,
+where ``w`` are integer weights over a normalizer -- sample multiplicities
+over n, or a rational measure's weights over their least common denominator
+-- and ``block**r`` comes from :func:`metric_core._exact_power_block`, which
+keeps the scores in int64 or Python ints as their size requires.  The
+consistency harness scores its checkpoints with the same block.  One
+reducer, :func:`_min_ties`, then picks the argmin set: on exact spaces
+(integer lattice distances, integer order, rational weights) it keeps every
+score equal to the exact minimum, so tie sets are bit-reproducible; on the
+float path it keeps every score <= optimum * (1 + 1e-9), a tolerance that is
+part of the contract.
+
+Candidates are scored in chunks only to bound the distance-block working
+set; the reducer sees all scores at once, so results do not depend on the
+chunk size.
 """
 
 from __future__ import annotations
@@ -23,10 +32,10 @@ from .metric_core import (
     DiscreteMeasure,
     MetricSpace,
     Sample,
-    _INT64_SAFE,
     _counts_from_sample,
+    _exact_power_block,
+    _integer_weights,
     check_order,
-    population_values,
 )
 
 __all__ = [
@@ -65,82 +74,50 @@ class MeanSetResult:
         return len(self.argmin)
 
 
-def _exact_min_ties(
-    space: MetricSpace,
-    candidates_idx: np.ndarray,
-    sup_idx: np.ndarray,
-    weights: np.ndarray,
-    r: int,
-    chunk_size: int,
-) -> tuple[int, list[int]]:
-    """Minimum integer score and tie indices over the candidate set."""
-    max_d = space.max_int_distance
-    wsum = int(weights.sum())
-    use_int64 = max_d**r * wsum < _INT64_SAFE
-    best = None
-    ties: list[int] = []
-    for lo in range(0, len(candidates_idx), chunk_size):
-        idx = candidates_idx[lo : lo + chunk_size]
-        block = space.int_block(idx, sup_idx)
-        if use_int64:
-            scores = block.astype(np.int64) ** r @ weights
-            chunk_min = int(scores.min())
-            if best is None or chunk_min < best:
-                best = chunk_min
-                ties = []
-            if chunk_min <= best:
-                ties.extend(int(i) for i in idx[scores == best])
-        else:
-            wlist = [int(w) for w in weights]
-            for row_pos, row in enumerate(block):
-                score = sum(int(b) ** r * w for b, w in zip(row, wlist))
-                if best is None or score < best:
-                    best, ties = score, [int(idx[row_pos])]
-                elif score == best:
-                    ties.append(int(idx[row_pos]))
-    return best, ties
+def _min_ties(scores: np.ndarray, exact: bool) -> tuple:
+    """Minimum score and the positions of all scores tied with it.
 
-
-def _float_min_ties(
-    space: MetricSpace,
-    candidates_idx: np.ndarray,
-    sup_idx: np.ndarray,
-    weights: np.ndarray,
-    r: float,
-    chunk_size: int,
-) -> tuple[float, list[int]]:
-    scores = np.empty(len(candidates_idx), dtype=np.float64)
-    for lo in range(0, len(candidates_idx), chunk_size):
-        idx = candidates_idx[lo : lo + chunk_size]
-        block = space.float_block(idx, sup_idx) ** float(r)
-        scores[lo : lo + len(idx)] = block @ weights
-    best = float(scores.min())
-    ties = [int(i) for i in candidates_idx[scores <= best * (1.0 + FLOAT_TIE_RTOL)]]
-    return best, ties
+    Exact scores (int64 or Python ints) tie only when equal; float scores
+    tie when within ``FLOAT_TIE_RTOL`` of the minimum.
+    """
+    best = scores.min()
+    keep = scores == best if exact else scores <= best * (1.0 + FLOAT_TIE_RTOL)
+    return best, np.flatnonzero(keep)
 
 
 def _solve(
     space: MetricSpace,
     sup_idx: np.ndarray,
-    counts: np.ndarray,
+    weights: np.ndarray,
     r,
     candidates_idx: np.ndarray,
     domain: str,
     normalizer: int,
     chunk_size: int = _DEFAULT_CHUNK,
 ) -> MeanSetResult:
+    """Argmin of sum_j d(candidate, sup_j)^r * weights_j / normalizer.
+
+    Integer weights keep the exact path on exact spaces with integer r;
+    float weights (from a measure with float weights) take the float path.
+    """
     if len(candidates_idx) == 0:
         raise ValueError("candidate domain is empty; the argmin set would be undefined")
-    if space.exact and isinstance(r, int):
-        best, ties = _exact_min_ties(space, candidates_idx, sup_idx, counts, r, chunk_size)
-        optimum = Fraction(best, normalizer) * space.scale**r
-        exact = True
+    exact = space.exact and isinstance(r, int) and weights.dtype.kind != "f"
+    if not exact:
+        float_weights = np.array([w / normalizer for w in weights.tolist()])
+    chunks = []
+    for lo in range(0, len(candidates_idx), chunk_size):
+        idx = candidates_idx[lo : lo + chunk_size]
+        if exact:
+            chunks.append(_exact_power_block(space, idx, sup_idx, r, normalizer) @ weights)
+        else:
+            chunks.append(space.float_block(idx, sup_idx) ** float(r) @ float_weights)
+    best, pos = _min_ties(np.concatenate(chunks), exact)
+    if exact:
+        optimum = Fraction(int(best), normalizer) * space.scale**r
     else:
-        w = counts.astype(np.float64) / normalizer
-        best, ties = _float_min_ties(space, candidates_idx, sup_idx, w, r, chunk_size)
-        optimum = best
-        exact = False
-    ties.sort()
+        optimum = float(best)
+    ties = np.sort(candidates_idx[pos])
     return MeanSetResult(
         order_r=r,
         optimum=optimum,
@@ -173,37 +150,17 @@ def restricted_sample_mean_set(
     return _solve(space, sup_idx, counts, r, sup_idx, "sample_support", sample.n, chunk_size)
 
 
-def _measure_mean_set(
-    space: MetricSpace, mu: DiscreteMeasure, r, candidates_idx: np.ndarray, domain: str
-) -> MeanSetResult:
-    check_order(r)
-    values = population_values(space, mu, r, candidates_idx)
-    if isinstance(values, list):  # exact Fractions
-        best = min(values)
-        ties = [int(candidates_idx[i]) for i, v in enumerate(values) if v == best]
-        exact = True
-    else:
-        best = float(values.min())
-        keep = values <= best * (1.0 + FLOAT_TIE_RTOL)
-        ties = [int(i) for i in candidates_idx[keep]]
-        exact = False
-    ties.sort()
-    return MeanSetResult(
-        order_r=r,
-        optimum=best,
-        argmin=tuple(space.points[i] for i in ties),
-        candidate_domain=domain,
-        exact=exact,
-    )
-
-
 def population_mean_set(space: MetricSpace, mu: DiscreteMeasure, r) -> MeanSetResult:
     """Argmin over the whole space of sum_x d(x, x')^r mu(x), with all ties."""
+    check_order(r)
+    weights, lcd = _integer_weights(mu)
     candidates = np.arange(len(space), dtype=np.intp)
-    return _measure_mean_set(space, mu, r, candidates, "full_space")
+    return _solve(space, space.indices(mu.support), weights, r, candidates, "full_space", lcd)
 
 
 def restricted_population_mean_set(space: MetricSpace, mu: DiscreteMeasure, r) -> MeanSetResult:
     """Argmin restricted to the support of the measure (closed, being finite)."""
-    candidates = space.indices(mu.support)
-    return _measure_mean_set(space, mu, r, candidates, "measure_support")
+    check_order(r)
+    weights, lcd = _integer_weights(mu)
+    sup_idx = space.indices(mu.support)
+    return _solve(space, sup_idx, weights, r, sup_idx, "measure_support", lcd)

@@ -15,6 +15,7 @@ exponentiated point functions, and the metric-axiom checker.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -39,7 +40,7 @@ __all__ = [
 ]
 
 # Largest integer score guaranteed to survive an int64 matmul; anything
-# bigger is recomputed with Python big ints.
+# bigger is computed with Python big ints (see _exact_power_block).
 _INT64_SAFE = 2**62
 
 
@@ -526,6 +527,34 @@ def _counts_from_sample(space: MetricSpace, sample: Sample) -> tuple[np.ndarray,
     return distinct.astype(np.intp), counts.astype(np.int64)
 
 
+def _integer_weights(mu: DiscreteMeasure) -> tuple[np.ndarray, int]:
+    """Weights of ``mu`` as integers over their least common denominator L.
+
+    The integers sum to L.  A measure with float weights has no such form;
+    its weights come back as floats over L = 1, for the float path.
+    """
+    if not mu.is_rational:
+        return np.array([float(w) for w in mu.weights]), 1
+    lcd = math.lcm(*(Fraction(w).denominator for w in mu.weights))
+    ints = [int(Fraction(w) * lcd) for w in mu.weights]
+    return np.array(ints, dtype=np.int64 if lcd < _INT64_SAFE else object), lcd
+
+
+def _exact_power_block(space: MetricSpace, rows, cols, r: int, total_weight: int) -> np.ndarray:
+    """Integer lattice distances of rows x cols raised to the integer power r.
+
+    This is the package's only overflow guard.  A row of the result dotted
+    with non-negative integer weights summing to at most ``total_weight`` is
+    at most ``max(M_int, 1)**r * total_weight``; while that is below
+    ``_INT64_SAFE`` the block is int64, otherwise it is an object array of
+    Python ints, so every score built from it is exact at any size.
+    """
+    block = space.int_block(rows, cols).astype(np.int64)
+    if max(space.max_int_distance, 1) ** r * total_weight < _INT64_SAFE:
+        return block**r
+    return block.astype(object) ** r
+
+
 def sample_functional(space: MetricSpace, sample: Sample, candidate, r):
     """Empirical functional (1/n) * sum_i d(X_i, candidate)^r.
 
@@ -534,14 +563,13 @@ def sample_functional(space: MetricSpace, sample: Sample, candidate, r):
     Fraction; otherwise a float is returned.
     """
     check_order(r)
-    c = space.index(candidate)
+    c = np.array([space.index(candidate)])
     sup_idx, counts = _counts_from_sample(space, sample)
     n = sample.n
     if space.exact and isinstance(r, int):
-        block = space.int_block(np.array([c]), sup_idx)[0]
-        total = sum(int(b) ** r * int(w) for b, w in zip(block, counts))
-        return Fraction(total, n) * space.scale**r
-    block = space.float_block(np.array([c]), sup_idx)[0]
+        block = _exact_power_block(space, c, sup_idx, r, n)
+        return Fraction(int((block @ counts)[0]), n) * space.scale**r
+    block = space.float_block(c, sup_idx)[0]
     return float((block**float(r)) @ (counts.astype(np.float64) / n))
 
 
@@ -555,13 +583,10 @@ def population_values(space: MetricSpace, mu: DiscreteMeasure, r, candidates_idx
     if candidates_idx is None:
         candidates_idx = np.arange(len(space), dtype=np.intp)
     if space.exact and isinstance(r, int) and mu.is_rational:
-        block = space.int_block(candidates_idx, sup_idx)
+        weights, lcd = _integer_weights(mu)
+        block = _exact_power_block(space, candidates_idx, sup_idx, r, lcd)
         scale_r = space.scale**r
-        weights = [Fraction(w) for w in mu.weights]
-        return [
-            sum(Fraction(int(b) ** r) * w for b, w in zip(row, weights)) * scale_r
-            for row in block
-        ]
+        return [Fraction(int(v), lcd) * scale_r for v in block @ weights]
     block = space.float_block(candidates_idx, sup_idx) ** float(r)
     return block @ np.array([float(w) for w in mu.weights])
 
@@ -592,10 +617,9 @@ def modulus_of_continuity(space: MetricSpace, support: Iterable, delta, r):
         # d(x,y) < delta in lattice units: d_int < delta / scale
         thr = Fraction(str(delta)) if not isinstance(delta, (int, Fraction)) else Fraction(delta)
         close = d <= _strict_int_bound(thr / space.scale)
-        powed = d**r if space.max_int_distance**r < _INT64_SAFE else None
+        powed = _exact_power_block(space, idx, idx, r, 1)
         best = 0
-        for zrow in range(len(idx)):
-            p = powed[zrow] if powed is not None else np.array([int(v) ** r for v in d[zrow]], dtype=object)
+        for p in powed:
             diff = np.abs(p[:, None] - p[None, :])
             masked = diff[close]
             if masked.size:

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from conftest import FIXTURE_DIR, MEAN_SET_R1_TEXTS
+from frechet_means import cli
 from frechet_means.cli import load_config_file, main
 from frechet_means.consistency_lab import ConfigError
 
@@ -257,6 +259,56 @@ def test_simulate_grid_fixtures(capsys, tmp_path):
     assert "[outer-limit] PASS" in out
     summary = json.loads((tmp_path / "e2" / "summary.json").read_text())
     assert summary["outer_limit"]["kuratowski_median_target_gap"] <= 0.1
+
+
+def test_failing_assertion_block_exit_5(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "summary_blocks", lambda result, summary: [("sandwich", False, "forced")])
+    out_dir = tmp_path / "sim"
+    code, out, _ = run_cli(
+        capsys, "simulate", str(FIXTURE_DIR / "g4_uniform_pair.json"), "--out", str(out_dir)
+    )
+    assert code == 5
+    assert "[sandwich] FAIL - forced" in out
+    assert "1 failing assertion block(s)" in out
+    assert (out_dir / "report.csv").exists() and (out_dir / "summary.json").exists()
+
+
+# SHA-256 of the reports of each bundled config at its shipped seed, and of
+# the text output of `mean g4_pair.graphs --r 1`.  Any change to these bytes
+# is a change to the published numbers and must be deliberate.
+REPORT_DIGESTS = {
+    "g4_uniform_pair": {
+        "report.csv": "b5358cea609649a475f9a91dceaa5b4e61c0a8d5ce7ff71784ecb885d0e9ca57",
+        "summary.json": "935fc0d26be657f5e82f6e58ffd1762234542d0c2170987e8a4ca9e7b3d8ce87",
+    },
+    "grid_r1_oscillation": {
+        "report.csv": "2c00ba6359ec03e1e24e214f6f1978d8a6e6a91b3293741883acce9257ce6304",
+        "summary.json": "16b196238688664fa2ea9fcd8225136b5e54ce2dd979e360c225f0f68f06e652",
+    },
+    "grid_r2_convergence": {
+        "report.csv": "051482b292d857774e36ea13cafc5752334f3375857d4a6f9bdd0a0ed67ae690",
+        "summary.json": "726395f73c4bc9a29c8259ceeb89886cb8bfbbc83f5c4cf3ea9a7afaaded756e",
+    },
+}
+MEAN_G4_PAIR_R1_DIGEST = "be5899c9f6707a9a1025a0b4e23079730f648a374e87cd7aa10219d23bca7b5a"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_fixture_reports_are_byte_identical(capsys, tmp_path, name):
+    code, _, err = run_cli(capsys, "simulate", str(FIXTURE_DIR / f"{name}.json"), "--out", str(tmp_path))
+    assert code == 0, err
+    for filename, digest in REPORT_DIGESTS[name].items():
+        assert _sha256((tmp_path / filename).read_bytes()) == digest, filename
+
+
+def test_mean_output_is_byte_identical(capsys, pair_file):
+    code, out, _ = run_cli(capsys, "mean", pair_file, "--r", "1")
+    assert code == 0
+    assert _sha256(out.encode("utf-8")) == MEAN_G4_PAIR_R1_DIGEST
 
 
 def test_simulate_invalid_config_exit_4(capsys, tmp_path):
