@@ -365,75 +365,78 @@ def load_config_file(path) -> ExperimentConfig:
     if raw.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(f"config schema must be {CONFIG_SCHEMA!r}, got {raw.get('schema')!r}")
 
-    def need(key):
-        if key not in raw:
-            raise ConfigError(f"config key {key!r} is required")
-        return raw[key]
+    key = None  # the config key being read, named when its value is bad
 
-    kind = need("space")
-    if kind == "graph":
-        spec = GraphSpec(int(need("nv")), int(raw.get("enumeration_cap", DEFAULT_ENUMERATION_CAP)))
-    elif kind == "grid":
-        spec = GridSpec(
-            str(raw.get("grid_start", "-1")),
-            str(raw.get("grid_end", "1")),
-            str(raw.get("grid_step", "0.01")),
-        )
-    else:
-        raise ConfigError(f"space must be 'graph' or 'grid', got {kind!r}")
+    def get(k, default=None):
+        nonlocal key
+        key = k
+        return raw.get(k, default)
 
-    support_labels = need("support")
-    if not isinstance(support_labels, list) or not support_labels:
-        raise ConfigError("support must be a non-empty list of point labels")
+    def need(k):
+        if k not in raw:
+            raise ConfigError(f"config key {k!r} is required")
+        return get(k)
+
     try:
+        kind = need("space")
+        if kind == "graph":
+            spec = GraphSpec(int(need("nv")), int(get("enumeration_cap", DEFAULT_ENUMERATION_CAP)))
+        elif kind == "grid":
+            spec = GridSpec(
+                str(get("grid_start", "-1")), str(get("grid_end", "1")), str(get("grid_step", "0.01"))
+            )
+        else:
+            raise ConfigError(f"space must be 'graph' or 'grid', got {kind!r}")
+
+        support_labels = need("support")
+        if not isinstance(support_labels, list) or not support_labels:
+            raise ConfigError("support must be a non-empty list of point labels")
         support = [parse_point_label(spec, str(s)) for s in support_labels]
-    except (ValueError, GraphParseError) as exc:
-        raise ConfigError(f"bad support point: {exc}") from None
-    weights_raw = raw.get("weights")
-    try:
-        if weights_raw is None:
+        if raw.get("weights") is None:
             mu = DiscreteMeasure.uniform(support)
         else:
-            weights = [Fraction(str(w)) for w in weights_raw]
-            mu = DiscreteMeasure(tuple(support), tuple(weights))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad weights: {exc}") from None
+            mu = DiscreteMeasure(tuple(support), tuple(Fraction(str(w)) for w in get("weights")))
 
-    r = need("r")
-    if isinstance(r, float) and r == int(r):
-        r = int(r)
-    n_max = int(need("n_max"))
-    checkpoints = raw.get("checkpoints")
-    if checkpoints is None:
-        checkpoints = [c for c in DEFAULT_CHECKPOINTS if c <= n_max] or [n_max]
-    elif not isinstance(checkpoints, list):
-        raise ConfigError("checkpoints must be a list of sample sizes")
+        r = need("r")
+        if isinstance(r, float) and r == int(r):
+            r = int(r)
+        n_max = int(need("n_max"))
+        checkpoints = get("checkpoints")
+        if checkpoints is None:
+            checkpoints = [c for c in DEFAULT_CHECKPOINTS if c <= n_max] or [n_max]
+        elif not isinstance(checkpoints, list):
+            raise ConfigError("checkpoints must be a list of sample sizes")
+        checkpoints = tuple(int(c) for c in checkpoints)
 
-    if raw.get("limits", True):
-        limit_params = LimitParams(
-            epsilon=Fraction(str(raw.get("epsilon", "0"))),
-            burn_in=raw.get("burn_in"),
-            min_visits=int(raw.get("min_visits", 2)),
+        if get("limits", True):
+            limit_params = LimitParams(
+                epsilon=Fraction(str(get("epsilon", "0"))),
+                burn_in=None if get("burn_in") is None else int(raw["burn_in"]),
+                min_visits=int(get("min_visits", 2)),
+            )
+        else:
+            limit_params = None
+
+        events = get("events", [])
+        if not isinstance(events, list):
+            raise ConfigError("events must be a list of event names")
+
+        return ExperimentConfig(
+            space_spec=spec,
+            mu=mu,
+            r=r,
+            n_max=n_max,
+            checkpoints=checkpoints,
+            replications=int(get("replications", 200)),
+            seed=int(get("seed", 0)),
+            restricted=bool(get("restricted", False)),
+            limit_params=limit_params,
+            events=tuple(str(e) for e in events),
         )
-    else:
-        limit_params = None
-
-    events = raw.get("events", [])
-    if not isinstance(events, list):
-        raise ConfigError("events must be a list of event names")
-
-    return ExperimentConfig(
-        space_spec=spec,
-        mu=mu,
-        r=r,
-        n_max=n_max,
-        checkpoints=tuple(int(c) for c in checkpoints),
-        replications=int(raw.get("replications", 200)),
-        seed=int(raw.get("seed", 0)),
-        restricted=bool(raw.get("restricted", False)),
-        limit_params=limit_params,
-        events=tuple(str(e) for e in events),
-    )
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        raise ConfigError(f"bad value for config key {key!r}: {exc}") from None
 
 
 def cmd_simulate(args) -> int:

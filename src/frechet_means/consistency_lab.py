@@ -29,12 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .frechet_solver import (
-    MeanSetResult,
-    _min_ties,
-    population_mean_set,
-    restricted_population_mean_set,
-)
+from .frechet_solver import MeanSetResult, _mean_set, _min_ties
 from .graph_space import DEFAULT_ENUMERATION_CAP, GraphSpaceConfig, enumerate_space, parse_graph
 from .metric_core import (
     DiscreteMeasure,
@@ -171,8 +166,7 @@ class ExperimentConfig:
             raise ConfigError("seed must be a non-negative integer")
         for p in self.mu.support:
             if p not in space:
-                raise ConfigError(f"measure support point {space.label(p) if p in space else p!r} "
-                                  f"is not a point of {space.name}")
+                raise ConfigError(f"measure support point {p!r} is not a point of {space.name}")
         if self.limit_params is not None:
             lp = self.limit_params
             if lp.epsilon < 0:
@@ -274,25 +268,22 @@ class ExperimentResult:
 
 
 class _Engine:
-    """Precomputed distance-power blocks for one experiment configuration.
+    """One |space| x |support| distance-power block for one configuration.
 
-    On the exact path every score is an integer -- sample scores
-    ``block @ counts`` over n, population scores ``block @ weights`` over
-    the weights' common denominator -- and becomes a Fraction only where a
-    checkpoint reports it.
+    Each checkpoint does one matvec, ``scores = block @ counts``, and both
+    tracks (all points compete; only sampled support points compete) read
+    their statistics off it.  The population targets are read off
+    ``pop_scores = block @ weights``.  On the exact path every score is an
+    integer -- over n, or over the weights' common denominator -- and
+    becomes a Fraction only where a value is reported.
     """
 
     def __init__(self, space: MetricSpace, cfg: ExperimentConfig):
         self.space = space
-        self.cfg = cfg
         mu, r = cfg.mu, cfg.r
+        self.restricted = cfg.restricted
         self.exact = space.exact and isinstance(r, int) and mu.is_rational
         self.sup_idx = space.indices(mu.support)
-        self.population = population_mean_set(space, mu, r)
-        self.sigma = self.population.optimum
-        self.theta_idx = set(int(i) for i in space.indices(self.population.argmin))
-        self.theta_set = frozenset(self.population.argmin)
-
         all_idx = np.arange(len(space), dtype=np.intp)
         if self.exact:
             self.scale_r = space.scale**r
@@ -304,16 +295,20 @@ class _Engine:
             weights, self.pop_denominator = np.array([float(w) for w in mu.weights]), 1
             self.block = space.float_block(all_idx, self.sup_idx) ** float(r)
         self.pop_scores = self.block @ weights
-        self.block_theta = self.block[sorted(self.theta_idx)]
 
+        self.population = _mean_set(
+            space, self.pop_scores, all_idx, r, self.pop_denominator, self.exact, "full_space"
+        )
+        self.theta_idx = space.indices(self.population.argmin)
+        self.in_theta = np.isin(all_idx, self.theta_idx)
         self.population_res = None
-        if cfg.restricted:
-            self.population_res = restricted_population_mean_set(space, mu, r)
-            self.sigma_res = self.population_res.optimum
-            self.theta_res_set = frozenset(self.population_res.argmin)
-            support_pos = {p: j for j, p in enumerate(mu.support)}
-            self.theta_res_pos = sorted(support_pos[p] for p in self.population_res.argmin)
-            self.block_res = self.block[self.sup_idx]
+        if self.restricted:
+            self.population_res = _mean_set(
+                space, self.pop_scores[self.sup_idx], self.sup_idx, r,
+                self.pop_denominator, self.exact, "measure_support",
+            )
+            self.theta_res_idx = space.indices(self.population_res.argmin)
+            self.in_theta_res = np.isin(all_idx, self.theta_res_idx)
 
     # -- per-checkpoint scores ---------------------------------------------
 
@@ -322,53 +317,54 @@ class _Engine:
             return Fraction(int(value), n) * self.scale_r
         return float(value) / n
 
-    def _population_at(self, idx) -> Fraction | float:
-        """Smallest population functional value over the points ``idx``."""
-        return self._normalize(self.pop_scores[idx].min(), self.pop_denominator)
+    def _track(self, scores, candidates, sigma, target: np.ndarray, n: int):
+        """One track at one checkpoint: (sigma_hat, mean-set indices, T*, t_hat_max, included).
+
+        ``candidates`` are the indices allowed to compete (None: the whole
+        space); ``target`` is the population mean set of the track as a mask.
+        """
+        if candidates is None:
+            best, ties = _min_ties(scores, self.exact)
+        else:
+            best, pos = _min_ties(scores[candidates], self.exact)
+            ties = np.sort(candidates[pos])
+        sigma_hat = self._normalize(best, n)
+        pop_min = self._normalize(self.pop_scores[ties].min(), self.pop_denominator)
+        return sigma_hat, ties, sigma_hat - sigma, sigma_hat - pop_min, bool(target[ties].all())
 
     def checkpoint(self, counts: np.ndarray, n: int) -> CheckpointStats:
-        best, ties = _min_ties(self.block @ counts, self.exact)
-        sigma_hat = self._normalize(best, n)
-        mean_set = tuple(self.space.points[i] for i in ties)
-        included = all(i in self.theta_idx for i in ties)
-        t_star = sigma_hat - self.sigma
-        t_hat_max = sigma_hat - self._population_at(ties)
-        t_theta_min = self._normalize((self.block_theta @ counts).min(), n) - self.sigma
-
+        scores = self.block @ counts
+        sigma = self.population.optimum
+        sigma_hat, ties, t_star, t_hat_max, included = self._track(
+            scores, None, sigma, self.in_theta, n
+        )
         extra = {}
-        if self.cfg.restricted:
-            res_scores = self.block_res @ counts
-            observed = np.flatnonzero(counts > 0)
-            obs_scores = res_scores[observed]
-            best_res, pos = _min_ties(obs_scores, self.exact)
-            ties_pos = observed[pos]
-            sigma_hat_res = self._normalize(best_res, n)
-            mean_set_res = tuple(self.cfg.mu.support[j] for j in ties_pos)
-            tr_star = sigma_hat_res - self.sigma_res
+        if self.restricted:
+            sigma_res = self.population_res.optimum
+            observed = self.sup_idx[counts > 0]
+            sigma_hat_res, ties_res, tr_star, t_res_hat_max, included_res = self._track(
+                scores, observed, sigma_res, self.in_theta_res, n
+            )
             # upper bound: min over theta* of T_n(theta*) + min_{x' observed} |Fhat(x') - Fhat(theta*)|
-            upper = None
-            for j_star in self.theta_res_pos:
-                f_star = self._normalize(res_scores[j_star], n)
-                t_theta_star = f_star - self.sigma_res
-                gap = min(abs(self._normalize(v, n) - f_star) for v in obs_scores)
-                cand = t_theta_star + gap
-                upper = cand if upper is None or cand < upper else upper
+            observed_f = [self._normalize(v, n) for v in scores[observed]]
+            theta_f = [self._normalize(v, n) for v in scores[self.theta_res_idx]]
+            upper = min(f - sigma_res + min(abs(v - f) for v in observed_f) for f in theta_f)
             extra = dict(
                 sigma_hat_res=sigma_hat_res,
-                mean_set_res=mean_set_res,
+                mean_set_res=tuple(self.space.points[i] for i in ties_res),
                 tr_star=tr_star,
-                t_res_hat_max=sigma_hat_res - self._population_at(self.sup_idx[ties_pos]),
+                t_res_hat_max=t_res_hat_max,
                 t_res_upper=upper,
-                included_in_population_res=set(mean_set_res) <= self.theta_res_set,
-                subset_of_sampled=all(counts[j] > 0 for j in ties_pos),
+                included_in_population_res=included_res,
+                subset_of_sampled=bool(np.isin(ties_res, observed).all()),
             )
         return CheckpointStats(
             n=n,
             sigma_hat=sigma_hat,
-            mean_set=mean_set,
+            mean_set=tuple(self.space.points[i] for i in ties),
             t_hat_max=t_hat_max,
             t_star=t_star,
-            t_theta_min=t_theta_min,
+            t_theta_min=self._normalize(scores[self.theta_idx].min(), n) - sigma,
             included_in_population=included,
             **extra,
         )
@@ -393,6 +389,20 @@ def run_consistency_experiment(
     if lp is not None:
         burn = default_burn_in(len(cfg.checkpoints)) if lp.burn_in is None else lp.burn_in
 
+    theta = frozenset(engine.population.argmin)
+    theta_res = frozenset(engine.population_res.argmin) if cfg.restricted else None
+
+    def outer_limits(mean_sets, target, suffix: str) -> dict:
+        traj = SetTrajectory(space, tuple(frozenset(m) for m in mean_sets))
+        tail = tail_limsup(traj, burn, lp.min_visits)
+        kura = kuratowski_limsup(traj, lp.epsilon, burn, lp.min_visits)
+        return {
+            f"tail_estimate{suffix}": tail,
+            f"tail_included{suffix}": tail <= target,
+            f"kuratowski{suffix}": kura,
+            f"kuratowski_included{suffix}": kura.points <= target,
+        }
+
     records = []
     n_support = len(cfg.mu.support)
     for k in range(cfg.replications):
@@ -404,29 +414,12 @@ def run_consistency_experiment(
             stats.append(engine.checkpoint(counts, n))
         rec = dict(replication=k, stats=tuple(stats))
         if lp is not None:
-            traj = SetTrajectory(space, tuple(frozenset(s.mean_set) for s in stats))
-            tail = tail_limsup(traj, burn, lp.min_visits)
-            kura = kuratowski_limsup(traj, lp.epsilon, burn, lp.min_visits)
-            gap = max(
-                (space.set_distance(p, engine.theta_set) for p in kura.points), default=0
-            )
-            rec.update(
-                tail_estimate=tail,
-                tail_included=tail <= engine.theta_set,
-                kuratowski=kura,
-                kuratowski_included=kura.points <= engine.theta_set,
-                kuratowski_target_gap=gap,
+            rec.update(outer_limits((s.mean_set for s in stats), theta, ""))
+            rec["kuratowski_target_gap"] = max(
+                (space.set_distance(p, theta) for p in rec["kuratowski"].points), default=0
             )
             if cfg.restricted:
-                traj_res = SetTrajectory(space, tuple(frozenset(s.mean_set_res) for s in stats))
-                tail_res = tail_limsup(traj_res, burn, lp.min_visits)
-                kura_res = kuratowski_limsup(traj_res, lp.epsilon, burn, lp.min_visits)
-                rec.update(
-                    tail_estimate_res=tail_res,
-                    tail_included_res=tail_res <= engine.theta_res_set,
-                    kuratowski_res=kura_res,
-                    kuratowski_included_res=kura_res.points <= engine.theta_res_set,
-                )
+                rec.update(outer_limits((s.mean_set_res for s in stats), theta_res, "_res"))
         records.append(TrajectoryRecord(**rec))
 
     return ExperimentResult(
@@ -524,63 +517,43 @@ def _sandwich_res_ok(stat: CheckpointStats, exact: bool) -> bool:
 def write_report_csv(result: ExperimentResult, path) -> None:
     """One CSV row per replication x checkpoint (schema ``CSV_SCHEMA``)."""
     space = result.space
-    restricted = result.config.restricted
-    cols = [
-        "replication",
-        "n",
-        "sigma_hat",
-        "abs_error",
-        "t_hat_max",
-        "t_star",
-        "t_theta_min",
-        "mean_set_size",
-        "included_in_population",
-        "mean_set",
-    ]
-    if restricted:
-        cols += [
-            "sigma_hat_res",
-            "abs_error_res",
-            "t_res_hat_max",
-            "tr_star",
-            "t_res_upper",
-            "mean_set_res_size",
-            "included_in_population_res",
-            "subset_of_sampled",
-            "mean_set_res",
-        ]
+
+    def labels(points) -> str:
+        return ";".join(space.label(p) for p in points)
+
     sigma = result.population.optimum
-    sigma_res = result.population_restricted.optimum if restricted else None
+    columns = {  # header name -> cell value of (record, checkpoint stats), in column order
+        "replication": lambda rec, s: rec.replication,
+        "n": lambda rec, s: s.n,
+        "sigma_hat": lambda rec, s: s.sigma_hat,
+        "abs_error": lambda rec, s: abs(s.sigma_hat - sigma),
+        "t_hat_max": lambda rec, s: s.t_hat_max,
+        "t_star": lambda rec, s: s.t_star,
+        "t_theta_min": lambda rec, s: s.t_theta_min,
+        "mean_set_size": lambda rec, s: len(s.mean_set),
+        "included_in_population": lambda rec, s: s.included_in_population,
+        "mean_set": lambda rec, s: labels(s.mean_set),
+    }
+    if result.config.restricted:
+        sigma_res = result.population_restricted.optimum
+        columns.update({
+            "sigma_hat_res": lambda rec, s: s.sigma_hat_res,
+            "abs_error_res": lambda rec, s: abs(s.sigma_hat_res - sigma_res),
+            "t_res_hat_max": lambda rec, s: s.t_res_hat_max,
+            "tr_star": lambda rec, s: s.tr_star,
+            "t_res_upper": lambda rec, s: s.t_res_upper,
+            "mean_set_res_size": lambda rec, s: len(s.mean_set_res),
+            "included_in_population_res": lambda rec, s: s.included_in_population_res,
+            "subset_of_sampled": lambda rec, s: s.subset_of_sampled,
+            "mean_set_res": lambda rec, s: labels(s.mean_set_res),
+        })
+    cells = list(columns.values())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(cols)
+        w.writerow(columns)
         for rec in result.records:
             for stat in rec.stats:
-                row = [
-                    rec.replication,
-                    stat.n,
-                    _fmt(stat.sigma_hat),
-                    _fmt(abs(stat.sigma_hat - sigma)),
-                    _fmt(stat.t_hat_max),
-                    _fmt(stat.t_star),
-                    _fmt(stat.t_theta_min),
-                    len(stat.mean_set),
-                    _fmt(stat.included_in_population),
-                    ";".join(space.label(p) for p in stat.mean_set),
-                ]
-                if restricted:
-                    row += [
-                        _fmt(stat.sigma_hat_res),
-                        _fmt(abs(stat.sigma_hat_res - sigma_res)),
-                        _fmt(stat.t_res_hat_max),
-                        _fmt(stat.tr_star),
-                        _fmt(stat.t_res_upper),
-                        len(stat.mean_set_res),
-                        _fmt(stat.included_in_population_res),
-                        _fmt(stat.subset_of_sampled),
-                        ";".join(space.label(p) for p in stat.mean_set_res),
-                    ]
-                w.writerow(row)
+                w.writerow([_fmt(cell(rec, stat)) for cell in cells])
 
 
 def _config_dict(result: ExperimentResult) -> dict:

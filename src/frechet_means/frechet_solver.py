@@ -8,9 +8,10 @@ run through :func:`_solve`.  It scores every candidate as ``block**r @ w``,
 where ``w`` are integer weights over a normalizer -- sample multiplicities
 over n, or a rational measure's weights over their least common denominator
 -- and ``block**r`` comes from :func:`metric_core._exact_power_block`, which
-keeps the scores in int64 or Python ints as their size requires.  The
-consistency harness scores its checkpoints with the same block.  One
-reducer, :func:`_min_ties`, then picks the argmin set: on exact spaces
+keeps the scores in int64 or Python ints as their size requires.  Its tail,
+:func:`_mean_set`, turns scores into a result; the consistency harness calls
+it on population scores of the block its checkpoints use.  One reducer,
+:func:`_min_ties`, picks the argmin set: on exact spaces
 (integer lattice distances, integer order, rational weights) it keeps every
 score equal to the exact minimum, so tie sets are bit-reproducible; on the
 float path it keeps every score <= optimum * (1 + 1e-9), a tolerance that is
@@ -112,7 +113,17 @@ def _solve(
             chunks.append(_exact_power_block(space, idx, sup_idx, r, normalizer) @ weights)
         else:
             chunks.append(space.float_block(idx, sup_idx) ** float(r) @ float_weights)
-    best, pos = _min_ties(np.concatenate(chunks), exact)
+    return _mean_set(space, np.concatenate(chunks), candidates_idx, r, normalizer, exact, domain)
+
+
+def _mean_set(
+    space: MetricSpace, scores, candidates_idx, r, normalizer: int, exact: bool, domain: str
+) -> MeanSetResult:
+    """Mean set from the scores of the candidates, ``scores[k]`` for ``candidates_idx[k]``.
+
+    Exact scores are integers over ``normalizer``; float scores come normalized.
+    """
+    best, pos = _min_ties(scores, exact)
     if exact:
         optimum = Fraction(int(best), normalizer) * space.scale**r
     else:

@@ -122,9 +122,13 @@ class EnumerationCapError(ValueError):
         )
 
 
-def _mask_backend(masks: np.ndarray):
+def _mask_backend(words: np.ndarray):
+    """Hamming distances of edge bitsets ``words[point, k]`` (slots 64k..64k+63):
+    popcounts of the XOR, summed over the words."""
+    columns = [np.ascontiguousarray(words[:, k]) for k in range(words.shape[1])]
+
     def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(masks[rows][:, None] ^ masks[cols][None, :]).astype(np.int64)
+        return sum((np.bitwise_count(c[rows][:, None] ^ c[cols][None, :]) for c in columns), np.int64(0))
 
     return block
 
@@ -139,11 +143,11 @@ def enumerate_space(cfg: GraphSpaceConfig | int) -> MetricSpace:
     slots = n_edge_slots(cfg.nv)
     if slots > cfg.enumeration_cap:
         raise EnumerationCapError(cfg.nv, cfg.enumeration_cap)
-    masks = np.arange(1 << slots, dtype=np.uint32)
+    masks = np.arange(1 << slots, dtype=np.uint64)
     points = tuple(Graph(cfg.nv, int(m)) for m in masks)
     return MetricSpace(
         points,
-        int_block=_mask_backend(masks),
+        int_block=_mask_backend(masks[:, None]),
         bound_M=slots,
         is_pseudo=False,
         label=format_graph,
@@ -163,10 +167,11 @@ def graph_subspace(graphs: Sequence[Graph]) -> MetricSpace:
     nv = distinct[0].nv
     if any(g.nv != nv for g in distinct):
         raise ValueError("all graphs must share the same vertex count")
-    masks = np.array([g.edges for g in distinct], dtype=np.uint64)
+    n_words = max(1, -(-n_edge_slots(nv) // 64))  # nv=1 has no slots but still one word
+    words = [[(g.edges >> 64 * k) & (2**64 - 1) for k in range(n_words)] for g in distinct]
     return MetricSpace(
         distinct,
-        int_block=_mask_backend(masks),
+        int_block=_mask_backend(np.array(words, dtype=np.uint64)),
         bound_M=n_edge_slots(nv),
         is_pseudo=False,
         label=format_graph,

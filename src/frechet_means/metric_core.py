@@ -573,29 +573,21 @@ def sample_functional(space: MetricSpace, sample: Sample, candidate, r):
     return float((block**float(r)) @ (counts.astype(np.float64) / n))
 
 
-def population_values(space: MetricSpace, mu: DiscreteMeasure, r, candidates_idx: np.ndarray | None = None):
-    """Population functional at every candidate (defaults to the whole space).
+def population_functional(space: MetricSpace, mu: DiscreteMeasure, candidate, r):
+    """Population functional sum_x d(x, candidate)^r * mu(x).
 
-    Returns a list of Fractions on the exact path, else a float array.
+    An exact Fraction on exact spaces with integer r and rational weights;
+    otherwise a float.
     """
     check_order(r)
+    c = np.array([space.index(candidate)], dtype=np.intp)
     sup_idx = space.indices(mu.support)
-    if candidates_idx is None:
-        candidates_idx = np.arange(len(space), dtype=np.intp)
     if space.exact and isinstance(r, int) and mu.is_rational:
         weights, lcd = _integer_weights(mu)
-        block = _exact_power_block(space, candidates_idx, sup_idx, r, lcd)
-        scale_r = space.scale**r
-        return [Fraction(int(v), lcd) * scale_r for v in block @ weights]
-    block = space.float_block(candidates_idx, sup_idx) ** float(r)
-    return block @ np.array([float(w) for w in mu.weights])
-
-
-def population_functional(space: MetricSpace, mu: DiscreteMeasure, candidate, r):
-    """Population functional sum_x d(x, candidate)^r * mu(x)."""
-    c = space.index(candidate)
-    vals = population_values(space, mu, r, np.array([c], dtype=np.intp))
-    return vals[0] if isinstance(vals, list) else float(vals[0])
+        block = _exact_power_block(space, c, sup_idx, r, lcd)
+        return Fraction(int((block @ weights)[0]), lcd) * space.scale**r
+    block = space.float_block(c, sup_idx) ** float(r)
+    return float((block @ np.array([float(w) for w in mu.weights]))[0])
 
 
 def modulus_of_continuity(space: MetricSpace, support: Iterable, delta, r):

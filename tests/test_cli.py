@@ -7,6 +7,8 @@ from conftest import FIXTURE_DIR, MEAN_SET_R1_TEXTS
 from frechet_means import cli
 from frechet_means.cli import load_config_file, main
 from frechet_means.consistency_lab import ConfigError
+from frechet_means.graph_space import format_graph, n_edge_slots, read_graph_file
+from oracles import mean_set_by_enumeration
 
 
 @pytest.fixture()
@@ -140,6 +142,23 @@ def test_restricted_mean_works_beyond_cap(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["optimum"] == 1.0 and payload["mean_set_size"] == 2
+
+
+@pytest.mark.parametrize("nv", [12, 13])
+def test_restricted_mean_works_past_64_edge_slots(capsys, tmp_path, nv):
+    # 66 and 78 slots: edge bitsets take two 64-bit words
+    slots = n_edge_slots(nv)
+    low = "1" * 10 + "0" * (slots - 10)
+    lines = [low, low[:64] + "1" + low[65:], low[:-1] + "1", "1" * slots, "0" * slots]
+    path = tmp_path / "big.graphs"
+    path.write_text("".join(f"{nv}:{bits}\n" for bits in lines))
+    code, out, _ = run_cli(capsys, "restricted-mean", str(path), "--r", "2", "--format", "json")
+    assert code == 0
+    graphs = read_graph_file(path)
+    optimum, argmin = mean_set_by_enumeration(None, graphs, 2, sorted(set(graphs)))
+    payload = json.loads(out)
+    assert payload["optimum_exact"] == str(optimum)
+    assert payload["mean_set"] == [format_graph(g) for g in argmin]
 
 
 def test_invalid_order_rejected_by_argparse(capsys, pair_file):
@@ -326,6 +345,23 @@ def test_simulate_invalid_config_exit_4(capsys, tmp_path):
     bad.write_text("not json")
     code, _, err = run_cli(capsys, "simulate", str(bad), "--out", str(out_dir))
     assert code == 4
+
+    # values of the wrong kind fail their conversion (ValueError, TypeError)
+    base = json.loads((FIXTURE_DIR / "g4_uniform_pair.json").read_text())
+    for key, value in [
+        ("replications", "many"),
+        ("epsilon", "abc"),
+        ("nv", "four"),
+        ("checkpoints", [10, "x"]),
+        ("seed", "x"),
+        ("burn_in", "x"),
+        ("weights", 3),
+    ]:
+        bad.write_text(json.dumps({**base, key: value}))
+        code, _, err = run_cli(capsys, "simulate", str(bad), "--out", str(out_dir))
+        assert code == 4, key
+        assert err.startswith("error:") and key in err, err
+        assert not (out_dir / "report.csv").exists()
 
 
 def test_simulate_unknown_key_exit_4(capsys, tmp_path):

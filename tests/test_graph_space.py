@@ -3,6 +3,7 @@ import pytest
 
 from frechet_means import (
     EnumerationCapError,
+    Sample,
     Graph,
     GraphParseError,
     GraphSpaceConfig,
@@ -13,9 +14,10 @@ from frechet_means import (
     hamming_distance,
     parse_graph,
     read_graph_lines,
+    restricted_sample_mean_set,
 )
 from frechet_means.graph_space import n_edge_slots, slot_pairs
-from oracles import hamming_by_edge_sets
+from oracles import hamming_by_edge_sets, mean_set_by_enumeration
 
 
 def test_slot_order_is_row_major_upper_triangular():
@@ -169,3 +171,23 @@ def test_graph_subspace_matches_ambient_distances(g4, s1, s2):
 def test_graph_subspace_rejects_mixed_nv(s1):
     with pytest.raises(ValueError, match="same vertex count"):
         graph_subspace([s1, Graph(5, 0)])
+
+
+@pytest.mark.parametrize("nv", [12, 13])
+@pytest.mark.parametrize("r", [1, 2])
+def test_graph_subspace_past_64_edge_slots_matches_oracle(nv, r):
+    # 66 and 78 slots need two 64-bit words; the first three graphs share
+    # every slot below 64 and differ only above it
+    slots = n_edge_slots(nv)
+    rng = np.random.default_rng(nv)
+    base = int(rng.integers(0, 2**63)) | 1 << 63
+    high = [base | int(b) << 64 for b in (0, 1, 2**(slots - 64) - 1)]
+    other = [int.from_bytes(rng.bytes(10)) % 2**slots for _ in range(3)]
+    graphs = [Graph(nv, m) for m in high + other + high[:1]]
+    sub = graph_subspace(graphs)
+    idx = np.arange(len(sub), dtype=np.intp)
+    assert sub.int_block(idx, idx).tolist() == [
+        [hamming_by_edge_sets(a, b) for b in sub.points] for a in sub.points
+    ]
+    res = restricted_sample_mean_set(sub, Sample(tuple(graphs)), r)
+    assert (res.optimum, res.argmin) == mean_set_by_enumeration(sub, graphs, r, sub.points)

@@ -1,8 +1,9 @@
 """Property tests of the exact scoring kernel against the naive oracles.
 
 They cover rational measure weights brought to a common denominator, the
-int64 / Python-int switch of the overflow guard, and the independence of
-sample mean sets from the candidate chunk size.
+int64 / Python-int switch of the overflow guard, the independence of
+sample mean sets from the candidate chunk size, and the consistency
+engine's agreement with the solver on exact, float and pseudo-metric spaces.
 """
 
 import math
@@ -14,6 +15,9 @@ from hypothesis import strategies as st
 
 from frechet_means import (
     DiscreteMeasure,
+    ExperimentConfig,
+    GraphSpec,
+    GridSpec,
     MetricSpace,
     Sample,
     enumerate_space,
@@ -21,8 +25,10 @@ from frechet_means import (
     population_mean_set,
     restricted_population_mean_set,
     restricted_sample_mean_set,
+    run_consistency_experiment,
     sample_mean_set,
 )
+from frechet_means.consistency_lab import _draw_indices, replication_rng
 from frechet_means.metric_core import _INT64_SAFE, _exact_power_block
 from oracles import mean_set_by_enumeration, population_by_enumeration
 
@@ -34,9 +40,10 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def measures(draw, space):
-    """A measure on a few distinct points whose weights have mixed denominators."""
+def measures(draw, space, include=()):
+    """A measure on a few distinct points (always on ``include``) whose weights have mixed denominators."""
     positions = draw(st.lists(st.integers(0, len(space) - 1), min_size=1, max_size=5, unique=True))
+    positions += [i for i in include if i not in positions]
     raw = [
         Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
         for _ in positions
@@ -144,3 +151,59 @@ def test_sample_mean_set_is_chunk_size_invariant(name, data, r, chunk_size):
     items = data.draw(st.lists(st.sampled_from(space.points), min_size=1, max_size=8))
     sample = Sample(tuple(items))
     assert sample_mean_set(space, sample, r, chunk_size=chunk_size) == sample_mean_set(space, sample, r)
+
+
+@st.composite
+def pseudo_metric_spaces(draw):
+    """L1 distances between points of a small integer grid, with zero-distance twins."""
+    spots = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=7))
+    spots.append(spots[0])  # at least one pair of distinct points at distance 0
+    m = [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in spots] for a in spots]
+    # names sort in reverse index order, so support order is not space order
+    names = tuple(f"p{9 - i}" for i in range(len(spots)))
+    return MetricSpace.from_int_matrix(names, m, is_pseudo=True, name="l1-twins")
+
+
+ENGINE_SPACES = {"g4": (G4, GraphSpec(4)), "grid": (GRID, GridSpec("0", "2", "0.25"))}
+
+
+def _close(a, b) -> bool:
+    return a == b if isinstance(a, Fraction) else math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(ENGINE_SPACES) + ["pseudo"]),
+    r=st.sampled_from([1, 2, 1.5]),
+    restricted=st.booleans(),
+    seed=st.integers(0, 2**16),
+    checkpoints=st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True).map(sorted),
+)
+def test_engine_matches_solver(data, name, r, restricted, seed, checkpoints):
+    if name == "pseudo":  # the measure charges both twins, so they can tie
+        space, spec = data.draw(pseudo_metric_spaces()), None
+        mu = data.draw(measures(space, include=(0, len(space) - 1)))
+    else:
+        space, spec = ENGINE_SPACES[name]
+        mu = data.draw(measures(space))
+    cfg = ExperimentConfig(
+        space_spec=spec, mu=mu, r=r, n_max=checkpoints[-1], checkpoints=tuple(checkpoints),
+        replications=2, seed=seed, restricted=restricted, limit_params=None,
+    )
+    result = run_consistency_experiment(cfg, space)
+
+    assert result.population == population_mean_set(space, mu, r)
+    if restricted:
+        assert result.population_restricted == restricted_population_mean_set(space, mu, r)
+    for rec in result.records:
+        idx = _draw_indices(mu, cfg.n_max, replication_rng(seed, rec.replication))
+        for stat in rec.stats:
+            prefix = Sample(tuple(mu.support[i] for i in idx[: stat.n]))
+            res = sample_mean_set(space, prefix, r)
+            assert stat.mean_set == res.argmin
+            assert _close(stat.sigma_hat, res.optimum)
+            if restricted:
+                res = restricted_sample_mean_set(space, prefix, r)
+                assert stat.mean_set_res == res.argmin
+                assert _close(stat.sigma_hat_res, res.optimum)
