@@ -349,6 +349,20 @@ _CONFIG_KEYS = {
 }
 
 
+def _config_int(value) -> int:
+    """Integer config value; JSON booleans and non-integral numbers are refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _config_bool(value) -> bool:
+    """Boolean config value: only JSON true and false."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {json.dumps(value)}")
+    return value
+
+
 def load_config_file(path) -> ExperimentConfig:
     """Parse a flat JSON experiment config (schema ``experiment-config-v1``)."""
     try:
@@ -380,7 +394,9 @@ def load_config_file(path) -> ExperimentConfig:
     try:
         kind = need("space")
         if kind == "graph":
-            spec = GraphSpec(int(need("nv")), int(get("enumeration_cap", DEFAULT_ENUMERATION_CAP)))
+            spec = GraphSpec(
+                _config_int(need("nv")), _config_int(get("enumeration_cap", DEFAULT_ENUMERATION_CAP))
+            )
         elif kind == "grid":
             spec = GridSpec(
                 str(get("grid_start", "-1")), str(get("grid_end", "1")), str(get("grid_step", "0.01"))
@@ -400,19 +416,19 @@ def load_config_file(path) -> ExperimentConfig:
         r = need("r")
         if isinstance(r, float) and r == int(r):
             r = int(r)
-        n_max = int(need("n_max"))
+        n_max = _config_int(need("n_max"))
         checkpoints = get("checkpoints")
         if checkpoints is None:
             checkpoints = [c for c in DEFAULT_CHECKPOINTS if c <= n_max] or [n_max]
         elif not isinstance(checkpoints, list):
             raise ConfigError("checkpoints must be a list of sample sizes")
-        checkpoints = tuple(int(c) for c in checkpoints)
+        checkpoints = tuple(_config_int(c) for c in checkpoints)
 
-        if get("limits", True):
+        if _config_bool(get("limits", True)):
             limit_params = LimitParams(
                 epsilon=Fraction(str(get("epsilon", "0"))),
-                burn_in=None if get("burn_in") is None else int(raw["burn_in"]),
-                min_visits=int(get("min_visits", 2)),
+                burn_in=None if get("burn_in") is None else _config_int(raw["burn_in"]),
+                min_visits=_config_int(get("min_visits", 2)),
             )
         else:
             limit_params = None
@@ -427,9 +443,9 @@ def load_config_file(path) -> ExperimentConfig:
             r=r,
             n_max=n_max,
             checkpoints=checkpoints,
-            replications=int(get("replications", 200)),
-            seed=int(get("seed", 0)),
-            restricted=bool(get("restricted", False)),
+            replications=_config_int(get("replications", 200)),
+            seed=_config_int(get("seed", 0)),
+            restricted=_config_bool(get("restricted", False)),
             limit_params=limit_params,
             events=tuple(str(e) for e in events),
         )

@@ -13,9 +13,10 @@ ignored and all lines must share the same vertex count.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -133,21 +134,53 @@ def _mask_backend(words: np.ndarray):
     return block
 
 
+class _AllGraphs(Sequence):
+    """Every graph on ``nv`` vertices, addressed by edge mask: position i is
+    ``Graph(nv, i)``.  Graphs are built on access, never stored."""
+
+    def __init__(self, nv: int):
+        self.nv = nv
+        self._len = 1 << n_edge_slots(nv)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(Graph(self.nv, m) for m in range(*i.indices(self._len)))
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(f"graph index {i} out of range for nv={self.nv}")
+        return Graph(self.nv, i)
+
+    def __contains__(self, g) -> bool:
+        return isinstance(g, Graph) and g.nv == self.nv
+
+    def index(self, g) -> int:
+        if g not in self:
+            raise ValueError(f"{g!r} is not a graph on {self.nv} vertices")
+        return g.edges
+
+
 def enumerate_space(cfg: GraphSpaceConfig | int) -> MetricSpace:
     """All 2^(nv(nv-1)/2) simple graphs on nv vertices, Hamming metric.
 
-    Points come in ascending bitmask order; bound_M is the slot count.
+    Points come in ascending bitmask order; bound_M is the slot count.  The
+    space is index-addressed: point i is the graph with edge mask i, so no
+    graph is built until a caller reads one.
     """
     if isinstance(cfg, int):
         cfg = GraphSpaceConfig(cfg)
     slots = n_edge_slots(cfg.nv)
     if slots > cfg.enumeration_cap:
         raise EnumerationCapError(cfg.nv, cfg.enumeration_cap)
-    masks = np.arange(1 << slots, dtype=np.uint64)
-    points = tuple(Graph(cfg.nv, int(m)) for m in masks)
+    points = _AllGraphs(cfg.nv)
     return MetricSpace(
         points,
-        int_block=_mask_backend(masks[:, None]),
+        index=points.index,
+        int_block=_mask_backend(np.arange(1 << slots, dtype=np.uint64)[:, None]),
         bound_M=slots,
         is_pseudo=False,
         label=format_graph,

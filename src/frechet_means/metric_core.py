@@ -89,6 +89,14 @@ class MetricSpace:
     certified bound on all pairwise distances (it is not recomputed per
     call; ``check_metric_axioms`` verifies it on demand).
 
+    ``points`` may be any read-only sequence.  Without ``index`` it is
+    copied into a tuple and positions are looked up in a dict built over it,
+    so its items must be distinct and hashable.  With ``index``, the sequence
+    is kept as given and ``index(point)`` must return the position of a
+    point and raise ``KeyError``, ``TypeError`` or ``ValueError`` for
+    anything that is not one; this lets a space address its points through a
+    codec instead of materialising them.
+
     Exact spaces additionally satisfy ``d(x, y) = int_distance(x, y) * scale``
     with integer lattice distances and a positive rational scale.
     """
@@ -104,6 +112,7 @@ class MetricSpace:
         is_pseudo: bool = False,
         label: Callable | None = None,
         name: str = "",
+        index: Callable[[object], int] | None = None,
     ):
         if len(points) == 0:
             raise ValueError("a metric space needs at least one point")
@@ -111,7 +120,14 @@ class MetricSpace:
             raise ValueError("a distance backend is required")
         if scale <= 0:
             raise ValueError("scale must be positive")
-        self.points = tuple(points)
+        if index is None:
+            points = tuple(points)
+            positions = {p: i for i, p in enumerate(points)}
+            if len(positions) != len(points):
+                raise ValueError("points must be distinct identifiers")
+            index = positions.__getitem__
+        self.points = points
+        self._position = index
         self.bound_M = bound_M
         self.is_pseudo = bool(is_pseudo)
         self.name = name or f"space({len(self.points)} points)"
@@ -120,9 +136,6 @@ class MetricSpace:
         self._int_block_fn = int_block
         self._float_block_fn = float_block
         self._label_fn = label
-        self._index = {p: i for i, p in enumerate(self.points)}
-        if len(self._index) != len(self.points):
-            raise ValueError("points must be distinct identifiers")
 
     # -- indexing ---------------------------------------------------------
 
@@ -130,12 +143,16 @@ class MetricSpace:
         return len(self.points)
 
     def __contains__(self, point) -> bool:
-        return point in self._index
+        try:
+            self.index(point)
+        except ValueError:
+            return False
+        return True
 
     def index(self, point) -> int:
         try:
-            return self._index[point]
-        except (KeyError, TypeError):
+            return self._position(point)
+        except (KeyError, TypeError, ValueError):
             raise ValueError(f"{point!r} is not a point of {self.name}") from None
 
     def indices(self, points: Iterable) -> np.ndarray:

@@ -151,6 +151,9 @@ def kuratowski_limsup(
     space = traj.space
     all_idx = np.arange(len(space), dtype=np.intp)
     visits = np.zeros(len(space), dtype=np.int64)
+    # On a proper metric d(x, A) = 0 iff x is in A, so epsilon = 0 needs no
+    # distance scan; a pseudo-metric must still credit zero-distance twins.
+    membership = epsilon == 0 and not space.is_pseudo
     exact = space.exact and isinstance(epsilon, (int, Fraction))
     if exact:
         eps_frac = Fraction(epsilon)
@@ -159,7 +162,9 @@ def kuratowski_limsup(
         if not s:
             continue  # d(x, {}) = +inf: no visits
         cols = space.indices(s)
-        if exact:
+        if membership:
+            visits[cols] += 1
+        elif exact:
             dmin = space.int_block(all_idx, cols).min(axis=1)
             visits += (dmin <= thr) if epsilon > 0 else (dmin == 0)
         else:

@@ -346,7 +346,9 @@ def test_simulate_invalid_config_exit_4(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", str(bad), "--out", str(out_dir))
     assert code == 4
 
-    # values of the wrong kind fail their conversion (ValueError, TypeError)
+    # values of the wrong kind fail their conversion (ValueError, TypeError);
+    # integer keys refuse fractions and booleans instead of truncating them,
+    # and boolean keys refuse anything but true and false
     base = json.loads((FIXTURE_DIR / "g4_uniform_pair.json").read_text())
     for key, value in [
         ("replications", "many"),
@@ -356,6 +358,21 @@ def test_simulate_invalid_config_exit_4(capsys, tmp_path):
         ("seed", "x"),
         ("burn_in", "x"),
         ("weights", 3),
+        ("nv", 4.9),
+        ("enumeration_cap", 21.5),
+        ("n_max", 1000.5),
+        ("checkpoints", [10, 100.5]),
+        ("replications", 2.7),
+        ("seed", 1.5),
+        ("burn_in", 1.5),
+        ("min_visits", 2.5),
+        ("nv", True),
+        ("seed", False),
+        ("checkpoints", [10, True]),
+        ("restricted", "false"),
+        ("restricted", 0),
+        ("limits", "false"),
+        ("limits", 1),
     ]:
         bad.write_text(json.dumps({**base, key: value}))
         code, _, err = run_cli(capsys, "simulate", str(bad), "--out", str(out_dir))

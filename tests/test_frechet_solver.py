@@ -6,8 +6,10 @@ import pytest
 from conftest import MEAN_SET_R1_TEXTS, MEAN_SET_R2_TEXTS
 from frechet_means import (
     DiscreteMeasure,
+    Graph,
     MetricSpace,
     Sample,
+    enumerate_space,
     format_graph,
     graph_subspace,
     interval_grid,
@@ -273,3 +275,34 @@ def test_population_oracle_spot_checks(g4):
         res2 = restricted_population_mean_set(g4, mu, r)
         opt2, argmin2 = population_by_enumeration(g4, pairs, r, mu.support)
         assert (res2.optimum, res2.argmin) == (opt2, argmin2)
+
+
+# ---------------------------------------------------------------------------
+# the headline size: every graph on 7 vertices
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def nv7_sample_scores():
+    """A seeded 50-graph nv=7 sample and its r=1, r=2 scores over all 2^21
+    edge masks, from a popcount table built here with numpy alone."""
+    masks = np.arange(1 << 21, dtype=np.int32)
+    popcount = np.zeros(1 << 21, dtype=np.uint8)
+    for bit in range(21):
+        popcount += ((masks >> bit) & 1).astype(np.uint8)
+    sample = [int(m) for m in np.random.default_rng(2007).integers(0, 1 << 21, 50)]
+    scores = {1: np.zeros(1 << 21, dtype=np.int32), 2: np.zeros(1 << 21, dtype=np.int32)}
+    for m in sample:
+        d = popcount[masks ^ m].astype(np.int32)
+        scores[1] += d
+        scores[2] += d * d
+    return sample, scores
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_nv7_full_space_mean_set_matches_popcount_table(nv7_sample_scores, r):
+    sample, scores = nv7_sample_scores
+    res = sample_mean_set(enumerate_space(7), Sample(tuple(Graph(7, m) for m in sample)), r)
+    best = int(scores[r].min())
+    assert res.optimum == Fraction(best, len(sample))
+    assert [(g.nv, g.edges) for g in res.argmin] == [(7, int(m)) for m in np.flatnonzero(scores[r] == best)]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,46 @@ def test_enumerate_small_spaces():
     assert len(sp4) == 64 and sp4.bound_M == 6
     masks = [g.edges for g in sp4.points]
     assert masks == sorted(masks) and len(set(masks)) == 64
+
+
+def test_full_space_codec_round_trip():
+    space = enumerate_space(7)
+    last = len(space) - 1
+    picks = [0, 1, last, *np.random.default_rng(7).integers(0, last, 50)]
+    for i in picks:
+        g = space.points[i]
+        assert g == Graph(7, int(i)) and g in space
+        assert space.index(g) == i
+    assert space.points[-1] == Graph(7, last)
+    with pytest.raises(IndexError):
+        space.points[last + 1]
+
+
+def test_full_space_rejects_foreign_points():
+    space = enumerate_space(7)
+    for foreign in (Graph(6, 0), "7:" + "0" * 21, None):
+        assert foreign not in space
+        with pytest.raises(ValueError, match="not a point"):
+            space.index(foreign)
+
+
+def test_full_space_slices_and_iteration_match_the_graph_tuple():
+    points = enumerate_space(4).points
+    expected = tuple(Graph(4, m) for m in range(64))
+    assert tuple(points) == expected
+    assert points[::5] == expected[::5]
+    assert points[60:] == expected[60:] and points[-3:1:-7] == expected[-3:1:-7]
+
+
+def test_full_space_is_not_materialised():
+    # 2^21 Graph objects plus a position dict take over 400 MB
+    tracemalloc.start()
+    try:
+        enumerate_space(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_enumeration_cap_refusal_names_required_cap():

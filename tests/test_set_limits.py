@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from frechet_means import (
+    MetricSpace,
     SetTrajectory,
     inclusion_check,
     interval_grid,
@@ -113,6 +114,32 @@ def test_kuratowski_epsilon_zero_is_membership(line9):
     t = traj(line9, {p(1), p(2)}, {p(2)}, {p(2), p(7)})
     est = kuratowski_limsup(t, 0, burn_in=0)
     assert est.points == {p(2)}
+
+
+@pytest.mark.parametrize("space_name", ["g4", "grid201"])
+def test_kuratowski_epsilon_zero_equals_tail_limsup(request, space_name):
+    space = request.getfixturevalue(space_name)
+    rng = np.random.Generator(np.random.PCG64(23))
+    for _ in range(10):
+        sets = [
+            frozenset(space.points[int(k)] for k in rng.integers(0, 6, int(rng.integers(0, 4))))
+            for _ in range(12)
+        ]
+        t = SetTrajectory(space, tuple(sets))
+        for v in (1, 2, 3):
+            for eps in (0, Fraction(0), 0.0):
+                assert kuratowski_limsup(t, eps, burn_in=4, min_visits=v).points == tail_limsup(t, 4, v)
+
+
+def test_kuratowski_epsilon_zero_credits_pseudo_metric_twins():
+    # L1 distances on grid spots, as in the engine's pseudo-metric property
+    # test: p9 and p6 sit on the same spot, at distance 0 but distinct
+    spots = [(0, 0), (1, 2), (3, 1), (0, 0)]
+    m = [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in spots] for a in spots]
+    space = MetricSpace.from_int_matrix(("p9", "p8", "p7", "p6"), m, is_pseudo=True)
+    t = traj(space, {"p9"}, {"p9", "p8"}, {"p9"})
+    assert tail_limsup(t, 0) == {"p9"}
+    assert kuratowski_limsup(t, 0, burn_in=0).points == {"p9", "p6"}
 
 
 def test_diverging_windows_leave_every_region():
