@@ -62,6 +62,7 @@ from .graph_space import (
     read_graph_file,
 )
 from .metric_core import (
+    _EXHAUSTIVE_MAX_POINTS,
     DiscreteMeasure,
     Sample,
     check_metric_axioms,
@@ -74,6 +75,10 @@ from .metric_core import (
 __all__ = ["main", "load_config_file"]
 
 CONFIG_SCHEMA = "experiment-config-v1"
+
+
+class _InputError(Exception):
+    """A command-line value the command cannot use (exit 2)."""
 
 
 def _err(message) -> None:
@@ -146,8 +151,7 @@ def _solve_sample(args, restricted: bool):
         space = graph_subspace(graphs)
         result = restricted_sample_mean_set(space, sample, args.r)
     else:
-        cap = args.cap_override if args.cap_override else DEFAULT_ENUMERATION_CAP
-        space = enumerate_space(GraphSpaceConfig(nv, cap))
+        space = enumerate_space(GraphSpaceConfig(nv, args.cap_override))
         result = sample_mean_set(space, sample, args.r)
     return space, sample, result
 
@@ -234,8 +238,7 @@ def cmd_variance(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    cap = args.cap_override if args.cap_override else DEFAULT_ENUMERATION_CAP
-    space = enumerate_space(GraphSpaceConfig(args.nv, cap))
+    space = enumerate_space(GraphSpaceConfig(args.nv, args.cap_override))
     labels = [space.label(p) for p in space.points]
     if args.format == "json":
         payload = {"nv": args.nv, "count": len(space), "bound_M": _num(space.bound_M), "graphs": labels}
@@ -249,13 +252,21 @@ def cmd_enumerate(args) -> int:
 
 
 def _resolve_space(args):
+    """The space of an exhaustive scan (``check-metric``, ``modulus``), within its point guard."""
     if args.grid is not None:
-        start, end, step = args.grid
-        return interval_grid(start, end, step)
-    if args.nv is None:
+        try:
+            space = interval_grid(*args.grid)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _InputError(f"--grid {' '.join(args.grid)}: {exc}") from None
+    elif args.nv is None:
         raise ConfigError("pass --nv NV for a graph space or --grid START END STEP")
-    cap = args.cap_override if args.cap_override else DEFAULT_ENUMERATION_CAP
-    return enumerate_space(GraphSpaceConfig(args.nv, cap))
+    else:
+        space = enumerate_space(GraphSpaceConfig(args.nv, args.cap_override))
+    if len(space) > _EXHAUSTIVE_MAX_POINTS:
+        raise _InputError(
+            f"{len(space)} points in {space.name}, above the {_EXHAUSTIVE_MAX_POINTS}-point guard"
+        )
+    return space
 
 
 def cmd_check_metric(args) -> int:
@@ -289,6 +300,8 @@ def cmd_check_metric(args) -> int:
 
 
 def cmd_modulus(args) -> int:
+    if args.delta <= 0:
+        raise _InputError(f"--delta must be positive, got {args.delta}")
     space = _resolve_space(args)
     value = modulus_of_continuity(space, space.points, args.delta, args.r)
     payload = {
@@ -398,9 +411,13 @@ def load_config_file(path) -> ExperimentConfig:
                 _config_int(need("nv")), _config_int(get("enumeration_cap", DEFAULT_ENUMERATION_CAP))
             )
         elif kind == "grid":
-            spec = GridSpec(
-                str(get("grid_start", "-1")), str(get("grid_end", "1")), str(get("grid_step", "0.01"))
-            )
+            bounds = []
+            for k, default in (("grid_start", "-1"), ("grid_end", "1"), ("grid_step", "0.01")):
+                bounds.append(str(get(k, default)))
+                Fraction(bounds[-1])  # a bad literal is named by its own key
+            spec = GridSpec(*bounds)
+            key = "grid_end" if Fraction(spec.end) <= Fraction(spec.start) else "grid_step"
+            build_space(spec)  # the grid's checks: end above start, a positive step dividing the length
         else:
             raise ConfigError(f"space must be 'graph' or 'grid', got {kind!r}")
 
@@ -523,7 +540,7 @@ def _add_space_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nv", type=int, help="graph space on NV vertices")
     p.add_argument("--grid", nargs=3, metavar=("START", "END", "STEP"),
                    help="interval grid instead of a graph space")
-    p.add_argument("--cap-override", type=int, default=None,
+    p.add_argument("--cap-override", type=int, default=DEFAULT_ENUMERATION_CAP,
                    help="raise the graph enumeration cap (edge slots)")
 
 
@@ -540,14 +557,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mean.add_argument("--r", type=_order_arg, default=1)
     p_mean.add_argument("--restricted", action="store_true",
                         help="restrict candidates to the observed graphs")
-    p_mean.add_argument("--cap-override", type=int, default=None)
+    p_mean.add_argument("--cap-override", type=int, default=DEFAULT_ENUMERATION_CAP)
     _add_format(p_mean)
     p_mean.set_defaults(func=lambda a: cmd_mean(a, a.restricted))
 
     p_rmean = sub.add_parser("restricted-mean", help="mean set restricted to the sample")
     p_rmean.add_argument("graph_file")
     p_rmean.add_argument("--r", type=_order_arg, default=1)
-    p_rmean.add_argument("--cap-override", type=int, default=None)
+    p_rmean.add_argument("--cap-override", type=int, default=DEFAULT_ENUMERATION_CAP)
     _add_format(p_rmean)
     p_rmean.set_defaults(func=lambda a: cmd_mean(a, True))
 
@@ -555,13 +572,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_var.add_argument("graph_file")
     p_var.add_argument("--r", type=_order_arg, default=1)
     p_var.add_argument("--restricted", action="store_true")
-    p_var.add_argument("--cap-override", type=int, default=None)
+    p_var.add_argument("--cap-override", type=int, default=DEFAULT_ENUMERATION_CAP)
     _add_format(p_var)
     p_var.set_defaults(func=cmd_variance)
 
     p_enum = sub.add_parser("enumerate", help="list a graph space in canonical order")
     p_enum.add_argument("--nv", type=int, required=True)
-    p_enum.add_argument("--cap-override", type=int, default=None)
+    p_enum.add_argument("--cap-override", type=int, default=DEFAULT_ENUMERATION_CAP)
     _add_format(p_enum)
     p_enum.set_defaults(func=cmd_enumerate)
 
@@ -605,6 +622,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _err(exc)
         return 4
+    except _InputError as exc:
+        _err(exc)
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,8 +35,9 @@ from .metric_core import (
     DiscreteMeasure,
     MetricSpace,
     Sample,
-    _exact_power_block,
-    _integer_weights,
+    _power_block,
+    _score_value,
+    _weights,
     check_order,
     interval_grid,
     population_functional,
@@ -280,20 +281,14 @@ class _Engine:
 
     def __init__(self, space: MetricSpace, cfg: ExperimentConfig):
         self.space = space
-        mu, r = cfg.mu, cfg.r
+        r = cfg.r
         self.restricted = cfg.restricted
-        self.exact = space.exact and isinstance(r, int) and mu.is_rational
-        self.sup_idx = space.indices(mu.support)
+        self.sup_idx, weights, self.pop_denominator, self.exact = _weights(space, cfg.mu, r)
+        self.scale_r = space.scale**r
         all_idx = np.arange(len(space), dtype=np.intp)
-        if self.exact:
-            self.scale_r = space.scale**r
-            weights, self.pop_denominator = _integer_weights(mu)
-            self.block = _exact_power_block(
-                space, all_idx, self.sup_idx, r, max(cfg.n_max, self.pop_denominator)
-            )
-        else:
-            weights, self.pop_denominator = np.array([float(w) for w in mu.weights]), 1
-            self.block = space.float_block(all_idx, self.sup_idx) ** float(r)
+        self.block = _power_block(
+            space, all_idx, self.sup_idx, r, self.exact, max(cfg.n_max, self.pop_denominator)
+        )
         self.pop_scores = self.block @ weights
 
         self.population = _mean_set(
@@ -313,9 +308,7 @@ class _Engine:
     # -- per-checkpoint scores ---------------------------------------------
 
     def _normalize(self, value, n: int):
-        if self.exact:
-            return Fraction(int(value), n) * self.scale_r
-        return float(value) / n
+        return _score_value(value, n, self.exact, self.scale_r)
 
     def _track(self, scores, candidates, sigma, target: np.ndarray, n: int):
         """One track at one checkpoint: (sigma_hat, mean-set indices, T*, t_hat_max, included).

@@ -4,18 +4,19 @@ Every operation returns the *full* argmin set in canonical space order --
 ties are the object of study here, never collapsed to a representative.
 
 Sample means, restricted sample means and (restricted) population means all
-run through :func:`_solve`.  It scores every candidate as ``block**r @ w``,
-where ``w`` are integer weights over a normalizer -- sample multiplicities
-over n, or a rational measure's weights over their least common denominator
--- and ``block**r`` comes from :func:`metric_core._exact_power_block`, which
-keeps the scores in int64 or Python ints as their size requires.  Its tail,
-:func:`_mean_set`, turns scores into a result; the consistency harness calls
-it on population scores of the block its checkpoints use.  One reducer,
-:func:`_min_ties`, picks the argmin set: on exact spaces
-(integer lattice distances, integer order, rational weights) it keeps every
-score equal to the exact minimum, so tie sets are bit-reproducible; on the
-float path it keeps every score <= optimum * (1 + 1e-9), a tolerance that is
-part of the contract.
+run through :func:`_solve`, one path for both arithmetics.  It hands the
+sample or the measure to :func:`metric_core._weights`, which decides the
+arithmetic once: integer weights over a normalizer on exact spaces with an
+integer order and rational weights, float weights summing to one otherwise.
+Every candidate is then scored as ``d**r @ weights`` with ``d**r`` from
+:func:`metric_core._power_block`, whose exact branch keeps the scores in
+int64 or Python ints as their size requires.  Its tail, :func:`_mean_set`,
+turns scores into a result; the consistency harness calls it on population
+scores of the block its checkpoints use.  One reducer, :func:`_min_ties`,
+picks the argmin set: on the exact path it keeps every score equal to the
+exact minimum, so tie sets are bit-reproducible; on the float path it keeps
+every score <= optimum * (1 + 1e-9), a tolerance that is part of the
+contract.
 
 Candidates are scored in chunks only to bound the distance-block working
 set; the reducer sees all scores at once, so results do not depend on the
@@ -33,10 +34,9 @@ from .metric_core import (
     DiscreteMeasure,
     MetricSpace,
     Sample,
-    _counts_from_sample,
-    _exact_power_block,
-    _integer_weights,
-    check_order,
+    _power_block,
+    _score_value,
+    _weights,
 )
 
 __all__ = [
@@ -87,33 +87,18 @@ def _min_ties(scores: np.ndarray, exact: bool) -> tuple:
 
 
 def _solve(
-    space: MetricSpace,
-    sup_idx: np.ndarray,
-    weights: np.ndarray,
-    r,
-    candidates_idx: np.ndarray,
-    domain: str,
-    normalizer: int,
-    chunk_size: int = _DEFAULT_CHUNK,
+    space: MetricSpace, data: Sample | DiscreteMeasure, r, domain: str, chunk_size: int = _DEFAULT_CHUNK
 ) -> MeanSetResult:
-    """Argmin of sum_j d(candidate, sup_j)^r * weights_j / normalizer.
+    """Argmin of the functional of a sample or a measure ``data``.
 
-    Integer weights keep the exact path on exact spaces with integer r;
-    float weights (from a measure with float weights) take the float path.
+    The candidates are the whole space for the ``full_space`` domain and
+    the support of ``data`` otherwise.
     """
-    if len(candidates_idx) == 0:
-        raise ValueError("candidate domain is empty; the argmin set would be undefined")
-    exact = space.exact and isinstance(r, int) and weights.dtype.kind != "f"
-    if not exact:
-        float_weights = np.array([w / normalizer for w in weights.tolist()])
-    chunks = []
-    for lo in range(0, len(candidates_idx), chunk_size):
-        idx = candidates_idx[lo : lo + chunk_size]
-        if exact:
-            chunks.append(_exact_power_block(space, idx, sup_idx, r, normalizer) @ weights)
-        else:
-            chunks.append(space.float_block(idx, sup_idx) ** float(r) @ float_weights)
-    return _mean_set(space, np.concatenate(chunks), candidates_idx, r, normalizer, exact, domain)
+    sup_idx, weights, normalizer, exact = _weights(space, data, r)
+    candidates_idx = np.arange(len(space), dtype=np.intp) if domain == "full_space" else sup_idx
+    chunks = (candidates_idx[lo : lo + chunk_size] for lo in range(0, len(candidates_idx), chunk_size))
+    scores = [_power_block(space, c, sup_idx, r, exact, normalizer) @ weights for c in chunks]
+    return _mean_set(space, np.concatenate(scores), candidates_idx, r, normalizer, exact, domain)
 
 
 def _mean_set(
@@ -121,17 +106,13 @@ def _mean_set(
 ) -> MeanSetResult:
     """Mean set from the scores of the candidates, ``scores[k]`` for ``candidates_idx[k]``.
 
-    Exact scores are integers over ``normalizer``; float scores come normalized.
+    Scores are over ``normalizer``, on the path ``exact`` names.
     """
     best, pos = _min_ties(scores, exact)
-    if exact:
-        optimum = Fraction(int(best), normalizer) * space.scale**r
-    else:
-        optimum = float(best)
     ties = np.sort(candidates_idx[pos])
     return MeanSetResult(
         order_r=r,
-        optimum=optimum,
+        optimum=_score_value(best, normalizer, exact, space.scale**r),
         argmin=tuple(space.points[i] for i in ties),
         candidate_domain=domain,
         exact=exact,
@@ -142,10 +123,7 @@ def sample_mean_set(
     space: MetricSpace, sample: Sample, r, *, chunk_size: int = _DEFAULT_CHUNK
 ) -> MeanSetResult:
     """Argmin over the whole space of (1/n) sum_i d(X_i, x')^r, with all ties."""
-    check_order(r)
-    sup_idx, counts = _counts_from_sample(space, sample)
-    candidates = np.arange(len(space), dtype=np.intp)
-    return _solve(space, sup_idx, counts, r, candidates, "full_space", sample.n, chunk_size)
+    return _solve(space, sample, r, "full_space", chunk_size)
 
 
 def restricted_sample_mean_set(
@@ -156,22 +134,14 @@ def restricted_sample_mean_set(
     Never empty: the candidates always exist, no matter how large the
     ambient space is.
     """
-    check_order(r)
-    sup_idx, counts = _counts_from_sample(space, sample)
-    return _solve(space, sup_idx, counts, r, sup_idx, "sample_support", sample.n, chunk_size)
+    return _solve(space, sample, r, "sample_support", chunk_size)
 
 
 def population_mean_set(space: MetricSpace, mu: DiscreteMeasure, r) -> MeanSetResult:
     """Argmin over the whole space of sum_x d(x, x')^r mu(x), with all ties."""
-    check_order(r)
-    weights, lcd = _integer_weights(mu)
-    candidates = np.arange(len(space), dtype=np.intp)
-    return _solve(space, space.indices(mu.support), weights, r, candidates, "full_space", lcd)
+    return _solve(space, mu, r, "full_space")
 
 
 def restricted_population_mean_set(space: MetricSpace, mu: DiscreteMeasure, r) -> MeanSetResult:
     """Argmin restricted to the support of the measure (closed, being finite)."""
-    check_order(r)
-    weights, lcd = _integer_weights(mu)
-    sup_idx = space.indices(mu.support)
-    return _solve(space, sup_idx, weights, r, sup_idx, "measure_support", lcd)
+    return _solve(space, mu, r, "measure_support")

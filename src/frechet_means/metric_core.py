@@ -11,6 +11,11 @@ fall back to floating point with documented tie tolerances.
 On top of the space abstraction, this module provides the empirical and
 population Frechet functionals, the modulus of continuity of the family of
 exponentiated point functions, and the metric-axiom checker.
+
+The functionals, the solver and the consistency engine share one scoring
+path for both arithmetics: :func:`_weights` decides exact-or-float once per
+sample or measure, a score is ``_power_block(...) @ weights``, and
+:func:`_score_value` turns a score over its normalizer into a value.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ __all__ = [
 # Largest integer score guaranteed to survive an int64 matmul; anything
 # bigger is computed with Python big ints (see _exact_power_block).
 _INT64_SAFE = 2**62
+
+# Largest point set the exhaustive O(n^3) scans accept (check_metric_axioms,
+# modulus_of_continuity); their n x n blocks stay a few hundred MB at most.
+_EXHAUSTIVE_MAX_POINTS = 4096
 
 
 def _int_floor(q: Fraction) -> int:
@@ -306,10 +315,10 @@ def interval_grid(start="-1", end="1", step="0.01") -> MetricSpace:
     interval length.
     """
     lo, hi, st = Fraction(str(start)), Fraction(str(end)), Fraction(str(step))
-    if st <= 0:
-        raise ValueError("step must be positive")
     if hi <= lo:
         raise ValueError("end must exceed start")
+    if st <= 0:
+        raise ValueError("step must be positive")
     span = (hi - lo) / st
     if span.denominator != 1:
         raise ValueError(f"step {st} does not divide the interval length {hi - lo}")
@@ -443,7 +452,7 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def check_metric_axioms(space: MetricSpace, max_points: int = 4096) -> AxiomReport:
+def check_metric_axioms(space: MetricSpace, max_points: int = _EXHAUSTIVE_MAX_POINTS) -> AxiomReport:
     """Exhaustively verify the (pseudo-)metric axioms and the bound M.
 
     Violations are returned as data, one entry per violated axiom with a
@@ -537,24 +546,29 @@ def check_metric_axioms(space: MetricSpace, max_points: int = 4096) -> AxiomRepo
 # ---------------------------------------------------------------------------
 
 
-def _counts_from_sample(space: MetricSpace, sample: Sample) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct item indices and multiplicities, in canonical space order."""
-    idx = space.indices(sample.items)
-    distinct, counts = np.unique(idx, return_counts=True)
-    return distinct.astype(np.intp), counts.astype(np.int64)
+def _weights(
+    space: MetricSpace, data: Sample | DiscreteMeasure, r
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Support indices, weights, normalizer and exactness of a sample or a measure.
 
-
-def _integer_weights(mu: DiscreteMeasure) -> tuple[np.ndarray, int]:
-    """Weights of ``mu`` as integers over their least common denominator L.
-
-    The integers sum to L.  A measure with float weights has no such form;
-    its weights come back as floats over L = 1, for the float path.
+    This is where every score decides its arithmetic.  A sample weighs its
+    distinct items, in canonical space order, by multiplicity over n.  The
+    path is exact iff the space is exact, ``r`` is an int and the weights are
+    rational; then the weights are integers over their least common
+    denominator, the normalizer.  Otherwise they are floats summing to 1,
+    over 1.
     """
-    if not mu.is_rational:
-        return np.array([float(w) for w in mu.weights]), 1
-    lcd = math.lcm(*(Fraction(w).denominator for w in mu.weights))
-    ints = [int(Fraction(w) * lcd) for w in mu.weights]
-    return np.array(ints, dtype=np.int64 if lcd < _INT64_SAFE else object), lcd
+    check_order(r)
+    if isinstance(data, Sample):
+        sup_idx, counts = np.unique(space.indices(data.items), return_counts=True)
+        weights, rational = [Fraction(int(c), data.n) for c in counts], True
+    else:
+        sup_idx, weights, rational = space.indices(data.support), data.weights, data.is_rational
+    if not (space.exact and isinstance(r, int) and rational):
+        return sup_idx, np.array([float(w) for w in weights]), 1, False
+    lcd = math.lcm(*(Fraction(w).denominator for w in weights))
+    ints = [int(Fraction(w) * lcd) for w in weights]
+    return sup_idx, np.array(ints, dtype=np.int64 if lcd < _INT64_SAFE else object), lcd, True
 
 
 def _exact_power_block(space: MetricSpace, rows, cols, r: int, total_weight: int) -> np.ndarray:
@@ -566,10 +580,31 @@ def _exact_power_block(space: MetricSpace, rows, cols, r: int, total_weight: int
     ``_INT64_SAFE`` the block is int64, otherwise it is an object array of
     Python ints, so every score built from it is exact at any size.
     """
-    block = space.int_block(rows, cols).astype(np.int64)
+    block = space.int_block(rows, cols).astype(np.int64, copy=False)
     if max(space.max_int_distance, 1) ** r * total_weight < _INT64_SAFE:
         return block**r
     return block.astype(object) ** r
+
+
+def _power_block(space: MetricSpace, rows, cols, r, exact: bool, total_weight: int) -> np.ndarray:
+    """``d**r`` for rows x cols on the path ``_weights`` chose."""
+    if exact:
+        return _exact_power_block(space, rows, cols, r, total_weight)
+    return space.float_block(rows, cols) ** float(r)
+
+
+def _score_value(score, normalizer: int, exact: bool, scale_r):
+    """A score over its normalizer as a value: an exact Fraction times ``scale**r``, or a float."""
+    if exact:
+        return Fraction(int(score), normalizer) * scale_r
+    return float(score) / normalizer
+
+
+def _functional(space: MetricSpace, data: Sample | DiscreteMeasure, candidate, r):
+    sup_idx, weights, normalizer, exact = _weights(space, data, r)
+    c = np.array([space.index(candidate)], dtype=np.intp)
+    score = (_power_block(space, c, sup_idx, r, exact, normalizer) @ weights)[0]
+    return _score_value(score, normalizer, exact, space.scale**r)
 
 
 def sample_functional(space: MetricSpace, sample: Sample, candidate, r):
@@ -579,15 +614,7 @@ def sample_functional(space: MetricSpace, sample: Sample, candidate, r):
     integers and divided once at the end, so the result is an exact
     Fraction; otherwise a float is returned.
     """
-    check_order(r)
-    c = np.array([space.index(candidate)])
-    sup_idx, counts = _counts_from_sample(space, sample)
-    n = sample.n
-    if space.exact and isinstance(r, int):
-        block = _exact_power_block(space, c, sup_idx, r, n)
-        return Fraction(int((block @ counts)[0]), n) * space.scale**r
-    block = space.float_block(c, sup_idx)[0]
-    return float((block**float(r)) @ (counts.astype(np.float64) / n))
+    return _functional(space, sample, candidate, r)
 
 
 def population_functional(space: MetricSpace, mu: DiscreteMeasure, candidate, r):
@@ -596,15 +623,7 @@ def population_functional(space: MetricSpace, mu: DiscreteMeasure, candidate, r)
     An exact Fraction on exact spaces with integer r and rational weights;
     otherwise a float.
     """
-    check_order(r)
-    c = np.array([space.index(candidate)], dtype=np.intp)
-    sup_idx = space.indices(mu.support)
-    if space.exact and isinstance(r, int) and mu.is_rational:
-        weights, lcd = _integer_weights(mu)
-        block = _exact_power_block(space, c, sup_idx, r, lcd)
-        return Fraction(int((block @ weights)[0]), lcd) * space.scale**r
-    block = space.float_block(c, sup_idx) ** float(r)
-    return float((block @ np.array([float(w) for w in mu.weights]))[0])
+    return _functional(space, mu, candidate, r)
 
 
 def modulus_of_continuity(space: MetricSpace, support: Iterable, delta, r):
@@ -613,6 +632,8 @@ def modulus_of_continuity(space: MetricSpace, support: Iterable, delta, r):
     s(delta) = sup over z in support and pairs x, y in support with
     d(x, y) < delta of |d(z,x)^r - d(z,y)^r|, computed by exact enumeration
     of all qualifying triples.  Returns 0 when only identical pairs qualify.
+    The scan is O(n^3) in time over the n support points, so it shares the
+    ``_EXHAUSTIVE_MAX_POINTS`` guard of :func:`check_metric_axioms`.
     """
     check_order(r)
     sup = list(support)
@@ -620,27 +641,21 @@ def modulus_of_continuity(space: MetricSpace, support: Iterable, delta, r):
         raise ValueError("modulus_of_continuity needs a non-empty support")
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if len(sup) > _EXHAUSTIVE_MAX_POINTS:
+        raise ValueError(f"{len(sup)} support points exceed the {_EXHAUSTIVE_MAX_POINTS}-point guard")
     idx = space.indices(sup)
-    if space.exact and isinstance(r, int):
-        d = space.int_block(idx, idx).astype(np.int64)
-        # d(x,y) < delta in lattice units: d_int < delta / scale
-        thr = Fraction(str(delta)) if not isinstance(delta, (int, Fraction)) else Fraction(delta)
-        close = d <= _strict_int_bound(thr / space.scale)
+    exact = space.exact and isinstance(r, int)
+    if exact:
         powed = _exact_power_block(space, idx, idx, r, 1)
-        best = 0
-        for p in powed:
-            diff = np.abs(p[:, None] - p[None, :])
-            masked = diff[close]
-            if masked.size:
-                best = max(best, int(masked.max()))
-        return Fraction(best) * space.scale**r
-    d = space.float_block(idx, idx)
-    close = d < float(delta)
-    powed = d ** float(r)
-    best = 0.0
-    for zrow in range(len(idx)):
-        diff = np.abs(powed[zrow][:, None] - powed[zrow][None, :])
-        masked = diff[close]
+        # d(x,y) < delta in lattice units is d_int <= k, i.e. d_int**r <= k**r
+        thr = Fraction(str(delta)) if not isinstance(delta, (int, Fraction)) else Fraction(delta)
+        close = powed <= _strict_int_bound(thr / space.scale) ** r
+    else:
+        d = space.float_block(idx, idx)
+        powed, close = d ** float(r), d < float(delta)
+    best = 0
+    for p in powed:
+        masked = np.abs(p[:, None] - p[None, :])[close]
         if masked.size:
-            best = max(best, float(masked.max()))
-    return best
+            best = max(best, masked.max())
+    return _score_value(best, 1, exact, space.scale**r)

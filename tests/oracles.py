@@ -1,13 +1,15 @@
 """Independent brute-force oracles, kept deliberately naive.
 
-Everything here recomputes functionals with Fraction arithmetic and plain
-double loops, using its own distance definitions where the space has one
-(edge-set symmetric difference for graphs, |x - y| for grid points), so the
-solver under test shares no minimization or tie-handling code with it.
+Everything here recomputes functionals with Fraction arithmetic (floats
+summed by ``math.fsum`` for non-integer orders) and plain double loops,
+using its own distance definitions where the space has one (edge-set
+symmetric difference for graphs, |x - y| for grid points), so the solver
+under test shares no minimization or tie-handling code with it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from frechet_means.graph_space import Graph
@@ -60,6 +62,11 @@ def population_by_enumeration(space, pairs, r, candidates):
         elif value == best:
             argmin.append(c)
     return best, tuple(argmin)
+
+
+def float_functional_by_enumeration(space, pairs, r, candidate):
+    """sum d(x, candidate)^r w(x) in floats, for any real r; pairs = (point, weight)."""
+    return math.fsum(float(oracle_distance(space, x, candidate)) ** r * float(w) for x, w in pairs)
 
 
 def modulus_by_triple_enumeration(space, support, delta, r):

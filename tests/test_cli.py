@@ -184,6 +184,9 @@ def test_enumerate_counts(capsys):
 def test_enumerate_cap_exit_3(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--nv", "8")
     assert code == 3
+    # an override of 0 is a cap of 0, not "no override"
+    code, out, err = run_cli(capsys, "enumerate", "--nv", "3", "--cap-override", "0")
+    assert code == 3 and out == ""
 
 
 def test_check_metric_graph_space(capsys):
@@ -216,6 +219,22 @@ def test_modulus_values(capsys):
     assert payload["s_delta"] == 11.0
     assert payload["lipschitz_bound"] == 27.0
     assert payload["gamma"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-metric", "--nv", "6"],  # 32768 points, past the exhaustive-scan guard
+        ["check-metric", "--grid", "0", "1", "0.3"],
+        ["check-metric", "--grid", "a", "1", "0.1"],
+        ["modulus", "--grid", "1", "0", "0.1", "--delta", "1"],
+        ["modulus", "--grid", "0", "1", "0.5", "--delta", "0"],
+    ],
+)
+def test_exhaustive_scan_input_errors_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_modulus_on_grid(capsys):
@@ -350,6 +369,7 @@ def test_simulate_invalid_config_exit_4(capsys, tmp_path):
     # integer keys refuse fractions and booleans instead of truncating them,
     # and boolean keys refuse anything but true and false
     base = json.loads((FIXTURE_DIR / "g4_uniform_pair.json").read_text())
+    grid_base = json.loads((FIXTURE_DIR / "grid_r1_oscillation.json").read_text())
     for key, value in [
         ("replications", "many"),
         ("epsilon", "abc"),
@@ -373,8 +393,12 @@ def test_simulate_invalid_config_exit_4(capsys, tmp_path):
         ("restricted", 0),
         ("limits", "false"),
         ("limits", 1),
+        ("grid_start", "x"),
+        ("grid_end", "-1"),  # not above grid_start
+        ("grid_step", "0.3"),  # does not divide the length 2
     ]:
-        bad.write_text(json.dumps({**base, key: value}))
+        raw = grid_base if key.startswith("grid_") else base
+        bad.write_text(json.dumps({**raw, key: value}))
         code, _, err = run_cli(capsys, "simulate", str(bad), "--out", str(out_dir))
         assert code == 4, key
         assert err.startswith("error:") and key in err, err

@@ -2,8 +2,9 @@
 
 They cover rational measure weights brought to a common denominator, the
 int64 / Python-int switch of the overflow guard, the independence of
-sample mean sets from the candidate chunk size, and the consistency
-engine's agreement with the solver on exact, float and pseudo-metric spaces.
+sample mean sets from the candidate chunk size, the float path at
+non-integer orders against a float oracle, and the consistency engine's
+agreement with the solver on exact, float and pseudo-metric spaces.
 """
 
 import math
@@ -22,15 +23,17 @@ from frechet_means import (
     Sample,
     enumerate_space,
     interval_grid,
+    population_functional,
     population_mean_set,
     restricted_population_mean_set,
     restricted_sample_mean_set,
     run_consistency_experiment,
+    sample_functional,
     sample_mean_set,
 )
 from frechet_means.consistency_lab import _draw_indices, replication_rng
 from frechet_means.metric_core import _INT64_SAFE, _exact_power_block
-from oracles import mean_set_by_enumeration, population_by_enumeration
+from oracles import float_functional_by_enumeration, mean_set_by_enumeration, population_by_enumeration
 
 G4 = enumerate_space(4)
 GRID = interval_grid("0", "2", "0.25")
@@ -151,6 +154,55 @@ def test_sample_mean_set_is_chunk_size_invariant(name, data, r, chunk_size):
     items = data.draw(st.lists(st.sampled_from(space.points), min_size=1, max_size=8))
     sample = Sample(tuple(items))
     assert sample_mean_set(space, sample, r, chunk_size=chunk_size) == sample_mean_set(space, sample, r)
+
+
+# Euclidean distances between points of the plane: a space with no integer lattice.
+_PLANE = ((0.0, 0.0), (1.0, 0.3), (0.4, 1.1), (1.7, 1.2), (0.9, 0.8), (2.1, 0.1), (1.3, 2.0))
+PLANE = MetricSpace.from_float_matrix(
+    tuple("abcdefg"), [[math.dist(p, q) for q in _PLANE] for p in _PLANE], name="plane"
+)
+FLOAT_PATH_SPACES = {**SPACES, "plane": PLANE}
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(FLOAT_PATH_SPACES)),
+    r=st.sampled_from([1.5, 2.5]),
+    kind=st.sampled_from(["sample", "rational measure", "float measure"]),
+)
+def test_float_path_matches_float_oracle(data, name, r, kind):
+    space = FLOAT_PATH_SPACES[name]
+    if kind == "sample":
+        items = tuple(data.draw(st.lists(st.sampled_from(space.points), min_size=1, max_size=8)))
+        given_data, pairs = Sample(items), [(x, Fraction(1, len(items))) for x in items]
+        functional, mean_set = sample_functional, sample_mean_set
+    else:
+        mu = data.draw(measures(space))
+        if kind == "float measure":
+            k = len(mu.support)
+            raw = data.draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
+            mu = DiscreteMeasure(mu.support, tuple(w / math.fsum(raw) for w in raw))
+        given_data, pairs = mu, list(zip(mu.support, mu.weights))
+        functional, mean_set = population_functional, population_mean_set
+    oracle = {c: float_functional_by_enumeration(space, pairs, r, c) for c in space.points}
+
+    for c in space.points:
+        value = functional(space, given_data, c, r)
+        assert isinstance(value, float)
+        assert math.isclose(value, oracle[c], rel_tol=1e-12)
+        if kind == "sample":
+            by_measure = population_functional(space, DiscreteMeasure.empirical(given_data), c, r)
+            assert math.isclose(value, by_measure, rel_tol=1e-12)
+
+    res = mean_set(space, given_data, r)
+    best = min(oracle.values())
+    assert not res.exact and math.isclose(res.optimum, best, rel_tol=1e-12)
+    # the solver keeps scores within 1e-9 of its optimum; bracketing that
+    # tolerance keeps the check off rounding at its edge
+    sure = {c for c in space.points if oracle[c] <= best * (1 + 0.5e-9)}
+    possible = {c for c in space.points if oracle[c] <= best * (1 + 2e-9)}
+    assert sure <= set(res.argmin) <= possible
 
 
 @st.composite

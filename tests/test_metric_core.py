@@ -16,6 +16,7 @@ from frechet_means import (
     power_gamma,
     sample_functional,
 )
+from frechet_means import metric_core
 from oracles import modulus_by_triple_enumeration
 
 
@@ -209,11 +210,16 @@ def test_modulus_restricted_support(grid201):
     assert modulus_of_continuity(grid201, support, 2.5, 1) == 2
 
 
-def test_modulus_rejects_bad_inputs(g4):
+def test_modulus_rejects_bad_inputs(g4, grid201, monkeypatch):
     with pytest.raises(ValueError, match="non-empty"):
         modulus_of_continuity(g4, (), 1.0, 1)
     with pytest.raises(ValueError, match="delta"):
         modulus_of_continuity(g4, g4.points, 0, 1)
+    # the O(n^3) scan shares the point guard of the axiom check
+    monkeypatch.setattr(metric_core, "_EXHAUSTIVE_MAX_POINTS", 200)
+    with pytest.raises(ValueError, match="201 support points exceed the 200-point guard"):
+        modulus_of_continuity(grid201, grid201.points, 1, 1)
+    assert modulus_of_continuity(grid201, grid201.points[:200], 1, 1) == Fraction(99, 100)
 
 
 # ---------------------------------------------------------------------------
