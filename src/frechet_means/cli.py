@@ -42,7 +42,6 @@ from .consistency_lab import (
     build_space,
     build_summary,
     parse_point_label,
-    resolve_event,
     run_consistency_experiment,
     summary_blocks,
     write_report_csv,
@@ -237,8 +236,15 @@ def cmd_variance(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _graph_space(args):
+    """The full graph space of ``--nv`` and ``--cap-override``."""
+    if args.nv < 1:
+        raise _InputError(f"--nv must be >= 1, got {args.nv}")
+    return enumerate_space(GraphSpaceConfig(args.nv, args.cap_override))
+
+
 def cmd_enumerate(args) -> int:
-    space = enumerate_space(GraphSpaceConfig(args.nv, args.cap_override))
+    space = _graph_space(args)
     labels = [space.label(p) for p in space.points]
     if args.format == "json":
         payload = {"nv": args.nv, "count": len(space), "bound_M": _num(space.bound_M), "graphs": labels}
@@ -261,7 +267,7 @@ def _resolve_space(args):
     elif args.nv is None:
         raise ConfigError("pass --nv NV for a graph space or --grid START END STEP")
     else:
-        space = enumerate_space(GraphSpaceConfig(args.nv, args.cap_override))
+        space = _graph_space(args)
     if len(space) > _EXHAUSTIVE_MAX_POINTS:
         raise _InputError(
             f"{len(space)} points in {space.name}, above the {_EXHAUSTIVE_MAX_POINTS}-point guard"
@@ -491,8 +497,6 @@ def cmd_simulate(args) -> int:
 
     space = build_space(cfg.space_spec)
     cfg = cfg.validated(space)
-    for name in cfg.events:  # surface bad event names before the run
-        resolve_event(name, space, cfg.space_spec)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -21,6 +21,7 @@ JSON summary; both schemas are versioned (see ``CSV_SCHEMA`` and
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import statistics
 from dataclasses import dataclass, field, replace
@@ -168,6 +169,8 @@ class ExperimentConfig:
         for p in self.mu.support:
             if p not in space:
                 raise ConfigError(f"measure support point {p!r} is not a point of {space.name}")
+        for name in self.events:
+            resolve_event(name, space, self.space_spec)
         if self.limit_params is not None:
             lp = self.limit_params
             if lp.epsilon < 0:
@@ -291,18 +294,16 @@ class _Engine:
         )
         self.pop_scores = self.block @ weights
 
-        self.population = _mean_set(
-            space, self.pop_scores, all_idx, r, self.pop_denominator, self.exact, "full_space"
+        self.population, self.theta_idx = _mean_set(
+            space, self.pop_scores, None, r, self.pop_denominator, self.exact, "full_space"
         )
-        self.theta_idx = space.indices(self.population.argmin)
         self.in_theta = np.isin(all_idx, self.theta_idx)
         self.population_res = None
         if self.restricted:
-            self.population_res = _mean_set(
+            self.population_res, self.theta_res_idx = _mean_set(
                 space, self.pop_scores[self.sup_idx], self.sup_idx, r,
                 self.pop_denominator, self.exact, "measure_support",
             )
-            self.theta_res_idx = space.indices(self.population_res.argmin)
             self.in_theta_res = np.isin(all_idx, self.theta_res_idx)
 
     # -- per-checkpoint scores ---------------------------------------------
@@ -313,14 +314,10 @@ class _Engine:
     def _track(self, scores, candidates, sigma, target: np.ndarray, n: int):
         """One track at one checkpoint: (sigma_hat, mean-set indices, T*, t_hat_max, included).
 
-        ``candidates`` are the indices allowed to compete (None: the whole
+        ``scores[k]`` belongs to ``candidates[k]`` (None: to point k of the
         space); ``target`` is the population mean set of the track as a mask.
         """
-        if candidates is None:
-            best, ties = _min_ties(scores, self.exact)
-        else:
-            best, pos = _min_ties(scores[candidates], self.exact)
-            ties = np.sort(candidates[pos])
+        best, ties = _min_ties(scores, self.exact, candidates)
         sigma_hat = self._normalize(best, n)
         pop_min = self._normalize(self.pop_scores[ties].min(), self.pop_denominator)
         return sigma_hat, ties, sigma_hat - sigma, sigma_hat - pop_min, bool(target[ties].all())
@@ -335,19 +332,20 @@ class _Engine:
         if self.restricted:
             sigma_res = self.population_res.optimum
             observed = self.sup_idx[counts > 0]
+            observed_scores = scores[observed]
             sigma_hat_res, ties_res, tr_star, t_res_hat_max, included_res = self._track(
-                scores, observed, sigma_res, self.in_theta_res, n
+                observed_scores, observed, sigma_res, self.in_theta_res, n
             )
-            # upper bound: min over theta* of T_n(theta*) + min_{x' observed} |Fhat(x') - Fhat(theta*)|
-            observed_f = [self._normalize(v, n) for v in scores[observed]]
-            theta_f = [self._normalize(v, n) for v in scores[self.theta_res_idx]]
-            upper = min(f - sigma_res + min(abs(v - f) for v in observed_f) for f in theta_f)
+            # upper bound: min over theta* of T_n(theta*) + min_{x' observed} |Fhat(x') - Fhat(theta*)|;
+            # Fhat is a positive multiple of the score, so the bound is taken on scores
+            theta_scores = scores[self.theta_res_idx]
+            gaps = np.abs(observed_scores[None, :] - theta_scores[:, None]).min(axis=1)
             extra = dict(
                 sigma_hat_res=sigma_hat_res,
                 mean_set_res=tuple(self.space.points[i] for i in ties_res),
                 tr_star=tr_star,
                 t_res_hat_max=t_res_hat_max,
-                t_res_upper=upper,
+                t_res_upper=self._normalize((theta_scores + gaps).min(), n) - sigma_res,
                 included_in_population_res=included_res,
                 subset_of_sampled=bool(np.isin(ties_res, observed).all()),
             )
@@ -386,7 +384,7 @@ def run_consistency_experiment(
     theta_res = frozenset(engine.population_res.argmin) if cfg.restricted else None
 
     def outer_limits(mean_sets, target, suffix: str) -> dict:
-        traj = SetTrajectory(space, tuple(frozenset(m) for m in mean_sets))
+        traj = SetTrajectory(space, tuple(mean_sets))
         tail = tail_limsup(traj, burn, lp.min_visits)
         kura = kuratowski_limsup(traj, lp.epsilon, burn, lp.min_visits)
         return {
@@ -439,11 +437,16 @@ def event_contains(point) -> Callable:
 
 
 def resolve_event(name: str, space: MetricSpace, spec) -> Callable:
-    """Map a config event string to a predicate on the mean set."""
+    """Map a config event string to a predicate on the mean set; a bad point label is a ConfigError."""
     if name == "full_space":
         return event_full_space(space)
     if name.startswith("contains:"):
-        return event_contains(parse_point_label(spec, name.split(":", 1)[1]))
+        try:
+            point = parse_point_label(spec, name.split(":", 1)[1])
+            space.index(point)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"event {name!r}: {exc}") from None
+        return event_contains(point)
     raise ConfigError(f"unknown event {name!r} (use 'full_space' or 'contains:<point>')")
 
 
@@ -495,24 +498,18 @@ def _exact_str(value) -> str | None:
     return str(value) if isinstance(value, (Fraction, int)) else None
 
 
-def _sandwich_ok(stat: CheckpointStats, exact: bool) -> bool:
-    tol = 0 if exact else 1e-9 * max(1.0, abs(float(stat.t_star)))
-    return stat.t_hat_max <= stat.t_star + tol and stat.t_star <= stat.t_theta_min + tol
-
-
-def _sandwich_res_ok(stat: CheckpointStats, exact: bool) -> bool:
-    if stat.tr_star is None:
-        return True
-    tol = 0 if exact else 1e-9 * max(1.0, abs(float(stat.tr_star)))
-    return stat.t_res_hat_max <= stat.tr_star + tol and stat.tr_star <= stat.t_res_upper + tol
+def _sandwich_ok(lower, middle, upper, exact: bool) -> bool:
+    """lower <= middle <= upper, up to a rounding tolerance relative to middle off the exact path."""
+    tol = 0 if exact else 1e-9 * max(1.0, abs(float(middle)))
+    return lower <= middle + tol and middle <= upper + tol
 
 
 def write_report_csv(result: ExperimentResult, path) -> None:
     """One CSV row per replication x checkpoint (schema ``CSV_SCHEMA``)."""
-    space = result.space
+    label = functools.cache(result.space.label)  # one rendering per point and report
 
     def labels(points) -> str:
-        return ";".join(space.label(p) for p in points)
+        return ";".join(map(label, points))
 
     sigma = result.population.optimum
     columns = {  # header name -> cell value of (record, checkpoint stats), in column order
@@ -617,7 +614,7 @@ def build_summary(result: ExperimentResult) -> dict:
             "inclusion_rate": _rate(s.included_in_population for s in stats),
             "mean_set_size_mean": float(np.mean([len(s.mean_set) for s in stats])),
         }
-        sandwich_viol += sum(1 for s in stats if not _sandwich_ok(s, exact))
+        sandwich_viol += sum(not _sandwich_ok(s.t_hat_max, s.t_star, s.t_theta_min, exact) for s in stats)
         if cfg.restricted:
             errors_res = [
                 abs(s.sigma_hat_res - result.population_restricted.optimum) for s in stats
@@ -625,7 +622,9 @@ def build_summary(result: ExperimentResult) -> dict:
             entry["median_abs_error_res"] = float(statistics.median(errors_res))
             entry["inclusion_rate_res"] = _rate(s.included_in_population_res for s in stats)
             entry["subset_of_sampled_rate"] = _rate(s.subset_of_sampled for s in stats)
-            sandwich_viol_res += sum(1 for s in stats if not _sandwich_res_ok(s, exact))
+            sandwich_viol_res += sum(
+                not _sandwich_ok(s.t_res_hat_max, s.tr_star, s.t_res_upper, exact) for s in stats
+            )
         per_checkpoint.append(entry)
 
     summary = {

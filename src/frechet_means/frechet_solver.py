@@ -11,12 +11,12 @@ integer order and rational weights, float weights summing to one otherwise.
 Every candidate is then scored as ``d**r @ weights`` with ``d**r`` from
 :func:`metric_core._power_block`, whose exact branch keeps the scores in
 int64 or Python ints as their size requires.  Its tail, :func:`_mean_set`,
-turns scores into a result; the consistency harness calls it on population
-scores of the block its checkpoints use.  One reducer, :func:`_min_ties`,
-picks the argmin set: on the exact path it keeps every score equal to the
-exact minimum, so tie sets are bit-reproducible; on the float path it keeps
-every score <= optimum * (1 + 1e-9), a tolerance that is part of the
-contract.
+turns scores into a result and its tie indices; the consistency harness
+calls it on population scores of the block its checkpoints use.  One reducer,
+:func:`_min_ties`, picks the argmin set as sorted space indices: on the exact
+path it keeps every score equal to the exact minimum, so tie sets are
+bit-reproducible; on the float path it keeps every score <= optimum *
+(1 + 1e-9), a tolerance that is part of the contract.
 
 Candidates are scored in chunks only to bound the distance-block working
 set; the reducer sees all scores at once, so results do not depend on the
@@ -75,15 +75,15 @@ class MeanSetResult:
         return len(self.argmin)
 
 
-def _min_ties(scores: np.ndarray, exact: bool) -> tuple:
-    """Minimum score and the positions of all scores tied with it.
+def _min_ties(scores: np.ndarray, exact: bool, candidates_idx: np.ndarray | None = None) -> tuple:
+    """Minimum score and the sorted space indices of all candidates tied with it.
 
-    Exact scores (int64 or Python ints) tie only when equal; float scores
-    tie when within ``FLOAT_TIE_RTOL`` of the minimum.
+    ``scores[k]`` belongs to ``candidates_idx[k]`` (None: to point k).  Exact
+    scores tie only when equal, float scores within ``FLOAT_TIE_RTOL``.
     """
     best = scores.min()
-    keep = scores == best if exact else scores <= best * (1.0 + FLOAT_TIE_RTOL)
-    return best, np.flatnonzero(keep)
+    ties = np.flatnonzero(scores == best if exact else scores <= best * (1.0 + FLOAT_TIE_RTOL))
+    return best, ties if candidates_idx is None else np.sort(candidates_idx[ties])
 
 
 def _solve(
@@ -98,25 +98,24 @@ def _solve(
     candidates_idx = np.arange(len(space), dtype=np.intp) if domain == "full_space" else sup_idx
     chunks = (candidates_idx[lo : lo + chunk_size] for lo in range(0, len(candidates_idx), chunk_size))
     scores = [_power_block(space, c, sup_idx, r, exact, normalizer) @ weights for c in chunks]
-    return _mean_set(space, np.concatenate(scores), candidates_idx, r, normalizer, exact, domain)
+    return _mean_set(space, np.concatenate(scores), candidates_idx, r, normalizer, exact, domain)[0]
 
 
 def _mean_set(
     space: MetricSpace, scores, candidates_idx, r, normalizer: int, exact: bool, domain: str
-) -> MeanSetResult:
-    """Mean set from the scores of the candidates, ``scores[k]`` for ``candidates_idx[k]``.
+) -> tuple[MeanSetResult, np.ndarray]:
+    """Mean set and its sorted space indices from candidate scores over ``normalizer``.
 
-    Scores are over ``normalizer``, on the path ``exact`` names.
+    ``scores`` and ``candidates_idx`` are as for :func:`_min_ties`.
     """
-    best, pos = _min_ties(scores, exact)
-    ties = np.sort(candidates_idx[pos])
+    best, ties = _min_ties(scores, exact, candidates_idx)
     return MeanSetResult(
         order_r=r,
         optimum=_score_value(best, normalizer, exact, space.scale**r),
         argmin=tuple(space.points[i] for i in ties),
         candidate_domain=domain,
         exact=exact,
-    )
+    ), ties
 
 
 def sample_mean_set(

@@ -43,19 +43,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SetTrajectory:
-    """Indexed sequence of finite subsets of one space (indices 0..N-1)."""
+    """Indexed sequence of finite subsets of one space (indices 0..N-1).
+
+    Built from sets of points, stored as tuples of sorted space indices.
+    """
 
     space: MetricSpace
     sets: tuple
 
     def __post_init__(self):
-        sets = tuple(frozenset(s) for s in self.sets)
+        sets = tuple(tuple(sorted(set(map(self.space.index, s)))) for s in self.sets)
         if len(sets) == 0:
             raise ValueError("a trajectory needs at least one set")
-        for k, s in enumerate(sets):
-            for p in s:
-                if p not in self.space:
-                    raise ValueError(f"sets[{k}] contains {p!r}, not a point of {self.space.name}")
         object.__setattr__(self, "sets", sets)
 
     def __len__(self) -> int:
@@ -85,21 +84,24 @@ def default_burn_in(n_sets: int) -> int:
     return n_sets // 2
 
 
-def _check_burn_in(traj: SetTrajectory, burn_in: int) -> None:
+def _check_tail(traj: SetTrajectory, burn_in: int, min_visits: int) -> None:
     if not 0 <= burn_in < len(traj):
         raise ValueError(f"burn_in must lie in [0, {len(traj) - 1}], got {burn_in}")
+    if min_visits < 1:
+        raise ValueError("min_visits must be >= 1")
+
+
+def _recurrent(traj: SetTrajectory, burn_in: int, min_visits: int) -> np.ndarray:
+    """Indices appearing in at least ``min_visits`` tail sets."""
+    visited = np.fromiter((i for s in traj.sets[burn_in:] for i in s), dtype=np.intp)
+    idx, counts = np.unique(visited, return_counts=True)
+    return idx[counts >= min_visits]
 
 
 def tail_limsup(traj: SetTrajectory, burn_in: int, min_visits: int = 2) -> frozenset:
     """Points appearing in at least ``min_visits`` tail sets (direct count)."""
-    _check_burn_in(traj, burn_in)
-    if min_visits < 1:
-        raise ValueError("min_visits must be >= 1")
-    counts: dict = {}
-    for s in traj.sets[burn_in:]:
-        for p in s:
-            counts[p] = counts.get(p, 0) + 1
-    return frozenset(p for p, c in counts.items() if c >= min_visits)
+    _check_tail(traj, burn_in, min_visits)
+    return frozenset(traj.space.points[i] for i in _recurrent(traj, burn_in, min_visits))
 
 
 def ziezold_limcsup(traj: SetTrajectory, burn_in: int, min_visits: int = 2) -> frozenset:
@@ -112,24 +114,22 @@ def ziezold_limcsup(traj: SetTrajectory, burn_in: int, min_visits: int = 2) -> f
     with the direct count exactly -- that equivalence is asserted in the
     test suite, not here.
     """
-    _check_burn_in(traj, burn_in)
-    if min_visits < 1:
-        raise ValueError("min_visits must be >= 1")
+    _check_tail(traj, burn_in, min_visits)
     n = len(traj)
     closure = frozenset  # finite subspace of a metric space is closed
 
     # tails[t] = cl( sets[t] | sets[t+1] | ... ), for t in [burn_in, n]
     tails = [frozenset()] * (n + 1)
     for t in range(n - 1, burn_in - 1, -1):
-        tails[t] = closure(tails[t + 1] | traj.sets[t])
+        tails[t] = closure(tails[t + 1].union(traj.sets[t]))
 
     certified = tails  # >= 1 visit at index >= t
     for _ in range(min_visits - 1):
         nxt = [frozenset()] * (n + 1)
         for t in range(n - 1, burn_in - 1, -1):
-            nxt[t] = nxt[t + 1] | (traj.sets[t] & certified[t + 1])
+            nxt[t] = nxt[t + 1] | certified[t + 1].intersection(traj.sets[t])
         certified = nxt
-    return certified[burn_in]
+    return frozenset(traj.space.points[i] for i in certified[burn_in])
 
 
 def kuratowski_limsup(
@@ -143,17 +143,17 @@ def kuratowski_limsup(
     The estimate collects every space point with at least ``min_visits``
     visits in the tail.
     """
-    _check_burn_in(traj, burn_in)
+    _check_tail(traj, burn_in, min_visits)
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    if min_visits < 1:
-        raise ValueError("min_visits must be >= 1")
     space = traj.space
+    # On a proper metric d(x, A) = 0 iff x is in A, so epsilon = 0 is the
+    # tail count; a pseudo-metric must still credit zero-distance twins.
+    if epsilon == 0 and not space.is_pseudo:
+        pts = frozenset(space.points[i] for i in _recurrent(traj, burn_in, min_visits))
+        return OuterLimitEstimate(points=pts, epsilon=epsilon, burn_in=burn_in, min_visits=min_visits)
     all_idx = np.arange(len(space), dtype=np.intp)
     visits = np.zeros(len(space), dtype=np.int64)
-    # On a proper metric d(x, A) = 0 iff x is in A, so epsilon = 0 needs no
-    # distance scan; a pseudo-metric must still credit zero-distance twins.
-    membership = epsilon == 0 and not space.is_pseudo
     exact = space.exact and isinstance(epsilon, (int, Fraction))
     if exact:
         eps_frac = Fraction(epsilon)
@@ -161,16 +161,13 @@ def kuratowski_limsup(
     for s in traj.sets[burn_in:]:
         if not s:
             continue  # d(x, {}) = +inf: no visits
-        cols = space.indices(s)
-        if membership:
-            visits[cols] += 1
-        elif exact:
-            dmin = space.int_block(all_idx, cols).min(axis=1)
+        if exact:
+            dmin = space.int_block(all_idx, s).min(axis=1)
             visits += (dmin <= thr) if epsilon > 0 else (dmin == 0)
         else:
-            dmin = space.float_block(all_idx, cols).min(axis=1)
+            dmin = space.float_block(all_idx, s).min(axis=1)
             visits += (dmin < float(epsilon)) if epsilon > 0 else (dmin == 0.0)
-    pts = frozenset(space.points[int(i)] for i in np.nonzero(visits >= min_visits)[0])
+    pts = frozenset(space.points[i] for i in np.flatnonzero(visits >= min_visits))
     return OuterLimitEstimate(points=pts, epsilon=epsilon, burn_in=burn_in, min_visits=min_visits)
 
 

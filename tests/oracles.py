@@ -87,3 +87,17 @@ def modulus_by_triple_enumeration(space, support, delta, r):
             if v > best:
                 best = v
     return best
+
+
+def tail_limsup_by_counting(sets, burn_in, min_visits=2):
+    """Points lying in at least ``min_visits`` of the sets ``sets[burn_in:]``, counted in a dict."""
+    counts: dict = {}
+    for s in sets[burn_in:]:
+        for p in s:
+            counts[p] = counts.get(p, 0) + 1
+    return frozenset(p for p, c in counts.items() if c >= min_visits)
+
+
+def zero_distance_hull(space, points):
+    """Every point of the space at distance 0 from one of ``points``."""
+    return frozenset(x for x in space.points if any(oracle_distance(space, x, p) == 0 for p in points))

@@ -229,6 +229,11 @@ def test_modulus_values(capsys):
         ["check-metric", "--grid", "a", "1", "0.1"],
         ["modulus", "--grid", "1", "0", "0.1", "--delta", "1"],
         ["modulus", "--grid", "0", "1", "0.5", "--delta", "0"],
+        ["enumerate", "--nv", "0"],
+        ["enumerate", "--nv", "-1"],
+        ["check-metric", "--nv", "0"],
+        ["check-metric", "--nv", "-2"],
+        ["modulus", "--nv", "0", "--delta", "1"],
     ],
 )
 def test_exhaustive_scan_input_errors_exit_2(capsys, argv):
@@ -402,6 +407,20 @@ def test_simulate_invalid_config_exit_4(capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", str(bad), "--out", str(out_dir))
         assert code == 4, key
         assert err.startswith("error:") and key in err, err
+        assert not (out_dir / "report.csv").exists()
+
+    # an event label must parse and name a point of the space, like a support label
+    for raw, event in [
+        (grid_base, "contains:abc"),
+        (grid_base, "contains:1/0"),
+        (base, "contains:4:100"),
+        (grid_base, "contains:5"),  # outside [-1, 1]
+        (base, "contains:5:1000000000"),  # a graph on 5 vertices in the nv = 4 space
+    ]:
+        bad.write_text(json.dumps({**raw, "events": [event]}))
+        code, _, err = run_cli(capsys, "simulate", str(bad), "--out", str(out_dir))
+        assert code == 4, event
+        assert err.startswith("error:") and event in err, err
         assert not (out_dir / "report.csv").exists()
 
 

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from frechet_means import (
     DiscreteMeasure,
+    MetricSpace,
     Sample,
     diagnostic_T,
     sample_iid,
@@ -28,7 +30,6 @@ from frechet_means.consistency_lab import (
     write_report_csv,
     write_summary_json,
     _sandwich_ok,
-    _sandwich_res_ok,
 )
 
 
@@ -148,8 +149,8 @@ def test_per_checkpoint_invariants(pair_result):
             assert len(stat.mean_set) >= 1
             assert stat.sigma_hat_res >= stat.sigma_hat  # restriction inequality
             assert stat.subset_of_sampled
-            assert _sandwich_ok(stat, exact=True)
-            assert _sandwich_res_ok(stat, exact=True)
+            assert _sandwich_ok(stat.t_hat_max, stat.t_star, stat.t_theta_min, exact=True)
+            assert _sandwich_ok(stat.t_res_hat_max, stat.tr_star, stat.t_res_upper, exact=True)
 
 
 def test_variance_identity_links_t_star(pair_result):
@@ -206,8 +207,8 @@ def test_large_order_engine_uses_bigint_blocks(g4, mu_pair):
     for rec in result.records:
         for stat in rec.stats:
             assert isinstance(stat.sigma_hat, Fraction)
-            assert _sandwich_ok(stat, exact=True)
-            assert _sandwich_res_ok(stat, exact=True)
+            assert _sandwich_ok(stat.t_hat_max, stat.t_star, stat.t_theta_min, exact=True)
+            assert _sandwich_ok(stat.t_res_hat_max, stat.tr_star, stat.t_res_upper, exact=True)
 
 
 def test_float_order_engine(grid201, mu_pm):
@@ -224,7 +225,7 @@ def test_float_order_engine(grid201, mu_pm):
     for rec in result.records:
         for stat in rec.stats:
             assert isinstance(stat.sigma_hat, float)
-            assert _sandwich_ok(stat, exact=False)
+            assert _sandwich_ok(stat.t_hat_max, stat.t_star, stat.t_theta_min, exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +363,24 @@ def test_summary_json_content(pair_result, tmp_path):
     assert summary["outer_limit"]["kuratowski_inclusion_rate"] >= 0.99
     assert summary["config"]["seed"] == 123
     assert len(summary["checkpoints"]) == 3
+
+
+def test_report_renders_each_label_once(tmp_path):
+    calls = Counter()
+
+    def label(point):
+        calls[point] += 1
+        return f"<{point}>"
+
+    points = ("a", "b", "c", "d")
+    line = MetricSpace.from_int_matrix(points, [[abs(i - j) for j in range(4)] for i in range(4)], label=label)
+    cfg = ExperimentConfig(
+        space_spec=None, mu=DiscreteMeasure.uniform(("a", "d")), r=1, n_max=40,
+        checkpoints=(4, 10, 40), replications=20, seed=5, restricted=True,
+    )
+    write_report_csv(run_consistency_experiment(cfg, line), tmp_path / "report.csv")
+    assert "<a>;<b>;<c>;<d>" in (tmp_path / "report.csv").read_text()  # ties between the support points
+    assert set(calls) == set(points) and max(calls.values()) == 1
 
 
 def test_report_bytes_are_deterministic(pair_result, tmp_path):

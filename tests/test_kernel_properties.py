@@ -3,8 +3,10 @@
 They cover rational measure weights brought to a common denominator, the
 int64 / Python-int switch of the overflow guard, the independence of
 sample mean sets from the candidate chunk size, the float path at
-non-integer orders against a float oracle, and the consistency engine's
-agreement with the solver on exact, float and pseudo-metric spaces.
+non-integer orders against a float oracle, the outer-limit estimators
+against a counting oracle, and the consistency engine's agreement with the
+solver, the functionals and the counting oracle on exact, float and
+pseudo-metric spaces.
 """
 
 import math
@@ -19,10 +21,13 @@ from frechet_means import (
     ExperimentConfig,
     GraphSpec,
     GridSpec,
+    LimitParams,
     MetricSpace,
     Sample,
+    SetTrajectory,
     enumerate_space,
     interval_grid,
+    kuratowski_limsup,
     population_functional,
     population_mean_set,
     restricted_population_mean_set,
@@ -30,10 +35,19 @@ from frechet_means import (
     run_consistency_experiment,
     sample_functional,
     sample_mean_set,
+    tail_limsup,
+    ziezold_limcsup,
 )
 from frechet_means.consistency_lab import _draw_indices, replication_rng
 from frechet_means.metric_core import _INT64_SAFE, _exact_power_block
-from oracles import float_functional_by_enumeration, mean_set_by_enumeration, population_by_enumeration
+from frechet_means.set_limits import default_burn_in
+from oracles import (
+    float_functional_by_enumeration,
+    mean_set_by_enumeration,
+    population_by_enumeration,
+    tail_limsup_by_counting,
+    zero_distance_hull,
+)
 
 G4 = enumerate_space(4)
 GRID = interval_grid("0", "2", "0.25")
@@ -216,6 +230,28 @@ def pseudo_metric_spaces(draw):
     return MetricSpace.from_int_matrix(names, m, is_pseudo=True, name="l1-twins")
 
 
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(SPACES) + ["pseudo"]),
+    epsilon=st.sampled_from([0, Fraction(0), 0.0]),
+    min_visits=st.integers(1, 3),
+)
+def test_estimators_match_counting_oracle(data, name, epsilon, min_visits):
+    space = data.draw(pseudo_metric_spaces()) if name == "pseudo" else SPACES[name]
+    sets = data.draw(st.lists(st.frozensets(st.sampled_from(space.points), max_size=4), min_size=1, max_size=12))
+    burn_in = data.draw(st.integers(0, len(sets) - 1))
+    traj = SetTrajectory(space, tuple(sets))
+
+    expected = tail_limsup_by_counting(sets, burn_in, min_visits)
+    assert tail_limsup(traj, burn_in, min_visits) == expected
+    assert ziezold_limcsup(traj, burn_in, min_visits) == expected
+    # at epsilon = 0 a visit is d(x, A) = 0: membership, plus zero-distance twins
+    hulls = [zero_distance_hull(space, s) for s in sets]
+    estimate = kuratowski_limsup(traj, epsilon, burn_in, min_visits)
+    assert estimate.points == tail_limsup_by_counting(hulls, burn_in, min_visits)
+
+
 ENGINE_SPACES = {"g4": (G4, GraphSpec(4)), "grid": (GRID, GridSpec("0", "2", "0.25"))}
 
 
@@ -241,13 +277,17 @@ def test_engine_matches_solver(data, name, r, restricted, seed, checkpoints):
         mu = data.draw(measures(space))
     cfg = ExperimentConfig(
         space_spec=spec, mu=mu, r=r, n_max=checkpoints[-1], checkpoints=tuple(checkpoints),
-        replications=2, seed=seed, restricted=restricted, limit_params=None,
+        replications=2, seed=seed, restricted=restricted, limit_params=LimitParams(),
     )
     result = run_consistency_experiment(cfg, space)
 
     assert result.population == population_mean_set(space, mu, r)
     if restricted:
         assert result.population_restricted == restricted_population_mean_set(space, mu, r)
+    f = {z: population_functional(space, mu, z, r) for z in space.points}
+    sigma = min(f.values())
+    sigma_res = min(f[x] for x in mu.support)
+    burn = default_burn_in(len(checkpoints))
     for rec in result.records:
         idx = _draw_indices(mu, cfg.n_max, replication_rng(seed, rec.replication))
         for stat in rec.stats:
@@ -255,7 +295,29 @@ def test_engine_matches_solver(data, name, r, restricted, seed, checkpoints):
             res = sample_mean_set(space, prefix, r)
             assert stat.mean_set == res.argmin
             assert _close(stat.sigma_hat, res.optimum)
+            # the diagnostics from their definitions, with T_n(z) = Fhat(z) - F(z)
+            f_hat = {z: sample_functional(space, prefix, z, r) for z in space.points}
+            t = {z: f_hat[z] - f[z] for z in space.points}
+            assert _close(stat.t_star, min(f_hat.values()) - sigma)
+            assert _close(stat.t_hat_max, max(t[z] for z in stat.mean_set))
+            assert _close(stat.t_theta_min, min(t[z] for z in result.population.argmin))
             if restricted:
                 res = restricted_sample_mean_set(space, prefix, r)
                 assert stat.mean_set_res == res.argmin
                 assert _close(stat.sigma_hat_res, res.optimum)
+                observed = set(prefix.items)
+                assert _close(stat.tr_star, min(f_hat[x] for x in observed) - sigma_res)
+                assert _close(stat.t_res_hat_max, max(t[z] for z in stat.mean_set_res))
+                upper = min(
+                    t[z] + min(abs(f_hat[x] - f_hat[z]) for x in observed)
+                    for z in result.population_restricted.argmin
+                )
+                assert _close(stat.t_res_upper, upper)
+        # outer limits of the checkpoint mean sets; epsilon = 0 credits zero-distance twins
+        tracks = [("", [s.mean_set for s in rec.stats])]
+        if restricted:
+            tracks.append(("_res", [s.mean_set_res for s in rec.stats]))
+        for suffix, mean_sets in tracks:
+            hulls = [zero_distance_hull(space, m) for m in mean_sets]
+            assert getattr(rec, f"tail_estimate{suffix}") == tail_limsup_by_counting(mean_sets, burn)
+            assert getattr(rec, f"kuratowski{suffix}").points == tail_limsup_by_counting(hulls, burn)
