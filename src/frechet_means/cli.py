@@ -413,9 +413,8 @@ def load_config_file(path) -> ExperimentConfig:
     try:
         kind = need("space")
         if kind == "graph":
-            spec = GraphSpec(
-                _config_int(need("nv")), _config_int(get("enumeration_cap", DEFAULT_ENUMERATION_CAP))
-            )
+            cap = _config_int(get("enumeration_cap", DEFAULT_ENUMERATION_CAP))
+            spec = GraphSpec(_config_int(need("nv")), cap)  # a bad nv is named by its own key
         elif kind == "grid":
             bounds = []
             for k, default in (("grid_start", "-1"), ("grid_end", "1"), ("grid_step", "0.01")):
@@ -431,9 +430,8 @@ def load_config_file(path) -> ExperimentConfig:
         if not isinstance(support_labels, list) or not support_labels:
             raise ConfigError("support must be a non-empty list of point labels")
         support = [parse_point_label(spec, str(s)) for s in support_labels]
-        if raw.get("weights") is None:
-            mu = DiscreteMeasure.uniform(support)
-        else:
+        mu = DiscreteMeasure.uniform(support)  # a repeated point is named by the support key
+        if raw.get("weights") is not None:
             mu = DiscreteMeasure(tuple(support), tuple(Fraction(str(w)) for w in get("weights")))
 
         r = need("r")
@@ -495,23 +493,17 @@ def cmd_simulate(args) -> int:
         base = cfg.limit_params or LimitParams()
         cfg = dataclasses.replace(cfg, limit_params=dataclasses.replace(base, **overrides))
 
-    space = build_space(cfg.space_spec)
-    cfg = cfg.validated(space)
-
+    result = run_consistency_experiment(cfg)
+    summary = build_summary(result)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "report.csv"
     json_path = out_dir / "summary.json"
-    written = []
     try:
-        result = run_consistency_experiment(cfg, space)
-        summary = build_summary(result)
         write_report_csv(result, csv_path)
-        written.append(csv_path)
         write_summary_json(result, json_path, summary)
-        written.append(json_path)
     except BaseException:
-        for p in written + [csv_path, json_path]:
+        for p in (csv_path, json_path):
             try:
                 p.unlink(missing_ok=True)
             except OSError:

@@ -24,14 +24,14 @@ import csv
 import functools
 import json
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .frechet_solver import MeanSetResult, _mean_set, _min_ties
-from .graph_space import DEFAULT_ENUMERATION_CAP, GraphSpaceConfig, enumerate_space, parse_graph
+from .graph_space import GraphSpaceConfig, enumerate_space, parse_graph
 from .metric_core import (
     DiscreteMeasure,
     MetricSpace,
@@ -90,11 +90,7 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; raised before any computation."""
 
 
-@dataclass(frozen=True)
-class GraphSpec:
-    nv: int
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    kind: str = field(default="graph", init=False)
+GraphSpec = GraphSpaceConfig
 
 
 @dataclass(frozen=True)
@@ -102,12 +98,11 @@ class GridSpec:
     start: str = "-1"
     end: str = "1"
     step: str = "0.01"
-    kind: str = field(default="grid", init=False)
 
 
 def build_space(spec) -> MetricSpace:
     if isinstance(spec, GraphSpec):
-        return enumerate_space(GraphSpaceConfig(spec.nv, spec.enumeration_cap))
+        return enumerate_space(spec)
     if isinstance(spec, GridSpec):
         return interval_grid(spec.start, spec.end, spec.step)
     raise ConfigError(f"unknown space spec {spec!r}")
@@ -511,12 +506,11 @@ def write_report_csv(result: ExperimentResult, path) -> None:
     def labels(points) -> str:
         return ";".join(map(label, points))
 
-    sigma = result.population.optimum
     columns = {  # header name -> cell value of (record, checkpoint stats), in column order
         "replication": lambda rec, s: rec.replication,
         "n": lambda rec, s: s.n,
         "sigma_hat": lambda rec, s: s.sigma_hat,
-        "abs_error": lambda rec, s: abs(s.sigma_hat - sigma),
+        "abs_error": lambda rec, s: abs(s.t_star),
         "t_hat_max": lambda rec, s: s.t_hat_max,
         "t_star": lambda rec, s: s.t_star,
         "t_theta_min": lambda rec, s: s.t_theta_min,
@@ -525,10 +519,9 @@ def write_report_csv(result: ExperimentResult, path) -> None:
         "mean_set": lambda rec, s: labels(s.mean_set),
     }
     if result.config.restricted:
-        sigma_res = result.population_restricted.optimum
         columns.update({
             "sigma_hat_res": lambda rec, s: s.sigma_hat_res,
-            "abs_error_res": lambda rec, s: abs(s.sigma_hat_res - sigma_res),
+            "abs_error_res": lambda rec, s: abs(s.tr_star),
             "t_res_hat_max": lambda rec, s: s.t_res_hat_max,
             "tr_star": lambda rec, s: s.tr_star,
             "t_res_upper": lambda rec, s: s.t_res_upper,
@@ -551,7 +544,6 @@ def _config_dict(result: ExperimentResult) -> dict:
     space = result.space
     spec = cfg.space_spec
     d = {
-        "space": spec.kind,
         "r": cfg.r,
         "n_max": cfg.n_max,
         "checkpoints": list(cfg.checkpoints),
@@ -563,10 +555,9 @@ def _config_dict(result: ExperimentResult) -> dict:
         "events": list(cfg.events),
     }
     if isinstance(spec, GraphSpec):
-        d["nv"] = spec.nv
-        d["enumeration_cap"] = spec.enumeration_cap
+        d.update(space="graph", nv=spec.nv, enumeration_cap=spec.enumeration_cap)
     else:
-        d["grid_start"], d["grid_end"], d["grid_step"] = spec.start, spec.end, spec.step
+        d.update(space="grid", grid_start=spec.start, grid_end=spec.end, grid_step=spec.step)
     if cfg.limit_params is None:
         d["limit_params"] = None
     else:
@@ -590,11 +581,9 @@ def _mean_set_block(result: MeanSetResult, space: MetricSpace) -> dict:
     }
 
 
-def _rate(flags: Iterable) -> float | None:
-    flags = [f for f in flags if f is not None]
-    if not flags:
-        return None
-    return sum(1 for f in flags if f) / len(flags)
+def _rate(flags: Iterable) -> float:
+    flags = list(flags)
+    return sum(flags) / len(flags)
 
 
 def build_summary(result: ExperimentResult) -> dict:
@@ -606,7 +595,7 @@ def build_summary(result: ExperimentResult) -> dict:
     sandwich_viol_res = 0
     for pos, n in enumerate(cfg.checkpoints):
         stats = [rec.stats[pos] for rec in result.records]
-        errors = [abs(s.sigma_hat - result.population.optimum) for s in stats]
+        errors = [abs(s.t_star) for s in stats]
         entry = {
             "n": n,
             "median_abs_error": float(statistics.median(errors)),
@@ -616,9 +605,7 @@ def build_summary(result: ExperimentResult) -> dict:
         }
         sandwich_viol += sum(not _sandwich_ok(s.t_hat_max, s.t_star, s.t_theta_min, exact) for s in stats)
         if cfg.restricted:
-            errors_res = [
-                abs(s.sigma_hat_res - result.population_restricted.optimum) for s in stats
-            ]
+            errors_res = [abs(s.tr_star) for s in stats]
             entry["median_abs_error_res"] = float(statistics.median(errors_res))
             entry["inclusion_rate_res"] = _rate(s.included_in_population_res for s in stats)
             entry["subset_of_sampled_rate"] = _rate(s.subset_of_sampled for s in stats)
@@ -761,7 +748,7 @@ def summary_blocks(result: ExperimentResult, summary: dict | None = None) -> lis
             blocks.append(
                 (
                     "outer-limit",
-                    rate is not None and rate >= 0.99,
+                    rate >= 0.99,
                     f"estimate subset of target in {rate:.2%} of replications",
                 )
             )
@@ -770,7 +757,7 @@ def summary_blocks(result: ExperimentResult, summary: dict | None = None) -> lis
             blocks.append(
                 (
                     "restricted-outer-limit",
-                    rate is not None and rate >= 0.99,
+                    rate >= 0.99,
                     f"restricted estimate subset of restricted target in {rate:.2%} of replications",
                 )
             )

@@ -126,10 +126,13 @@ class EnumerationCapError(ValueError):
 def _mask_backend(words: np.ndarray):
     """Hamming distances of edge bitsets ``words[point, k]`` (slots 64k..64k+63):
     popcounts of the XOR, summed over the words."""
-    columns = [np.ascontiguousarray(words[:, k]) for k in range(words.shape[1])]
+    first, *rest = [np.ascontiguousarray(words[:, k]) for k in range(words.shape[1])]
 
     def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return sum((np.bitwise_count(c[rows][:, None] ^ c[cols][None, :]) for c in columns), np.int64(0))
+        out = np.bitwise_count(first[rows][:, None] ^ first[cols][None, :]).astype(np.int64)
+        for c in rest:
+            out += np.bitwise_count(c[rows][:, None] ^ c[cols][None, :])
+        return out
 
     return block
 

@@ -392,6 +392,8 @@ def test_simulate_invalid_config_exit_4(capsys, tmp_path):
         ("burn_in", 1.5),
         ("min_visits", 2.5),
         ("nv", True),
+        ("nv", 0),
+        ("nv", -1),
         ("seed", False),
         ("checkpoints", [10, True]),
         ("restricted", "false"),
@@ -407,7 +409,7 @@ def test_simulate_invalid_config_exit_4(capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", str(bad), "--out", str(out_dir))
         assert code == 4, key
         assert err.startswith("error:") and key in err, err
-        assert not (out_dir / "report.csv").exists()
+        assert not out_dir.exists()
 
     # an event label must parse and name a point of the space, like a support label
     for raw, event in [
@@ -440,6 +442,15 @@ def test_simulate_bad_support_label_exit_4(capsys, tmp_path):
     bad.write_text(json.dumps(raw))
     code, _, err = run_cli(capsys, "simulate", str(bad), "--out", str(tmp_path / "o"))
     assert code == 4 and "support" in err
+
+
+def test_simulate_duplicate_support_names_support_key(capsys, tmp_path):
+    raw = json.loads((FIXTURE_DIR / "g4_uniform_pair.json").read_text())
+    raw["support"] = ["4:100101", "4:100101"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, _, err = run_cli(capsys, "simulate", str(bad), "--out", str(tmp_path / "o"))
+    assert code == 4 and "config key 'support'" in err, err
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
-"""The README's python session runs as written."""
+"""The README's python session and console transcripts run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
+from frechet_means.cli import main
+
 ROOT = Path(__file__).parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_readme_python_session_runs(monkeypatch, capsys):
-    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    blocks = re.findall(r"```python\n(.*?)```", README, re.S)
     assert len(blocks) == 1
     monkeypatch.chdir(ROOT)  # the session reads a fixture by its path from the repository root
     exec(compile(blocks[0], "README.md", "exec"), {})
@@ -15,3 +19,13 @@ def test_readme_python_session_runs(monkeypatch, capsys):
         "1",
         "['4:100001', '4:101001', '4:100101', '4:101101']",
     ]
+
+
+def test_readme_console_transcripts_run(monkeypatch, capsys, tmp_path):
+    blocks = re.findall(r"```console\n(\$ frechet-means .*?)```", README, re.S)
+    assert len(blocks) == 2  # `mean ... --r 1` and `simulate g4_uniform_pair.json`
+    monkeypatch.chdir(ROOT)
+    for block in blocks:
+        command, *expected = block.replace("/tmp/report", str(tmp_path)).splitlines()
+        assert main(shlex.split(command)[2:]) == 0, command
+        assert capsys.readouterr().out.splitlines() == expected, command
