@@ -607,7 +607,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except EnumerationCapError as exc:
-        _err(f"{exc} (use --cap-override {exc.required_cap})")
+        _err(f"{exc} (use --cap-override {exc.required_cap})" if exc.overridable else exc)
         return 3
     except GraphParseError as exc:
         _err(exc)

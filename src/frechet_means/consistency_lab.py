@@ -290,13 +290,13 @@ class _Engine:
         self.pop_scores = self.block @ weights
 
         self.population, self.theta_idx = _mean_set(
-            space, self.pop_scores, None, r, self.pop_denominator, self.exact, "full_space"
+            space, _min_ties(self.pop_scores, self.exact), r, self.pop_denominator, self.exact, "full_space"
         )
         self.in_theta = np.isin(all_idx, self.theta_idx)
         self.population_res = None
         if self.restricted:
             self.population_res, self.theta_res_idx = _mean_set(
-                space, self.pop_scores[self.sup_idx], self.sup_idx, r,
+                space, _min_ties(self.pop_scores[self.sup_idx], self.exact, self.sup_idx), r,
                 self.pop_denominator, self.exact, "measure_support",
             )
             self.in_theta_res = np.isin(all_idx, self.theta_res_idx)

@@ -43,6 +43,10 @@ __all__ = [
 # full enumeration is refused unless the caller raises the cap explicitly.
 DEFAULT_ENUMERATION_CAP = 21
 
+# Point i of a full space is edge mask i, and a space's size must fit in a
+# signed 64-bit index, so no cap admits more than 62 slots (nv <= 11).
+_MAX_FULL_SPACE_SLOTS = 62
+
 
 def n_edge_slots(nv: int) -> int:
     return nv * (nv - 1) // 2
@@ -110,17 +114,23 @@ class GraphSpaceConfig:
 
 
 class EnumerationCapError(ValueError):
-    """Full enumeration refused; carries the cap that would be required."""
+    """Full enumeration refused; carries the cap that would be required.
+
+    ``overridable`` is False when the space is past the 62-slot limit of full
+    spaces (nv >= 12), where no cap can admit it.
+    """
 
     def __init__(self, nv: int, cap: int):
         self.nv = nv
         self.required_cap = n_edge_slots(nv)
         self.cap = cap
-        super().__init__(
-            f"graph space on {nv} vertices has {self.required_cap} edge slots "
-            f"(2^{self.required_cap} graphs), above the enumeration cap {cap}; "
-            f"raise the cap to at least {self.required_cap} to enumerate it"
-        )
+        self.overridable = self.required_cap <= _MAX_FULL_SPACE_SLOTS
+        slots = self.required_cap
+        if self.overridable:
+            why = f"above the enumeration cap {cap}; raise the cap to at least {slots} to enumerate it"
+        else:
+            why = f"past the {_MAX_FULL_SPACE_SLOTS}-slot limit of full spaces (nv <= 11), which no cap lifts"
+        super().__init__(f"graph space on {nv} vertices has {slots} edge slots (2^{slots} graphs), {why}")
 
 
 def _mask_backend(words: np.ndarray):
@@ -135,6 +145,13 @@ def _mask_backend(words: np.ndarray):
         return out
 
     return block
+
+
+def _full_space_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Hamming distances in a full space, where point i is edge mask i: no word array to gather from."""
+    return np.bitwise_count(
+        rows.astype(np.uint64)[:, None] ^ cols.astype(np.uint64)[None, :]
+    ).astype(np.int64)  # the XOR block is freed before the int64 copy is made
 
 
 class _AllGraphs(Sequence):
@@ -172,18 +189,20 @@ def enumerate_space(cfg: GraphSpaceConfig | int) -> MetricSpace:
 
     Points come in ascending bitmask order; bound_M is the slot count.  The
     space is index-addressed: point i is the graph with edge mask i, so no
-    graph is built until a caller reads one.
+    graph is built until a caller reads one and distances are popcounts of
+    XORed indices.  Spaces past the cap, or past 62 edge slots whatever the
+    cap, raise :class:`EnumerationCapError`.
     """
     if isinstance(cfg, int):
         cfg = GraphSpaceConfig(cfg)
     slots = n_edge_slots(cfg.nv)
-    if slots > cfg.enumeration_cap:
+    if slots > min(cfg.enumeration_cap, _MAX_FULL_SPACE_SLOTS):
         raise EnumerationCapError(cfg.nv, cfg.enumeration_cap)
     points = _AllGraphs(cfg.nv)
     return MetricSpace(
         points,
         index=points.index,
-        int_block=_mask_backend(np.arange(1 << slots, dtype=np.uint64)[:, None]),
+        int_block=_full_space_block,
         bound_M=slots,
         is_pseudo=False,
         label=format_graph,

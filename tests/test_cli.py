@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ from conftest import FIXTURE_DIR, MEAN_SET_R1_TEXTS
 from frechet_means import cli
 from frechet_means.cli import load_config_file, main
 from frechet_means.consistency_lab import ConfigError
-from frechet_means.graph_space import format_graph, n_edge_slots, read_graph_file
+from frechet_means.graph_space import Graph, format_graph, n_edge_slots, read_graph_file
 from oracles import mean_set_by_enumeration
 
 
@@ -135,6 +136,21 @@ def test_cap_exceeded_exit_3(capsys, tmp_path):
     assert "28" in err and "--cap-override" in err
 
 
+def test_order1_mean_past_the_default_cap(capsys, tmp_path):
+    # nv = 8 has 2^28 graphs; at r = 1 the mean set of two graphs at distance
+    # d is the 2^d graphs between them, found per edge slot without a scan
+    a, b = 0b1011 << 20 | 0b11, 0b1011 << 20 | 0b11111 << 5 | 0b11
+    path = tmp_path / "pair8.graphs"
+    path.write_text(f"{format_graph(Graph(8, a))}\n{format_graph(Graph(8, b))}\n")
+    code, out, _ = run_cli(capsys, "mean", str(path), "--r", "1", "--cap-override", "28")
+    assert code == 0
+    diff = [k for k in range(28) if (a ^ b) >> k & 1]
+    between = sorted(a & b | sum(1 << k for j, k in enumerate(diff) if s >> j & 1) for s in range(2**len(diff)))
+    lines = out.splitlines()
+    assert f"# optimum: {Fraction(len(diff), 2)}" in lines
+    assert [t for t in lines if not t.startswith("#")] == [format_graph(Graph(8, m)) for m in between]
+
+
 def test_restricted_mean_works_beyond_cap(capsys, tmp_path):
     path = tmp_path / "big.graphs"
     path.write_text("8:" + "1" + "0" * 27 + "\n" + "8:" + "0" * 27 + "1" + "\n")
@@ -159,6 +175,37 @@ def test_restricted_mean_works_past_64_edge_slots(capsys, tmp_path, nv):
     payload = json.loads(out)
     assert payload["optimum_exact"] == str(optimum)
     assert payload["mean_set"] == [format_graph(g) for g in argmin]
+
+
+# nv = 12 has 66 edge slots: past the 62-slot limit of full spaces, so no
+# cap override can enumerate it and the error line suggests none.
+NV12_GRAPH = "12:" + "0" * 66
+NV12_CONFIG = {
+    "schema": "experiment-config-v1", "space": "graph", "nv": 12, "enumeration_cap": 66,
+    "support": [NV12_GRAPH], "r": 1, "n_max": 10, "checkpoints": [10], "replications": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--nv", "12", "--cap-override", "66"],
+        ["check-metric", "--nv", "12", "--cap-override", "66"],
+        ["mean", "{graphs}", "--cap-override", "70"],
+        ["variance", "{graphs}", "--cap-override", "70"],
+        ["simulate", "{config}", "--out", "{out}"],
+    ],
+)
+def test_full_spaces_past_62_slots_exit_3(capsys, tmp_path, argv):
+    graphs, config, out_dir = tmp_path / "g12.graphs", tmp_path / "g12.json", tmp_path / "out"
+    graphs.write_text(NV12_GRAPH + "\n")
+    config.write_text(json.dumps(NV12_CONFIG))
+    argv = [a.format(graphs=graphs, config=config, out=out_dir) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "66 edge slots" in err and "--cap-override" not in err
+    assert not out_dir.exists()
 
 
 def test_invalid_order_rejected_by_argparse(capsys, pair_file):

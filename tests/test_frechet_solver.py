@@ -306,3 +306,18 @@ def test_nv7_full_space_mean_set_matches_popcount_table(nv7_sample_scores, r):
     best = int(scores[r].min())
     assert res.optimum == Fraction(best, len(sample))
     assert [(g.nv, g.edges) for g in res.argmin] == [(7, int(m)) for m in np.flatnonzero(scores[r] == best)]
+
+
+def test_order1_full_graph_space_means_skip_the_distance_kernel(monkeypatch):
+    def refuse(self, rows, cols):
+        raise AssertionError("int_block called")
+
+    monkeypatch.setattr(MetricSpace, "int_block", refuse)
+    space = enumerate_space(7)
+    rng = np.random.default_rng(2008)
+    sample = Sample(tuple(Graph(7, int(m)) for m in rng.integers(0, 1 << 21, 50)))
+    res = sample_mean_set(space, sample, 1)
+    assert res.exact and res.argmin
+    assert population_mean_set(space, DiscreteMeasure.empirical(sample), 1) == res
+    with pytest.raises(AssertionError, match="int_block called"):
+        sample_mean_set(space, sample, 2)

@@ -105,6 +105,27 @@ def test_full_space_is_not_materialised():
     assert peak < 64 * 2**20
 
 
+def test_full_space_holds_no_arrays():
+    # point i is edge mask i, so the distance kernel needs no 2^21-entry word array
+    tracemalloc.start()
+    try:
+        enumerate_space(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_full_spaces_stop_at_62_edge_slots():
+    space = enumerate_space(GraphSpaceConfig(11, enumeration_cap=62))
+    assert len(space) == 2**55
+    assert space.distance(Graph(11, 0), Graph(11, 2**55 - 1)) == 55
+    with pytest.raises(EnumerationCapError) as exc:
+        enumerate_space(GraphSpaceConfig(12, enumeration_cap=66))
+    assert exc.value.required_cap == 66 and not exc.value.overridable
+    assert "62" in str(exc.value)
+
+
 def test_enumeration_cap_refusal_names_required_cap():
     with pytest.raises(EnumerationCapError) as exc:
         enumerate_space(8)

@@ -1,7 +1,8 @@
 """Property tests of the exact scoring kernel against the naive oracles.
 
 They cover rational measure weights brought to a common denominator, the
-int64 / Python-int switch of the overflow guard, the independence of
+int64 / Python-int switch of the overflow guard, order-1 mean sets of full
+graph spaces read off per edge slot, the independence of
 sample mean sets from the candidate chunk size, the float path at
 non-integer orders against a float oracle, the outer-limit estimators
 against a counting oracle, and the consistency engine's agreement with the
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from frechet_means import (
     DiscreteMeasure,
     ExperimentConfig,
+    Graph,
     GraphSpec,
     GridSpec,
     LimitParams,
@@ -39,7 +41,8 @@ from frechet_means import (
     ziezold_limcsup,
 )
 from frechet_means.consistency_lab import _draw_indices, replication_rng
-from frechet_means.metric_core import _INT64_SAFE, _exact_power_block
+from frechet_means.graph_space import n_edge_slots
+from frechet_means.metric_core import _INT64_SAFE, _exact_power_block, _weights
 from frechet_means.set_limits import default_burn_in
 from oracles import (
     float_functional_by_enumeration,
@@ -154,6 +157,80 @@ def test_population_means_on_both_sides_of_the_guard(space, data, weights):
     res = restricted_population_mean_set(space, mu, GUARD_R)
     assert res.exact
     assert (res.optimum, res.argmin) == population_by_enumeration(space, pairs, GUARD_R, mu.support)
+
+
+# Order-1 means of full graph spaces come from per-slot majorities, not from
+# scoring every graph, so they are drawn where ties are many: complementary
+# graphs split every slot evenly, and an even n can split any slot.
+FULL_GRAPH_SPACES = {nv: enumerate_space(nv) for nv in range(1, 6)}
+
+
+@st.composite
+def tie_heavy_samples(draw, nv):
+    full = (1 << n_edge_slots(nv)) - 1
+    masks = st.integers(0, full)
+    kind = draw(st.sampled_from(["any", "even n", "repeated", "complementary pairs", "all free"]))
+    if kind == "any":
+        items = draw(st.lists(masks, min_size=1, max_size=7))
+    elif kind == "even n":
+        items = draw(st.lists(masks, min_size=2, max_size=8).filter(lambda xs: len(xs) % 2 == 0))
+    elif kind == "repeated":
+        items = draw(st.lists(masks, min_size=1, max_size=3)) * draw(st.integers(2, 3))
+    else:
+        base = draw(st.lists(masks, min_size=1, max_size=3))
+        items = base + [m ^ full for m in base]
+        if kind == "complementary pairs":
+            items += draw(st.lists(masks, max_size=2))
+    return [Graph(nv, m) for m in items]
+
+
+@st.composite
+def tie_heavy_measures(draw, nv, big_lcd):
+    """Mixed-denominator measures, or (``big_lcd``) measures whose weights
+    have a common denominator of at least 2^62; either may charge
+    complementary graphs equally, which leaves every slot free."""
+    space = FULL_GRAPH_SPACES[nv]
+    full = len(space) - 1
+    x = Fraction(1, 2**62 + draw(st.integers(0, 99))) if big_lcd else None
+    if draw(st.booleans()) and len(space) >= 4:
+        half = draw(st.lists(st.integers(0, full >> 1), min_size=2, max_size=3, unique=True))
+        raw = [Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 12))) for _ in half]
+        pair_weights = [w / (2 * sum(raw)) for w in raw]
+        if big_lcd:  # the first pair takes x each; the others share the rest
+            rest = sum(raw[1:])
+            pair_weights = [x] + [w * (Fraction(1, 2) - x) / rest for w in raw[1:]]
+        support = half + [m ^ full for m in half]
+        weights = pair_weights + pair_weights
+    else:
+        mu = draw(measures(space))
+        if not big_lcd or len(mu.support) < 2:
+            return mu
+        support = [space.index(g) for g in mu.support]
+        weights = [x] + [w * (1 - x) / sum(mu.weights[1:]) for w in mu.weights[1:]]
+    return DiscreteMeasure(tuple(Graph(nv, m) for m in support), tuple(weights))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), nv=st.integers(1, 5))
+def test_order1_sample_means_of_full_graph_spaces_match_oracle(data, nv):
+    space = FULL_GRAPH_SPACES[nv]
+    items = data.draw(tie_heavy_samples(nv))
+    res = sample_mean_set(space, Sample(tuple(items)), 1)
+    assert res.exact
+    assert (res.optimum, res.argmin) == mean_set_by_enumeration(space, items, 1, space.points)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), nv=st.integers(1, 5), big_lcd=st.booleans())
+def test_order1_population_means_of_full_graph_spaces_match_oracle(data, nv, big_lcd):
+    space = FULL_GRAPH_SPACES[nv]
+    mu = data.draw(tie_heavy_measures(nv, big_lcd))
+    weights = _weights(space, mu, 1)[1]
+    assert weights.dtype == (object if big_lcd and len(mu.support) > 1 else np.int64)
+    res = population_mean_set(space, mu, 1)
+    assert res.exact
+    pairs = list(zip(mu.support, mu.weights))
+    assert (res.optimum, res.argmin) == population_by_enumeration(space, pairs, 1, space.points)
 
 
 @PROPERTY_SETTINGS
