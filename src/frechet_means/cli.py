@@ -14,14 +14,16 @@ rides in ``#`` comments), and every subcommand has a ``--format json`` /
 ``--format csv`` twin carrying the same numbers.  Output is byte-deterministic
 given inputs, flags and seed.
 
-Exit codes: 0 success, 2 parse/input error, 3 enumeration cap exceeded,
-4 invalid experiment config, 5 ``simulate`` finished but an assertion
-block failed (the reports are still written).
+Exit codes: 0 success, 2 parse/input error, 3 enumeration cap exceeded or
+a full space too large for memory, 4 invalid experiment config, 5
+``simulate`` finished but an assertion block failed (the reports are still
+written).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -78,6 +80,21 @@ CONFIG_SCHEMA = "experiment-config-v1"
 
 class _InputError(Exception):
     """A command-line value the command cannot use (exit 2)."""
+
+
+class _ScanMemoryError(Exception):
+    """A full space too large for the memory at hand (exit 3, as for the enumeration cap)."""
+
+
+@contextlib.contextmanager
+def _scanning(space):
+    """Run a scan of ``space``; running out of memory in it is a :class:`_ScanMemoryError`."""
+    try:
+        yield
+    except MemoryError:
+        raise _ScanMemoryError(
+            f"{space.name} has {len(space)} points, more than fit in the available memory"
+        ) from None
 
 
 def _err(message) -> None:
@@ -151,7 +168,8 @@ def _solve_sample(args, restricted: bool):
         result = restricted_sample_mean_set(space, sample, args.r)
     else:
         space = enumerate_space(GraphSpaceConfig(nv, args.cap_override))
-        result = sample_mean_set(space, sample, args.r)
+        with _scanning(space):
+            result = sample_mean_set(space, sample, args.r)
     return space, sample, result
 
 
@@ -245,7 +263,8 @@ def _graph_space(args):
 
 def cmd_enumerate(args) -> int:
     space = _graph_space(args)
-    labels = [space.label(p) for p in space.points]
+    with _scanning(space):
+        labels = [space.label(p) for p in space.points]
     if args.format == "json":
         payload = {"nv": args.nv, "count": len(space), "bound_M": _num(space.bound_M), "graphs": labels}
         _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -493,7 +512,9 @@ def cmd_simulate(args) -> int:
         base = cfg.limit_params or LimitParams()
         cfg = dataclasses.replace(cfg, limit_params=dataclasses.replace(base, **overrides))
 
-    result = run_consistency_experiment(cfg)
+    space = build_space(cfg.space_spec)
+    with _scanning(space):
+        result = run_consistency_experiment(cfg, space)
     summary = build_summary(result)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -608,6 +629,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except EnumerationCapError as exc:
         _err(f"{exc} (use --cap-override {exc.required_cap})" if exc.overridable else exc)
+        return 3
+    except _ScanMemoryError as exc:
+        _err(exc)
         return 3
     except GraphParseError as exc:
         _err(exc)

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .frechet_solver import MeanSetResult, _mean_set, _min_ties
-from .graph_space import GraphSpaceConfig, enumerate_space, parse_graph
+from .graph_space import GraphSpaceConfig, _AllGraphs, _split_scorer, enumerate_space, parse_graph
 from .metric_core import (
     DiscreteMeasure,
     MetricSpace,
@@ -267,14 +267,17 @@ class ExperimentResult:
 
 
 class _Engine:
-    """One |space| x |support| distance-power block for one configuration.
+    """The scores of every point against one configuration's support.
 
-    Each checkpoint does one matvec, ``scores = block @ counts``, and both
-    tracks (all points compete; only sampled support points compete) read
-    their statistics off it.  The population targets are read off
-    ``pop_scores = block @ weights``.  On the exact path every score is an
-    integer -- over n, or over the weights' common denominator -- and
-    becomes a Fraction only where a value is reported.
+    ``score(weights)`` is built once: on full graph spaces with exact scores
+    it is :func:`graph_space._split_scorer`, which holds two small popcount
+    tables; elsewhere it is a matvec with one |space| x |support|
+    distance-power block.  Each checkpoint scores its ``counts`` once, and
+    both tracks (all points compete; only sampled support points compete)
+    read their statistics off those scores.  The population targets are read
+    off ``pop_scores``, the scores of the measure's weights.  On the exact
+    path every score is an integer -- over n, or over the weights' common
+    denominator -- and becomes a Fraction only where a value is reported.
     """
 
     def __init__(self, space: MetricSpace, cfg: ExperimentConfig):
@@ -283,11 +286,13 @@ class _Engine:
         self.restricted = cfg.restricted
         self.sup_idx, weights, self.pop_denominator, self.exact = _weights(space, cfg.mu, r)
         self.scale_r = space.scale**r
+        total = 2 * max(cfg.n_max, self.pop_denominator)  # t_res_upper adds two scores
         all_idx = np.arange(len(space), dtype=np.intp)
-        self.block = _power_block(
-            space, all_idx, self.sup_idx, r, self.exact, max(cfg.n_max, self.pop_denominator)
-        )
-        self.pop_scores = self.block @ weights
+        if self.exact and isinstance(space.points, _AllGraphs):
+            self.score = _split_scorer(space, self.sup_idx, r, total)
+        else:
+            self.score = _power_block(space, all_idx, self.sup_idx, r, self.exact, total).__matmul__
+        self.pop_scores = self.score(weights)
 
         self.population, self.theta_idx = _mean_set(
             space, _min_ties(self.pop_scores, self.exact), r, self.pop_denominator, self.exact, "full_space"
@@ -318,7 +323,7 @@ class _Engine:
         return sigma_hat, ties, sigma_hat - sigma, sigma_hat - pop_min, bool(target[ties].all())
 
     def checkpoint(self, counts: np.ndarray, n: int) -> CheckpointStats:
-        scores = self.block @ counts
+        scores = self.score(counts)
         sigma = self.population.optimum
         sigma_hat, ties, t_star, t_hat_max, included = self._track(
             scores, None, sigma, self.in_theta, n

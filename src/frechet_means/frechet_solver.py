@@ -3,30 +3,33 @@
 Every operation returns the *full* argmin set in canonical space order --
 ties are the object of study here, never collapsed to a representative.
 
-The one exception to exhaustive scoring is the exact order-1 mean of a full
-graph space: the Hamming functional splits over edge slots, so
-:func:`_order1_cube` reads the argmin cube off per-slot weights without
-scoring the 2^slots graphs, and returns the same pair :func:`_min_ties`
-would.
-
 Sample means, restricted sample means and (restricted) population means all
 run through :func:`_solve`, one path for both arithmetics.  It hands the
 sample or the measure to :func:`metric_core._weights`, which decides the
 arithmetic once: integer weights over a normalizer on exact spaces with an
 integer order and rational weights, float weights summing to one otherwise.
-Every candidate is then scored as ``d**r @ weights`` with ``d**r`` from
-:func:`metric_core._power_block`, whose exact branch keeps the scores in
-int64 or Python ints as their size requires.  Its tail, :func:`_mean_set`,
-turns the minimum and the tie indices into a result; the consistency harness
-calls it on the population scores of the block its checkpoints use.  One reducer,
-:func:`_min_ties`, picks the argmin set as sorted space indices: on the exact
-path it keeps every score equal to the exact minimum, so tie sets are
-bit-reproducible; on the float path it keeps every score <= optimum *
-(1 + 1e-9), a tolerance that is part of the contract.
+Its tail, :func:`_mean_set`, turns the minimum and the tie indices into a
+result; the consistency harness calls it on the population scores its
+checkpoints use.
 
-Candidates are scored in chunks only to bound the distance-block working
-set; the reducer sees all scores at once, so results do not depend on the
-chunk size.
+Exact means over a full graph space use the Hamming structure instead of a
+distance block.  At r = 1 the functional splits over edge slots, so
+:func:`_order1_cube` reads the argmin cube off per-slot weights without
+scoring any graph.  At r >= 2, :func:`graph_space._split_scorer` scores all
+2^slots graphs with one matmul of two small popcount tables.  Every other
+case scores each candidate as ``d**r @ weights``, with ``d**r`` from
+:func:`metric_core._power_block`.  On the exact path the scores are integers
+in the dtype :func:`metric_core._exact_dtype` picks (float64, int64 or
+Python ints, each exact at its size).
+
+One reducer, :func:`_min_ties`, picks the argmin set as sorted space
+indices: on the exact path it keeps every score equal to the exact minimum,
+so tie sets are bit-reproducible; on the float path it keeps every score
+<= optimum * (1 + 1e-9), a tolerance that is part of the contract.
+
+Distance blocks are scored in chunks of candidates only to bound their
+working set; the reducer sees all scores at once, so results do not depend
+on the chunk size.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph_space import _AllGraphs
+from .graph_space import _AllGraphs, _split_scorer
 from .metric_core import (
     DiscreteMeasure,
     MetricSpace,
@@ -119,13 +122,16 @@ def _solve(
     """Argmin of the functional of a sample or a measure ``data``.
 
     The candidates are the whole space for the ``full_space`` domain and
-    the support of ``data`` otherwise.  Exact order-1 means over a full
-    graph space are read off per edge slot by :func:`_order1_cube`; every
-    other case scores each candidate.
+    the support of ``data`` otherwise.  Exact means over a full graph space
+    come from :func:`_order1_cube` at r = 1 and from the split scorer
+    otherwise; every other case scores distance blocks.
     """
     sup_idx, weights, normalizer, exact = _weights(space, data, r)
-    if exact and r == 1 and domain == "full_space" and isinstance(space.points, _AllGraphs):
-        minimum = _order1_cube(space, sup_idx, weights, normalizer)
+    if exact and domain == "full_space" and isinstance(space.points, _AllGraphs):
+        if r == 1:
+            minimum = _order1_cube(space, sup_idx, weights, normalizer)
+        else:
+            minimum = _min_ties(_split_scorer(space, sup_idx, r, normalizer)(weights), exact)
     else:
         candidates_idx = np.arange(len(space), dtype=np.intp) if domain == "full_space" else sup_idx
         chunks = (candidates_idx[lo : lo + chunk_size] for lo in range(0, len(candidates_idx), chunk_size))

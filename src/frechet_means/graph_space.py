@@ -13,14 +13,15 @@ ignored and all lines must share the same vertex count.
 
 from __future__ import annotations
 
+import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .metric_core import MetricSpace
+from .metric_core import MetricSpace, _exact_dtype
 
 __all__ = [
     "Graph",
@@ -152,6 +153,49 @@ def _full_space_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.bitwise_count(
         rows.astype(np.uint64)[:, None] ^ cols.astype(np.uint64)[None, :]
     ).astype(np.int64)  # the XOR block is freed before the int64 copy is made
+
+
+def _popcount_table(masks: np.ndarray, bits: int, dtype) -> np.ndarray:
+    """``t[v, i] = popcount(v ^ masks[i])`` over the low ``bits`` bits, for every
+    ``v < 2^bits``: one array in ``dtype``, filled by doubling over the bits."""
+    t = np.empty((1 << bits, len(masks)), dtype=dtype)
+    t[0] = np.bitwise_count(masks & ((1 << bits) - 1)).astype(dtype)
+    for k in range(bits):  # setting bit k of v moves it one slot towards or away from each mask
+        t[1 << k : 2 << k] = t[: 1 << k] + (1 - 2 * (masks >> k & 1)).astype(dtype)
+    return t
+
+
+def _split_scorer(space: MetricSpace, sup_idx: np.ndarray, r: int, total_weight: int) -> Callable:
+    """Exact order-r scores of every point of the full graph space ``space``
+    against its points ``sup_idx``, with no ``|space| x |support|`` block.
+
+    Point x is edge mask x; split it as ``x = hi * 2^low + lo`` with
+    ``low = ceil(slots / 2)``.  Then ``d(x, X_i) = a[lo, i] + b[hi, i]`` for
+    popcount tables ``a`` (``2^low`` rows) and ``b`` (``2^(slots - low)``
+    rows), and by the binomial theorem the scores ``sum_i w_i d(x, X_i)^r``
+    form the matrix ``sum_j C(r, j) (b^(r-j) * w) @ (a^j).T``, whose row-major
+    ravel is in ascending mask order.  The ``j = 0`` and ``j = r`` terms are
+    outer sums; all terms go through one matmul.  The tables are built once;
+    the returned function maps integer weights on ``sup_idx``, summing to at
+    most ``total_weight``, to the score vector in the dtype
+    :func:`metric_core._exact_dtype` picks, so a float64 matmul is exact.
+    """
+    dtype = _exact_dtype(space, r, total_weight)
+    ints = object if dtype is object else np.int64  # powers are taken in integers, then cast
+    low = (space.bound_M + 1) // 2
+    a = _popcount_table(sup_idx, low, ints)
+    b = _popcount_table(sup_idx >> low, space.bound_M - low, ints)
+    a_pows = [(a**j).astype(dtype) for j in range(1, r + 1)]  # a^j, j = 1..r
+    b_terms = [(math.comb(r, j) * b ** (r - j)).astype(dtype) for j in range(r)]  # C(r, j) b^(r-j), j = 0..r-1
+    ones_a, ones_b = np.ones(len(a), dtype), np.ones(len(b), dtype)
+
+    def scores(weights: np.ndarray) -> np.ndarray:
+        w = weights.astype(dtype)
+        left = np.column_stack([b_terms[0] @ w, ones_b, *(t * w for t in b_terms[1:])])
+        right = np.column_stack([ones_a, a_pows[-1] @ w, *a_pows[:-1]])
+        return (left @ right.T).ravel()
+
+    return scores
 
 
 class _AllGraphs(Sequence):

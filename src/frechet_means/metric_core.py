@@ -44,8 +44,12 @@ __all__ = [
     "equicontinuity_bound",
 ]
 
-# Largest integer score guaranteed to survive an int64 matmul; anything
-# bigger is computed with Python big ints (see _exact_power_block).
+# Exact scores are sums of non-negative integer terms, each partial sum at
+# most the whole score.  Below 2^53 every such integer is a float64, so float64
+# products and sums -- BLAS in any summation order, with or without FMA -- stay
+# exact; below _INT64_SAFE int64 holds them; anything bigger is computed with
+# Python big ints (see _exact_dtype).
+_FLOAT64_EXACT = 2**53
 _INT64_SAFE = 2**62
 
 # Largest point set the exhaustive O(n^3) scans accept (check_metric_axioms,
@@ -571,19 +575,28 @@ def _weights(
     return sup_idx, np.array(ints, dtype=np.int64 if lcd < _INT64_SAFE else object), lcd, True
 
 
-def _exact_power_block(space: MetricSpace, rows, cols, r: int, total_weight: int) -> np.ndarray:
-    """Integer lattice distances of rows x cols raised to the integer power r.
+def _exact_dtype(space: MetricSpace, r: int, total_weight: int):
+    """The package's one overflow guard: the dtype of exact scores on ``space``.
 
-    This is the package's only overflow guard.  A row of the result dotted
-    with non-negative integer weights summing to at most ``total_weight`` is
-    at most ``max(M_int, 1)**r * total_weight``; while that is below
-    ``_INT64_SAFE`` the block is int64, otherwise it is an object array of
-    Python ints, so every score built from it is exact at any size.
+    A score is ``sum_i w_i * d_i**r`` with integer lattice distances and
+    non-negative integer weights summing to at most ``total_weight``, so every
+    term and partial sum is a non-negative integer of at most
+    ``max(M_int, 1)**r * total_weight``.  Below ``_FLOAT64_EXACT`` that bound
+    makes float64 arithmetic exact whatever the summation order, below
+    ``_INT64_SAFE`` int64 holds it, and past that the scores are Python ints.
     """
-    block = space.int_block(rows, cols).astype(np.int64, copy=False)
-    if max(space.max_int_distance, 1) ** r * total_weight < _INT64_SAFE:
-        return block**r
-    return block.astype(object) ** r
+    bound = max(space.max_int_distance, 1) ** r * total_weight
+    return np.float64 if bound < _FLOAT64_EXACT else np.int64 if bound < _INT64_SAFE else object
+
+
+def _exact_power_block(space: MetricSpace, rows, cols, r: int, total_weight: int) -> np.ndarray:
+    """Integer lattice distances of rows x cols raised to the integer power r,
+    in the dtype :func:`_exact_dtype` picks for weights summing to at most
+    ``total_weight``: float64, int64 or Python ints, each exact at its size.
+    The power is taken in integers, so no floating-point ``pow`` is involved."""
+    dtype = _exact_dtype(space, r, total_weight)
+    block = space.int_block(rows, cols).astype(object if dtype is object else np.int64, copy=False)
+    return (block**r).astype(dtype, copy=False)
 
 
 def _power_block(space: MetricSpace, rows, cols, r, exact: bool, total_weight: int) -> np.ndarray:
@@ -646,10 +659,11 @@ def modulus_of_continuity(space: MetricSpace, support: Iterable, delta, r):
     idx = space.indices(sup)
     exact = space.exact and isinstance(r, int)
     if exact:
+        d = space.int_block(idx, idx)
         powed = _exact_power_block(space, idx, idx, r, 1)
-        # d(x,y) < delta in lattice units is d_int <= k, i.e. d_int**r <= k**r
+        # d(x,y) < delta in lattice units is d_int <= k
         thr = Fraction(str(delta)) if not isinstance(delta, (int, Fraction)) else Fraction(delta)
-        close = powed <= _strict_int_bound(thr / space.scale) ** r
+        close = d <= _strict_int_bound(thr / space.scale)
     else:
         d = space.float_block(idx, idx)
         powed, close = d ** float(r), d < float(delta)

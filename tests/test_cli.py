@@ -1,6 +1,11 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +210,46 @@ def test_full_spaces_past_62_slots_exit_3(capsys, tmp_path, argv):
     assert code == 3 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "66 edge slots" in err and "--cap-override" not in err
+    assert not out_dir.exists()
+
+
+# A full space past the memory at hand: --cap-override admits it, and the
+# command exits 3 with one error line instead of numpy's allocation traceback.
+ADDRESS_SPACE_LIMIT = 3 << 30
+
+
+def _limit_address_space():
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    soft = ADDRESS_SPACE_LIMIT if hard == resource.RLIM_INFINITY else min(ADDRESS_SPACE_LIMIT, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("command", ["mean", "simulate"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_full_space_past_memory_exit_3(tmp_path, command, r):
+    # a graph and its complement on 11 vertices (2^55 graphs): at r = 1 every
+    # slot is free, so the mean set is the whole space; at r = 2 every graph
+    # gets a score.  Neither fits in a 3 GB address space.
+    graphs = [format_graph(Graph(11, m)) for m in (0b1011, (1 << 55) - 1 ^ 0b1011)]
+    path, out_dir = tmp_path / "g11.graphs", tmp_path / "out"
+    if command == "mean":
+        path.write_text("".join(g + "\n" for g in graphs))
+        argv = ["mean", str(path), "--r", str(r), "--cap-override", "55"]
+    else:
+        path.write_text(json.dumps({
+            "schema": "experiment-config-v1", "space": "graph", "nv": 11, "enumeration_cap": 55,
+            "support": graphs, "r": r, "n_max": 10, "checkpoints": [10], "replications": 2,
+        }))
+        argv = ["simulate", str(path), "--out", str(out_dir)]
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "frechet_means.cli", *argv],
+        capture_output=True, text=True, timeout=120, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert f"graphs(nv=11) has {2**55} points" in proc.stderr
     assert not out_dir.exists()
 
 

@@ -399,3 +399,28 @@ def test_summary_blocks_all_pass(pair_result):
     names = [name for name, _, _ in blocks]
     assert "sandwich" in names and "outer-limit" in names
     assert all(passed for _, passed, _ in blocks)
+
+
+def test_engine_scores_full_graph_spaces_without_the_distance_kernel(monkeypatch):
+    # exact scores of a full graph space come from two popcount tables, at
+    # every order: the engine gathers no |space| x |support| distance block
+    from frechet_means import Graph, enumerate_space, restricted_sample_mean_set, sample_mean_set
+    from frechet_means.consistency_lab import _Engine
+
+    space = enumerate_space(6)
+    mu = DiscreteMeasure.uniform(Graph(6, m) for m in (0, 0b1011, 0x7FFF, 0x1234, 0x4321))
+    counts = np.array([3, 1, 2, 0, 4], dtype=np.int64)
+    sample = Sample(tuple(g for g, c in zip(mu.support, counts) for _ in range(c)))
+    expected = {r: sample_mean_set(space, sample, r) for r in (1, 2, 3)}
+    expected_res = {r: restricted_sample_mean_set(space, sample, r) for r in (1, 2, 3)}
+
+    def refuse(self, rows, cols):
+        raise AssertionError("int_block called")
+
+    monkeypatch.setattr(MetricSpace, "int_block", refuse)
+    for r in (1, 2, 3):
+        cfg = ExperimentConfig(space_spec=GraphSpec(6), mu=mu, r=r, n_max=10, checkpoints=(10,),
+                               replications=1, restricted=True)
+        stat = _Engine(space, cfg.validated(space)).checkpoint(counts, 10)
+        assert (stat.sigma_hat, stat.mean_set) == (expected[r].optimum, expected[r].argmin)
+        assert (stat.sigma_hat_res, stat.mean_set_res) == (expected_res[r].optimum, expected_res[r].argmin)

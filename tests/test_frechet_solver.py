@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -308,7 +309,11 @@ def test_nv7_full_space_mean_set_matches_popcount_table(nv7_sample_scores, r):
     assert [(g.nv, g.edges) for g in res.argmin] == [(7, int(m)) for m in np.flatnonzero(scores[r] == best)]
 
 
-def test_order1_full_graph_space_means_skip_the_distance_kernel(monkeypatch):
+def test_exact_full_graph_space_means_skip_the_distance_kernel(monkeypatch):
+    # r = 1 reads the mean set off per edge slot and r >= 2 uses the split
+    # scorer: neither gathers distances, and the split scorer's largest array
+    # is the 2^21-entry score vector (16 MB), where a 2^21 x 50 block would
+    # take 100 MB even as uint8
     def refuse(self, rows, cols):
         raise AssertionError("int_block called")
 
@@ -316,8 +321,16 @@ def test_order1_full_graph_space_means_skip_the_distance_kernel(monkeypatch):
     space = enumerate_space(7)
     rng = np.random.default_rng(2008)
     sample = Sample(tuple(Graph(7, int(m)) for m in rng.integers(0, 1 << 21, 50)))
-    res = sample_mean_set(space, sample, 1)
-    assert res.exact and res.argmin
-    assert population_mean_set(space, DiscreteMeasure.empirical(sample), 1) == res
+    mu = DiscreteMeasure.empirical(sample)
+    for r in (1, 2, 3):
+        tracemalloc.start()
+        try:
+            res = sample_mean_set(space, sample, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exact and res.argmin
+        assert peak < 32 * 2**20, (r, peak)
+        assert population_mean_set(space, mu, r) == res
     with pytest.raises(AssertionError, match="int_block called"):
-        sample_mean_set(space, sample, 2)
+        restricted_sample_mean_set(space, sample, 2)

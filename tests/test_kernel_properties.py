@@ -2,7 +2,8 @@
 
 They cover rational measure weights brought to a common denominator, the
 int64 / Python-int switch of the overflow guard, order-1 mean sets of full
-graph spaces read off per edge slot, the independence of
+graph spaces read off per edge slot, higher orders scored by splitting the
+edge slots in each of the three dtype tiers, the independence of
 sample mean sets from the candidate chunk size, the float path at
 non-integer orders against a float oracle, the outer-limit estimators
 against a counting oracle, and the consistency engine's agreement with the
@@ -14,6 +15,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,7 +43,7 @@ from frechet_means import (
     ziezold_limcsup,
 )
 from frechet_means.consistency_lab import _draw_indices, replication_rng
-from frechet_means.graph_space import n_edge_slots
+from frechet_means.graph_space import _split_scorer, n_edge_slots
 from frechet_means.metric_core import _INT64_SAFE, _exact_power_block, _weights
 from frechet_means.set_limits import default_burn_in
 from oracles import (
@@ -231,6 +233,117 @@ def test_order1_population_means_of_full_graph_spaces_match_oracle(data, nv, big
     assert res.exact
     pairs = list(zip(mu.support, mu.weights))
     assert (res.optimum, res.argmin) == population_by_enumeration(space, pairs, 1, space.points)
+
+
+# Exact means of order r >= 2 on full graph spaces come from the split
+# scorer (two popcount tables and one matmul).  nv = 1..5 has 0, 1, 3, 6 and
+# 10 edge slots: no split, odd and even splits.  Its dtype follows
+# max(M, 1)^r * lcd past 2^53 (float64 -> int64) and 2^62 (-> Python ints), so
+# one family of measures puts exactly that product on a drawn side of either.
+TIER_LIMITS = (2**53, 2**62)
+
+
+@st.composite
+def tier_measures(draw, nv, r, limit, above):
+    """Weights over the common denominator D with ``max(M, 1)^r * D`` below
+    ``limit`` or not (``above``); when D is even, complementary pairs may
+    share their weight.  nv = 1 has one graph, so there D = 1."""
+    space = FULL_GRAPH_SPACES[nv]
+    if len(space) < 2:
+        return DiscreteMeasure(space.points, (Fraction(1),))
+    m_r = max(space.bound_M, 1) ** r
+    delta = draw(st.integers(0, 5))
+    d = -(-limit // m_r) + delta if above else (limit - 1) // m_r - delta
+    full = len(space) - 1
+    if d % 2 == 0 and len(space) >= 4 and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, full >> 1), min_size=2, max_size=2, unique=True))
+        support, numerators = [a, a ^ full, b, b ^ full], [1, 1, (d - 2) // 2, (d - 2) // 2]
+    else:
+        support = draw(st.lists(st.integers(0, full), min_size=2, max_size=min(4, len(space)), unique=True))
+        cuts = sorted(draw(st.lists(st.integers(1, d - 2), min_size=len(support) - 2,
+                                    max_size=len(support) - 2, unique=True)))
+        numerators = [1] + [hi - lo for lo, hi in zip([0, *cuts], [*cuts, d - 1])]
+    weights = tuple(Fraction(k, d) for k in numerators)  # the weight 1/D makes D the lcd
+    return DiscreteMeasure(tuple(Graph(nv, m) for m in support), weights)
+
+
+def _tier(space, r, total_weight):
+    bound = max(space.bound_M, 1) ** r * total_weight
+    return np.float64 if bound < 2**53 else np.int64 if bound < 2**62 else object
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), nv=st.integers(1, 5), r=st.integers(2, 4))
+def test_split_scored_sample_means_of_full_graph_spaces_match_oracle(data, nv, r):
+    space = FULL_GRAPH_SPACES[nv]
+    items = data.draw(tie_heavy_samples(nv))
+    res = sample_mean_set(space, Sample(tuple(items)), r)
+    assert res.exact
+    assert (res.optimum, res.argmin) == mean_set_by_enumeration(space, items, r, space.points)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), nv=st.integers(1, 5), r=st.integers(2, 4), big_lcd=st.booleans())
+def test_split_scored_population_means_of_full_graph_spaces_match_oracle(data, nv, r, big_lcd):
+    space = FULL_GRAPH_SPACES[nv]
+    mu = data.draw(tie_heavy_measures(nv, big_lcd))
+    res = population_mean_set(space, mu, r)
+    assert res.exact
+    pairs = list(zip(mu.support, mu.weights))
+    assert (res.optimum, res.argmin) == population_by_enumeration(space, pairs, r, space.points)
+
+
+@pytest.mark.parametrize("limit", TIER_LIMITS, ids=["2^53", "2^62"])
+@pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+@PROPERTY_SETTINGS
+@given(data=st.data(), nv=st.integers(2, 5), r=st.integers(2, 4))
+def test_split_scorer_is_exact_in_each_dtype_tier(limit, above, data, nv, r):
+    space = FULL_GRAPH_SPACES[nv]
+    mu = data.draw(tier_measures(nv, r, limit, above))
+    sup_idx, weights, lcd, exact = _weights(space, mu, r)
+    assert (max(space.bound_M, 1) ** r * lcd < limit) != above
+    assert _split_scorer(space, sup_idx, r, lcd)(weights).dtype == _tier(space, r, lcd)
+    res = population_mean_set(space, mu, r)
+    assert res.exact
+    pairs = list(zip(mu.support, mu.weights))
+    assert (res.optimum, res.argmin) == population_by_enumeration(space, pairs, r, space.points)
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    nv=st.integers(1, 5),
+    r=st.integers(1, 4),
+    family=st.sampled_from(["tie-heavy", "big lcd", "tiers"]),
+    restricted=st.booleans(),
+    seed=st.integers(0, 2**16),
+    checkpoints=st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True).map(sorted),
+)
+def test_engine_matches_solver_on_full_graph_spaces(data, nv, r, family, restricted, seed, checkpoints):
+    space = FULL_GRAPH_SPACES[nv]
+    if family == "tiers":
+        mu = data.draw(tier_measures(nv, r, data.draw(st.sampled_from(TIER_LIMITS)), data.draw(st.booleans())))
+    else:
+        mu = data.draw(tie_heavy_measures(nv, family == "big lcd"))
+    cfg = ExperimentConfig(
+        space_spec=GraphSpec(nv), mu=mu, r=r, n_max=checkpoints[-1], checkpoints=tuple(checkpoints),
+        replications=2, seed=seed, restricted=restricted, limit_params=None,
+    )
+    result = run_consistency_experiment(cfg, space)
+
+    assert result.population == population_mean_set(space, mu, r)
+    if restricted:
+        assert result.population_restricted == restricted_population_mean_set(space, mu, r)
+    for rec in result.records:
+        idx = _draw_indices(mu, cfg.n_max, replication_rng(seed, rec.replication))
+        for stat in rec.stats:
+            prefix = Sample(tuple(mu.support[i] for i in idx[: stat.n]))
+            res = sample_mean_set(space, prefix, r)
+            assert (stat.sigma_hat, stat.mean_set) == (res.optimum, res.argmin)
+            assert stat.t_star == res.optimum - result.population.optimum
+            if restricted:
+                res = restricted_sample_mean_set(space, prefix, r)
+                assert (stat.sigma_hat_res, stat.mean_set_res) == (res.optimum, res.argmin)
 
 
 @PROPERTY_SETTINGS

@@ -190,6 +190,15 @@ def test_modulus_on_g4_matches_triple_oracle(g4):
         assert got == modulus_by_triple_enumeration(g4, support, delta, r)
 
 
+def test_modulus_with_a_delta_past_every_float(g4):
+    # every pair is close; the powers stay float64-exact while delta**r is
+    # far past what a float holds
+    delta = Fraction(10**400)
+    for r in (1, 3):
+        got = modulus_of_continuity(g4, g4.points, delta, r)
+        assert got == 6**r == modulus_by_triple_enumeration(g4, g4.points[:8] + g4.points[-8:], delta, r)
+
+
 def test_modulus_monotone_in_delta(g4):
     deltas = [0.5, 1.5, 2.5, 3.5, 6.5]
     values = [modulus_of_continuity(g4, g4.points, d, 2) for d in deltas]
