@@ -125,11 +125,19 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a rational number, got {text!r}")
 
 
-def _emit(args, text: str) -> None:
+@contextlib.contextmanager
+def _output(args):
+    """The text stream a command writes to: the ``--out`` file, else standard output."""
     if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(args, text: str) -> None:
+    with _output(args) as fh:
+        fh.write(text)
 
 
 def _num(value) -> float:
@@ -262,17 +270,23 @@ def _graph_space(args):
 
 
 def cmd_enumerate(args) -> int:
+    """Every graph of the space, written label by label as it is rendered."""
     space = _graph_space(args)
-    with _scanning(space):
-        labels = [space.label(p) for p in space.points]
-    if args.format == "json":
-        payload = {"nv": args.nv, "count": len(space), "bound_M": _num(space.bound_M), "graphs": labels}
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        _emit(args, _csv_text(["graph"], [[g] for g in labels]))
-    else:
-        lines = [f"# space: {space.name}, {len(space)} points, M={space.bound_M}", *labels]
-        _emit(args, "\n".join(lines) + "\n")
+    labels = map(space.label, space.points)
+    with _output(args) as fh:
+        if args.format == "json":
+            # the bytes of json.dumps({"nv", "count", "bound_M", "graphs"}, indent=2, sort_keys=True)
+            fh.write(f'{{\n  "bound_M": {json.dumps(_num(space.bound_M))},\n  "count": {len(space)},\n  "graphs": [')
+            for k, text in enumerate(labels):
+                fh.write((",\n    " if k else "\n    ") + json.dumps(text))
+            fh.write(f'\n  ],\n  "nv": {json.dumps(args.nv)}\n}}\n')
+        elif args.format == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(["graph"])
+            writer.writerows([text] for text in labels)
+        else:
+            fh.write(f"# space: {space.name}, {len(space)} points, M={space.bound_M}\n")
+            fh.writelines(text + "\n" for text in labels)
     return 0
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import statistics
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -190,11 +191,16 @@ def replication_rng(seed: int, replication: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, replication])))
 
 
-def _draw_indices(mu: DiscreteMeasure, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws over the support in canonical order."""
+def _support_cdf(mu: DiscreteMeasure) -> np.ndarray:
+    """The float CDF of ``mu`` over its support in canonical order."""
     cum = np.cumsum(np.array([float(w) for w in mu.weights], dtype=np.float64))
     cum[-1] = 1.0  # guard against accumulated rounding in the last bin
-    return np.searchsorted(cum, rng.random(n), side="right").astype(np.intp)
+    return cum
+
+
+def _draw_indices(cdf: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n inverse-CDF draws of support positions, ``cdf`` being :func:`_support_cdf`."""
+    return np.searchsorted(cdf, rng.random(n), side="right").astype(np.intp)
 
 
 def sample_iid(mu: DiscreteMeasure, n: int, seed: int) -> Sample:
@@ -202,7 +208,7 @@ def sample_iid(mu: DiscreteMeasure, n: int, seed: int) -> Sample:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    idx = _draw_indices(mu, n, rng)
+    idx = _draw_indices(_support_cdf(mu), n, rng)
     return Sample(tuple(mu.support[i] for i in idx))
 
 
@@ -218,6 +224,12 @@ def diagnostic_T(space: MetricSpace, mu: DiscreteMeasure, sample: Sample, z, r):
 
 @dataclass(frozen=True)
 class CheckpointStats:
+    """The statistics of one replication at one checkpoint sample size ``n``.
+
+    ``mean_set`` and ``mean_set_res`` are tuples of sorted space indices;
+    the points are ``space.points[i]`` of the experiment's space.
+    """
+
     n: int
     sigma_hat: Fraction | float
     mean_set: tuple
@@ -277,7 +289,9 @@ class _Engine:
     read their statistics off those scores.  The population targets are read
     off ``pop_scores``, the scores of the measure's weights.  On the exact
     path every score is an integer -- over n, or over the weights' common
-    denominator -- and becomes a Fraction only where a value is reported.
+    denominator -- and each reported value, differences of two scores
+    included, is one Fraction built from integers.  Mean sets stay the
+    sorted space indices :func:`_min_ties` returns.
     """
 
     def __init__(self, space: MetricSpace, cfg: ExperimentConfig):
@@ -294,47 +308,58 @@ class _Engine:
             self.score = _power_block(space, all_idx, self.sup_idx, r, self.exact, total).__matmul__
         self.pop_scores = self.score(weights)
 
+        minimum = _min_ties(self.pop_scores, self.exact)
+        self.pop_best = minimum[0]
         self.population, self.theta_idx = _mean_set(
-            space, _min_ties(self.pop_scores, self.exact), r, self.pop_denominator, self.exact, "full_space"
+            space, minimum, r, self.pop_denominator, self.exact, "full_space"
         )
         self.in_theta = np.isin(all_idx, self.theta_idx)
         self.population_res = None
         if self.restricted:
+            minimum = _min_ties(self.pop_scores[self.sup_idx], self.exact, self.sup_idx)
+            self.pop_best_res = minimum[0]
             self.population_res, self.theta_res_idx = _mean_set(
-                space, _min_ties(self.pop_scores[self.sup_idx], self.exact, self.sup_idx), r,
-                self.pop_denominator, self.exact, "measure_support",
+                space, minimum, r, self.pop_denominator, self.exact, "measure_support"
             )
             self.in_theta_res = np.isin(all_idx, self.theta_res_idx)
 
     # -- per-checkpoint scores ---------------------------------------------
 
-    def _normalize(self, value, n: int):
-        return _score_value(value, n, self.exact, self.scale_r)
+    def _excess(self, score, n: int, pop_score):
+        """``score / n - pop_score / pop_denominator`` as a value: one Fraction from
+        integers on the exact path, the difference of the two floats off it."""
+        d = self.pop_denominator
+        if self.exact:
+            return _score_value(int(score) * d - int(pop_score) * n, n * d, True, self.scale_r)
+        return float(score) / n - float(pop_score) / d
 
-    def _track(self, scores, candidates, sigma, target: np.ndarray, n: int):
+    def _track(self, scores, candidates, pop_best, target: np.ndarray, n: int):
         """One track at one checkpoint: (sigma_hat, mean-set indices, T*, t_hat_max, included).
 
         ``scores[k]`` belongs to ``candidates[k]`` (None: to point k of the
-        space); ``target`` is the population mean set of the track as a mask.
+        space); ``pop_best`` is the track's population minimum score and
+        ``target`` its population mean set as a mask.
         """
         best, ties = _min_ties(scores, self.exact, candidates)
-        sigma_hat = self._normalize(best, n)
-        pop_min = self._normalize(self.pop_scores[ties].min(), self.pop_denominator)
-        return sigma_hat, ties, sigma_hat - sigma, sigma_hat - pop_min, bool(target[ties].all())
+        return (
+            _score_value(best, n, self.exact, self.scale_r),
+            ties,
+            self._excess(best, n, pop_best),
+            self._excess(best, n, self.pop_scores[ties].min()),
+            bool(target[ties].all()),
+        )
 
     def checkpoint(self, counts: np.ndarray, n: int) -> CheckpointStats:
         scores = self.score(counts)
-        sigma = self.population.optimum
         sigma_hat, ties, t_star, t_hat_max, included = self._track(
-            scores, None, sigma, self.in_theta, n
+            scores, None, self.pop_best, self.in_theta, n
         )
         extra = {}
         if self.restricted:
-            sigma_res = self.population_res.optimum
             observed = self.sup_idx[counts > 0]
             observed_scores = scores[observed]
             sigma_hat_res, ties_res, tr_star, t_res_hat_max, included_res = self._track(
-                observed_scores, observed, sigma_res, self.in_theta_res, n
+                observed_scores, observed, self.pop_best_res, self.in_theta_res, n
             )
             # upper bound: min over theta* of T_n(theta*) + min_{x' observed} |Fhat(x') - Fhat(theta*)|;
             # Fhat is a positive multiple of the score, so the bound is taken on scores
@@ -342,20 +367,20 @@ class _Engine:
             gaps = np.abs(observed_scores[None, :] - theta_scores[:, None]).min(axis=1)
             extra = dict(
                 sigma_hat_res=sigma_hat_res,
-                mean_set_res=tuple(self.space.points[i] for i in ties_res),
+                mean_set_res=tuple(ties_res.tolist()),
                 tr_star=tr_star,
                 t_res_hat_max=t_res_hat_max,
-                t_res_upper=self._normalize((theta_scores + gaps).min(), n) - sigma_res,
+                t_res_upper=self._excess((theta_scores + gaps).min(), n, self.pop_best_res),
                 included_in_population_res=included_res,
                 subset_of_sampled=bool(np.isin(ties_res, observed).all()),
             )
         return CheckpointStats(
             n=n,
             sigma_hat=sigma_hat,
-            mean_set=tuple(self.space.points[i] for i in ties),
+            mean_set=tuple(ties.tolist()),
             t_hat_max=t_hat_max,
             t_star=t_star,
-            t_theta_min=self._normalize(scores[self.theta_idx].min(), n) - sigma,
+            t_theta_min=self._excess(scores[self.theta_idx].min(), n, self.pop_best),
             included_in_population=included,
             **extra,
         )
@@ -384,7 +409,7 @@ def run_consistency_experiment(
     theta_res = frozenset(engine.population_res.argmin) if cfg.restricted else None
 
     def outer_limits(mean_sets, target, suffix: str) -> dict:
-        traj = SetTrajectory(space, tuple(mean_sets))
+        traj = SetTrajectory.from_indices(space, mean_sets)
         tail = tail_limsup(traj, burn, lp.min_visits)
         kura = kuratowski_limsup(traj, lp.epsilon, burn, lp.min_visits)
         return {
@@ -396,9 +421,10 @@ def run_consistency_experiment(
 
     records = []
     n_support = len(cfg.mu.support)
+    cdf = _support_cdf(cfg.mu)
     for k in range(cfg.replications):
         rng = replication_rng(cfg.seed, k)
-        idx = _draw_indices(cfg.mu, cfg.n_max, rng)
+        idx = _draw_indices(cdf, cfg.n_max, rng)
         stats = []
         for n in cfg.checkpoints:
             counts = np.bincount(idx[:n], minlength=n_support).astype(np.int64)
@@ -428,25 +454,27 @@ def run_consistency_experiment(
 
 
 def event_full_space(space: MetricSpace) -> Callable:
+    """The event "the mean set is all of ``space``", on a tuple of space indices."""
     size = len(space)
     return lambda mean_set: len(mean_set) == size
 
 
-def event_contains(point) -> Callable:
-    return lambda mean_set: point in mean_set
+def event_contains(index: int) -> Callable:
+    """The event "the mean set holds point ``space.points[index]``", on a tuple of space indices."""
+    return lambda mean_set: index in mean_set
 
 
 def resolve_event(name: str, space: MetricSpace, spec) -> Callable:
-    """Map a config event string to a predicate on the mean set; a bad point label is a ConfigError."""
+    """Map a config event string to a predicate on a mean set of space indices;
+    a bad point label is a ConfigError."""
     if name == "full_space":
         return event_full_space(space)
     if name.startswith("contains:"):
         try:
-            point = parse_point_label(spec, name.split(":", 1)[1])
-            space.index(point)
+            index = space.index(parse_point_label(spec, name.split(":", 1)[1]))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"event {name!r}: {exc}") from None
-        return event_contains(point)
+        return event_contains(index)
     raise ConfigError(f"unknown event {name!r} (use 'full_space' or 'contains:<point>')")
 
 
@@ -500,16 +528,19 @@ def _exact_str(value) -> str | None:
 
 def _sandwich_ok(lower, middle, upper, exact: bool) -> bool:
     """lower <= middle <= upper, up to a rounding tolerance relative to middle off the exact path."""
-    tol = 0 if exact else 1e-9 * max(1.0, abs(float(middle)))
+    if exact:
+        return lower <= middle <= upper
+    tol = 1e-9 * max(1.0, abs(float(middle)))
     return lower <= middle + tol and middle <= upper + tol
 
 
 def write_report_csv(result: ExperimentResult, path) -> None:
     """One CSV row per replication x checkpoint (schema ``CSV_SCHEMA``)."""
-    label = functools.cache(result.space.label)  # one rendering per point and report
+    space = result.space
+    label = functools.cache(lambda i: space.label(space.points[i]))  # one rendering per index and report
 
-    def labels(points) -> str:
-        return ";".join(map(label, points))
+    def labels(mean_set) -> str:
+        return ";".join(map(label, mean_set))
 
     columns = {  # header name -> cell value of (record, checkpoint stats), in column order
         "replication": lambda rec, s: rec.replication,
@@ -586,6 +617,22 @@ def _mean_set_block(result: MeanSetResult, space: MetricSpace) -> dict:
     }
 
 
+def _median_and_max(values: list) -> tuple[float, float]:
+    """``float(statistics.median(values))`` and ``float(max(values))``.
+
+    Fractions are put over their least common denominator and the integer
+    numerators sorted, so no Fraction is compared; int / int division rounds
+    correctly, as ``float(Fraction)`` does, so the floats are the same.
+    """
+    if not isinstance(values[0], Fraction):
+        return float(statistics.median(values)), float(max(values))
+    common = math.lcm(*(v.denominator for v in values))
+    nums = sorted(v.numerator * (common // v.denominator) for v in values)
+    mid = len(nums) // 2
+    median = nums[mid] / common if len(nums) % 2 else (nums[mid - 1] + nums[mid]) / (2 * common)
+    return median, nums[-1] / common
+
+
 def _rate(flags: Iterable) -> float:
     flags = list(flags)
     return sum(flags) / len(flags)
@@ -600,18 +647,17 @@ def build_summary(result: ExperimentResult) -> dict:
     sandwich_viol_res = 0
     for pos, n in enumerate(cfg.checkpoints):
         stats = [rec.stats[pos] for rec in result.records]
-        errors = [abs(s.t_star) for s in stats]
+        median_error, max_error = _median_and_max([abs(s.t_star) for s in stats])
         entry = {
             "n": n,
-            "median_abs_error": float(statistics.median(errors)),
-            "max_abs_error": float(max(errors)),
+            "median_abs_error": median_error,
+            "max_abs_error": max_error,
             "inclusion_rate": _rate(s.included_in_population for s in stats),
             "mean_set_size_mean": float(np.mean([len(s.mean_set) for s in stats])),
         }
         sandwich_viol += sum(not _sandwich_ok(s.t_hat_max, s.t_star, s.t_theta_min, exact) for s in stats)
         if cfg.restricted:
-            errors_res = [abs(s.tr_star) for s in stats]
-            entry["median_abs_error_res"] = float(statistics.median(errors_res))
+            entry["median_abs_error_res"] = _median_and_max([abs(s.tr_star) for s in stats])[0]
             entry["inclusion_rate_res"] = _rate(s.included_in_population_res for s in stats)
             entry["subset_of_sampled_rate"] = _rate(s.subset_of_sampled for s in stats)
             sandwich_viol_res += sum(

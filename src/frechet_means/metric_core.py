@@ -607,9 +607,13 @@ def _power_block(space: MetricSpace, rows, cols, r, exact: bool, total_weight: i
 
 
 def _score_value(score, normalizer: int, exact: bool, scale_r):
-    """A score over its normalizer as a value: an exact Fraction times ``scale**r``, or a float."""
+    """A score over its normalizer as a value: an exact Fraction times ``scale**r``, or a float.
+
+    The Fraction is built once from integers, ``scale**r`` folded into its
+    numerator and denominator.
+    """
     if exact:
-        return Fraction(int(score), normalizer) * scale_r
+        return Fraction(int(score) * scale_r.numerator, normalizer * scale_r.denominator)
     return float(score) / normalizer
 
 

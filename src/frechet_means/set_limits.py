@@ -18,6 +18,11 @@ Three estimators are provided:
   epsilon = 0 a visit degenerates to zero-distance membership.
 
 The convention d(x, {}) = +inf means an empty set never grants visits.
+
+A :class:`SetTrajectory` holds each set as the tuple of its sorted space
+indices, the form in which the solver and the experiment engine produce
+mean sets, so :meth:`SetTrajectory.from_indices` takes those tuples as they
+are; the estimators return sets of points.
 """
 
 from __future__ import annotations
@@ -41,20 +46,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SetTrajectory:
     """Indexed sequence of finite subsets of one space (indices 0..N-1).
 
-    Built from sets of points, stored as tuples of sorted space indices.
+    ``sets[n]`` is set n as the tuple of its sorted space indices; its
+    points are ``space.points[i]``.  ``SetTrajectory(space, point_sets)``
+    builds it from sets of points, :meth:`from_indices` from index tuples.
     """
 
     space: MetricSpace
     sets: tuple
 
-    def __post_init__(self):
-        sets = tuple(tuple(sorted(set(map(self.space.index, s)))) for s in self.sets)
+    def __init__(self, space: MetricSpace, point_sets):
+        index_sets = (tuple(sorted(set(map(space.index, s)))) for s in point_sets)
+        self._init(space, tuple(index_sets))
+
+    @classmethod
+    def from_indices(cls, space: MetricSpace, index_sets) -> "SetTrajectory":
+        """A trajectory of sets given as tuples of sorted space indices, such as
+        :func:`frechet_solver._min_ties` returns; no point is looked up."""
+        traj = object.__new__(cls)
+        traj._init(space, tuple(index_sets))
+        return traj
+
+    def _init(self, space: MetricSpace, sets: tuple) -> None:
         if len(sets) == 0:
             raise ValueError("a trajectory needs at least one set")
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "sets", sets)
 
     def __len__(self) -> int:

@@ -10,6 +10,7 @@ under test shares no minimization or tie-handling code with it.
 from __future__ import annotations
 
 import math
+import statistics
 from fractions import Fraction
 
 from frechet_means.graph_space import Graph
@@ -101,3 +102,8 @@ def tail_limsup_by_counting(sets, burn_in, min_visits=2):
 def zero_distance_hull(space, points):
     """Every point of the space at distance 0 from one of ``points``."""
     return frozenset(x for x in space.points if any(oracle_distance(space, x, p) == 0 for p in points))
+
+
+def median_and_max_by_sorting(values):
+    """``float`` of the median and of the maximum, by sorting the values themselves."""
+    return float(statistics.median(values)), float(max(values))

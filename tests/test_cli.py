@@ -273,6 +273,37 @@ def test_enumerate_counts(capsys):
     assert payload["graphs"][0] == "4:000000"
 
 
+# SHA-256 of `enumerate --nv NV --format FORMAT` as it was when the whole
+# output was rendered before any of it was written; streaming keeps the bytes.
+ENUMERATE_DIGESTS = {
+    (1, "text"): "9a409a50f07f7ae74e793afec9f313a926febcfe3783ce95ddf04e7aaa4d3df3",
+    (1, "csv"): "2fd17352786636b76118b5965a9e8dcdc45c25de7550febe370e43c885070ab5",
+    (1, "json"): "c5a637f1008f66a8383c001446d6df3b821f0e060f6872f3159f7d34b28f8a8c",
+    (2, "text"): "4c8823fa99ad7fd6da76d6557e49d682de8887d272584e087afb08baf32d60e4",
+    (2, "csv"): "b03d250f47b0ba980960818cd7006adffed36ff5739fb28d3a2a999d53acd34b",
+    (2, "json"): "2efa68dd50a491de4770b9567e6d5d33b52c432394e4c2bbaba4d09e28d1e579",
+    (3, "text"): "fb17375c39d3cee37a33b96f75e9569fecb64ef22175cecfeeac80f54258b4fa",
+    (3, "csv"): "d25270000927d3c109c5ee812de68f9da291faf55cfb2e32e77df8cdd8f7cee3",
+    (3, "json"): "c738717d1cfa21dba292e484f2a783ebca35035028a413e5da3ebe430b6c0af2",
+    (4, "text"): "712d199260e00453e54c380c550b3e6d5e573cdc81f4a71e9cbda27984d69071",
+    (4, "csv"): "3a02b9e45287b7287cae34b1d745a3b3ffb0245964453c8dc7e2860ec0814857",
+    (4, "json"): "2380fa051ed10235a058c805b46d415f2c41894f45392609e729309f8d715a82",
+    (5, "text"): "07905a43d81cb13b631c7b58be4affd03c73a62c2f869860d633d14f0b3f7b51",
+    (5, "csv"): "a0c9b72f5ac0e69e325e2a4ee00f0651e80fdaf14f0662874d1b72cf97917aee",
+    (5, "json"): "02f5f0d48c86d2914e55e076e4ee34836b92d7e49093b01831f4fdbbfe731400",
+}
+
+
+@pytest.mark.parametrize("nv, fmt", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_output_is_byte_identical(capsys, tmp_path, nv, fmt):
+    code, out, _ = run_cli(capsys, "enumerate", "--nv", str(nv), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ENUMERATE_DIGESTS[nv, fmt]
+    path = tmp_path / "graphs"
+    assert run_cli(capsys, "enumerate", "--nv", str(nv), "--format", fmt, "--out", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ENUMERATE_DIGESTS[nv, fmt]
+
+
 def test_enumerate_cap_exit_3(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--nv", "8")
     assert code == 3

@@ -10,6 +10,7 @@ from frechet_means import (
     MetricSpace,
     Sample,
     diagnostic_T,
+    parse_graph,
     sample_iid,
 )
 from frechet_means.consistency_lab import (
@@ -170,25 +171,26 @@ def test_outer_limit_estimates_recorded(pair_result):
 
 
 def test_restricted_estimates_stay_in_support(pair_result, s1, s2):
+    points = pair_result.space.points
     for rec in pair_result.records:
         assert rec.tail_estimate_res <= {s1, s2}
         for stat in rec.stats:
-            assert set(stat.mean_set_res) <= {s1, s2}
+            assert {points[i] for i in stat.mean_set_res} <= {s1, s2}
 
 
 def test_checkpoints_use_cumulative_prefixes(pair_cfg, pair_result, g4, mu_pair):
     # recompute one record independently from the documented stream
-    from frechet_means.consistency_lab import _draw_indices, replication_rng
+    from frechet_means.consistency_lab import _draw_indices, _support_cdf, replication_rng
     from frechet_means import sample_mean_set
 
     k = 3
-    idx = _draw_indices(mu_pair, pair_cfg.n_max, replication_rng(pair_cfg.seed, k))
+    idx = _draw_indices(_support_cdf(mu_pair), pair_cfg.n_max, replication_rng(pair_cfg.seed, k))
     for pos, n in enumerate(pair_cfg.checkpoints):
         items = tuple(mu_pair.support[i] for i in idx[:n])
         res = sample_mean_set(g4, Sample(items), pair_cfg.r)
         stat = pair_result.records[k].stats[pos]
         assert res.optimum == stat.sigma_hat
-        assert res.argmin == stat.mean_set
+        assert res.argmin == tuple(g4.points[i] for i in stat.mean_set)
 
 
 def test_large_order_engine_uses_bigint_blocks(g4, mu_pair):
@@ -292,10 +294,12 @@ def test_oscillation_requires_records(g4):
 
 
 def test_oscillation_counts_match_hand_count(pair_result, s1):
-    pred = event_contains(s1)
+    points = pair_result.space.points
+    pred = event_contains(pair_result.space.index(s1))
     table = oscillation_stats(pair_result.records, pred, "contains-s1")
+    assert sum(row[1] for row in table.rows) > 0
     for pos, (n, successes, reps, freq, se) in enumerate(table.rows):
-        manual = sum(1 for rec in pair_result.records if s1 in rec.stats[pos].mean_set)
+        manual = sum(1 for rec in pair_result.records if s1 in [points[i] for i in rec.stats[pos].mean_set])
         assert successes == manual
         assert reps == len(pair_result.records)
         assert freq == pytest.approx(manual / reps)
@@ -316,7 +320,7 @@ def test_minus_one_event_is_symmetric_at_odd_n(grid201, mu_pm):
         limit_params=None,
     )
     result = run_consistency_experiment(cfg, grid201)
-    table = oscillation_stats(result.records, event_contains(Fraction(-1)), "minus-one")
+    table = oscillation_stats(result.records, event_contains(grid201.index(Fraction(-1))), "minus-one")
     (_, _, reps, freq, _) = table.rows[0]
     band = 3 * np.sqrt(0.25 / reps)
     assert abs(freq - 0.5) <= band
@@ -325,9 +329,12 @@ def test_minus_one_event_is_symmetric_at_odd_n(grid201, mu_pm):
 
 
 def test_resolve_event_names(g4):
-    assert resolve_event("full_space", g4, GraphSpec(4))(tuple(g4.points))
+    everything = tuple(range(len(g4)))
+    assert resolve_event("full_space", g4, GraphSpec(4))(everything)
     pred = resolve_event("contains:4:100101", g4, GraphSpec(4))
-    assert pred(tuple(g4.points))
+    assert pred(everything)
+    i = g4.index(parse_graph("4:100101"))
+    assert pred((i,)) and not pred(everything[:i] + everything[i + 1 :])
     with pytest.raises(ConfigError, match="unknown event"):
         resolve_event("bogus", g4, GraphSpec(4))
 
@@ -367,20 +374,29 @@ def test_summary_json_content(pair_result, tmp_path):
 
 def test_report_renders_each_label_once(tmp_path):
     calls = Counter()
+    hashes = Counter()
+
+    class Point(str):  # counts the hashes taken of it, by dicts and sets among others
+        def __hash__(self):
+            hashes[str(self)] += 1
+            return super().__hash__()
 
     def label(point):
-        calls[point] += 1
+        calls[str(point)] += 1
         return f"<{point}>"
 
-    points = ("a", "b", "c", "d")
+    points = tuple(map(Point, "abcd"))
     line = MetricSpace.from_int_matrix(points, [[abs(i - j) for j in range(4)] for i in range(4)], label=label)
     cfg = ExperimentConfig(
-        space_spec=None, mu=DiscreteMeasure.uniform(("a", "d")), r=1, n_max=40,
+        space_spec=None, mu=DiscreteMeasure.uniform((points[0], points[3])), r=1, n_max=40,
         checkpoints=(4, 10, 40), replications=20, seed=5, restricted=True,
     )
-    write_report_csv(run_consistency_experiment(cfg, line), tmp_path / "report.csv")
+    result = run_consistency_experiment(cfg, line)
+    hashes.clear()
+    write_report_csv(result, tmp_path / "report.csv")
     assert "<a>;<b>;<c>;<d>" in (tmp_path / "report.csv").read_text()  # ties between the support points
-    assert set(calls) == set(points) and max(calls.values()) == 1
+    assert set(calls) == set("abcd") and max(calls.values()) == 1
+    assert not hashes  # labels are looked up by space index, not by point
 
 
 def test_report_bytes_are_deterministic(pair_result, tmp_path):
@@ -422,5 +438,6 @@ def test_engine_scores_full_graph_spaces_without_the_distance_kernel(monkeypatch
         cfg = ExperimentConfig(space_spec=GraphSpec(6), mu=mu, r=r, n_max=10, checkpoints=(10,),
                                replications=1, restricted=True)
         stat = _Engine(space, cfg.validated(space)).checkpoint(counts, 10)
-        assert (stat.sigma_hat, stat.mean_set) == (expected[r].optimum, expected[r].argmin)
-        assert (stat.sigma_hat_res, stat.mean_set_res) == (expected_res[r].optimum, expected_res[r].argmin)
+        mean_set, mean_set_res = (tuple(space.points[i] for i in m) for m in (stat.mean_set, stat.mean_set_res))
+        assert (stat.sigma_hat, mean_set) == (expected[r].optimum, expected[r].argmin)
+        assert (stat.sigma_hat_res, mean_set_res) == (expected_res[r].optimum, expected_res[r].argmin)

@@ -42,13 +42,14 @@ from frechet_means import (
     tail_limsup,
     ziezold_limcsup,
 )
-from frechet_means.consistency_lab import _draw_indices, replication_rng
+from frechet_means.consistency_lab import _draw_indices, _median_and_max, _support_cdf, replication_rng
 from frechet_means.graph_space import _split_scorer, n_edge_slots
 from frechet_means.metric_core import _INT64_SAFE, _exact_power_block, _weights
 from frechet_means.set_limits import default_burn_in
 from oracles import (
     float_functional_by_enumeration,
     mean_set_by_enumeration,
+    median_and_max_by_sorting,
     population_by_enumeration,
     tail_limsup_by_counting,
     zero_distance_hull,
@@ -335,15 +336,15 @@ def test_engine_matches_solver_on_full_graph_spaces(data, nv, r, family, restric
     if restricted:
         assert result.population_restricted == restricted_population_mean_set(space, mu, r)
     for rec in result.records:
-        idx = _draw_indices(mu, cfg.n_max, replication_rng(seed, rec.replication))
+        idx = _draw_indices(_support_cdf(mu), cfg.n_max, replication_rng(seed, rec.replication))
         for stat in rec.stats:
             prefix = Sample(tuple(mu.support[i] for i in idx[: stat.n]))
             res = sample_mean_set(space, prefix, r)
-            assert (stat.sigma_hat, stat.mean_set) == (res.optimum, res.argmin)
+            assert (stat.sigma_hat, _points(space, stat.mean_set)) == (res.optimum, res.argmin)
             assert stat.t_star == res.optimum - result.population.optimum
             if restricted:
                 res = restricted_sample_mean_set(space, prefix, r)
-                assert (stat.sigma_hat_res, stat.mean_set_res) == (res.optimum, res.argmin)
+                assert (stat.sigma_hat_res, _points(space, stat.mean_set_res)) == (res.optimum, res.argmin)
 
 
 @PROPERTY_SETTINGS
@@ -442,7 +443,32 @@ def test_estimators_match_counting_oracle(data, name, epsilon, min_visits):
     assert estimate.points == tail_limsup_by_counting(hulls, burn_in, min_visits)
 
 
+@PROPERTY_SETTINGS
+@given(data=st.data(), name=st.sampled_from(sorted(SPACES) + ["pseudo"]))
+def test_trajectory_from_indices_equals_trajectory_from_points(data, name):
+    space = data.draw(pseudo_metric_spaces()) if name == "pseudo" else SPACES[name]
+    sets = data.draw(st.lists(st.frozensets(st.sampled_from(space.points), max_size=4), min_size=1, max_size=12))
+    index_sets = tuple(tuple(sorted(space.indices(s).tolist())) for s in sets)
+    assert SetTrajectory.from_indices(space, index_sets) == SetTrajectory(space, tuple(sets))
+
+
+@PROPERTY_SETTINGS
+@given(
+    values=st.one_of(
+        st.lists(st.fractions(min_value=0, max_denominator=10**6), min_size=1, max_size=40),
+        st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=40),
+    )
+)
+def test_summary_median_and_max_match_sorting(values):
+    assert _median_and_max(values) == median_and_max_by_sorting(values)
+
+
 ENGINE_SPACES = {"g4": (G4, GraphSpec(4)), "grid": (GRID, GridSpec("0", "2", "0.25"))}
+
+
+def _points(space, mean_set) -> tuple:
+    """A checkpoint mean set, given as space indices, as its points."""
+    return tuple(space.points[i] for i in mean_set)
 
 
 def _close(a, b) -> bool:
@@ -479,34 +505,36 @@ def test_engine_matches_solver(data, name, r, restricted, seed, checkpoints):
     sigma_res = min(f[x] for x in mu.support)
     burn = default_burn_in(len(checkpoints))
     for rec in result.records:
-        idx = _draw_indices(mu, cfg.n_max, replication_rng(seed, rec.replication))
+        idx = _draw_indices(_support_cdf(mu), cfg.n_max, replication_rng(seed, rec.replication))
         for stat in rec.stats:
             prefix = Sample(tuple(mu.support[i] for i in idx[: stat.n]))
             res = sample_mean_set(space, prefix, r)
-            assert stat.mean_set == res.argmin
+            mean_set = _points(space, stat.mean_set)
+            assert mean_set == res.argmin
             assert _close(stat.sigma_hat, res.optimum)
             # the diagnostics from their definitions, with T_n(z) = Fhat(z) - F(z)
             f_hat = {z: sample_functional(space, prefix, z, r) for z in space.points}
             t = {z: f_hat[z] - f[z] for z in space.points}
             assert _close(stat.t_star, min(f_hat.values()) - sigma)
-            assert _close(stat.t_hat_max, max(t[z] for z in stat.mean_set))
+            assert _close(stat.t_hat_max, max(t[z] for z in mean_set))
             assert _close(stat.t_theta_min, min(t[z] for z in result.population.argmin))
             if restricted:
                 res = restricted_sample_mean_set(space, prefix, r)
-                assert stat.mean_set_res == res.argmin
+                mean_set_res = _points(space, stat.mean_set_res)
+                assert mean_set_res == res.argmin
                 assert _close(stat.sigma_hat_res, res.optimum)
                 observed = set(prefix.items)
                 assert _close(stat.tr_star, min(f_hat[x] for x in observed) - sigma_res)
-                assert _close(stat.t_res_hat_max, max(t[z] for z in stat.mean_set_res))
+                assert _close(stat.t_res_hat_max, max(t[z] for z in mean_set_res))
                 upper = min(
                     t[z] + min(abs(f_hat[x] - f_hat[z]) for x in observed)
                     for z in result.population_restricted.argmin
                 )
                 assert _close(stat.t_res_upper, upper)
         # outer limits of the checkpoint mean sets; epsilon = 0 credits zero-distance twins
-        tracks = [("", [s.mean_set for s in rec.stats])]
+        tracks = [("", [_points(space, s.mean_set) for s in rec.stats])]
         if restricted:
-            tracks.append(("_res", [s.mean_set_res for s in rec.stats]))
+            tracks.append(("_res", [_points(space, s.mean_set_res) for s in rec.stats]))
         for suffix, mean_sets in tracks:
             hulls = [zero_distance_hull(space, m) for m in mean_sets]
             assert getattr(rec, f"tail_estimate{suffix}") == tail_limsup_by_counting(mean_sets, burn)
