@@ -13,6 +13,11 @@ a named, platform-independent PRNG (numpy PCG64): replication k draws from
 ``PCG64(SeedSequence([seed, k]))``, so runs are reproducible bit for bit
 and replications are independent of execution order.
 
+Checkpoint mean sets are recorded as tuples of sorted space indices, the
+form the scorer produces; the points are ``result.space.points[i]``.  The
+outer-limit estimators take those tuples as they are, event predicates
+test them, and the report renders each index's label once.
+
 Reports are emitted as a CSV of per-replication, per-checkpoint rows plus a
 JSON summary; both schemas are versioned (see ``CSV_SCHEMA`` and
 ``SUMMARY_SCHEMA``).
