@@ -17,7 +17,8 @@ given inputs, flags and seed.
 Exit codes: 0 success, 2 parse/input error, 3 enumeration cap exceeded or
 a full space too large for memory, 4 invalid experiment config, 5
 ``simulate`` finished but an assertion block failed (the reports are still
-written).
+written), 141 (128 + SIGPIPE) the reader closed standard output before the
+command finished writing, as ``| head`` does; nothing goes to stderr then.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
+import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -135,13 +137,25 @@ def _output(args):
         yield sys.stdout
 
 
-def _emit(args, text: str) -> None:
+def _write(args, payload, header: list, rows, lines) -> None:
+    """Write a command's result in its ``--format``.
+
+    ``payload`` is the JSON object, or a function that streams it to the
+    output; ``header`` and ``rows`` are the CSV table; ``lines`` the text.
+    """
     with _output(args) as fh:
-        fh.write(text)
-
-
-def _num(value) -> float:
-    return float(value)
+        if args.format == "json":
+            if callable(payload):
+                payload(fh)
+            else:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        elif args.format == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            fh.writelines(line + "\n" for line in lines)
 
 
 def _optimum_lines(result, comment: bool = False) -> list[str]:
@@ -151,14 +165,6 @@ def _optimum_lines(result, comment: bool = False) -> list[str]:
     if exact is not None and "/" in exact:
         lines.append(f"# optimum as decimal: {float(result.optimum)!r}")
     return lines
-
-
-def _csv_text(header: list, rows: list) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -192,68 +198,58 @@ def cmd_mean(args, restricted: bool) -> int:
     space, sample, result = _solve_sample(args, restricted)
     subset, proper = _subset_note(frozenset(sample.distinct()), result.argmin)
     labels = [space.label(p) for p in result.argmin]
-    if args.format == "json":
-        payload = {
-            "space": space.name,
-            "points": len(space),
-            "bound_M": _num(space.bound_M),
-            "r": result.order_r,
-            "domain": result.candidate_domain,
-            "sample_size": sample.n,
-            "sample_distinct": len(sample.distinct()),
-            "optimum": _num(result.optimum),
-            "optimum_exact": _exact_str(result.optimum),
-            "exact": result.exact,
-            "mean_set_size": result.size,
-            "mean_set": labels,
-            "sample_subset_of_mean": subset,
-            "sample_proper_subset": proper,
-        }
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        rows = [[g, repr(_num(result.optimum)), result.order_r, str(result.exact).lower()] for g in labels]
-        _emit(args, _csv_text(["graph", "optimum", "r", "exact"], rows))
-    else:
-        note = "true (proper)" if proper else ("true (equal)" if subset else "false")
-        lines = [
-            f"# space: {space.name}, {len(space)} points, M={space.bound_M}",
-            f"# order r: {result.order_r}",
-            f"# domain: {result.candidate_domain}",
-            f"# sample: {sample.n} graphs, {len(sample.distinct())} distinct",
-            f"# exact: {str(result.exact).lower()}",
-            *_optimum_lines(result, comment=True),
-            f"# mean set: {result.size} graphs",
-            *labels,
-            f"# sample ⊂ mean set: {note}",
-        ]
-        _emit(args, "\n".join(lines) + "\n")
+    payload = {
+        "space": space.name,
+        "points": len(space),
+        "bound_M": float(space.bound_M),
+        "r": result.order_r,
+        "domain": result.candidate_domain,
+        "sample_size": sample.n,
+        "sample_distinct": len(sample.distinct()),
+        "optimum": float(result.optimum),
+        "optimum_exact": _exact_str(result.optimum),
+        "exact": result.exact,
+        "mean_set_size": result.size,
+        "mean_set": labels,
+        "sample_subset_of_mean": subset,
+        "sample_proper_subset": proper,
+    }
+    cells = [repr(float(result.optimum)), result.order_r, str(result.exact).lower()]
+    note = "true (proper)" if proper else ("true (equal)" if subset else "false")
+    lines = [
+        f"# space: {space.name}, {len(space)} points, M={space.bound_M}",
+        f"# order r: {result.order_r}",
+        f"# domain: {result.candidate_domain}",
+        f"# sample: {sample.n} graphs, {len(sample.distinct())} distinct",
+        f"# exact: {str(result.exact).lower()}",
+        *_optimum_lines(result, comment=True),
+        f"# mean set: {result.size} graphs",
+        *labels,
+        f"# sample ⊂ mean set: {note}",
+    ]
+    _write(args, payload, ["graph", "optimum", "r", "exact"], ([g, *cells] for g in labels), lines)
     return 0
 
 
 def cmd_variance(args) -> int:
     space, sample, result = _solve_sample(args, args.restricted)
-    if args.format == "json":
-        payload = {
-            "space": space.name,
-            "r": result.order_r,
-            "domain": result.candidate_domain,
-            "optimum": _num(result.optimum),
-            "optimum_exact": _exact_str(result.optimum),
-            "exact": result.exact,
-        }
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        rows = [[repr(_num(result.optimum)), result.order_r, result.candidate_domain, str(result.exact).lower()]]
-        _emit(args, _csv_text(["optimum", "r", "domain", "exact"], rows))
-    else:
-        lines = [
-            f"# space: {space.name}, {len(space)} points, M={space.bound_M}",
-            f"# order r: {result.order_r}",
-            f"# domain: {result.candidate_domain}",
-            f"# exact: {str(result.exact).lower()}",
-            *_optimum_lines(result),
-        ]
-        _emit(args, "\n".join(lines) + "\n")
+    payload = {
+        "space": space.name,
+        "r": result.order_r,
+        "domain": result.candidate_domain,
+        "optimum": float(result.optimum),
+        "optimum_exact": _exact_str(result.optimum),
+        "exact": result.exact,
+    }
+    row = [repr(float(result.optimum)), result.order_r, result.candidate_domain, str(result.exact).lower()]
+    lines = [
+        f"# space: {space.name}, {len(space)} points, M={space.bound_M}",
+        f"# order r: {result.order_r}",
+        f"# domain: {result.candidate_domain}",
+        f"# exact: {str(result.exact).lower()}",
+        *_optimum_lines(result),
+    ]
+    _write(args, payload, ["optimum", "r", "domain", "exact"], [row], lines)
     return 0
 
 
@@ -273,20 +269,16 @@ def cmd_enumerate(args) -> int:
     """Every graph of the space, written label by label as it is rendered."""
     space = _graph_space(args)
     labels = map(space.label, space.points)
-    with _output(args) as fh:
-        if args.format == "json":
-            # the bytes of json.dumps({"nv", "count", "bound_M", "graphs"}, indent=2, sort_keys=True)
-            fh.write(f'{{\n  "bound_M": {json.dumps(_num(space.bound_M))},\n  "count": {len(space)},\n  "graphs": [')
-            for k, text in enumerate(labels):
-                fh.write((",\n    " if k else "\n    ") + json.dumps(text))
-            fh.write(f'\n  ],\n  "nv": {json.dumps(args.nv)}\n}}\n')
-        elif args.format == "csv":
-            writer = csv.writer(fh)
-            writer.writerow(["graph"])
-            writer.writerows([text] for text in labels)
-        else:
-            fh.write(f"# space: {space.name}, {len(space)} points, M={space.bound_M}\n")
-            fh.writelines(text + "\n" for text in labels)
+
+    def payload(fh):
+        # the bytes of json.dump({"nv", "count", "bound_M", "graphs"}, indent=2, sort_keys=True)
+        fh.write(f'{{\n  "bound_M": {json.dumps(float(space.bound_M))},\n  "count": {len(space)},\n  "graphs": [')
+        for k, text in enumerate(labels):
+            fh.write((",\n    " if k else "\n    ") + json.dumps(text))
+        fh.write(f'\n  ],\n  "nv": {json.dumps(args.nv)}\n}}\n')
+
+    header = f"# space: {space.name}, {len(space)} points, M={space.bound_M}"
+    _write(args, payload, ["graph"], ([text] for text in labels), itertools.chain([header], labels))
     return 0
 
 
@@ -311,30 +303,18 @@ def _resolve_space(args):
 def cmd_check_metric(args) -> int:
     space = _resolve_space(args)
     report = check_metric_axioms(space)
-    if args.format == "json":
-        payload = {
-            "space": report.space_name,
-            "points": report.n_points,
-            "ok": report.ok,
-            "violations": [
-                {
-                    "axiom": v.axiom,
-                    "witness": [space.label(p) for p in v.witness],
-                    "detail": v.detail,
-                    "count": v.count,
-                }
-                for v in report.violations
-            ],
-        }
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        rows = [
-            [v.axiom, " ".join(space.label(p) for p in v.witness), v.detail, v.count]
-            for v in report.violations
-        ]
-        _emit(args, _csv_text(["axiom", "witness", "detail", "count"], rows))
-    else:
-        _emit(args, report.summary() + "\n")
+    witnesses = [[space.label(p) for p in v.witness] for v in report.violations]
+    payload = {
+        "space": report.space_name,
+        "points": report.n_points,
+        "ok": report.ok,
+        "violations": [
+            {"axiom": v.axiom, "witness": w, "detail": v.detail, "count": v.count}
+            for v, w in zip(report.violations, witnesses)
+        ],
+    }
+    rows = [[v.axiom, " ".join(w), v.detail, v.count] for v, w in zip(report.violations, witnesses)]
+    _write(args, payload, ["axiom", "witness", "detail", "count"], rows, [report.summary()])
     return 0
 
 
@@ -345,31 +325,23 @@ def cmd_modulus(args) -> int:
     value = modulus_of_continuity(space, space.points, args.delta, args.r)
     payload = {
         "space": space.name,
-        "delta": _num(args.delta),
+        "delta": float(args.delta),
         "r": args.r,
-        "s_delta": _num(value),
+        "s_delta": float(value),
         "s_delta_exact": _exact_str(value),
     }
+    lines = [f"# space: {space.name}, {len(space)} points, M={space.bound_M}",
+             f"# delta: {float(args.delta)!r}",
+             f"# order r: {args.r}"]
     if isinstance(args.r, int):
-        payload["lipschitz_bound"] = _num(
+        payload["lipschitz_bound"] = float(
             equicontinuity_bound(Fraction(space.bound_M), args.r, Fraction(str(args.delta)))
         )
         payload["gamma"] = power_gamma(args.r)
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        header = sorted(payload)
-        _emit(args, _csv_text(header, [[payload[k] for k in header]]))
-    else:
-        lines = [f"# space: {space.name}, {len(space)} points, M={space.bound_M}",
-                 f"# delta: {_num(args.delta)!r}",
-                 f"# order r: {args.r}"]
-        if "gamma" in payload:
-            lines.append(
-                f"# bound (2^r-1) M^(r-1) delta: {payload['lipschitz_bound']!r} (gamma={payload['gamma']})"
-            )
-        lines.append(f"s_delta: {_exact_str(value) or repr(value)}")
-        _emit(args, "\n".join(lines) + "\n")
+        lines.append(f"# bound (2^r-1) M^(r-1) delta: {payload['lipschitz_bound']!r} (gamma={payload['gamma']})")
+    lines.append(f"s_delta: {_exact_str(value) or repr(value)}")
+    header = sorted(payload)
+    _write(args, payload, header, [[payload[k] for k in header]], lines)
     return 0
 
 
@@ -640,7 +612,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped reading (`| head`): stop quietly, with the status
+        # a shell gives a process that SIGPIPE ends.  Output still buffered
+        # for standard output goes to the null device, so the interpreter's
+        # exit flush fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except EnumerationCapError as exc:
         _err(f"{exc} (use --cap-override {exc.required_cap})" if exc.overridable else exc)
         return 3

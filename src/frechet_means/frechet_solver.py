@@ -116,9 +116,7 @@ def _order1_cube(space: MetricSpace, sup_idx: np.ndarray, weights: np.ndarray, t
     return sum(min(ck, total - ck) for ck in c), ties
 
 
-def _solve(
-    space: MetricSpace, data: Sample | DiscreteMeasure, r, domain: str, chunk_size: int = _DEFAULT_CHUNK
-) -> MeanSetResult:
+def _solve(space: MetricSpace, data: Sample | DiscreteMeasure, r, domain: str) -> MeanSetResult:
     """Argmin of the functional of a sample or a measure ``data``.
 
     The candidates are the whole space for the ``full_space`` domain and
@@ -134,7 +132,7 @@ def _solve(
             minimum = _min_ties(_split_scorer(space, sup_idx, r, normalizer)(weights), exact)
     else:
         candidates_idx = np.arange(len(space), dtype=np.intp) if domain == "full_space" else sup_idx
-        chunks = (candidates_idx[lo : lo + chunk_size] for lo in range(0, len(candidates_idx), chunk_size))
+        chunks = (candidates_idx[lo : lo + _DEFAULT_CHUNK] for lo in range(0, len(candidates_idx), _DEFAULT_CHUNK))
         scores = [_power_block(space, c, sup_idx, r, exact, normalizer) @ weights for c in chunks]
         minimum = _min_ties(np.concatenate(scores), exact, candidates_idx)
     return _mean_set(space, minimum, r, normalizer, exact, domain)[0]
@@ -155,22 +153,18 @@ def _mean_set(
     ), ties
 
 
-def sample_mean_set(
-    space: MetricSpace, sample: Sample, r, *, chunk_size: int = _DEFAULT_CHUNK
-) -> MeanSetResult:
+def sample_mean_set(space: MetricSpace, sample: Sample, r) -> MeanSetResult:
     """Argmin over the whole space of (1/n) sum_i d(X_i, x')^r, with all ties."""
-    return _solve(space, sample, r, "full_space", chunk_size)
+    return _solve(space, sample, r, "full_space")
 
 
-def restricted_sample_mean_set(
-    space: MetricSpace, sample: Sample, r, *, chunk_size: int = _DEFAULT_CHUNK
-) -> MeanSetResult:
+def restricted_sample_mean_set(space: MetricSpace, sample: Sample, r) -> MeanSetResult:
     """Argmin restricted to the distinct points occurring in the sample.
 
     Never empty: the candidates always exist, no matter how large the
     ambient space is.
     """
-    return _solve(space, sample, r, "sample_support", chunk_size)
+    return _solve(space, sample, r, "sample_support")
 
 
 def population_mean_set(space: MetricSpace, mu: DiscreteMeasure, r) -> MeanSetResult:

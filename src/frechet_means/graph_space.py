@@ -311,17 +311,13 @@ def parse_graph(text: str) -> Graph:
         raise GraphParseError(
             f"bit string has {len(bits)} slots, nv={nv} needs exactly {slots}"
         )
-    mask = 0
-    for i, ch in enumerate(bits):
-        if ch == "1":
-            mask |= 1 << i
-    return Graph(nv, mask)
+    return Graph(nv, int(bits[::-1] or "0", 2))  # slot k is bit k, written k-th
 
 
 def format_graph(g: Graph) -> str:
-    slots = n_edge_slots(g.nv)
-    bits = "".join("1" if g.edges >> k & 1 else "0" for k in range(slots))
-    return f"{g.nv}:{bits}"
+    # the sentinel bit above the top slot pads bin() to exactly one digit per
+    # slot (none for nv = 1); reversed, slot 0 comes first
+    return f"{g.nv}:{bin(g.edges | 1 << n_edge_slots(g.nv))[:2:-1]}"
 
 
 def read_graph_lines(lines: Iterable[str], source: str = "<input>") -> list[Graph]:

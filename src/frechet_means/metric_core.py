@@ -219,29 +219,6 @@ class MetricSpace:
             return d if self.scale == 1 else d * self.scale
         return float(self.float_block(np.array([i]), cols).min())
 
-    def subspace(self, points: Sequence, name: str = "") -> "MetricSpace":
-        """Restriction to a subset of points (canonical order induced)."""
-        sub = sorted({self.index(p) for p in points})
-        if not sub:
-            raise ValueError("a subspace needs at least one point")
-        base = np.array(sub, dtype=np.intp)
-        int_fn = None
-        if self.exact:
-            int_fn = lambda r, c: self._int_block_fn(base[r], base[c])
-        float_fn = None
-        if self._float_block_fn is not None:
-            float_fn = lambda r, c: self._float_block_fn(base[r], base[c])
-        return MetricSpace(
-            [self.points[i] for i in sub],
-            int_block=int_fn,
-            float_block=float_fn,
-            scale=self.scale,
-            bound_M=self.bound_M,
-            is_pseudo=self.is_pseudo,
-            label=self._label_fn,
-            name=name or f"{self.name}|{len(sub)} points",
-        )
-
     @classmethod
     def from_int_matrix(
         cls,

@@ -348,7 +348,8 @@ def _random_space(rng):
         grid = interval_grid("0", str(end), step)
         if rng.random() < 0.5 and len(grid) > 4:
             keep = sorted(set(int(k) for k in rng.integers(0, len(grid), len(grid) // 2)))
-            return grid.subspace([grid.points[i] for i in keep])
+            matrix = [[abs(i - j) for j in keep] for i in keep]
+            return MetricSpace.from_int_matrix([grid.points[i] for i in keep], matrix, scale=grid.scale)
         return grid
     if kind == "graphs":
         nv = int(rng.choice([5, 6, 7]))

@@ -253,6 +253,32 @@ def test_full_space_past_memory_exit_3(tmp_path, command, r):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", ["enumerate", "mean"])
+def test_closed_pipe_exits_141_quietly(tmp_path, command, fmt):
+    # The reader takes one line and closes the pipe (`| head -1`) while the
+    # command still has most of 2^15 graphs to write: a whole nv = 6 space, or
+    # the order-1 mean set of a graph and its complement.  This needs a real
+    # file descriptor 1, so it runs in a subprocess.
+    if command == "mean":
+        path = tmp_path / "g6.graphs"
+        path.write_text("6:000000000000000\n6:111111111111111\n")
+        argv = ["mean", str(path), "--r", "1"]
+    else:
+        argv = ["enumerate", "--nv", "6"]
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "frechet_means.cli", *argv, "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_invalid_order_rejected_by_argparse(capsys, pair_file):
     with pytest.raises(SystemExit):
         main(["mean", pair_file, "--r", "0.5"])
@@ -475,6 +501,87 @@ def test_mean_output_is_byte_identical(capsys, pair_file):
     code, out, _ = run_cli(capsys, "mean", pair_file, "--r", "1")
     assert code == 0
     assert _sha256(out.encode("utf-8")) == MEAN_G4_PAIR_R1_DIGEST
+
+
+# Argument lists of the commands pinned by OUTPUT_DIGESTS; "{pair}" is the
+# bundled g4 pair and "{triple}" the pair plus the complete graph, whose r = 3
+# optimum is a fraction and whose r = 1.5 path is inexact.
+OUTPUT_CASES = {
+    "mean-r1": ["mean", "{pair}", "--r", "1"],
+    "mean-r2": ["mean", "{pair}", "--r", "2"],
+    "mean-r3": ["mean", "{triple}", "--r", "3"],
+    "mean-r1.5": ["mean", "{triple}", "--r", "1.5"],
+    "mean-restricted": ["mean", "{triple}", "--r", "2", "--restricted"],
+    "restricted-mean": ["restricted-mean", "{triple}", "--r", "2"],
+    "variance": ["variance", "{triple}", "--r", "2"],
+    "variance-restricted": ["variance", "{triple}", "--r", "2", "--restricted"],
+    "variance-r1.5": ["variance", "{triple}", "--r", "1.5"],
+    "check-metric-nv4": ["check-metric", "--nv", "4"],
+    "check-metric-grid": ["check-metric", "--grid", "-1", "1", "0.1"],
+    "modulus-nv4": ["modulus", "--nv", "4", "--delta", "1.5", "--r", "2"],
+    "modulus-nv4-r1.5": ["modulus", "--nv", "4", "--delta", "1", "--r", "1.5"],
+    "modulus-grid": ["modulus", "--grid", "0", "1", "0.25", "--delta", "0.6"],
+}
+
+# SHA-256 of each case's output with `--format FORMAT`, as it was when every
+# command but `enumerate` joined its whole output into one string.
+OUTPUT_DIGESTS = {
+    ("mean-r1", "text"): "be5899c9f6707a9a1025a0b4e23079730f648a374e87cd7aa10219d23bca7b5a",
+    ("mean-r1", "json"): "260cf9d3fd871ed167d0b3360004ba754529a8611e55dbc73b68508e1bf9102e",
+    ("mean-r1", "csv"): "38c68dc48fa7fdef63d803ab9ff9c0d675bca4d2542d1bd357f6b5264934ea7e",
+    ("mean-r2", "text"): "8a80a94e723ffd3f2c44a0817143fedb34c5678f87b412e99fc91cf6291a2464",
+    ("mean-r2", "json"): "0abe8cf1729c84c128ad7db028f88cbf5d84b166f130cedaa48b9d19621986a0",
+    ("mean-r2", "csv"): "3c1b68a8bac3210713a77c3f13b479f0e4f00200ccdb96b7d33cab2a4867a76b",
+    ("mean-r3", "text"): "6e4b145209d765085a521e83da76b82c50831671f1d24ac23e4ee4447d155d11",
+    ("mean-r3", "json"): "d06ebf3a62c479e43a6468be36b3b5a067140aa8d70cc19559a6f33b9eaa3143",
+    ("mean-r3", "csv"): "8580e89fb1157442c578af9ca7ebd453a1c20cfa342e55c3927c1c36ea4691d3",
+    ("mean-r1.5", "text"): "3b9ae47d2deb25926493f2ba669d1c84efeec96c5c9f9ab62bd01d9630ed7839",
+    ("mean-r1.5", "json"): "8cc4d1b95735767f1d6080b45cbaff006d1735999ba96d118f10b9418387619c",
+    ("mean-r1.5", "csv"): "fec51ebd4584717ea2011634e33b1ec4af7c24786be2a7c9c6d53bf71d1e92a8",
+    ("mean-restricted", "text"): "fbf3b86a725a3396077138c2f63940f5620dd8e510e34a475e9971b482d2c09a",
+    ("mean-restricted", "json"): "cf13ebd0b28987d38bae9907f5384b80643dbf1a138b44421626b9817f7e05d7",
+    ("mean-restricted", "csv"): "3adb4e8b0f3ea270bc4ac7367a6e70038ebef23fe753adc55f564153ea3954de",
+    ("restricted-mean", "text"): "fbf3b86a725a3396077138c2f63940f5620dd8e510e34a475e9971b482d2c09a",
+    ("restricted-mean", "json"): "cf13ebd0b28987d38bae9907f5384b80643dbf1a138b44421626b9817f7e05d7",
+    ("restricted-mean", "csv"): "3adb4e8b0f3ea270bc4ac7367a6e70038ebef23fe753adc55f564153ea3954de",
+    ("variance", "text"): "d481729dcbaebd3c3778149d22b0084cb62695f2465c717238debf2d84a73b9e",
+    ("variance", "json"): "d44198b994496a3e81eb7cc22dcc4c7fab809bc2085109ca7a0aaea381273482",
+    ("variance", "csv"): "36c86e6eb82bd1626e28bb9f1e67449cbf004e7a23b201050442eb62fdf849aa",
+    ("variance-restricted", "text"): "50a45315839b107f3c2406952ae665ba1e61ea9127f6c23201d44baa1a54bf01",
+    ("variance-restricted", "json"): "abd78a4e5b6d361949164d4ca4a0fe56fe938791c5e38af7317255906c109511",
+    ("variance-restricted", "csv"): "daa7c957b2a99a4bd9b57663a41fdfe6f12bd46afc5850c8f6e43e5a53464300",
+    ("variance-r1.5", "text"): "ce6fd0960da3c594e3da0481087d36eed9613570d51d7a72f059c41631e86670",
+    ("variance-r1.5", "json"): "338029b83d9113744c07cf0a9395ee66fc382101356c026a338575484ce584e4",
+    ("variance-r1.5", "csv"): "80ff2735f234a54e4e3d3a6cdf21230775625f0e4c6576d73dd3b4e06c6a7545",
+    ("check-metric-nv4", "text"): "d78b54c1c6045638fba858d60065724d720e2a017accbd73cca8aa844d6c25f3",
+    ("check-metric-nv4", "json"): "0eb225dab99aeb40ed3c825b57884e5a8312c58800726914bf0a7283e936ab86",
+    ("check-metric-nv4", "csv"): "e7a790ce5a0d6141e61c0121ba867183311410a770798915bf6df341481aaace",
+    ("check-metric-grid", "text"): "109a161b16f6ac78625fb5ae9b2adec7ee3583eed0ecacb916c5c34300518762",
+    ("check-metric-grid", "json"): "015a03f6dc63b87b3f41f2135da9b2c963f788bac969a24456ad2755dbbfc2ac",
+    ("check-metric-grid", "csv"): "e7a790ce5a0d6141e61c0121ba867183311410a770798915bf6df341481aaace",
+    ("modulus-nv4", "text"): "a956e904642677af3bc4938c8d441d75f0c7b25ca891c3920b84dc197978b3ef",
+    ("modulus-nv4", "json"): "ea650ab51e140efcb97d5844dbe980ace1c75adbb7b1d881c9c00a88e56d54a0",
+    ("modulus-nv4", "csv"): "7a50e2d6b380d673887384dabd84d5f544a7c418754fe7382f2a1e7fce63c1ca",
+    ("modulus-nv4-r1.5", "text"): "d976f1d909b2d931bd97279cfedd258227feb202eb363d4346a29374aa3f9977",
+    ("modulus-nv4-r1.5", "json"): "c8746b2b1184ea399023259464e699bf7f24cad0d859ddaa5ad0d48a133aff2f",
+    ("modulus-nv4-r1.5", "csv"): "087fb2d8fe5a0170c4f37f01398f38ca571fb980a2656707fbec47bf3be4fed3",
+    ("modulus-grid", "text"): "7d67d010323a7c8ff8c1d2cd45a4dfda50b9cf4000b0d98077d7de4a9f1fcfd5",
+    ("modulus-grid", "json"): "9a40e24c85f92775ea4b6ba33abb4f357fc26cd5b63ba6966ac3fd28a7c2cb16",
+    ("modulus-grid", "csv"): "b8faf42c9b84a0202a2062f4655144624b9dc36d3b6096894327aae5fb04b494",
+}
+
+
+@pytest.mark.parametrize("case, fmt", sorted(OUTPUT_DIGESTS))
+def test_command_output_is_byte_identical(capsys, tmp_path, pair_file, case, fmt):
+    triple = tmp_path / "triple.graphs"
+    triple.write_text("4:100101\n4:101001\n4:111111\n")
+    argv = [a.format(pair=pair_file, triple=triple) for a in OUTPUT_CASES[case]] + ["--format", fmt]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert _sha256(out.encode("utf-8")) == OUTPUT_DIGESTS[case, fmt]
+    path = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert _sha256(path.read_bytes()) == OUTPUT_DIGESTS[case, fmt]
 
 
 def test_simulate_invalid_config_exit_4(capsys, tmp_path):

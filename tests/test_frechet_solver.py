@@ -1,10 +1,12 @@
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import MEAN_SET_R1_TEXTS, MEAN_SET_R2_TEXTS
+from frechet_means import frechet_solver
 from frechet_means import (
     DiscreteMeasure,
     Graph,
@@ -164,12 +166,14 @@ def test_chunking_does_not_change_results(g4, grid201, mu_pm, s1, s2):
     sample = Sample((s1, s2, s1))
     baseline = sample_mean_set(g4, sample, 2)
     for chunk in (1, 3, 17, 64, 10**6):
-        again = sample_mean_set(g4, sample, 2, chunk_size=chunk)
+        with mock.patch.object(frechet_solver, "_DEFAULT_CHUNK", chunk):
+            again = sample_mean_set(g4, sample, 2)
         assert again == baseline
     gsample = Sample((Fraction(-1), Fraction(1), Fraction(1)))
     baseline = sample_mean_set(grid201, gsample, 1)
     for chunk in (1, 50, 201):
-        assert sample_mean_set(grid201, gsample, 1, chunk_size=chunk) == baseline
+        with mock.patch.object(frechet_solver, "_DEFAULT_CHUNK", chunk):
+            assert sample_mean_set(grid201, gsample, 1) == baseline
 
 
 def test_sample_items_must_belong_to_space(g4, grid201, s1):

@@ -156,10 +156,13 @@ def test_parse_examples():
 
 def test_parse_format_round_trip():
     rng = np.random.Generator(np.random.PCG64(5))
-    for nv in (1, 2, 4, 5):
+    for nv in (1, 2, 4, 5, 12):  # nv = 12 has 66 slots, past one 64-bit word
         for _ in range(50):
-            g = Graph(nv, int(rng.integers(0, 1 << n_edge_slots(nv))))
+            g = Graph(nv, int.from_bytes(rng.bytes(9), "little") >> 72 - n_edge_slots(nv))
             assert parse_graph(format_graph(g)) == g
+    assert format_graph(Graph(1, 0)) == "1:"
+    assert format_graph(Graph(12, 1 << 65)) == "12:" + "0" * 65 + "1"
+    assert format_graph(Graph(12, 1)) == "12:1" + "0" * 65
 
 
 def test_parse_length_error():

@@ -13,6 +13,7 @@ pseudo-metric spaces.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from frechet_means import (
     tail_limsup,
     ziezold_limcsup,
 )
+from frechet_means import frechet_solver
 from frechet_means.consistency_lab import _draw_indices, _median_and_max, _support_cdf, replication_rng
 from frechet_means.graph_space import _split_scorer, n_edge_slots
 from frechet_means.metric_core import _INT64_SAFE, _exact_power_block, _weights
@@ -358,7 +360,9 @@ def test_sample_mean_set_is_chunk_size_invariant(name, data, r, chunk_size):
     space = SPACES[name]
     items = data.draw(st.lists(st.sampled_from(space.points), min_size=1, max_size=8))
     sample = Sample(tuple(items))
-    assert sample_mean_set(space, sample, r, chunk_size=chunk_size) == sample_mean_set(space, sample, r)
+    with mock.patch.object(frechet_solver, "_DEFAULT_CHUNK", chunk_size):
+        chunked = sample_mean_set(space, sample, r)
+    assert chunked == sample_mean_set(space, sample, r)
 
 
 # Euclidean distances between points of the plane: a space with no integer lattice.

@@ -301,13 +301,6 @@ def test_interval_grid_validation():
     assert grid.distance(Fraction(0), Fraction(3, 4)) == Fraction(3, 4)
 
 
-def test_subspace_inherits_metric(grid201):
-    sub = grid201.subspace([Fraction(-1), Fraction(0), Fraction(1)])
-    assert len(sub) == 3
-    assert sub.distance(Fraction(-1), Fraction(1)) == 2
-    assert check_metric_axioms(sub).ok
-
-
 def test_empty_space_rejected():
     with pytest.raises(ValueError, match="at least one point"):
         MetricSpace.from_int_matrix((), np.zeros((0, 0)))
