@@ -517,7 +517,7 @@ def cmd_simulate(args) -> int:
                 pass
         raise
 
-    rows = len(result.records) * len(cfg.checkpoints)
+    rows = cfg.replications * len(cfg.checkpoints)
     print(f"wrote {csv_path} ({rows} rows)")
     print(f"wrote {json_path}")
     failures = 0

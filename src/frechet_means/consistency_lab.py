@@ -13,10 +13,20 @@ a named, platform-independent PRNG (numpy PCG64): replication k draws from
 ``PCG64(SeedSequence([seed, k]))``, so runs are reproducible bit for bit
 and replications are independent of execution order.
 
+The engine is columnar.  Replications are drawn one by one, then each
+checkpoint scores a chunk of them at once: their counts form one matrix and
+their scores one block, whose row-wise minima and ties give every statistic
+of the chunk.  The result keeps each statistic as a column over
+replications (exact values as integer numerators over the checkpoint's
+denominator), and the summary, the report and the event tables read those
+columns; a Fraction or a float is built only where a value is written, and
+``ExperimentResult.records`` only when it is read.
+
 Checkpoint mean sets are recorded as tuples of sorted space indices, the
 form the scorer produces; the points are ``result.space.points[i]``.  The
 outer-limit estimators take those tuples as they are, event predicates
-test them, and the report renders each index's label once.
+test them, and the report renders each index's label and each distinct
+mean set once.
 
 Reports are emitted as a CSV of per-replication, per-checkpoint rows plus a
 JSON summary; both schemas are versioned (see ``CSV_SCHEMA`` and
@@ -27,23 +37,24 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
-import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .frechet_solver import MeanSetResult, _mean_set, _min_ties
+from .frechet_solver import MeanSetResult, _mean_set, _min_ties, _tied
 from .graph_space import GraphSpaceConfig, _AllGraphs, _split_scorer, enumerate_space, parse_graph
 from .metric_core import (
+    _FLOAT64_EXACT,
     DiscreteMeasure,
     MetricSpace,
     Sample,
+    _exact_dtype,
     _power_block,
-    _score_value,
     _weights,
     check_order,
     interval_grid,
@@ -267,20 +278,126 @@ class TrajectoryRecord:
     tail_included_res: bool | None = None
     kuratowski_res: OuterLimitEstimate | None = None
     kuratowski_included_res: bool | None = None
+    # the same worst distance for the restricted estimate and target
+    kuratowski_target_gap_res: float | Fraction | None = None
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """Every statistic of an experiment as a column over its replications.
+
+    ``stats[name][pos]`` holds statistic ``name`` of :class:`CheckpointStats`
+    at checkpoint ``pos``, one entry per replication.  A value is an integer
+    numerator over ``denominators[pos]`` on the exact path, in int64 below
+    the overflow guard and as Python ints past it; off the exact path it is
+    a float64 value and the denominators are 1.  Flags are bool arrays;
+    mean sets are lists of sorted space-index tuples.
+    ``limits[name][k]`` is field ``name`` of replication k's
+    :class:`TrajectoryRecord` (the outer-limit estimates).
+    """
+
+    exact: bool
+    denominators: tuple
+    stats: dict
+    limits: dict
+
+    def record_values(self, name: str, pos: int) -> list:
+        """Column ``name`` at checkpoint ``pos`` as record values: Fractions on the
+        exact path, floats off it, bools and index tuples as they are."""
+        col = self.stats[name][pos]
+        if isinstance(col, list):
+            return col
+        if self.exact and col.dtype != bool:
+            den = self.denominators[pos]
+            return [Fraction(num, den) for num in col.tolist()]
+        return col.tolist()
+
+    def floats(self, name: str, pos: int) -> np.ndarray:
+        """Value column ``name`` at checkpoint ``pos`` as float64, each entry the
+        ``float`` of its exact value.  Numerator and denominator below 2^53 are
+        float64 numbers, so one IEEE division rounds as ``float(Fraction)``
+        does; past that each entry is divided as Python ints."""
+        col = self.stats[name][pos]
+        if not self.exact:
+            return col
+        den = self.denominators[pos]
+        if col.dtype != object and den < _FLOAT64_EXACT and np.abs(col).max() < _FLOAT64_EXACT:
+            return col / den
+        return np.array([num / den for num in col.tolist()], dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """An experiment's population targets and its statistics as ``columns``.
+
+    ``records`` presents the same statistics per replication; it is built
+    from the columns on first access.
+    """
+
     config: ExperimentConfig
     space: MetricSpace
     population: MeanSetResult
     population_restricted: MeanSetResult | None
-    records: tuple
+    columns: _Columns = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def records(self) -> tuple:
+        """One :class:`TrajectoryRecord` per replication, in replication order."""
+        cols = self.columns
+        reps = range(self.config.replications)
+        stats = []
+        for pos, n in enumerate(self.config.checkpoints):
+            fields = {name: cols.record_values(name, pos) for name in cols.stats}
+            stats.append([CheckpointStats(n, **{name: col[k] for name, col in fields.items()}) for k in reps])
+        return tuple(
+            TrajectoryRecord(k, tuple(s[k] for s in stats), **{name: col[k] for name, col in cols.limits.items()})
+            for k in reps
+        )
 
 
 # ---------------------------------------------------------------------------
 # the experiment engine
 # ---------------------------------------------------------------------------
+
+# Score cells (replications x space points) of one chunk of replications at a
+# checkpoint.  It bounds the engine's working set whatever the run's size; the
+# results do not depend on it.
+_CHUNK_CELLS = 1 << 16
+
+
+def _row_min_ties(scores: np.ndarray, exact: bool, competes: np.ndarray | None = None) -> tuple:
+    """:func:`_min_ties` of every row of ``scores``, among the positions where
+    ``competes`` holds (None: all; each row has at least one).
+
+    Returns each row's minimum and the tied positions as ``rows``, ``cols``
+    in row-major order, with ``starts[k]`` the first tie of row k.
+    """
+    masked = scores if competes is None else np.where(competes, scores, scores.max())
+    best = masked.min(axis=1)
+    tied = _tied(scores, best[:, None], exact)
+    if competes is not None:
+        tied &= competes
+    rows, cols = np.divmod(np.flatnonzero(tied), scores.shape[1])  # np.nonzero is slow on 2-D masks
+    return best, rows, cols, np.searchsorted(rows, np.arange(len(scores)))
+
+
+def _index_tuples(flat: np.ndarray, starts: np.ndarray) -> list:
+    """``flat`` cut at ``starts`` into one tuple per row."""
+    flat = flat.tolist()
+    bounds = starts.tolist() + [len(flat)]
+    return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _target_gap(space: MetricSpace, points, target_idx: np.ndarray):
+    """Worst distance from ``points`` to the points ``target_idx`` (0 for no
+    points), in the type :meth:`MetricSpace.set_distance` returns."""
+    if not points:
+        return 0
+    rows = space.indices(points)
+    if space.exact:
+        d = int(space.int_block(rows, target_idx).min(axis=1).max())
+        return d if space.scale == 1 else d * space.scale
+    return float(space.float_block(rows, target_idx).min(axis=1).max())
 
 
 class _Engine:
@@ -288,19 +405,22 @@ class _Engine:
 
     ``score(weights)`` is built once: on full graph spaces with exact scores
     it is :func:`graph_space._split_scorer`, which holds two small popcount
-    tables; elsewhere it is a matvec with one |space| x |support|
-    distance-power block.  Each checkpoint scores its ``counts`` once, and
-    both tracks (all points compete; only sampled support points compete)
-    read their statistics off those scores.  The population targets are read
-    off ``pop_scores``, the scores of the measure's weights.  On the exact
-    path every score is an integer -- over n, or over the weights' common
-    denominator -- and each reported value, differences of two scores
-    included, is one Fraction built from integers.  Mean sets stay the
-    sorted space indices :func:`_min_ties` returns.
+    tables and scores a weight matrix row by row; elsewhere it multiplies by
+    one |space| x |support| distance-power block, as one matmul on the exact
+    path and one matvec per row off it (float sums keep their order).  The
+    population targets are read off the scores of the measure's weights.
+
+    :meth:`columns` scores one checkpoint of a chunk of replications at once:
+    the chunk's counts are a matrix with one row per replication, and both
+    tracks (all points compete; only sampled support points compete) read
+    every statistic off its score rows with row-wise minima and ties.  On the
+    exact path every score is an integer, and each value is kept as an
+    integer numerator over the checkpoint's denominator ``n * d * q`` (d the
+    weights' common denominator, ``scale**r = p / q``); off it values are
+    float64.  Mean sets are the sorted space indices of the ties.
     """
 
     def __init__(self, space: MetricSpace, cfg: ExperimentConfig):
-        self.space = space
         r = cfg.r
         self.restricted = cfg.restricted
         self.sup_idx, weights, self.pop_denominator, self.exact = _weights(space, cfg.mu, r)
@@ -310,85 +430,96 @@ class _Engine:
         if self.exact and isinstance(space.points, _AllGraphs):
             self.score = _split_scorer(space, self.sup_idx, r, total)
         else:
-            self.score = _power_block(space, all_idx, self.sup_idx, r, self.exact, total).__matmul__
-        self.pop_scores = self.score(weights)
+            block = _power_block(space, all_idx, self.sup_idx, r, self.exact, total)
+            if self.exact:  # integer scores are exact in any summation order
+                self.score = lambda w: w @ block.T
+            else:
+                self.score = lambda w: block @ w if w.ndim == 1 else np.stack([block @ row for row in w])
+        pop_scores = self.score(weights)
 
-        minimum = _min_ties(self.pop_scores, self.exact)
-        self.pop_best = minimum[0]
+        minimum = _min_ties(pop_scores, self.exact)
+        pop_best = [minimum[0]]
         self.population, self.theta_idx = _mean_set(
             space, minimum, r, self.pop_denominator, self.exact, "full_space"
         )
         self.in_theta = np.isin(all_idx, self.theta_idx)
         self.population_res = None
+        width = len(space)
         if self.restricted:
-            minimum = _min_ties(self.pop_scores[self.sup_idx], self.exact, self.sup_idx)
-            self.pop_best_res = minimum[0]
+            minimum = _min_ties(pop_scores[self.sup_idx], self.exact, self.sup_idx)
+            pop_best.append(minimum[0])
             self.population_res, self.theta_res_idx = _mean_set(
                 space, minimum, r, self.pop_denominator, self.exact, "measure_support"
             )
             self.in_theta_res = np.isin(all_idx, self.theta_res_idx)
+            self.sup_order = np.argsort(self.sup_idx)  # support positions in ascending space order
+            self.sup_sorted = self.sup_idx[self.sup_order]
+            width = max(width, len(self.theta_res_idx) * len(self.sup_idx))  # the t_res_upper gaps
+        self.chunk = max(1, _CHUNK_CELLS // width)
+        if self.exact:  # every numerator is at most 2 max(M, 1)^r n_max d p in size
+            bound = 2 * cfg.n_max * self.pop_denominator * self.scale_r.numerator
+            self.num_dtype = object if _exact_dtype(space, r, bound) is object else np.int64
+        # the population side of every excess: all scores, and each track's minimum
+        self.pop = self._ints(pop_scores)
+        self.pop_best = [self._ints(np.asarray(best)) for best in pop_best]
 
-    # -- per-checkpoint scores ---------------------------------------------
+    def denominator(self, n: int) -> int:
+        """The denominator of every value at checkpoint n (1 off the exact path)."""
+        return n * self.pop_denominator * self.scale_r.denominator if self.exact else 1
 
-    def _excess(self, score, n: int, pop_score):
-        """``score / n - pop_score / pop_denominator`` as a value: one Fraction from
-        integers on the exact path, the difference of the two floats off it."""
+    def _ints(self, scores: np.ndarray) -> np.ndarray:
+        """Exact scores in the numerators' dtype; float scores as they are."""
+        if not self.exact:
+            return scores
+        if scores.dtype == np.float64:
+            scores = scores.astype(np.int64)
+        return scores.astype(self.num_dtype, copy=False)
+
+    def _excess(self, scores: np.ndarray, n: int, pop=0):
+        """``scores / n - pop / pop_denominator``, elementwise, with ``pop`` taken
+        from ``self.pop``: numerators over :meth:`denominator` on the exact
+        path, the difference of the two float quotients off it."""
         d = self.pop_denominator
-        if self.exact:
-            return _score_value(int(score) * d - int(pop_score) * n, n * d, True, self.scale_r)
-        return float(score) / n - float(pop_score) / d
+        if not self.exact:
+            return scores / n - pop / d
+        return (self._ints(scores) * d - pop * n) * self.scale_r.numerator
 
-    def _track(self, scores, candidates, pop_best, target: np.ndarray, n: int):
-        """One track at one checkpoint: (sigma_hat, mean-set indices, T*, t_hat_max, included).
-
-        ``scores[k]`` belongs to ``candidates[k]`` (None: to point k of the
-        space); ``pop_best`` is the track's population minimum score and
-        ``target`` its population mean set as a mask.
-        """
-        best, ties = _min_ties(scores, self.exact, candidates)
-        return (
-            _score_value(best, n, self.exact, self.scale_r),
-            ties,
-            self._excess(best, n, pop_best),
-            self._excess(best, n, self.pop_scores[ties].min()),
-            bool(target[ties].all()),
-        )
-
-    def checkpoint(self, counts: np.ndarray, n: int) -> CheckpointStats:
+    def columns(self, counts: np.ndarray, n: int) -> dict:
+        """Every statistic at checkpoint n of a chunk of replications, as columns;
+        ``counts[k]`` counts replication k's first n draws per support point."""
         scores = self.score(counts)
-        sigma_hat, ties, t_star, t_hat_max, included = self._track(
-            scores, None, self.pop_best, self.in_theta, n
+        pop = self.pop
+        pop_best = self.pop_best[0]
+        best, _, ties, starts = _row_min_ties(scores, self.exact)
+        cols = dict(
+            sigma_hat=self._excess(best, n),
+            mean_set=_index_tuples(ties, starts),
+            t_hat_max=self._excess(best, n, np.minimum.reduceat(pop[ties], starts)),
+            t_star=self._excess(best, n, pop_best),
+            t_theta_min=self._excess(scores[:, self.theta_idx].min(axis=1), n, pop_best),
+            included_in_population=np.logical_and.reduceat(self.in_theta[ties], starts),
         )
-        extra = {}
         if self.restricted:
-            observed = self.sup_idx[counts > 0]
-            observed_scores = scores[observed]
-            sigma_hat_res, ties_res, tr_star, t_res_hat_max, included_res = self._track(
-                observed_scores, observed, self.pop_best_res, self.in_theta_res, n
-            )
+            pop_best = self.pop_best[1]
+            observed = counts[:, self.sup_order] > 0
+            sup_scores = scores[:, self.sup_sorted]
+            best, rows, pos, starts = _row_min_ties(sup_scores, self.exact, observed)
+            ties = self.sup_sorted[pos]
             # upper bound: min over theta* of T_n(theta*) + min_{x' observed} |Fhat(x') - Fhat(theta*)|;
             # Fhat is a positive multiple of the score, so the bound is taken on scores
-            theta_scores = scores[self.theta_res_idx]
-            gaps = np.abs(observed_scores[None, :] - theta_scores[:, None]).min(axis=1)
-            extra = dict(
-                sigma_hat_res=sigma_hat_res,
-                mean_set_res=tuple(ties_res.tolist()),
-                tr_star=tr_star,
-                t_res_hat_max=t_res_hat_max,
-                t_res_upper=self._excess((theta_scores + gaps).min(), n, self.pop_best_res),
-                included_in_population_res=included_res,
-                subset_of_sampled=bool(np.isin(ties_res, observed).all()),
+            theta_scores = scores[:, self.theta_res_idx]
+            gaps = np.abs(sup_scores[:, None, :] - theta_scores[:, :, None])
+            gaps = np.where(observed[:, None, :], gaps, gaps.max()).min(axis=2)
+            cols.update(
+                sigma_hat_res=self._excess(best, n),
+                mean_set_res=_index_tuples(ties, starts),
+                tr_star=self._excess(best, n, pop_best),
+                t_res_hat_max=self._excess(best, n, np.minimum.reduceat(pop[ties], starts)),
+                t_res_upper=self._excess((theta_scores + gaps).min(axis=1), n, pop_best),
+                included_in_population_res=np.logical_and.reduceat(self.in_theta_res[ties], starts),
+                subset_of_sampled=np.logical_and.reduceat(observed[rows, pos], starts),
             )
-        return CheckpointStats(
-            n=n,
-            sigma_hat=sigma_hat,
-            mean_set=tuple(ties.tolist()),
-            t_hat_max=t_hat_max,
-            t_star=t_star,
-            t_theta_min=self._excess(scores[self.theta_idx].min(), n, self.pop_best),
-            included_in_population=included,
-            **extra,
-        )
+        return cols
 
 
 def run_consistency_experiment(
@@ -399,7 +530,9 @@ def run_consistency_experiment(
     Per replication: one cumulative iid stream, mean sets and variances at
     every checkpoint, sandwich diagnostics, and (when ``limit_params`` is
     set) outer-limit estimates of the checkpoint trajectory with inclusion
-    checks against the population (and restricted) mean sets.
+    checks against the population (and restricted) mean sets.  Replications
+    are drawn one by one and scored a chunk at a time; the result holds the
+    statistics as columns, so no record is built unless it is read.
     """
     if space is None:
         space = build_space(cfg.space_spec)
@@ -409,11 +542,11 @@ def run_consistency_experiment(
     burn = None
     if lp is not None:
         burn = default_burn_in(len(cfg.checkpoints)) if lp.burn_in is None else lp.burn_in
+    targets = [("", frozenset(engine.population.argmin), engine.theta_idx)]
+    if cfg.restricted:
+        targets.append(("_res", frozenset(engine.population_res.argmin), engine.theta_res_idx))
 
-    theta = frozenset(engine.population.argmin)
-    theta_res = frozenset(engine.population_res.argmin) if cfg.restricted else None
-
-    def outer_limits(mean_sets, target, suffix: str) -> dict:
+    def outer_limits(mean_sets, suffix, target, target_idx) -> dict:
         traj = SetTrajectory.from_indices(space, mean_sets)
         tail = tail_limsup(traj, burn, lp.min_visits)
         kura = kuratowski_limsup(traj, lp.epsilon, burn, lp.min_visits)
@@ -422,34 +555,49 @@ def run_consistency_experiment(
             f"tail_included{suffix}": tail <= target,
             f"kuratowski{suffix}": kura,
             f"kuratowski_included{suffix}": kura.points <= target,
+            f"kuratowski_target_gap{suffix}": _target_gap(space, kura.points, target_idx),
         }
 
-    records = []
-    n_support = len(cfg.mu.support)
+    checkpoints = np.array(cfg.checkpoints)
+    m = len(engine.sup_idx)
+    # draw p (0-based) first counts at the first checkpoint above p
+    segment = np.searchsorted(checkpoints, np.arange(checkpoints[-1]), side="right") * m
     cdf = _support_cdf(cfg.mu)
-    for k in range(cfg.replications):
-        rng = replication_rng(cfg.seed, k)
-        idx = _draw_indices(cdf, cfg.n_max, rng)
-        stats = []
-        for n in cfg.checkpoints:
-            counts = np.bincount(idx[:n], minlength=n_support).astype(np.int64)
-            stats.append(engine.checkpoint(counts, n))
-        rec = dict(replication=k, stats=tuple(stats))
+    stats = {}  # name -> one column per checkpoint, filled a chunk at a time
+    limits = []
+    for lo in range(0, cfg.replications, engine.chunk):
+        reps = range(lo, min(lo + engine.chunk, cfg.replications))
+        counts = np.empty((len(reps), len(checkpoints), m), dtype=np.int64)
+        for row, k in enumerate(reps):
+            idx = _draw_indices(cdf, cfg.n_max, replication_rng(cfg.seed, k))[: checkpoints[-1]]
+            counts[row] = np.bincount(segment + idx, minlength=counts[row].size).reshape(-1, m).cumsum(axis=0)
+        for pos, n in enumerate(cfg.checkpoints):
+            for name, col in engine.columns(counts[:, pos], n).items():
+                if name not in stats:
+                    stats[name] = [
+                        [None] * cfg.replications if isinstance(col, list) else np.empty(cfg.replications, col.dtype)
+                        for _ in checkpoints
+                    ]
+                stats[name][pos][reps.start : reps.stop] = col
         if lp is not None:
-            rec.update(outer_limits((s.mean_set for s in stats), theta, ""))
-            rec["kuratowski_target_gap"] = max(
-                (space.set_distance(p, theta) for p in rec["kuratowski"].points), default=0
-            )
-            if cfg.restricted:
-                rec.update(outer_limits((s.mean_set_res for s in stats), theta_res, "_res"))
-        records.append(TrajectoryRecord(**rec))
+            for k in reps:
+                rec = {}
+                for suffix, target, target_idx in targets:
+                    mean_sets = [col[k] for col in stats[f"mean_set{suffix}"]]
+                    rec.update(outer_limits(mean_sets, suffix, target, target_idx))
+                limits.append(rec)
 
     return ExperimentResult(
         config=cfg,
         space=space,
         population=engine.population,
         population_restricted=engine.population_res,
-        records=tuple(records),
+        columns=_Columns(
+            exact=engine.exact,
+            denominators=tuple(engine.denominator(n) for n in cfg.checkpoints),
+            stats=stats,
+            limits={name: [rec[name] for rec in limits] for name in (limits[0] if limits else ())},
+        ),
     )
 
 
@@ -495,18 +643,16 @@ class OscillationTable:
         ]
 
 
-def oscillation_stats(records: Sequence[TrajectoryRecord], event: Callable, name: str = "event") -> OscillationTable:
-    """Per-checkpoint frequency of an event across replications, with binomial SE."""
-    records = list(records)
-    if not records:
-        raise ValueError("oscillation_stats needs at least one record")
-    n_rep = len(records)
+def oscillation_stats(result: ExperimentResult, event: Callable, name: str = "event") -> OscillationTable:
+    """Per-checkpoint frequency of an event on the mean sets of ``result``'s
+    replications, with binomial SE."""
+    n_rep = result.config.replications
     rows = []
-    for pos, stat in enumerate(records[0].stats):
-        successes = sum(1 for rec in records if event(rec.stats[pos].mean_set))
+    for n, mean_sets in zip(result.config.checkpoints, result.columns.stats["mean_set"]):
+        successes = sum(1 for mean_set in mean_sets if event(mean_set))
         freq = successes / n_rep
         se = float(np.sqrt(freq * (1.0 - freq) / n_rep))
-        rows.append((stat.n, successes, n_rep, freq, se))
+        rows.append((n, successes, n_rep, freq, se))
     return OscillationTable(event=name, rows=tuple(rows))
 
 
@@ -515,69 +661,83 @@ def oscillation_stats(records: Sequence[TrajectoryRecord], event: Callable, name
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return repr(float(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _exact_str(value) -> str | None:
     return str(value) if isinstance(value, (Fraction, int)) else None
 
 
-def _sandwich_ok(lower, middle, upper, exact: bool) -> bool:
-    """lower <= middle <= upper, up to a rounding tolerance relative to middle off the exact path."""
+def _sandwich_ok(lower, middle, upper, exact: bool):
+    """lower <= middle <= upper, elementwise on arrays, up to a rounding
+    tolerance relative to middle off the exact path."""
     if exact:
-        return lower <= middle <= upper
-    tol = 1e-9 * max(1.0, abs(float(middle)))
-    return lower <= middle + tol and middle <= upper + tol
+        return (lower <= middle) & (middle <= upper)
+    tol = 1e-9 * np.maximum(1.0, np.abs(middle))
+    return (lower <= middle + tol) & (middle <= upper + tol)
+
+
+# report.csv columns after replication and n: (header, statistic, cell kind)
+_CSV_COLUMNS = (
+    ("sigma_hat", "sigma_hat", "value"),
+    ("abs_error", "t_star", "abs"),
+    ("t_hat_max", "t_hat_max", "value"),
+    ("t_star", "t_star", "value"),
+    ("t_theta_min", "t_theta_min", "value"),
+    ("mean_set_size", "mean_set", "size"),
+    ("included_in_population", "included_in_population", "flag"),
+    ("mean_set", "mean_set", "labels"),
+)
+_CSV_COLUMNS_RES = (
+    ("sigma_hat_res", "sigma_hat_res", "value"),
+    ("abs_error_res", "tr_star", "abs"),
+    ("t_res_hat_max", "t_res_hat_max", "value"),
+    ("tr_star", "tr_star", "value"),
+    ("t_res_upper", "t_res_upper", "value"),
+    ("mean_set_res_size", "mean_set_res", "size"),
+    ("included_in_population_res", "included_in_population_res", "flag"),
+    ("subset_of_sampled", "subset_of_sampled", "flag"),
+    ("mean_set_res", "mean_set_res", "labels"),
+)
 
 
 def write_report_csv(result: ExperimentResult, path) -> None:
-    """One CSV row per replication x checkpoint (schema ``CSV_SCHEMA``)."""
+    """One CSV row per replication x checkpoint (schema ``CSV_SCHEMA``).
+
+    Cells are made a column at a time and handed to the writer as they are:
+    a number as its float (written as its ``repr``), a flag as ``true`` or
+    ``false``, and each distinct mean set as one string joined from its
+    labels, each label rendered once per report.
+    """
     space = result.space
-    label = functools.cache(lambda i: space.label(space.points[i]))  # one rendering per index and report
+    cols = result.columns
+    cfg = result.config
+    label = functools.cache(lambda i: space.label(space.points[i]))
+    joined = {}  # index tuple -> its ";"-joined labels
 
     def labels(mean_set) -> str:
-        return ";".join(map(label, mean_set))
+        text = joined.get(mean_set)
+        if text is None:
+            text = joined[mean_set] = ";".join(map(label, mean_set))
+        return text
 
-    columns = {  # header name -> cell value of (record, checkpoint stats), in column order
-        "replication": lambda rec, s: rec.replication,
-        "n": lambda rec, s: s.n,
-        "sigma_hat": lambda rec, s: s.sigma_hat,
-        "abs_error": lambda rec, s: abs(s.t_star),
-        "t_hat_max": lambda rec, s: s.t_hat_max,
-        "t_star": lambda rec, s: s.t_star,
-        "t_theta_min": lambda rec, s: s.t_theta_min,
-        "mean_set_size": lambda rec, s: len(s.mean_set),
-        "included_in_population": lambda rec, s: s.included_in_population,
-        "mean_set": lambda rec, s: labels(s.mean_set),
-    }
-    if result.config.restricted:
-        columns.update({
-            "sigma_hat_res": lambda rec, s: s.sigma_hat_res,
-            "abs_error_res": lambda rec, s: abs(s.tr_star),
-            "t_res_hat_max": lambda rec, s: s.t_res_hat_max,
-            "tr_star": lambda rec, s: s.tr_star,
-            "t_res_upper": lambda rec, s: s.t_res_upper,
-            "mean_set_res_size": lambda rec, s: len(s.mean_set_res),
-            "included_in_population_res": lambda rec, s: s.included_in_population_res,
-            "subset_of_sampled": lambda rec, s: s.subset_of_sampled,
-            "mean_set_res": lambda rec, s: labels(s.mean_set_res),
-        })
-    cells = list(columns.values())
+    def cells(stat: str, kind: str, pos: int) -> list:
+        if kind in ("value", "abs"):
+            values = cols.floats(stat, pos)
+            return (np.abs(values) if kind == "abs" else values).tolist()
+        col = cols.stats[stat][pos]
+        if kind == "flag":
+            return ["true" if flag else "false" for flag in col.tolist()]
+        return [len(m) for m in col] if kind == "size" else list(map(labels, col))
+
+    spec = _CSV_COLUMNS + (_CSV_COLUMNS_RES if cfg.restricted else ())
+    reps = list(range(cfg.replications))
+    per_checkpoint = [  # the columns of each checkpoint's rows
+        [reps, [n] * len(reps), *(cells(stat, kind, pos) for _, stat, kind in spec)]
+        for pos, n in enumerate(cfg.checkpoints)
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(columns)
-        for rec in result.records:
-            for stat in rec.stats:
-                w.writerow([_fmt(cell(rec, stat)) for cell in cells])
+        w.writerow(["replication", "n", *(header for header, _, _ in spec)])
+        # rows run over replications, then checkpoints
+        w.writerows(itertools.chain.from_iterable(zip(*(zip(*columns) for columns in per_checkpoint))))
 
 
 def _config_dict(result: ExperimentResult) -> dict:
@@ -622,52 +782,51 @@ def _mean_set_block(result: MeanSetResult, space: MetricSpace) -> dict:
     }
 
 
-def _median_and_max(values: list) -> tuple[float, float]:
-    """``float(statistics.median(values))`` and ``float(max(values))``.
+def _median_and_max(values, denominator: int = 1) -> tuple[float, float]:
+    """The median and the maximum of ``values / denominator`` as floats.
 
-    Fractions are put over their least common denominator and the integer
-    numerators sorted, so no Fraction is compared; int / int division rounds
-    correctly, as ``float(Fraction)`` does, so the floats are the same.
+    ``values`` are integer numerators over ``denominator``, or floats over 1.
+    They are sorted as they are and each pick is divided once: int / int
+    division rounds correctly, as ``float(Fraction)`` does, and an even
+    count's middle pair is averaged as ``statistics.median`` averages floats.
     """
-    if not isinstance(values[0], Fraction):
-        return float(statistics.median(values)), float(max(values))
-    common = math.lcm(*(v.denominator for v in values))
-    nums = sorted(v.numerator * (common // v.denominator) for v in values)
+    nums = np.sort(values).tolist()
     mid = len(nums) // 2
-    median = nums[mid] / common if len(nums) % 2 else (nums[mid - 1] + nums[mid]) / (2 * common)
-    return median, nums[-1] / common
+    median = nums[mid] / denominator if len(nums) % 2 else (nums[mid - 1] + nums[mid]) / (2 * denominator)
+    return median, nums[-1] / denominator
 
 
-def _rate(flags: Iterable) -> float:
-    flags = list(flags)
-    return sum(flags) / len(flags)
+def _rate(flags) -> float:
+    return int(np.count_nonzero(flags)) / len(flags)
 
 
 def build_summary(result: ExperimentResult) -> dict:
     cfg = result.config
     space = result.space
-    exact = result.population.exact
+    cols = result.columns
+    exact = cols.exact
     per_checkpoint = []
     sandwich_viol = 0
     sandwich_viol_res = 0
     for pos, n in enumerate(cfg.checkpoints):
-        stats = [rec.stats[pos] for rec in result.records]
-        median_error, max_error = _median_and_max([abs(s.t_star) for s in stats])
+        s = {name: col[pos] for name, col in cols.stats.items()}
+        den = cols.denominators[pos]
+        median_error, max_error = _median_and_max(np.abs(s["t_star"]), den)
         entry = {
             "n": n,
             "median_abs_error": median_error,
             "max_abs_error": max_error,
-            "inclusion_rate": _rate(s.included_in_population for s in stats),
-            "mean_set_size_mean": float(np.mean([len(s.mean_set) for s in stats])),
+            "inclusion_rate": _rate(s["included_in_population"]),
+            "mean_set_size_mean": float(np.mean([len(m) for m in s["mean_set"]])),
         }
-        sandwich_viol += sum(not _sandwich_ok(s.t_hat_max, s.t_star, s.t_theta_min, exact) for s in stats)
+        sandwich_viol += int(np.count_nonzero(~_sandwich_ok(s["t_hat_max"], s["t_star"], s["t_theta_min"], exact)))
         if cfg.restricted:
-            entry["median_abs_error_res"] = _median_and_max([abs(s.tr_star) for s in stats])[0]
-            entry["inclusion_rate_res"] = _rate(s.included_in_population_res for s in stats)
-            entry["subset_of_sampled_rate"] = _rate(s.subset_of_sampled for s in stats)
-            sandwich_viol_res += sum(
-                not _sandwich_ok(s.t_res_hat_max, s.tr_star, s.t_res_upper, exact) for s in stats
-            )
+            entry["median_abs_error_res"] = _median_and_max(np.abs(s["tr_star"]), den)[0]
+            entry["inclusion_rate_res"] = _rate(s["included_in_population_res"])
+            entry["subset_of_sampled_rate"] = _rate(s["subset_of_sampled"])
+            sandwich_viol_res += int(np.count_nonzero(
+                ~_sandwich_ok(s["t_res_hat_max"], s["tr_star"], s["t_res_upper"], exact)
+            ))
         per_checkpoint.append(entry)
 
     summary = {
@@ -686,31 +845,31 @@ def build_summary(result: ExperimentResult) -> dict:
         ),
         "checkpoints": per_checkpoint,
         "sandwich": {
-            "rows": len(result.records) * len(cfg.checkpoints),
+            "rows": cfg.replications * len(cfg.checkpoints),
             "violations": sandwich_viol,
             "violations_restricted": sandwich_viol_res if cfg.restricted else None,
         },
     }
 
     if cfg.limit_params is not None:
-        gaps = [float(r.kuratowski_target_gap) for r in result.records]
+        lim = cols.limits
+        gaps = [float(g) for g in lim["kuratowski_target_gap"]]
         eps = float(cfg.limit_params.epsilon)
         block = {
-            "tail_inclusion_rate": _rate(r.tail_included for r in result.records),
-            "kuratowski_inclusion_rate": _rate(r.kuratowski_included for r in result.records),
+            "tail_inclusion_rate": _rate(lim["tail_included"]),
+            "kuratowski_inclusion_rate": _rate(lim["kuratowski_included"]),
             "kuratowski_median_target_gap": float(statistics.median(gaps)),
             "kuratowski_max_target_gap": float(max(gaps)),
-            "kuratowski_gap_within_budget_rate": _rate(g <= 2 * eps for g in gaps),
-            "mean_tail_size": float(np.mean([len(r.tail_estimate) for r in result.records])),
-            "mean_kuratowski_size": float(
-                np.mean([len(r.kuratowski.points) for r in result.records])
-            ),
+            "kuratowski_gap_within_budget_rate": _rate([g <= 2 * eps for g in gaps]),
+            "mean_tail_size": float(np.mean([len(t) for t in lim["tail_estimate"]])),
+            "mean_kuratowski_size": float(np.mean([len(k.points) for k in lim["kuratowski"]])),
         }
         if cfg.restricted:
-            block["tail_inclusion_rate_res"] = _rate(r.tail_included_res for r in result.records)
-            block["kuratowski_inclusion_rate_res"] = _rate(
-                r.kuratowski_included_res for r in result.records
-            )
+            block["tail_inclusion_rate_res"] = _rate(lim["tail_included_res"])
+            block["kuratowski_inclusion_rate_res"] = _rate(lim["kuratowski_included_res"])
+            if eps > 0:  # judged like the unrestricted gap; epsilon = 0 runs judge inclusion
+                gaps_res = [float(g) for g in lim["kuratowski_target_gap_res"]]
+                block["kuratowski_median_target_gap_res"] = float(statistics.median(gaps_res))
         summary["outer_limit"] = block
     else:
         summary["outer_limit"] = None
@@ -719,7 +878,7 @@ def build_summary(result: ExperimentResult) -> dict:
         tables = {}
         for name in cfg.events:
             pred = resolve_event(name, space, cfg.space_spec)
-            tables[name] = oscillation_stats(result.records, pred, name).as_dicts()
+            tables[name] = oscillation_stats(result, pred, name).as_dicts()
         summary["events"] = tables
     else:
         summary["events"] = {}
@@ -789,34 +948,29 @@ def summary_blocks(result: ExperimentResult, summary: dict | None = None) -> lis
     if summary["outer_limit"] is not None:
         ol = summary["outer_limit"]
         eps = float(cfg.limit_params.epsilon)
-        if eps > 0:
-            gap = ol["kuratowski_median_target_gap"]
-            blocks.append(
-                (
-                    "outer-limit",
-                    gap <= 2 * eps,
-                    f"median worst estimate-to-target distance {gap:.6g} "
-                    f"(budget 2*epsilon = {2 * eps:.6g})",
-                )
-            )
-        else:
-            rate = ol["kuratowski_inclusion_rate"]
-            blocks.append(
-                (
-                    "outer-limit",
-                    rate >= 0.99,
-                    f"estimate subset of target in {rate:.2%} of replications",
-                )
-            )
+        tracks = [("outer-limit", "", "estimate", "target")]
         if cfg.restricted:
-            rate = ol["kuratowski_inclusion_rate_res"]
-            blocks.append(
-                (
-                    "restricted-outer-limit",
-                    rate >= 0.99,
-                    f"restricted estimate subset of restricted target in {rate:.2%} of replications",
+            tracks.append(("restricted-outer-limit", "_res", "restricted estimate", "restricted target"))
+        for name, suffix, estimate, target in tracks:
+            if eps > 0:
+                gap = ol[f"kuratowski_median_target_gap{suffix}"]
+                blocks.append(
+                    (
+                        name,
+                        gap <= 2 * eps,
+                        f"median worst {estimate}-to-target distance {gap:.6g} "
+                        f"(budget 2*epsilon = {2 * eps:.6g})",
+                    )
                 )
-            )
+            else:
+                rate = ol[f"kuratowski_inclusion_rate{suffix}"]
+                blocks.append(
+                    (
+                        name,
+                        rate >= 0.99,
+                        f"{estimate} subset of {target} in {rate:.2%} of replications",
+                    )
+                )
 
     if cfg.restricted:
         rates = [c["subset_of_sampled_rate"] for c in summary["checkpoints"]]

@@ -92,8 +92,13 @@ def _min_ties(scores: np.ndarray, exact: bool, candidates_idx: np.ndarray | None
     scores tie only when equal, float scores within ``FLOAT_TIE_RTOL``.
     """
     best = scores.min()
-    ties = np.flatnonzero(scores == best if exact else scores <= best * (1.0 + FLOAT_TIE_RTOL))
+    ties = np.flatnonzero(_tied(scores, best, exact))
     return best, ties if candidates_idx is None else np.sort(candidates_idx[ties])
+
+
+def _tied(scores: np.ndarray, best, exact: bool) -> np.ndarray:
+    """The tie rule: which ``scores`` tie with the minimum ``best`` (broadcast)."""
+    return scores == best if exact else scores <= best * (1.0 + FLOAT_TIE_RTOL)
 
 
 def _order1_cube(space: MetricSpace, sup_idx: np.ndarray, weights: np.ndarray, total: int) -> tuple:

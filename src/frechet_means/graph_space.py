@@ -178,7 +178,9 @@ def _split_scorer(space: MetricSpace, sup_idx: np.ndarray, r: int, total_weight:
     outer sums; all terms go through one matmul.  The tables are built once;
     the returned function maps integer weights on ``sup_idx``, summing to at
     most ``total_weight``, to the score vector in the dtype
-    :func:`metric_core._exact_dtype` picks, so a float64 matmul is exact.
+    :func:`metric_core._exact_dtype` picks, so a float64 matmul is exact.  A
+    weight matrix gets one score row per weight row, each row scored by its
+    own matmul straight into the output.
     """
     dtype = _exact_dtype(space, r, total_weight)
     ints = object if dtype is object else np.int64  # powers are taken in integers, then cast
@@ -190,10 +192,13 @@ def _split_scorer(space: MetricSpace, sup_idx: np.ndarray, r: int, total_weight:
     ones_a, ones_b = np.ones(len(a), dtype), np.ones(len(b), dtype)
 
     def scores(weights: np.ndarray) -> np.ndarray:
-        w = weights.astype(dtype)
-        left = np.column_stack([b_terms[0] @ w, ones_b, *(t * w for t in b_terms[1:])])
-        right = np.column_stack([ones_a, a_pows[-1] @ w, *a_pows[:-1]])
-        return (left @ right.T).ravel()
+        rows = np.atleast_2d(weights).astype(dtype)
+        out = np.empty((len(rows), len(b), len(a)), dtype)
+        for w, block in zip(rows, out):
+            left = np.column_stack([b_terms[0] @ w, ones_b, *(t * w for t in b_terms[1:])])
+            right = np.column_stack([ones_a, a_pows[-1] @ w, *a_pows[:-1]])
+            np.matmul(left, right.T, out=block)
+        return out.reshape(len(rows), -1) if weights.ndim == 2 else out.reshape(-1)
 
     return scores
 

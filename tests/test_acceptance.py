@@ -163,7 +163,7 @@ def test_oscillation_rate_matches_exact_binomial(oscillation_run, grid201):
     assert elapsed < 60.0
     p_exact = comb(100, 50) / 2**100
     stirling = 1.0 / sqrt(50 * pi)
-    table = oscillation_stats(result.records, event_full_space(grid201), "full_space")
+    table = oscillation_stats(result, event_full_space(grid201), "full_space")
     (n, successes, reps, freq, _) = table.rows[0]
     assert (n, reps) == (100, 10_000)
     band = 3 * sqrt(p_exact * (1 - p_exact) / reps)

@@ -497,6 +497,46 @@ def test_fixture_reports_are_byte_identical(capsys, tmp_path, name):
         assert _sha256((tmp_path / filename).read_bytes()) == digest, filename
 
 
+# The same pin for two configs off the bundled paths: a restricted float run
+# (grid_r2_convergence at r = 1.5, no limits, 10 replications) and an exact
+# run whose weights' denominator 2^62 + 1 puts scores and report values on
+# Python ints.
+CONFIG_REPORT_CASES = {
+    "grid_r1.5_restricted_float": (
+        "grid_r2_convergence", {"r": 1.5, "restricted": True, "limits": False, "replications": 10}
+    ),
+    "g4_pair_r2_bigint": (
+        "g4_uniform_pair",
+        {
+            "weights": ["1/4611686018427387905", "4611686018427387904/4611686018427387905"],
+            "r": 2, "n_max": 100, "checkpoints": [10, 50, 100], "replications": 20, "seed": 3,
+            "restricted": True, "events": [], "burn_in": None,
+        },
+    ),
+}
+CONFIG_REPORT_DIGESTS = {
+    "grid_r1.5_restricted_float": {
+        "report.csv": "a81f77c9dc901d6a54808eef5d7bd54f382d0e709ca3ab2b2b4cae343f9a496c",
+        "summary.json": "02e678e6c58e7cdfa4de35d7d0d87f86dbf3c5540c9aaec9c4b8d566c9ee103b",
+    },
+    "g4_pair_r2_bigint": {
+        "report.csv": "abd60d57db9c65e32ef0449c56c6c3b3df165a9b382a51f5d5febe560e2109c6",
+        "summary.json": "cb1e01a6e9065ff30c0cbb7895f272148cffe3d8da2a22c8de6db97025002300",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_REPORT_DIGESTS))
+def test_config_reports_are_byte_identical(capsys, tmp_path, name):
+    fixture, overrides = CONFIG_REPORT_CASES[name]
+    config = {**json.loads((FIXTURE_DIR / f"{fixture}.json").read_text()), **overrides}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "simulate", str(tmp_path / "config.json"), "--out", str(tmp_path))
+    assert code == 0, err
+    for filename, digest in CONFIG_REPORT_DIGESTS[name].items():
+        assert _sha256((tmp_path / filename).read_bytes()) == digest, filename
+
+
 def test_mean_output_is_byte_identical(capsys, pair_file):
     code, out, _ = run_cli(capsys, "mean", pair_file, "--r", "1")
     assert code == 0

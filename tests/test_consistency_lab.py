@@ -1,5 +1,7 @@
 import json
+import statistics
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,7 @@ from frechet_means.consistency_lab import (
     GridSpec,
     LimitParams,
     build_space,
+    build_summary,
     event_contains,
     event_full_space,
     oscillation_stats,
@@ -288,15 +291,10 @@ def test_build_space_dispatch():
 # ---------------------------------------------------------------------------
 
 
-def test_oscillation_requires_records(g4):
-    with pytest.raises(ValueError, match="at least one record"):
-        oscillation_stats([], event_full_space(g4))
-
-
 def test_oscillation_counts_match_hand_count(pair_result, s1):
     points = pair_result.space.points
     pred = event_contains(pair_result.space.index(s1))
-    table = oscillation_stats(pair_result.records, pred, "contains-s1")
+    table = oscillation_stats(pair_result, pred, "contains-s1")
     assert sum(row[1] for row in table.rows) > 0
     for pos, (n, successes, reps, freq, se) in enumerate(table.rows):
         manual = sum(1 for rec in pair_result.records if s1 in [points[i] for i in rec.stats[pos].mean_set])
@@ -320,7 +318,7 @@ def test_minus_one_event_is_symmetric_at_odd_n(grid201, mu_pm):
         limit_params=None,
     )
     result = run_consistency_experiment(cfg, grid201)
-    table = oscillation_stats(result.records, event_contains(grid201.index(Fraction(-1))), "minus-one")
+    table = oscillation_stats(result, event_contains(grid201.index(Fraction(-1))), "minus-one")
     (_, _, reps, freq, _) = table.rows[0]
     band = 3 * np.sqrt(0.25 / reps)
     assert abs(freq - 0.5) <= band
@@ -399,6 +397,15 @@ def test_report_renders_each_label_once(tmp_path):
     assert not hashes  # labels are looked up by space index, not by point
 
 
+def test_reports_read_columns_without_building_records(pair_cfg, g4, tmp_path):
+    result = run_consistency_experiment(pair_cfg, g4)
+    write_report_csv(result, tmp_path / "report.csv")
+    write_summary_json(result, tmp_path / "summary.json")
+    summary_blocks(result)
+    assert "records" not in vars(result)  # built on first access only
+    assert len(result.records) == pair_cfg.replications
+
+
 def test_report_bytes_are_deterministic(pair_result, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_report_csv(pair_result, a)
@@ -408,6 +415,29 @@ def test_report_bytes_are_deterministic(pair_result, tmp_path):
     write_summary_json(pair_result, ja)
     write_summary_json(pair_result, jb)
     assert ja.read_bytes() == jb.read_bytes()
+
+
+def test_restricted_outer_limit_is_judged_by_its_gap_at_positive_epsilon(g4, mu_pair):
+    # at epsilon > 0 the estimate holds points near the restricted target, so
+    # inclusion fails; the block judges the median worst distance against
+    # 2*epsilon instead, as the unrestricted block does
+    cfg = ExperimentConfig(
+        space_spec=GraphSpec(4), mu=mu_pair, r=2, n_max=200, checkpoints=(50, 100, 200),
+        replications=10, seed=4, restricted=True,
+        limit_params=LimitParams(epsilon=Fraction(3, 2), burn_in=1),
+    )
+    result = run_consistency_experiment(cfg, g4)
+    summary = build_summary(result)
+    ol = summary["outer_limit"]
+    assert ol["kuratowski_inclusion_rate_res"] < 0.99
+    gaps = sorted(rec.kuratowski_target_gap_res for rec in result.records)
+    assert ol["kuratowski_median_target_gap_res"] == float(statistics.median(gaps)) == 1
+    blocks = {name: (passed, detail) for name, passed, detail in summary_blocks(result, summary)}
+    assert blocks["restricted-outer-limit"] == (
+        True, "median worst restricted estimate-to-target distance 1 (budget 2*epsilon = 3)"
+    )
+    exact = build_summary(run_consistency_experiment(replace(cfg, limit_params=LimitParams()), g4))
+    assert "kuratowski_median_target_gap_res" not in exact["outer_limit"]  # epsilon = 0 judges inclusion
 
 
 def test_summary_blocks_all_pass(pair_result):
@@ -437,7 +467,9 @@ def test_engine_scores_full_graph_spaces_without_the_distance_kernel(monkeypatch
     for r in (1, 2, 3):
         cfg = ExperimentConfig(space_spec=GraphSpec(6), mu=mu, r=r, n_max=10, checkpoints=(10,),
                                replications=1, restricted=True)
-        stat = _Engine(space, cfg.validated(space)).checkpoint(counts, 10)
-        mean_set, mean_set_res = (tuple(space.points[i] for i in m) for m in (stat.mean_set, stat.mean_set_res))
-        assert (stat.sigma_hat, mean_set) == (expected[r].optimum, expected[r].argmin)
-        assert (stat.sigma_hat_res, mean_set_res) == (expected_res[r].optimum, expected_res[r].argmin)
+        engine = _Engine(space, cfg.validated(space))
+        cols = engine.columns(counts[None], 10)  # a chunk of one replication
+        sigma_hat, sigma_hat_res = (Fraction(int(cols[v][0]), engine.denominator(10)) for v in ("sigma_hat", "sigma_hat_res"))
+        mean_set, mean_set_res = (tuple(space.points[i] for i in cols[m][0]) for m in ("mean_set", "mean_set_res"))
+        assert (sigma_hat, mean_set) == (expected[r].optimum, expected[r].argmin)
+        assert (sigma_hat_res, mean_set_res) == (expected_res[r].optimum, expected_res[r].argmin)

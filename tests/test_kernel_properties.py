@@ -8,11 +8,13 @@ sample mean sets from the candidate chunk size, the float path at
 non-integer orders against a float oracle, the outer-limit estimators
 against a counting oracle, and the consistency engine's agreement with the
 solver, the functionals and the counting oracle on exact, float and
-pseudo-metric spaces.
+pseudo-metric spaces, whatever the size of its replication chunks.
 """
 
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -43,8 +45,15 @@ from frechet_means import (
     tail_limsup,
     ziezold_limcsup,
 )
-from frechet_means import frechet_solver
-from frechet_means.consistency_lab import _draw_indices, _median_and_max, _support_cdf, replication_rng
+from frechet_means import consistency_lab, frechet_solver
+from frechet_means.consistency_lab import (
+    _draw_indices,
+    _median_and_max,
+    _support_cdf,
+    replication_rng,
+    write_report_csv,
+    write_summary_json,
+)
 from frechet_means.graph_space import _split_scorer, n_edge_slots
 from frechet_means.metric_core import _INT64_SAFE, _exact_power_block, _weights
 from frechet_means.set_limits import default_burn_in
@@ -464,7 +473,12 @@ def test_trajectory_from_indices_equals_trajectory_from_points(data, name):
     )
 )
 def test_summary_median_and_max_match_sorting(values):
-    assert _median_and_max(values) == median_and_max_by_sorting(values)
+    if isinstance(values[0], Fraction):  # integer numerators over a shared denominator
+        common = math.lcm(*(v.denominator for v in values))
+        args = ([v.numerator * (common // v.denominator) for v in values], common)
+    else:
+        args = (values,)
+    assert _median_and_max(*args) == median_and_max_by_sorting(values)
 
 
 ENGINE_SPACES = {"g4": (G4, GraphSpec(4)), "grid": (GRID, GridSpec("0", "2", "0.25"))}
@@ -543,3 +557,36 @@ def test_engine_matches_solver(data, name, r, restricted, seed, checkpoints):
             hulls = [zero_distance_hull(space, m) for m in mean_sets]
             assert getattr(rec, f"tail_estimate{suffix}") == tail_limsup_by_counting(mean_sets, burn)
             assert getattr(rec, f"kuratowski{suffix}").points == tail_limsup_by_counting(hulls, burn)
+
+
+def _outputs(result) -> tuple:
+    """An experiment's records and the bytes of both of its report files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, json_path = Path(tmp, "report.csv"), Path(tmp, "summary.json")
+        write_report_csv(result, csv_path)
+        write_summary_json(result, json_path)
+        return result.records, csv_path.read_bytes(), json_path.read_bytes()
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(ENGINE_SPACES)),
+    r=st.sampled_from([1, 2, 1.5]),
+    restricted=st.booleans(),
+    seed=st.integers(0, 2**16),
+    replications=st.integers(1, 7),
+    checkpoints=st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True).map(sorted),
+)
+def test_results_do_not_depend_on_the_chunk_budget(data, name, r, restricted, seed, replications, checkpoints):
+    space, spec = ENGINE_SPACES[name]
+    cfg = ExperimentConfig(
+        space_spec=spec, mu=data.draw(measures(space)), r=r, n_max=checkpoints[-1],
+        checkpoints=tuple(checkpoints), replications=replications, seed=seed, restricted=restricted,
+        limit_params=LimitParams(epsilon=data.draw(st.sampled_from([Fraction(0), Fraction(1, 2)]))),
+    )
+    outputs = []
+    for cells in (1, 2**40):  # one replication per chunk, then all replications in one
+        with mock.patch.object(consistency_lab, "_CHUNK_CELLS", cells):
+            outputs.append(_outputs(run_consistency_experiment(cfg, space)))
+    assert outputs[0] == outputs[1]
