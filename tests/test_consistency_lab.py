@@ -469,7 +469,9 @@ def test_engine_scores_full_graph_spaces_without_the_distance_kernel(monkeypatch
                                replications=1, restricted=True)
         engine = _Engine(space, cfg.validated(space))
         cols = engine.columns(counts[None], 10)  # a chunk of one replication
-        sigma_hat, sigma_hat_res = (Fraction(int(cols[v][0]), engine.denominator(10)) for v in ("sigma_hat", "sigma_hat_res"))
+        sigma_hat, sigma_hat_res = (
+            Fraction(int(cols[v][0]), engine.denominator(10)) for v in ("sigma_hat", "sigma_hat_res")
+        )
         mean_set, mean_set_res = (tuple(space.points[i] for i in cols[m][0]) for m in ("mean_set", "mean_set_res"))
         assert (sigma_hat, mean_set) == (expected[r].optimum, expected[r].argmin)
         assert (sigma_hat_res, mean_set_res) == (expected_res[r].optimum, expected_res[r].argmin)
