@@ -13,10 +13,15 @@ a named, platform-independent PRNG (numpy PCG64): replication k draws from
 ``PCG64(SeedSequence([seed, k]))``, so runs are reproducible bit for bit
 and replications are independent of execution order.
 
-The engine is columnar.  Replications are drawn one by one, then each
-checkpoint scores a chunk of them at once: their counts form one matrix and
-their scores one block, whose row-wise minima and ties give every statistic
-of the chunk.  The result keeps each statistic as a column over
+The engine is columnar.  Every replication is drawn before any is scored:
+the seeds of all streams are hashed at once, one PCG64 is set to each
+stream in turn, only the draws up to the last checkpoint are taken, and
+their counts per checkpoint fill one replications x checkpoints x support
+array.  Each checkpoint then scores a chunk of replications at once: their
+counts form one matrix and their scores one block, whose row-wise minima and
+ties give every statistic of the chunk.  The tail visits of all
+replications' mean sets are counted at once per track, and give the
+outer-limit estimates.  The result keeps each statistic as a column over
 replications (exact values as integer numerators over the checkpoint's
 denominator), and the summary, the report and the event tables read those
 columns; a Fraction or a float is built only where a value is written, and
@@ -64,9 +69,9 @@ from .metric_core import (
 from .set_limits import (
     OuterLimitEstimate,
     SetTrajectory,
+    _recurrent_rows,
     default_burn_in,
     kuratowski_limsup,
-    tail_limsup,
 )
 
 __all__ = [
@@ -205,6 +210,61 @@ class ExperimentConfig:
 def replication_rng(seed: int, replication: int) -> np.random.Generator:
     """The documented stream for one replication: PCG64(SeedSequence([seed, k]))."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, replication])))
+
+
+def _stream_states(seed: int, ks) -> list:
+    """``replication_rng(seed, k).bit_generator.state["state"]`` for every k in ``ks``.
+
+    This is numpy's ``SeedSequence([seed, k]).generate_state(4, np.uint64)``
+    for all k at once.  The entropy is the 32-bit words of ``seed``, then
+    those of k (one word below 2^32, two from there up to 2^64).  The 32-bit
+    hashmix and mix rounds run on uint64 arrays: every product of two words
+    fits, and each result is masked back to 32 bits.  PCG64 then seeds from
+    the four 64-bit words in Python ints: ``state = 0``, step,
+    ``state += initstate``, step.
+    """
+    ks = np.asarray(ks, dtype=np.uint64)
+    low = np.uint64(0xFFFFFFFF)
+    shifts = range(0, max(seed.bit_length(), 1), 32)
+    words = [np.full(len(ks), seed >> s & 0xFFFFFFFF, np.uint64) for s in shifts] + [ks & low, ks >> np.uint64(32)]
+
+    def hasher(const: int, mult: int) -> Callable:
+        """numpy's hashmix, its hash constant advancing by ``mult`` per call."""
+
+        def hashmix(value):
+            nonlocal const
+            value = value ^ np.uint64(const)
+            const = const * mult & 0xFFFFFFFF
+            value = value * np.uint64(const) & low
+            return value ^ value >> np.uint64(16)
+
+        return hashmix
+
+    def mix(x, y):
+        value = (x * np.uint64(0xCA01F9DD) - y * np.uint64(0x4973F715)) & low
+        return value ^ value >> np.uint64(16)
+
+    # mix_entropy into a pool of four words; a k below 2^32 has no high word,
+    # which is the pool's zero padding while it lies among the first four
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else np.zeros_like(ks)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        before, pool = pool, [mix(p, hashmix(word)) for p in pool]
+    if len(words) > 4:  # past the pool, a k below 2^32 skips the last round
+        pool = [np.where(words[-1] > 0, p, b) for p, b in zip(pool, before)]
+    hashmix = hasher(0x8B51F9DD, 0x58F38DED)
+    out = [hashmix(pool[i % 4]) for i in range(8)]
+    s_hi, s_lo, i_hi, i_lo = ((out[2 * i] | out[2 * i + 1] << np.uint64(32)).tolist() for i in range(4))
+    mask = (1 << 128) - 1
+    incs = [((c << 64 | d) << 1 | 1) & mask for c, d in zip(i_hi, i_lo)]
+    return [
+        {"state": (((a << 64 | b) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & mask, "inc": inc}
+        for a, b, inc in zip(s_hi, s_lo, incs)
+    ]
 
 
 def _support_cdf(mu: DiscreteMeasure) -> np.ndarray:
@@ -388,6 +448,47 @@ def _index_tuples(flat: np.ndarray, starts: np.ndarray) -> list:
     return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
+def _draw_counts(cfg: ExperimentConfig) -> np.ndarray:
+    """``counts[k, pos, j]``: replication k's first ``checkpoints[pos]`` draws
+    that fall on support position j.
+
+    One PCG64 is set to each replication's state in turn, and only its first
+    ``checkpoints[-1]`` uniforms are drawn, a prefix of the draws of
+    :func:`_draw_indices`.  Uniforms are drawn a block of at most
+    ``_CHUNK_CELLS`` at a time: whole rows, or one row in pieces when it is
+    longer.  A draw u falls on position ``#{j: cdf[j] <= u}``, so the draws
+    of a stretch at positions up to j are those below ``cdf[j]``, counted
+    per stretch with one ``np.add.reduceat``.
+    """
+    cdf = _support_cdf(cfg.mu)
+    reps, last = cfg.replications, cfg.checkpoints[-1]
+    width = min(last, _CHUNK_CELLS)
+    rows = min(reps, _CHUNK_CELLS // width)
+    # stretches: the draws between consecutive checkpoints, cut at every block edge
+    starts = np.array(sorted({0, *cfg.checkpoints[:-1], *range(0, last, width)}))
+    below = np.empty((reps, len(starts), len(cdf)), dtype=np.int64)  # stretch draws below each cdf[j]
+    below[:, :, -1] = np.diff(starts, append=last)  # cdf[-1] = 1 exceeds every draw
+    bit_generator = np.random.PCG64()
+    gen = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    streams = _stream_states(cfg.seed, range(reps))
+    uniforms = np.empty((rows, width))
+    for lo in range(0, reps, rows):
+        hi = min(lo + rows, reps)
+        for a in range(0, last, width):
+            block = uniforms[: hi - lo, : min(width, last - a)]
+            for k, row in enumerate(block, lo):
+                if a == 0:
+                    state["state"] = streams[k]
+                    bit_generator.state = state
+                gen.random(out=row)
+            inside = (starts >= a) & (starts < a + width)
+            for j in range(len(cdf) - 1):
+                below[lo:hi, inside, j] = np.add.reduceat(block < cdf[j], starts[inside] - a, axis=1)
+    per_checkpoint = np.add.reduceat(below, np.searchsorted(starts, (0, *cfg.checkpoints[:-1])), axis=1)
+    return np.diff(per_checkpoint, axis=2, prepend=0).cumsum(axis=1)
+
+
 def _target_gap(space: MetricSpace, points, target_idx: np.ndarray):
     """Worst distance from ``points`` to the points ``target_idx`` (0 for no
     points), in the type :meth:`MetricSpace.set_distance` returns."""
@@ -522,6 +623,52 @@ class _Engine:
         return cols
 
 
+def _outer_limits(
+    space: MetricSpace, lp: LimitParams, burn: int, mean_sets: list, target: frozenset, target_idx: np.ndarray
+) -> dict:
+    """The outer-limit fields of every replication's :class:`TrajectoryRecord`
+    on one track, one list per field name (without the track's suffix).
+
+    ``mean_sets`` holds one column of index tuples per checkpoint, ``target``
+    the population mean set of the track and ``target_idx`` its indices.
+    The tail visits of all replications are counted at once.  At epsilon = 0
+    on a proper metric the Kuratowski estimate is the tail estimate, and only
+    an estimate outside the target has its gap measured; otherwise each
+    replication's trajectory is scanned by :func:`kuratowski_limsup`.
+    """
+    reps = len(mean_sets[0])
+    rows, idx = _recurrent_rows(list(zip(*mean_sets[burn:])), len(space), lp.min_visits)
+    inside = np.ones(reps, dtype=bool)
+    inside[rows[~np.isin(idx, target_idx)]] = False
+    tails = [
+        frozenset(space.points[i] for i in part.tolist())
+        for part in np.split(idx, np.searchsorted(rows, np.arange(1, reps)))
+    ]
+    tail_included = inside.tolist()
+    if lp.epsilon == 0 and not space.is_pseudo:
+        kuratowski = [OuterLimitEstimate(tail, lp.epsilon, burn, lp.min_visits) for tail in tails]
+        included = tail_included
+        zero = _target_gap(space, [space.points[target_idx[0]]], target_idx)  # a target point's gap
+        gaps = [
+            (zero if ok else _target_gap(space, tail, target_idx)) if tail else 0
+            for tail, ok in zip(tails, included)
+        ]
+    else:
+        kuratowski = [
+            kuratowski_limsup(SetTrajectory.from_indices(space, sets), lp.epsilon, burn, lp.min_visits)
+            for sets in zip(*mean_sets)
+        ]
+        included = [kura.points <= target for kura in kuratowski]
+        gaps = [_target_gap(space, kura.points, target_idx) for kura in kuratowski]
+    return {
+        "tail_estimate": tails,
+        "tail_included": tail_included,
+        "kuratowski": kuratowski,
+        "kuratowski_included": included,
+        "kuratowski_target_gap": gaps,
+    }
+
+
 def run_consistency_experiment(
     cfg: ExperimentConfig, space: MetricSpace | None = None
 ) -> ExperimentResult:
@@ -530,62 +677,40 @@ def run_consistency_experiment(
     Per replication: one cumulative iid stream, mean sets and variances at
     every checkpoint, sandwich diagnostics, and (when ``limit_params`` is
     set) outer-limit estimates of the checkpoint trajectory with inclusion
-    checks against the population (and restricted) mean sets.  Replications
-    are drawn one by one and scored a chunk at a time; the result holds the
-    statistics as columns, so no record is built unless it is read.
+    checks against the population (and restricted) mean sets.  Every
+    replication is drawn first, then scored a chunk at a time, and the outer
+    limits of each track are estimated for all replications at once; the
+    result holds the statistics as columns, so no record is built unless it
+    is read.
     """
     if space is None:
         space = build_space(cfg.space_spec)
     cfg = cfg.validated(space)
     engine = _Engine(space, cfg)
-    lp = cfg.limit_params
-    burn = None
-    if lp is not None:
-        burn = default_burn_in(len(cfg.checkpoints)) if lp.burn_in is None else lp.burn_in
-    targets = [("", frozenset(engine.population.argmin), engine.theta_idx)]
-    if cfg.restricted:
-        targets.append(("_res", frozenset(engine.population_res.argmin), engine.theta_res_idx))
-
-    def outer_limits(mean_sets, suffix, target, target_idx) -> dict:
-        traj = SetTrajectory.from_indices(space, mean_sets)
-        tail = tail_limsup(traj, burn, lp.min_visits)
-        kura = kuratowski_limsup(traj, lp.epsilon, burn, lp.min_visits)
-        return {
-            f"tail_estimate{suffix}": tail,
-            f"tail_included{suffix}": tail <= target,
-            f"kuratowski{suffix}": kura,
-            f"kuratowski_included{suffix}": kura.points <= target,
-            f"kuratowski_target_gap{suffix}": _target_gap(space, kura.points, target_idx),
-        }
-
-    checkpoints = np.array(cfg.checkpoints)
-    m = len(engine.sup_idx)
-    # draw p (0-based) first counts at the first checkpoint above p
-    segment = np.searchsorted(checkpoints, np.arange(checkpoints[-1]), side="right") * m
-    cdf = _support_cdf(cfg.mu)
+    counts = _draw_counts(cfg)
     stats = {}  # name -> one column per checkpoint, filled a chunk at a time
-    limits = []
     for lo in range(0, cfg.replications, engine.chunk):
-        reps = range(lo, min(lo + engine.chunk, cfg.replications))
-        counts = np.empty((len(reps), len(checkpoints), m), dtype=np.int64)
-        for row, k in enumerate(reps):
-            idx = _draw_indices(cdf, cfg.n_max, replication_rng(cfg.seed, k))[: checkpoints[-1]]
-            counts[row] = np.bincount(segment + idx, minlength=counts[row].size).reshape(-1, m).cumsum(axis=0)
+        reps = slice(lo, lo + engine.chunk)
         for pos, n in enumerate(cfg.checkpoints):
-            for name, col in engine.columns(counts[:, pos], n).items():
+            for name, col in engine.columns(counts[reps, pos], n).items():
                 if name not in stats:
                     stats[name] = [
                         [None] * cfg.replications if isinstance(col, list) else np.empty(cfg.replications, col.dtype)
-                        for _ in checkpoints
+                        for _ in cfg.checkpoints
                     ]
-                stats[name][pos][reps.start : reps.stop] = col
-        if lp is not None:
-            for k in reps:
-                rec = {}
-                for suffix, target, target_idx in targets:
-                    mean_sets = [col[k] for col in stats[f"mean_set{suffix}"]]
-                    rec.update(outer_limits(mean_sets, suffix, target, target_idx))
-                limits.append(rec)
+                stats[name][pos][reps] = col
+
+    limits = {}
+    lp = cfg.limit_params
+    if lp is not None:
+        burn = default_burn_in(len(cfg.checkpoints)) if lp.burn_in is None else lp.burn_in
+        tracks = [("", engine.population, engine.theta_idx)]
+        if cfg.restricted:
+            tracks.append(("_res", engine.population_res, engine.theta_res_idx))
+        for suffix, target, target_idx in tracks:
+            mean_sets = stats[f"mean_set{suffix}"]
+            fields = _outer_limits(space, lp, burn, mean_sets, frozenset(target.argmin), target_idx)
+            limits.update((name + suffix, col) for name, col in fields.items())
 
     return ExperimentResult(
         config=cfg,
@@ -596,7 +721,7 @@ def run_consistency_experiment(
             exact=engine.exact,
             denominators=tuple(engine.denominator(n) for n in cfg.checkpoints),
             stats=stats,
-            limits={name: [rec[name] for rec in limits] for name in (limits[0] if limits else ())},
+            limits=limits,
         ),
     )
 

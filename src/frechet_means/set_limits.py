@@ -27,6 +27,7 @@ are; the estimators return sets of points.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,11 +111,24 @@ def _check_tail(traj: SetTrajectory, burn_in: int, min_visits: int) -> None:
         raise ValueError("min_visits must be >= 1")
 
 
+def _recurrent_rows(tails: list, size: int, min_visits: int) -> tuple:
+    """The indices appearing in at least ``min_visits`` sets of each row.
+
+    ``tails[k]`` is row k's sets, each a tuple of indices below ``size``.
+    Every visit of every row is counted in one ``np.unique`` over the keys
+    ``k * size + index``.  Returns the rows and indices of the recurrent
+    pairs, sorted by row and then by index.
+    """
+    lengths = [sum(map(len, sets)) for sets in tails]
+    flat = itertools.chain.from_iterable
+    visited = np.fromiter(flat(flat(tails)), np.int64, sum(lengths))
+    keys, counts = np.unique(np.repeat(np.arange(len(tails)) * size, lengths) + visited, return_counts=True)
+    return np.divmod(keys[counts >= min_visits], size)
+
+
 def _recurrent(traj: SetTrajectory, burn_in: int, min_visits: int) -> np.ndarray:
     """Indices appearing in at least ``min_visits`` tail sets."""
-    visited = np.fromiter((i for s in traj.sets[burn_in:] for i in s), dtype=np.intp)
-    idx, counts = np.unique(visited, return_counts=True)
-    return idx[counts >= min_visits]
+    return _recurrent_rows([traj.sets[burn_in:]], len(traj.space), min_visits)[1]
 
 
 def tail_limsup(traj: SetTrajectory, burn_in: int, min_visits: int = 2) -> frozenset:

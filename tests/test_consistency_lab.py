@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frechet_means import (
     DiscreteMeasure,
@@ -34,6 +36,8 @@ from frechet_means.consistency_lab import (
     write_report_csv,
     write_summary_json,
     _sandwich_ok,
+    _stream_states,
+    replication_rng,
 )
 
 
@@ -99,6 +103,29 @@ def test_skewed_weights_sampling():
     sample = sample_iid(mu, 20_000, seed=4)
     freq_b = sum(1 for x in sample.items if x == "b") / sample.n
     assert abs(freq_b - 0.1) < 0.01
+
+
+# seeds and replication indices at the edges of numpy's 32-bit entropy words
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 + 3, 2**200)
+EDGE_KS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**200)),
+    ks=st.lists(st.one_of(st.sampled_from(EDGE_KS), st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+                min_size=1, max_size=8),
+)
+def test_stream_states_match_numpy_seeding(seed, ks):
+    # k from 2^32 is two entropy words; it is computed, not reached by running replications
+    expected = [replication_rng(seed, k).bit_generator.state["state"] for k in ks]
+    assert _stream_states(seed, ks) == expected
+
+
+def test_stream_states_cover_every_edge_seed_and_index():
+    for seed in EDGE_SEEDS:
+        expected = [replication_rng(seed, k).bit_generator.state["state"] for k in EDGE_KS]
+        assert _stream_states(seed, EDGE_KS) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -590,3 +590,109 @@ def test_results_do_not_depend_on_the_chunk_budget(data, name, r, restricted, se
         with mock.patch.object(consistency_lab, "_CHUNK_CELLS", cells):
             outputs.append(_outputs(run_consistency_experiment(cfg, space)))
     assert outputs[0] == outputs[1]
+
+
+def _assert_replications_match_oracle(result, space, mu, seed, r):
+    """Every replication's mean sets and variances equal the solver's on its own stream."""
+    for rec in result.records:
+        idx = _draw_indices(_support_cdf(mu), result.config.n_max, replication_rng(seed, rec.replication))
+        for stat in rec.stats:
+            prefix = Sample(tuple(mu.support[i] for i in idx[: stat.n]))
+            res = sample_mean_set(space, prefix, r)
+            assert (stat.sigma_hat, _points(space, stat.mean_set)) == (res.optimum, res.argmin)
+            if result.config.restricted:
+                res = restricted_sample_mean_set(space, prefix, r)
+                assert (stat.sigma_hat_res, _points(space, stat.mean_set_res)) == (res.optimum, res.argmin)
+
+
+@pytest.mark.parametrize(
+    "spec, support, checkpoints, replications, restricted",
+    [
+        # 2001 grid points: 32 replications per score chunk, 7 per draw block
+        (GridSpec("-1", "1", "0.001"), {"-1": "1/5", "1/4": "3/10", "1": "1/2"}, (10, 1000, 9000), 70, False),
+        # 2^15 graphs, restricted: 2 replications per score chunk; each stream is
+        # a draw block of its own, drawn in two pieces
+        (
+            GraphSpec(6),
+            {"6:" + "1" * 15: "1/10", "6:" + "10" * 7 + "1": "2/5", "6:" + "0" * 15: "3/10", "6:" + "110" * 5: "1/5"},
+            (10, 1000, 70_000),
+            5,
+            True,
+        ),
+    ],
+    ids=["grid", "g6-restricted"],
+)
+def test_engine_matches_solver_across_draw_blocks_and_score_chunks(spec, support, checkpoints, replications, restricted):
+    space = consistency_lab.build_space(spec)
+    mu = DiscreteMeasure(
+        tuple(consistency_lab.parse_point_label(spec, label) for label in support),
+        tuple(Fraction(w) for w in support.values()),
+    )
+    seed = 2**70 + 5
+    cfg = ExperimentConfig(
+        space_spec=spec, mu=mu, r=2, n_max=checkpoints[-1] + 1000, checkpoints=checkpoints,
+        replications=replications, seed=seed, restricted=restricted, limit_params=None,
+    )
+    cells = consistency_lab._CHUNK_CELLS
+    assert -(-replications // (cells // len(space))) > 2  # several score chunks
+    assert -(-replications // max(1, cells // checkpoints[-1])) > 2  # several draw blocks
+    _assert_replications_match_oracle(run_consistency_experiment(cfg, space), space, mu, seed, 2)
+
+
+def _per_replication_outer_limits(result, space, lp, suffix, target):
+    """The outer-limit fields of each record, from the estimators run on its own trajectory."""
+    burn = default_burn_in(len(result.config.checkpoints)) if lp.burn_in is None else lp.burn_in
+    target_idx = space.indices(target.argmin)
+    for rec in result.records:
+        traj = SetTrajectory.from_indices(space, [getattr(s, f"mean_set{suffix}") for s in rec.stats])
+        tail = tail_limsup(traj, burn, lp.min_visits)
+        kura = kuratowski_limsup(traj, lp.epsilon, burn, lp.min_visits)
+        gap = consistency_lab._target_gap(space, kura.points, target_idx)
+        yield rec, (tail, tail <= frozenset(target.argmin), kura, kura.points <= frozenset(target.argmin), gap)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_SPACES))
+def test_epsilon_zero_outer_limits_equal_the_per_replication_estimators(name):
+    space, spec = ENGINE_SPACES[name]
+    mu = DiscreteMeasure(
+        tuple(space.points[i] for i in (0, 3, len(space) - 1)), (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))
+    )
+    lp = LimitParams(epsilon=Fraction(0), burn_in=2, min_visits=2)
+    cfg = ExperimentConfig(
+        space_spec=spec, mu=mu, r=2, n_max=20, checkpoints=(2, 3, 5, 8, 13, 20),
+        replications=150, seed=11, restricted=True, limit_params=lp,
+    )
+    result = run_consistency_experiment(cfg, space)
+    seen = set()
+    for suffix, target in (("", result.population), ("_res", result.population_restricted)):
+        fields = ("tail_estimate", "tail_included", "kuratowski", "kuratowski_included", "kuratowski_target_gap")
+        for rec, expected in _per_replication_outer_limits(result, space, lp, suffix, target):
+            got = tuple(getattr(rec, field + suffix) for field in fields)
+            assert got == expected
+            assert [type(value) for value in got] == [type(value) for value in expected]
+            seen.add((bool(got[0]), got[1]))
+    assert seen == {(False, True), (True, True), (True, False)}  # empty, inside and outside estimates
+
+
+def test_epsilon_zero_outer_limits_credit_pseudo_metric_twins():
+    # p4 is p0's zero-distance twin and is never drawn
+    line = (0, 1, 2, 3, 0)
+    space = MetricSpace.from_int_matrix(
+        tuple(f"p{i}" for i in range(5)), [[abs(a - b) for b in line] for a in line], is_pseudo=True, name="twins"
+    )
+    mu = DiscreteMeasure(("p0", "p1", "p3"), (Fraction(2, 5), Fraction(1, 5), Fraction(2, 5)))
+    lp = LimitParams(epsilon=Fraction(0), burn_in=1, min_visits=2)
+    cfg = ExperimentConfig(
+        space_spec=None, mu=mu, r=2, n_max=20, checkpoints=(2, 3, 5, 8, 13, 20),
+        replications=120, seed=5, restricted=True, limit_params=lp,
+    )
+    result = run_consistency_experiment(cfg, space)
+    credited = 0
+    for suffix, target in (("", result.population), ("_res", result.population_restricted)):
+        for rec, (tail, _, kura, included, gap) in _per_replication_outer_limits(result, space, lp, suffix, target):
+            assert getattr(rec, f"tail_estimate{suffix}") == tail
+            assert getattr(rec, f"kuratowski{suffix}") == kura
+            assert getattr(rec, f"kuratowski_included{suffix}") == included
+            assert getattr(rec, f"kuratowski_target_gap{suffix}") == gap
+            credited += "p4" in kura.points - tail
+    assert credited > 0
