@@ -8,7 +8,9 @@ sample mean sets from the candidate chunk size, the float path at
 non-integer orders against a float oracle, the outer-limit estimators
 against a counting oracle, and the consistency engine's agreement with the
 solver, the functionals and the counting oracle on exact, float and
-pseudo-metric spaces, whatever the size of its replication chunks.
+pseudo-metric spaces, whatever the size of its replication chunks and
+draw blocks, with its batched epsilon = 0 outer limits equal to the
+per-replication estimators.
 """
 
 import math
@@ -592,15 +594,17 @@ def test_results_do_not_depend_on_the_chunk_budget(data, name, r, restricted, se
     assert outputs[0] == outputs[1]
 
 
-def _assert_replications_match_oracle(result, space, mu, seed, r):
+def _assert_replications_match_oracle(result):
     """Every replication's mean sets and variances equal the solver's on its own stream."""
+    space, cfg = result.space, result.config
+    mu, r = cfg.mu, cfg.r
     for rec in result.records:
-        idx = _draw_indices(_support_cdf(mu), result.config.n_max, replication_rng(seed, rec.replication))
+        idx = _draw_indices(_support_cdf(mu), cfg.n_max, replication_rng(cfg.seed, rec.replication))
         for stat in rec.stats:
             prefix = Sample(tuple(mu.support[i] for i in idx[: stat.n]))
             res = sample_mean_set(space, prefix, r)
             assert (stat.sigma_hat, _points(space, stat.mean_set)) == (res.optimum, res.argmin)
-            if result.config.restricted:
+            if cfg.restricted:
                 res = restricted_sample_mean_set(space, prefix, r)
                 assert (stat.sigma_hat_res, _points(space, stat.mean_set_res)) == (res.optimum, res.argmin)
 
@@ -622,25 +626,27 @@ def _assert_replications_match_oracle(result, space, mu, seed, r):
     ],
     ids=["grid", "g6-restricted"],
 )
-def test_engine_matches_solver_across_draw_blocks_and_score_chunks(spec, support, checkpoints, replications, restricted):
+def test_engine_matches_solver_across_draw_blocks_and_score_chunks(
+    spec, support, checkpoints, replications, restricted
+):
     space = consistency_lab.build_space(spec)
     mu = DiscreteMeasure(
         tuple(consistency_lab.parse_point_label(spec, label) for label in support),
         tuple(Fraction(w) for w in support.values()),
     )
-    seed = 2**70 + 5
     cfg = ExperimentConfig(
         space_spec=spec, mu=mu, r=2, n_max=checkpoints[-1] + 1000, checkpoints=checkpoints,
-        replications=replications, seed=seed, restricted=restricted, limit_params=None,
+        replications=replications, seed=2**70 + 5, restricted=restricted, limit_params=None,
     )
     cells = consistency_lab._CHUNK_CELLS
     assert -(-replications // (cells // len(space))) > 2  # several score chunks
     assert -(-replications // max(1, cells // checkpoints[-1])) > 2  # several draw blocks
-    _assert_replications_match_oracle(run_consistency_experiment(cfg, space), space, mu, seed, 2)
+    _assert_replications_match_oracle(run_consistency_experiment(cfg, space))
 
 
-def _per_replication_outer_limits(result, space, lp, suffix, target):
+def _per_replication_outer_limits(result, suffix, target):
     """The outer-limit fields of each record, from the estimators run on its own trajectory."""
+    space, lp = result.space, result.config.limit_params
     burn = default_burn_in(len(result.config.checkpoints)) if lp.burn_in is None else lp.burn_in
     target_idx = space.indices(target.argmin)
     for rec in result.records:
@@ -666,7 +672,7 @@ def test_epsilon_zero_outer_limits_equal_the_per_replication_estimators(name):
     seen = set()
     for suffix, target in (("", result.population), ("_res", result.population_restricted)):
         fields = ("tail_estimate", "tail_included", "kuratowski", "kuratowski_included", "kuratowski_target_gap")
-        for rec, expected in _per_replication_outer_limits(result, space, lp, suffix, target):
+        for rec, expected in _per_replication_outer_limits(result, suffix, target):
             got = tuple(getattr(rec, field + suffix) for field in fields)
             assert got == expected
             assert [type(value) for value in got] == [type(value) for value in expected]
@@ -689,7 +695,7 @@ def test_epsilon_zero_outer_limits_credit_pseudo_metric_twins():
     result = run_consistency_experiment(cfg, space)
     credited = 0
     for suffix, target in (("", result.population), ("_res", result.population_restricted)):
-        for rec, (tail, _, kura, included, gap) in _per_replication_outer_limits(result, space, lp, suffix, target):
+        for rec, (tail, _, kura, included, gap) in _per_replication_outer_limits(result, suffix, target):
             assert getattr(rec, f"tail_estimate{suffix}") == tail
             assert getattr(rec, f"kuratowski{suffix}") == kura
             assert getattr(rec, f"kuratowski_included{suffix}") == included
