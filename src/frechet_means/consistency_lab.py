@@ -19,13 +19,14 @@ stream in turn, only the draws up to the last checkpoint are taken, and
 their counts per checkpoint fill one replications x checkpoints x support
 array.  Each checkpoint then scores a chunk of replications at once: their
 counts form one matrix and their scores one block, whose row-wise minima and
-ties give every statistic of the chunk.  The tail visits of all
-replications' mean sets are counted at once per track, and give the
-outer-limit estimates.  The result keeps each statistic as a column over
-replications (exact values as integer numerators over the checkpoint's
-denominator), and the summary, the report and the event tables read those
-columns; a Fraction or a float is built only where a value is written, and
-``ExperimentResult.records`` only when it is read.
+ties give every statistic of the chunk.  The tail and Kuratowski visits
+of all replications' mean sets are counted per track by the counters of
+:mod:`set_limits`, whose one-row case is each estimator.  The result keeps
+each statistic as a column over replications (exact values as integer
+numerators over the checkpoint's denominator), and the summary, the report
+and the event tables read those columns; a Fraction or a float is built
+only where a value is written, and ``ExperimentResult.records`` only when
+it is read.
 
 Checkpoint mean sets are recorded as tuples of sorted space indices, the
 form the scorer produces; the points are ``result.space.points[i]``.  The
@@ -51,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .frechet_solver import MeanSetResult, _mean_set, _min_ties, _tied
+from .frechet_solver import MeanSetResult, _mean_set, _min_ties
 from .graph_space import GraphSpaceConfig, _AllGraphs, _split_scorer, enumerate_space, parse_graph
 from .metric_core import (
     _FLOAT64_EXACT,
@@ -66,13 +67,7 @@ from .metric_core import (
     population_functional,
     sample_functional,
 )
-from .set_limits import (
-    OuterLimitEstimate,
-    SetTrajectory,
-    _recurrent_rows,
-    default_burn_in,
-    kuratowski_limsup,
-)
+from .set_limits import OuterLimitEstimate, _kuratowski_rows, _recurrent_rows, default_burn_in
 
 __all__ = [
     "ConfigError",
@@ -425,24 +420,8 @@ class ExperimentResult:
 _CHUNK_CELLS = 1 << 16
 
 
-def _row_min_ties(scores: np.ndarray, exact: bool, competes: np.ndarray | None = None) -> tuple:
-    """:func:`_min_ties` of every row of ``scores``, among the positions where
-    ``competes`` holds (None: all; each row has at least one).
-
-    Returns each row's minimum and the tied positions as ``rows``, ``cols``
-    in row-major order, with ``starts[k]`` the first tie of row k.
-    """
-    masked = scores if competes is None else np.where(competes, scores, scores.max())
-    best = masked.min(axis=1)
-    tied = _tied(scores, best[:, None], exact)
-    if competes is not None:
-        tied &= competes
-    rows, cols = np.divmod(np.flatnonzero(tied), scores.shape[1])  # np.nonzero is slow on 2-D masks
-    return best, rows, cols, np.searchsorted(rows, np.arange(len(scores)))
-
-
 def _index_tuples(flat: np.ndarray, starts: np.ndarray) -> list:
-    """``flat`` cut at ``starts`` into one tuple per row."""
+    """``flat`` cut at ``starts`` into one tuple of Python numbers per row."""
     flat = flat.tolist()
     bounds = starts.tolist() + [len(flat)]
     return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
@@ -489,18 +468,6 @@ def _draw_counts(cfg: ExperimentConfig) -> np.ndarray:
     return np.diff(per_checkpoint, axis=2, prepend=0).cumsum(axis=1)
 
 
-def _target_gap(space: MetricSpace, points, target_idx: np.ndarray):
-    """Worst distance from ``points`` to the points ``target_idx`` (0 for no
-    points), in the type :meth:`MetricSpace.set_distance` returns."""
-    if not points:
-        return 0
-    rows = space.indices(points)
-    if space.exact:
-        d = int(space.int_block(rows, target_idx).min(axis=1).max())
-        return d if space.scale == 1 else d * space.scale
-    return float(space.float_block(rows, target_idx).min(axis=1).max())
-
-
 class _Engine:
     """The scores of every point against one configuration's support.
 
@@ -538,23 +505,22 @@ class _Engine:
                 self.score = lambda w: block @ w if w.ndim == 1 else np.stack([block @ row for row in w])
         pop_scores = self.score(weights)
 
-        minimum = _min_ties(pop_scores, self.exact)
-        pop_best = [minimum[0]]
-        self.population, self.theta_idx = _mean_set(
-            space, minimum, r, self.pop_denominator, self.exact, "full_space"
-        )
+        (best,), _, self.theta_idx, _ = _min_ties(pop_scores[None], self.exact)
+        pop_best = [best]
+        self.population = _mean_set(space, best, self.theta_idx, r, self.pop_denominator, self.exact, "full_space")
         self.in_theta = np.isin(all_idx, self.theta_idx)
         self.population_res = None
         width = len(space)
         if self.restricted:
-            minimum = _min_ties(pop_scores[self.sup_idx], self.exact, self.sup_idx)
-            pop_best.append(minimum[0])
-            self.population_res, self.theta_res_idx = _mean_set(
-                space, minimum, r, self.pop_denominator, self.exact, "measure_support"
-            )
-            self.in_theta_res = np.isin(all_idx, self.theta_res_idx)
             self.sup_order = np.argsort(self.sup_idx)  # support positions in ascending space order
             self.sup_sorted = self.sup_idx[self.sup_order]
+            (best,), _, pos, _ = _min_ties(pop_scores[None, self.sup_sorted], self.exact)
+            pop_best.append(best)
+            self.theta_res_idx = self.sup_sorted[pos]
+            self.population_res = _mean_set(
+                space, best, self.theta_res_idx, r, self.pop_denominator, self.exact, "measure_support"
+            )
+            self.in_theta_res = np.isin(all_idx, self.theta_res_idx)
             width = max(width, len(self.theta_res_idx) * len(self.sup_idx))  # the t_res_upper gaps
         self.chunk = max(1, _CHUNK_CELLS // width)
         if self.exact:  # every numerator is at most 2 max(M, 1)^r n_max d p in size
@@ -591,7 +557,7 @@ class _Engine:
         scores = self.score(counts)
         pop = self.pop
         pop_best = self.pop_best[0]
-        best, _, ties, starts = _row_min_ties(scores, self.exact)
+        best, _, ties, starts = _min_ties(scores, self.exact)
         cols = dict(
             sigma_hat=self._excess(best, n),
             mean_set=_index_tuples(ties, starts),
@@ -604,7 +570,7 @@ class _Engine:
             pop_best = self.pop_best[1]
             observed = counts[:, self.sup_order] > 0
             sup_scores = scores[:, self.sup_sorted]
-            best, rows, pos, starts = _row_min_ties(sup_scores, self.exact, observed)
+            best, rows, pos, starts = _min_ties(sup_scores, self.exact, observed)
             ties = self.sup_sorted[pos]
             # upper bound: min over theta* of T_n(theta*) + min_{x' observed} |Fhat(x') - Fhat(theta*)|;
             # Fhat is a positive multiple of the score, so the bound is taken on scores
@@ -623,50 +589,38 @@ class _Engine:
         return cols
 
 
-def _outer_limits(
-    space: MetricSpace, lp: LimitParams, burn: int, mean_sets: list, target: frozenset, target_idx: np.ndarray
-) -> dict:
+def _outer_limits(space: MetricSpace, lp: LimitParams, burn: int, mean_sets: list, target_idx: np.ndarray) -> dict:
     """The outer-limit fields of every replication's :class:`TrajectoryRecord`
     on one track, one list per field name (without the track's suffix).
 
-    ``mean_sets`` holds one column of index tuples per checkpoint, ``target``
-    the population mean set of the track and ``target_idx`` its indices.
-    The tail visits of all replications are counted at once.  At epsilon = 0
-    on a proper metric the Kuratowski estimate is the tail estimate, and only
-    an estimate outside the target has its gap measured; otherwise each
-    replication's trajectory is scanned by :func:`kuratowski_limsup`.
+    ``mean_sets`` holds one column of index tuples per checkpoint and
+    ``target_idx`` the indices of the track's population mean set.  The tail
+    and Kuratowski visits of all replications are counted by the estimators'
+    own counters, inclusion is one ``np.isin``, and every Kuratowski point's
+    distance to the target comes from one block over the distinct points.
     """
     reps = len(mean_sets[0])
-    rows, idx = _recurrent_rows(list(zip(*mean_sets[burn:])), len(space), lp.min_visits)
-    inside = np.ones(reps, dtype=bool)
-    inside[rows[~np.isin(idx, target_idx)]] = False
-    tails = [
-        frozenset(space.points[i] for i in part.tolist())
-        for part in np.split(idx, np.searchsorted(rows, np.arange(1, reps)))
-    ]
-    tail_included = inside.tolist()
-    if lp.epsilon == 0 and not space.is_pseudo:
-        kuratowski = [OuterLimitEstimate(tail, lp.epsilon, burn, lp.min_visits) for tail in tails]
-        included = tail_included
-        zero = _target_gap(space, [space.points[target_idx[0]]], target_idx)  # a target point's gap
-        gaps = [
-            (zero if ok else _target_gap(space, tail, target_idx)) if tail else 0
-            for tail, ok in zip(tails, included)
-        ]
-    else:
-        kuratowski = [
-            kuratowski_limsup(SetTrajectory.from_indices(space, sets), lp.epsilon, burn, lp.min_visits)
-            for sets in zip(*mean_sets)
-        ]
-        included = [kura.points <= target for kura in kuratowski]
-        gaps = [_target_gap(space, kura.points, target_idx) for kura in kuratowski]
-    return {
-        "tail_estimate": tails,
-        "tail_included": tail_included,
-        "kuratowski": kuratowski,
-        "kuratowski_included": included,
-        "kuratowski_target_gap": gaps,
-    }
+    tails = list(zip(*mean_sets[burn:]))
+    fields, point_sets = {}, {}  # point_sets: each distinct estimate's points, built once
+    for name, included, (rows, idx) in (
+        ("tail_estimate", "tail_included", _recurrent_rows(tails, len(space), lp.min_visits)),
+        ("kuratowski", "kuratowski_included", _kuratowski_rows(space, tails, lp.epsilon, lp.min_visits)),
+    ):
+        starts = np.searchsorted(rows, np.arange(reps))  # each replication's first pair
+        inside = np.ones(reps, dtype=bool)
+        inside[rows[~np.isin(idx, target_idx)]] = False
+        estimates = _index_tuples(idx, starts)
+        point_sets.update((t, frozenset(space.points[i] for i in t)) for t in set(estimates) - point_sets.keys())
+        fields[name] = [point_sets[t] for t in estimates]
+        fields[included] = inside.tolist()
+    # idx and starts are now the Kuratowski estimate's
+    points, pos = np.unique(idx, return_inverse=True)
+    block = space.int_block if space.exact else space.float_block
+    near = block(points, target_idx).min(axis=1)[pos]  # each estimate point's distance to the target
+    unit = space.scale if space.exact and space.scale != 1 else 1  # the type of MetricSpace.set_distance
+    fields["kuratowski_target_gap"] = [max(d) * unit if d else 0 for d in _index_tuples(near, starts)]
+    fields["kuratowski"] = [OuterLimitEstimate(pts, lp.epsilon, burn, lp.min_visits) for pts in fields["kuratowski"]]
+    return fields
 
 
 def run_consistency_experiment(
@@ -704,12 +658,11 @@ def run_consistency_experiment(
     lp = cfg.limit_params
     if lp is not None:
         burn = default_burn_in(len(cfg.checkpoints)) if lp.burn_in is None else lp.burn_in
-        tracks = [("", engine.population, engine.theta_idx)]
+        tracks = [("", engine.theta_idx)]
         if cfg.restricted:
-            tracks.append(("_res", engine.population_res, engine.theta_res_idx))
-        for suffix, target, target_idx in tracks:
-            mean_sets = stats[f"mean_set{suffix}"]
-            fields = _outer_limits(space, lp, burn, mean_sets, frozenset(target.argmin), target_idx)
+            tracks.append(("_res", engine.theta_res_idx))
+        for suffix, target_idx in tracks:
+            fields = _outer_limits(space, lp, burn, stats[f"mean_set{suffix}"], target_idx)
             limits.update((name + suffix, col) for name, col in fields.items())
 
     return ExperimentResult(

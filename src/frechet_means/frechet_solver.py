@@ -22,14 +22,17 @@ case scores each candidate as ``d**r @ weights``, with ``d**r`` from
 in the dtype :func:`metric_core._exact_dtype` picks (float64, int64 or
 Python ints, each exact at its size).
 
-One reducer, :func:`_min_ties`, picks the argmin set as sorted space
-indices: on the exact path it keeps every score equal to the exact minimum,
-so tie sets are bit-reproducible; on the float path it keeps every score
-<= optimum * (1 + 1e-9), a tolerance that is part of the contract.
+One reducer, :func:`_min_ties`, picks the argmin set of every row of a
+score block: the solver calls it on one row, the consistency engine on one
+row per replication.  On the exact path it keeps every score equal to the
+exact minimum, so tie sets are bit-reproducible; on the float path it keeps
+every score <= optimum * (1 + 1e-9), a tolerance that is part of the
+contract.
 
 Distance blocks are scored in chunks of candidates only to bound their
-working set; the reducer sees all scores at once, so results do not depend
-on the chunk size.
+working set, and the reducer sees all scores at once.  Exact scores are
+integers, so exact results do not depend on the chunk size; a float score
+is a BLAS matvec sum, whose rounding can change with the chunk.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ __all__ = [
 
 FLOAT_TIE_RTOL = 1e-9
 
-# Candidate chunk size for vectorized evaluation; any value gives identical
-# results, this one just bounds the distance-block working set.
+# Candidate chunk size for vectorized evaluation; it bounds the distance-block
+# working set, and any value gives identical exact results.
 _DEFAULT_CHUNK = 65536
 
 
@@ -85,24 +88,25 @@ class MeanSetResult:
         return len(self.argmin)
 
 
-def _min_ties(scores: np.ndarray, exact: bool, candidates_idx: np.ndarray | None = None) -> tuple:
-    """Minimum score and the sorted space indices of all candidates tied with it.
+def _min_ties(scores: np.ndarray, exact: bool, competes: np.ndarray | None = None) -> tuple:
+    """Each row's minimum score and the positions tied with it, among the
+    positions where ``competes`` holds (None: all; each row has at least one).
 
-    ``scores[k]`` belongs to ``candidates_idx[k]`` (None: to point k).  Exact
-    scores tie only when equal, float scores within ``FLOAT_TIE_RTOL``.
+    Exact scores tie only when equal, float scores within ``FLOAT_TIE_RTOL``.
+    Returns the minima and the tied positions as ``rows``, ``cols`` in
+    row-major order, with ``starts[k]`` the first tie of row k.
     """
-    best = scores.min()
-    ties = np.flatnonzero(_tied(scores, best, exact))
-    return best, ties if candidates_idx is None else np.sort(candidates_idx[ties])
-
-
-def _tied(scores: np.ndarray, best, exact: bool) -> np.ndarray:
-    """The tie rule: which ``scores`` tie with the minimum ``best`` (broadcast)."""
-    return scores == best if exact else scores <= best * (1.0 + FLOAT_TIE_RTOL)
+    masked = scores if competes is None else np.where(competes, scores, scores.max())
+    best = masked.min(axis=1)[:, None]
+    tied = scores == best if exact else scores <= best * (1.0 + FLOAT_TIE_RTOL)
+    if competes is not None:
+        tied &= competes
+    rows, cols = np.divmod(np.flatnonzero(tied), scores.shape[1])  # np.nonzero is slow on 2-D masks
+    return best[:, 0], rows, cols, np.searchsorted(rows, np.arange(len(scores)))
 
 
 def _order1_cube(space: MetricSpace, sup_idx: np.ndarray, weights: np.ndarray, total: int) -> tuple:
-    """:func:`_min_ties` of the exact order-1 scores over a full graph space, per edge slot.
+    """Minimum and ties of the exact order-1 scores over a full graph space, per edge slot.
 
     Point i is edge mask i, so ``sup_idx`` are the support's masks.  With
     ``c_k`` the weight of the support graphs that set slot k, the score of x
@@ -132,30 +136,30 @@ def _solve(space: MetricSpace, data: Sample | DiscreteMeasure, r, domain: str) -
     sup_idx, weights, normalizer, exact = _weights(space, data, r)
     if exact and domain == "full_space" and isinstance(space.points, _AllGraphs):
         if r == 1:
-            minimum = _order1_cube(space, sup_idx, weights, normalizer)
+            best, ties = _order1_cube(space, sup_idx, weights, normalizer)
         else:
-            minimum = _min_ties(_split_scorer(space, sup_idx, r, normalizer)(weights), exact)
+            (best,), _, ties, _ = _min_ties(_split_scorer(space, sup_idx, r, normalizer)(weights)[None], exact)
     else:
         candidates_idx = np.arange(len(space), dtype=np.intp) if domain == "full_space" else sup_idx
         chunks = (candidates_idx[lo : lo + _DEFAULT_CHUNK] for lo in range(0, len(candidates_idx), _DEFAULT_CHUNK))
         scores = [_power_block(space, c, sup_idx, r, exact, normalizer) @ weights for c in chunks]
-        minimum = _min_ties(np.concatenate(scores), exact, candidates_idx)
-    return _mean_set(space, minimum, r, normalizer, exact, domain)[0]
+        (best,), _, pos, _ = _min_ties(np.concatenate(scores)[None], exact)
+        ties = np.sort(candidates_idx[pos])
+    return _mean_set(space, best, ties, r, normalizer, exact, domain)
 
 
 def _mean_set(
-    space: MetricSpace, minimum: tuple, r, normalizer: int, exact: bool, domain: str
-) -> tuple[MeanSetResult, np.ndarray]:
-    """Mean set and its sorted space indices from the ``(best, ties)`` pair of
-    :func:`_min_ties`, ``best`` being a score over ``normalizer``."""
-    best, ties = minimum
+    space: MetricSpace, best, ties: np.ndarray, r, normalizer: int, exact: bool, domain: str
+) -> MeanSetResult:
+    """The mean set of the minimum score ``best`` (over ``normalizer``) and its
+    ties, the sorted space indices ``ties``."""
     return MeanSetResult(
         order_r=r,
         optimum=_score_value(best, normalizer, exact, space.scale**r),
         argmin=tuple(space.points[i] for i in ties),
         candidate_domain=domain,
         exact=exact,
-    ), ties
+    )
 
 
 def sample_mean_set(space: MetricSpace, sample: Sample, r) -> MeanSetResult:

@@ -19,6 +19,13 @@ Three estimators are provided:
 
 The convention d(x, {}) = +inf means an empty set never grants visits.
 
+Each estimator is the one-row case of a counter that takes many rows of
+tail sets at once, one row per replication in the experiment engine:
+``_recurrent_rows`` counts memberships and ``_kuratowski_rows`` metric
+visits, so the engine and the estimators count visits with the same code.
+At epsilon = 0 on a proper metric the Kuratowski counter is the membership
+counter.
+
 A :class:`SetTrajectory` holds each set as the tuple of its sorted space
 indices, the form in which the solver and the experiment engine produce
 mean sets, so :meth:`SetTrajectory.from_indices` takes those tuples as they
@@ -65,8 +72,8 @@ class SetTrajectory:
 
     @classmethod
     def from_indices(cls, space: MetricSpace, index_sets) -> "SetTrajectory":
-        """A trajectory of sets given as tuples of sorted space indices, such as
-        :func:`frechet_solver._min_ties` returns; no point is looked up."""
+        """A trajectory of sets given as tuples of sorted space indices, the form
+        of the solver's and the engine's mean sets; no point is looked up."""
         traj = object.__new__(cls)
         traj._init(space, tuple(index_sets))
         return traj
@@ -126,15 +133,38 @@ def _recurrent_rows(tails: list, size: int, min_visits: int) -> tuple:
     return np.divmod(keys[counts >= min_visits], size)
 
 
-def _recurrent(traj: SetTrajectory, burn_in: int, min_visits: int) -> np.ndarray:
-    """Indices appearing in at least ``min_visits`` tail sets."""
-    return _recurrent_rows([traj.sets[burn_in:]], len(traj.space), min_visits)[1]
+def _kuratowski_rows(space: MetricSpace, tails: list, epsilon, min_visits: int) -> tuple:
+    """The points of ``space`` visited by at least ``min_visits`` sets of each row.
+
+    ``tails[k]`` is row k's sets, each a tuple of space indices.  A point x is
+    visited by a set A when d(x, A) < epsilon, or d(x, A) = 0 at epsilon = 0,
+    with d(x, {}) = +inf.  Returns the rows and indices of the recurrent
+    pairs, sorted by row and then by index, like :func:`_recurrent_rows`.
+    """
+    # On a proper metric d(x, A) = 0 iff x is in A, so epsilon = 0 is the
+    # visit count; a pseudo-metric must still credit zero-distance twins.
+    if epsilon == 0 and not space.is_pseudo:
+        return _recurrent_rows(tails, len(space), min_visits)
+    all_idx = np.arange(len(space), dtype=np.intp)
+    if space.exact and isinstance(epsilon, (int, Fraction)):
+        block, bound = space.int_block, _strict_int_bound(Fraction(epsilon) / space.scale) if epsilon > 0 else 0
+    else:  # d < epsilon iff d <= the largest float below epsilon
+        block, bound = space.float_block, np.nextafter(float(epsilon), -np.inf) if epsilon > 0 else 0.0
+    found = []
+    for sets in tails:  # one row at a time: |space| visit counts
+        visits = np.zeros(len(space), dtype=np.int64)
+        for s in sets:
+            if s:  # d(x, {}) = +inf: no visits
+                visits += block(all_idx, s).min(axis=1) <= bound
+        found.append(np.flatnonzero(visits >= min_visits))
+    return np.repeat(np.arange(len(tails)), list(map(len, found))), np.concatenate(found)
 
 
 def tail_limsup(traj: SetTrajectory, burn_in: int, min_visits: int = 2) -> frozenset:
     """Points appearing in at least ``min_visits`` tail sets (direct count)."""
     _check_tail(traj, burn_in, min_visits)
-    return frozenset(traj.space.points[i] for i in _recurrent(traj, burn_in, min_visits))
+    idx = _recurrent_rows([traj.sets[burn_in:]], len(traj.space), min_visits)[1]
+    return frozenset(traj.space.points[i] for i in idx)
 
 
 def ziezold_limcsup(traj: SetTrajectory, burn_in: int, min_visits: int = 2) -> frozenset:
@@ -179,28 +209,8 @@ def kuratowski_limsup(
     _check_tail(traj, burn_in, min_visits)
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    space = traj.space
-    # On a proper metric d(x, A) = 0 iff x is in A, so epsilon = 0 is the
-    # tail count; a pseudo-metric must still credit zero-distance twins.
-    if epsilon == 0 and not space.is_pseudo:
-        pts = frozenset(space.points[i] for i in _recurrent(traj, burn_in, min_visits))
-        return OuterLimitEstimate(points=pts, epsilon=epsilon, burn_in=burn_in, min_visits=min_visits)
-    all_idx = np.arange(len(space), dtype=np.intp)
-    visits = np.zeros(len(space), dtype=np.int64)
-    exact = space.exact and isinstance(epsilon, (int, Fraction))
-    if exact:
-        eps_frac = Fraction(epsilon)
-        thr = _strict_int_bound(eps_frac / space.scale) if eps_frac > 0 else 0
-    for s in traj.sets[burn_in:]:
-        if not s:
-            continue  # d(x, {}) = +inf: no visits
-        if exact:
-            dmin = space.int_block(all_idx, s).min(axis=1)
-            visits += (dmin <= thr) if epsilon > 0 else (dmin == 0)
-        else:
-            dmin = space.float_block(all_idx, s).min(axis=1)
-            visits += (dmin < float(epsilon)) if epsilon > 0 else (dmin == 0.0)
-    pts = frozenset(space.points[i] for i in np.flatnonzero(visits >= min_visits))
+    idx = _kuratowski_rows(traj.space, [traj.sets[burn_in:]], epsilon, min_visits)[1]
+    pts = frozenset(traj.space.points[i] for i in idx)
     return OuterLimitEstimate(points=pts, epsilon=epsilon, burn_in=burn_in, min_visits=min_visits)
 
 

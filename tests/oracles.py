@@ -104,6 +104,14 @@ def zero_distance_hull(space, points):
     return frozenset(x for x in space.points if any(oracle_distance(space, x, p) == 0 for p in points))
 
 
+def epsilon_hull(space, points, epsilon):
+    """Every point of the space at distance < ``epsilon`` from one of ``points``
+    (at distance 0 when ``epsilon`` = 0)."""
+    return frozenset(
+        x for x in space.points if any(d < epsilon or d == 0 for d in (oracle_distance(space, x, p) for p in points))
+    )
+
+
 def median_and_max_by_sorting(values):
     """``float`` of the median and of the maximum, by sorting the values themselves."""
     return float(statistics.median(values)), float(max(values))

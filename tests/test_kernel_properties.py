@@ -9,8 +9,8 @@ non-integer orders against a float oracle, the outer-limit estimators
 against a counting oracle, and the consistency engine's agreement with the
 solver, the functionals and the counting oracle on exact, float and
 pseudo-metric spaces, whatever the size of its replication chunks and
-draw blocks, with its batched epsilon = 0 outer limits equal to the
-per-replication estimators.
+draw blocks, with its batched outer limits equal to the per-replication
+estimators at epsilon = 0 and above.
 """
 
 import math
@@ -60,6 +60,7 @@ from frechet_means.graph_space import _split_scorer, n_edge_slots
 from frechet_means.metric_core import _INT64_SAFE, _exact_power_block, _weights
 from frechet_means.set_limits import default_burn_in
 from oracles import (
+    epsilon_hull,
     float_functional_by_enumeration,
     mean_set_by_enumeration,
     median_and_max_by_sorting,
@@ -459,6 +460,23 @@ def test_estimators_match_counting_oracle(data, name, epsilon, min_visits):
 
 
 @PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(SPACES) + ["pseudo"]),
+    epsilon=st.sampled_from([Fraction(1, 4), Fraction(1, 2), 0.5, 1, Fraction(5, 2), 2.0]),
+    min_visits=st.integers(1, 3),
+)
+def test_kuratowski_limsup_matches_neighborhood_oracle(data, name, epsilon, min_visits):
+    space = data.draw(pseudo_metric_spaces()) if name == "pseudo" else SPACES[name]
+    sets = data.draw(st.lists(st.frozensets(st.sampled_from(space.points), max_size=4), min_size=1, max_size=12))
+    burn_in = data.draw(st.integers(0, len(sets) - 1))
+    # a visit is d(x, A) < epsilon, whether epsilon is exact or a float
+    hulls = [epsilon_hull(space, s, epsilon) for s in sets]
+    estimate = kuratowski_limsup(SetTrajectory(space, tuple(sets)), epsilon, burn_in, min_visits)
+    assert estimate.points == tail_limsup_by_counting(hulls, burn_in, min_visits)
+
+
+@PROPERTY_SETTINGS
 @given(data=st.data(), name=st.sampled_from(sorted(SPACES) + ["pseudo"]))
 def test_trajectory_from_indices_equals_trajectory_from_points(data, name):
     space = data.draw(pseudo_metric_spaces()) if name == "pseudo" else SPACES[name]
@@ -648,28 +666,33 @@ def _per_replication_outer_limits(result, suffix, target):
     """The outer-limit fields of each record, from the estimators run on its own trajectory."""
     space, lp = result.space, result.config.limit_params
     burn = default_burn_in(len(result.config.checkpoints)) if lp.burn_in is None else lp.burn_in
-    target_idx = space.indices(target.argmin)
     for rec in result.records:
         traj = SetTrajectory.from_indices(space, [getattr(s, f"mean_set{suffix}") for s in rec.stats])
         tail = tail_limsup(traj, burn, lp.min_visits)
         kura = kuratowski_limsup(traj, lp.epsilon, burn, lp.min_visits)
-        gap = consistency_lab._target_gap(space, kura.points, target_idx)
+        gap = max((space.set_distance(p, target.argmin) for p in kura.points), default=0)
         yield rec, (tail, tail <= frozenset(target.argmin), kura, kura.points <= frozenset(target.argmin), gap)
 
 
-@pytest.mark.parametrize("name", sorted(ENGINE_SPACES))
-def test_epsilon_zero_outer_limits_equal_the_per_replication_estimators(name):
-    space, spec = ENGINE_SPACES[name]
-    mu = DiscreteMeasure(
-        tuple(space.points[i] for i in (0, 3, len(space) - 1)), (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))
-    )
-    lp = LimitParams(epsilon=Fraction(0), burn_in=2, min_visits=2)
+@pytest.mark.parametrize(
+    "name, epsilon",
+    [
+        ("g4", Fraction(0)), ("g4", Fraction(2)), ("grid", Fraction(0)), ("grid", Fraction(1, 2)), ("grid", 0.5),
+        ("plane", 0.0), ("plane", Fraction(3, 4)),
+    ],
+    ids=["g4-0", "g4-2", "grid-0", "grid-1/2", "grid-0.5", "plane-0", "plane-3/4"],
+)
+def test_outer_limits_equal_the_per_replication_estimators(name, epsilon):
+    space, spec = {**ENGINE_SPACES, "plane": (PLANE, None)}[name]
+    support = (0, 1, 2) if name == "plane" else (0, 3, len(space) - 1)  # each gives empty tail estimates too
+    mu = DiscreteMeasure(tuple(space.points[i] for i in support), (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)))
+    lp = LimitParams(epsilon=epsilon, burn_in=2, min_visits=2)
     cfg = ExperimentConfig(
         space_spec=spec, mu=mu, r=2, n_max=20, checkpoints=(2, 3, 5, 8, 13, 20),
         replications=150, seed=11, restricted=True, limit_params=lp,
     )
     result = run_consistency_experiment(cfg, space)
-    seen = set()
+    seen, grown = set(), 0
     for suffix, target in (("", result.population), ("_res", result.population_restricted)):
         fields = ("tail_estimate", "tail_included", "kuratowski", "kuratowski_included", "kuratowski_target_gap")
         for rec, expected in _per_replication_outer_limits(result, suffix, target):
@@ -677,17 +700,20 @@ def test_epsilon_zero_outer_limits_equal_the_per_replication_estimators(name):
             assert got == expected
             assert [type(value) for value in got] == [type(value) for value in expected]
             seen.add((bool(got[0]), got[1]))
+            grown += bool(got[2].points - got[0])
     assert seen == {(False, True), (True, True), (True, False)}  # empty, inside and outside estimates
+    assert (grown > 0) == (epsilon > 0)  # epsilon > 0 credits points near the mean sets
 
 
-def test_epsilon_zero_outer_limits_credit_pseudo_metric_twins():
+@pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(2)], ids=["0", "2"])
+def test_outer_limits_credit_pseudo_metric_twins(epsilon):
     # p4 is p0's zero-distance twin and is never drawn
     line = (0, 1, 2, 3, 0)
     space = MetricSpace.from_int_matrix(
         tuple(f"p{i}" for i in range(5)), [[abs(a - b) for b in line] for a in line], is_pseudo=True, name="twins"
     )
     mu = DiscreteMeasure(("p0", "p1", "p3"), (Fraction(2, 5), Fraction(1, 5), Fraction(2, 5)))
-    lp = LimitParams(epsilon=Fraction(0), burn_in=1, min_visits=2)
+    lp = LimitParams(epsilon=epsilon, burn_in=1, min_visits=2)
     cfg = ExperimentConfig(
         space_spec=None, mu=mu, r=2, n_max=20, checkpoints=(2, 3, 5, 8, 13, 20),
         replications=120, seed=5, restricted=True, limit_params=lp,

@@ -109,6 +109,9 @@ def test_kuratowski_strict_neighborhoods(line9):
     assert est.points == {p(3)}  # d = 1 is not < 1
     est2 = kuratowski_limsup(t, Fraction(2), burn_in=0)
     assert est2.points == {p(2), p(3), p(4)}
+    # a float epsilon is compared in floats, as strictly
+    assert kuratowski_limsup(t, 1.0, burn_in=0).points == {p(3)}
+    assert kuratowski_limsup(t, 2.0, burn_in=0).points == {p(2), p(3), p(4)}
 
 
 def test_kuratowski_epsilon_zero_is_membership(line9):
