@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import math
@@ -547,6 +548,7 @@ def _add_space_args(p: argparse.ArgumentParser) -> None:
                    help="raise the graph enumeration cap (edge slots)")
 
 
+@functools.cache  # built once per process: parsing leaves no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frechet-means",

@@ -29,10 +29,11 @@ only where a value is written, and ``ExperimentResult.records`` only when
 it is read.
 
 Checkpoint mean sets are recorded as tuples of sorted space indices, the
-form the scorer produces; the points are ``result.space.points[i]``.  The
-outer-limit estimators take those tuples as they are, event predicates
-test them, and the report renders each index's label and each distinct
-mean set once.
+form the solver returns (on full graph spaces, where the engine scores
+slot-type orbits, each distinct tuple of tied orbits is expanded to it
+once); the points are ``result.space.points[i]``.  The outer-limit
+estimators take those tuples as they are, event predicates test them, and
+the report renders each index's label and each distinct mean set once.
 
 Reports are emitted as a CSV of per-replication, per-checkpoint rows plus a
 JSON summary; both schemas are versioned (see ``CSV_SCHEMA`` and
@@ -41,7 +42,6 @@ JSON summary; both schemas are versioned (see ``CSV_SCHEMA`` and
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import json
@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .frechet_solver import MeanSetResult, _mean_set, _min_ties
-from .graph_space import GraphSpaceConfig, _AllGraphs, _split_scorer, enumerate_space, parse_graph
+from .graph_space import GraphSpaceConfig, _AllGraphs, _Orbits, enumerate_space, parse_graph
 from .metric_core import (
     _FLOAT64_EXACT,
     DiscreteMeasure,
@@ -469,14 +469,16 @@ def _draw_counts(cfg: ExperimentConfig) -> np.ndarray:
 
 
 class _Engine:
-    """The scores of every point against one configuration's support.
+    """The scores of one configuration's support, one per row: per slot-type
+    orbit on full graph spaces with exact scores, per space point elsewhere.
 
     ``score(weights)`` is built once: on full graph spaces with exact scores
-    it is :func:`graph_space._split_scorer`, which holds two small popcount
-    tables and scores a weight matrix row by row; elsewhere it multiplies by
-    one |space| x |support| distance-power block, as one matmul on the exact
-    path and one matvec per row off it (float sums keep their order).  The
-    population targets are read off the scores of the measure's weights.
+    it is the scorer of :class:`graph_space._Orbits`, which holds two small
+    distance tables and scores a weight matrix with one matmul; elsewhere it
+    multiplies by one |space| x |support| distance-power block, as one matmul
+    on the exact path and one matvec per row off it (float sums keep their
+    order).  The population targets are read off the scores of the measure's
+    weights.
 
     :meth:`columns` scores one checkpoint of a chunk of replications at once:
     the chunk's counts are a matrix with one row per replication, and both
@@ -485,7 +487,8 @@ class _Engine:
     exact path every score is an integer, and each value is kept as an
     integer numerator over the checkpoint's denominator ``n * d * q`` (d the
     weights' common denominator, ``scale**r = p / q``); off it values are
-    float64.  Mean sets are the sorted space indices of the ties.
+    float64.  Mean sets are the sorted space indices of the ties: each
+    distinct tuple of tied orbits is expanded to its graphs' masks once.
     """
 
     def __init__(self, space: MetricSpace, cfg: ExperimentConfig):
@@ -494,34 +497,41 @@ class _Engine:
         self.sup_idx, weights, self.pop_denominator, self.exact = _weights(space, cfg.mu, r)
         self.scale_r = space.scale**r
         total = 2 * max(cfg.n_max, self.pop_denominator)  # t_res_upper adds two scores
-        all_idx = np.arange(len(space), dtype=np.intp)
+        self.orbits = None  # the slot-type orbits that rows stand for, where they are not space points
         if self.exact and isinstance(space.points, _AllGraphs):
-            self.score = _split_scorer(space, self.sup_idx, r, total)
+            self.orbits = _Orbits(space, self.sup_idx)
+            self.score = self.orbits.scorer(r, total)
+            sup_rows, self.expanded = self.orbits.support, {}  # tuple of tied orbits -> its graphs' masks
         else:
-            block = _power_block(space, all_idx, self.sup_idx, r, self.exact, total)
+            block = _power_block(space, np.arange(len(space), dtype=np.intp), self.sup_idx, r, self.exact, total)
             if self.exact:  # integer scores are exact in any summation order
                 self.score = lambda w: w @ block.T
             else:
                 self.score = lambda w: block @ w if w.ndim == 1 else np.stack([block @ row for row in w])
+            sup_rows = self.sup_idx
         pop_scores = self.score(weights)
 
-        (best,), _, self.theta_idx, _ = _min_ties(pop_scores[None], self.exact)
+        (best,), _, self.theta_rows, _ = _min_ties(pop_scores[None], self.exact)
         pop_best = [best]
+        self.theta_idx = self.theta_rows if self.orbits is None else self.orbits.masks(self.theta_rows)
         self.population = _mean_set(space, best, self.theta_idx, r, self.pop_denominator, self.exact, "full_space")
-        self.in_theta = np.isin(all_idx, self.theta_idx)
+        self.in_theta = np.zeros(len(pop_scores), dtype=bool)
+        self.in_theta[self.theta_rows] = True
         self.population_res = None
-        width = len(space)
+        width = len(pop_scores)
         if self.restricted:
             self.sup_order = np.argsort(self.sup_idx)  # support positions in ascending space order
             self.sup_sorted = self.sup_idx[self.sup_order]
-            (best,), _, pos, _ = _min_ties(pop_scores[None, self.sup_sorted], self.exact)
+            self.sup_rows = sup_rows[self.sup_order]
+            (best,), _, pos, _ = _min_ties(pop_scores[None, self.sup_rows], self.exact)
             pop_best.append(best)
-            self.theta_res_idx = self.sup_sorted[pos]
+            self.theta_res_idx, self.theta_res_rows = self.sup_sorted[pos], self.sup_rows[pos]
             self.population_res = _mean_set(
                 space, best, self.theta_res_idx, r, self.pop_denominator, self.exact, "measure_support"
             )
-            self.in_theta_res = np.isin(all_idx, self.theta_res_idx)
-            width = max(width, len(self.theta_res_idx) * len(self.sup_idx))  # the t_res_upper gaps
+            self.in_theta_res = np.zeros(len(self.sup_idx), dtype=bool)  # per sorted support position
+            self.in_theta_res[pos] = True
+            width = max(width, len(pos) * len(self.sup_idx))  # the t_res_upper gaps
         self.chunk = max(1, _CHUNK_CELLS // width)
         if self.exact:  # every numerator is at most 2 max(M, 1)^r n_max d p in size
             bound = 2 * cfg.n_max * self.pop_denominator * self.scale_r.numerator
@@ -529,6 +539,19 @@ class _Engine:
         # the population side of every excess: all scores, and each track's minimum
         self.pop = self._ints(pop_scores)
         self.pop_best = [self._ints(np.asarray(best)) for best in pop_best]
+
+    def _mean_sets(self, ties: np.ndarray, starts: np.ndarray) -> list:
+        """Each row's tied rows as the sorted tuple of their space indices."""
+        sets = _index_tuples(ties, starts)
+        if self.orbits is None:  # rows are space points
+            return sets
+        expanded = self.expanded
+        new = list(set(sets) - expanded.keys())
+        if new:  # one expansion for all of them: each tuple's graphs are one block
+            graphs, offsets = self.orbits.graphs(list(itertools.chain.from_iterable(new)))
+            for key, end in zip(new, itertools.accumulate(map(len, new))):
+                expanded[key] = tuple(np.sort(graphs[offsets[end - len(key)] : offsets[end]]).tolist())
+        return [expanded[key] for key in sets]
 
     def denominator(self, n: int) -> int:
         """The denominator of every value at checkpoint n (1 off the exact path)."""
@@ -560,30 +583,29 @@ class _Engine:
         best, _, ties, starts = _min_ties(scores, self.exact)
         cols = dict(
             sigma_hat=self._excess(best, n),
-            mean_set=_index_tuples(ties, starts),
+            mean_set=self._mean_sets(ties, starts),
             t_hat_max=self._excess(best, n, np.minimum.reduceat(pop[ties], starts)),
             t_star=self._excess(best, n, pop_best),
-            t_theta_min=self._excess(scores[:, self.theta_idx].min(axis=1), n, pop_best),
+            t_theta_min=self._excess(scores[:, self.theta_rows].min(axis=1), n, pop_best),
             included_in_population=np.logical_and.reduceat(self.in_theta[ties], starts),
         )
         if self.restricted:
             pop_best = self.pop_best[1]
             observed = counts[:, self.sup_order] > 0
-            sup_scores = scores[:, self.sup_sorted]
+            sup_scores = scores[:, self.sup_rows]
             best, rows, pos, starts = _min_ties(sup_scores, self.exact, observed)
-            ties = self.sup_sorted[pos]
             # upper bound: min over theta* of T_n(theta*) + min_{x' observed} |Fhat(x') - Fhat(theta*)|;
             # Fhat is a positive multiple of the score, so the bound is taken on scores
-            theta_scores = scores[:, self.theta_res_idx]
+            theta_scores = scores[:, self.theta_res_rows]
             gaps = np.abs(sup_scores[:, None, :] - theta_scores[:, :, None])
             gaps = np.where(observed[:, None, :], gaps, gaps.max()).min(axis=2)
             cols.update(
                 sigma_hat_res=self._excess(best, n),
-                mean_set_res=_index_tuples(ties, starts),
+                mean_set_res=_index_tuples(self.sup_sorted[pos], starts),
                 tr_star=self._excess(best, n, pop_best),
-                t_res_hat_max=self._excess(best, n, np.minimum.reduceat(pop[ties], starts)),
+                t_res_hat_max=self._excess(best, n, np.minimum.reduceat(pop[self.sup_rows[pos]], starts)),
                 t_res_upper=self._excess((theta_scores + gaps).min(axis=1), n, pop_best),
-                included_in_population_res=np.logical_and.reduceat(self.in_theta_res[ties], starts),
+                included_in_population_res=np.logical_and.reduceat(self.in_theta_res[pos], starts),
                 subset_of_sampled=np.logical_and.reduceat(observed[rows, pos], starts),
             )
         return cols
@@ -776,24 +798,33 @@ _CSV_COLUMNS_RES = (
 )
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as the csv module's default writer renders it: quoted, with
+    its quotes doubled, when it holds a comma, a quote or a line break."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def write_report_csv(result: ExperimentResult, path) -> None:
     """One CSV row per replication x checkpoint (schema ``CSV_SCHEMA``).
 
-    Cells are made a column at a time and handed to the writer as they are:
-    a number as its float (written as its ``repr``), a flag as ``true`` or
-    ``false``, and each distinct mean set as one string joined from its
-    labels, each label rendered once per report.
+    Cells are made a column at a time: a number as its float, a flag as
+    ``true`` or ``false``, and each distinct mean set as one string joined
+    from its labels, each label rendered and each joined string quoted once
+    per report.  Each row is written as its cells' ``str`` joined by commas
+    and ended by ``\r\n``, the bytes the csv module's default writer gives
+    (it writes a float as its ``repr``, which ``str`` equals), without its
+    scan of every character.
     """
     space = result.space
     cols = result.columns
     cfg = result.config
     label = functools.cache(lambda i: space.label(space.points[i]))
-    joined = {}  # index tuple -> its ";"-joined labels
+    joined = {}  # index tuple -> its ";"-joined labels, as a cell
 
     def labels(mean_set) -> str:
         text = joined.get(mean_set)
         if text is None:
-            text = joined[mean_set] = ";".join(map(label, mean_set))
+            text = joined[mean_set] = _csv_cell(";".join(map(label, mean_set)))
         return text
 
     def cells(stat: str, kind: str, pos: int) -> list:
@@ -811,11 +842,11 @@ def write_report_csv(result: ExperimentResult, path) -> None:
         [reps, [n] * len(reps), *(cells(stat, kind, pos) for _, stat, kind in spec)]
         for pos, n in enumerate(cfg.checkpoints)
     ]
+    header = ["replication", "n", *(header for header, _, _ in spec)]
+    # rows run over replications, then checkpoints
+    rows = itertools.chain.from_iterable(zip(*(zip(*columns) for columns in per_checkpoint)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["replication", "n", *(header for header, _, _ in spec)])
-        # rows run over replications, then checkpoints
-        w.writerows(itertools.chain.from_iterable(zip(*(zip(*columns) for columns in per_checkpoint))))
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in itertools.chain([header], rows))
 
 
 def _config_dict(result: ExperimentResult) -> dict:

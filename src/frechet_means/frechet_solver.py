@@ -15,12 +15,13 @@ checkpoints use.
 Exact means over a full graph space use the Hamming structure instead of a
 distance block.  At r = 1 the functional splits over edge slots, so
 :func:`_order1_cube` reads the argmin cube off per-slot weights without
-scoring any graph.  At r >= 2, :func:`graph_space._split_scorer` scores all
-2^slots graphs with one matmul of two small popcount tables.  Every other
-case scores each candidate as ``d**r @ weights``, with ``d**r`` from
-:func:`metric_core._power_block`.  On the exact path the scores are integers
-in the dtype :func:`metric_core._exact_dtype` picks (float64, int64 or
-Python ints, each exact at its size).
+scoring any graph.  At r >= 2, :class:`graph_space._Orbits` scores each
+slot-type orbit of the support once, with one matmul of two small distance
+tables, and the tied orbits expand to the sorted masks of their graphs.
+Every other case scores each candidate as ``d**r @ weights``, with ``d**r``
+from :func:`metric_core._power_block`.  On the exact path the scores are
+integers in the dtype :func:`metric_core._exact_dtype` picks (float64, int64
+or Python ints, each exact at its size).
 
 One reducer, :func:`_min_ties`, picks the argmin set of every row of a
 score block: the solver calls it on one row, the consistency engine on one
@@ -42,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph_space import _AllGraphs, _split_scorer
+from .graph_space import _AllGraphs, _Orbits
 from .metric_core import (
     DiscreteMeasure,
     MetricSpace,
@@ -130,15 +131,18 @@ def _solve(space: MetricSpace, data: Sample | DiscreteMeasure, r, domain: str) -
 
     The candidates are the whole space for the ``full_space`` domain and
     the support of ``data`` otherwise.  Exact means over a full graph space
-    come from :func:`_order1_cube` at r = 1 and from the split scorer
-    otherwise; every other case scores distance blocks.
+    come from :func:`_order1_cube` at r = 1 and otherwise from the orbit
+    scorer, whose tied orbits expand to the sorted masks of their graphs;
+    every other case scores distance blocks.
     """
     sup_idx, weights, normalizer, exact = _weights(space, data, r)
     if exact and domain == "full_space" and isinstance(space.points, _AllGraphs):
         if r == 1:
             best, ties = _order1_cube(space, sup_idx, weights, normalizer)
         else:
-            (best,), _, ties, _ = _min_ties(_split_scorer(space, sup_idx, r, normalizer)(weights)[None], exact)
+            orbits = _Orbits(space, sup_idx)
+            (best,), _, tied, _ = _min_ties(orbits.scorer(r, normalizer)(weights)[None], exact)
+            ties = orbits.masks(tied)
     else:
         candidates_idx = np.arange(len(space), dtype=np.intp) if domain == "full_space" else sup_idx
         chunks = (candidates_idx[lo : lo + _DEFAULT_CHUNK] for lo in range(0, len(candidates_idx), _DEFAULT_CHUNK))

@@ -155,52 +155,140 @@ def _full_space_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     ).astype(np.int64)  # the XOR block is freed before the int64 copy is made
 
 
-def _popcount_table(masks: np.ndarray, bits: int, dtype) -> np.ndarray:
-    """``t[v, i] = popcount(v ^ masks[i])`` over the low ``bits`` bits, for every
-    ``v < 2^bits``: one array in ``dtype``, filled by doubling over the bits."""
-    t = np.empty((1 << bits, len(masks)), dtype=dtype)
-    t[0] = np.bitwise_count(masks & ((1 << bits) - 1)).astype(dtype)
-    for k in range(bits):  # setting bit k of v moves it one slot towards or away from each mask
-        t[1 << k : 2 << k] = t[: 1 << k] + (1 - 2 * (masks >> k & 1)).astype(dtype)
-    return t
+class _Orbits:
+    """The slot-type orbits of the full graph space ``space`` relative to its
+    points ``sup_idx``, and their exact order-r scores (:meth:`scorer`), with
+    no ``|space| x |support|`` block.
 
-
-def _split_scorer(space: MetricSpace, sup_idx: np.ndarray, r: int, total_weight: int) -> Callable:
-    """Exact order-r scores of every point of the full graph space ``space``
-    against its points ``sup_idx``, with no ``|space| x |support|`` block.
-
-    Point x is edge mask x; split it as ``x = hi * 2^low + lo`` with
-    ``low = ceil(slots / 2)``.  Then ``d(x, X_i) = a[lo, i] + b[hi, i]`` for
-    popcount tables ``a`` (``2^low`` rows) and ``b`` (``2^(slots - low)``
-    rows), and by the binomial theorem the scores ``sum_i w_i d(x, X_i)^r``
-    form the matrix ``sum_j C(r, j) (b^(r-j) * w) @ (a^j).T``, whose row-major
-    ravel is in ascending mask order.  The ``j = 0`` and ``j = r`` terms are
-    outer sums; all terms go through one matmul.  The tables are built once;
-    the returned function maps integer weights on ``sup_idx``, summing to at
-    most ``total_weight``, to the score vector in the dtype
-    :func:`metric_core._exact_dtype` picks, so a float64 matmul is exact.  A
-    weight matrix gets one score row per weight row, each row scored by its
-    own matmul straight into the output.
+    Point x is edge mask x.  Slot k's type is its pattern ``(X_1k ^ X_ik)_i``
+    over the support ``X_i = sup_idx[i]``; taken relative to ``X_1``, a type
+    and its complement are one, so the orbit count is the same for every
+    Hamming isometry of the support.  Write ``x = X_1 ^ y`` and let y set
+    ``j_t`` of the ``c_t`` slots of type t (``counts``): then ``d(x, X_i) =
+    sum_t (P_ti ? c_t - j_t : j_t)``, so every score depends on x only
+    through its orbit j, one of ``size = prod_t (c_t + 1)``.  Each support
+    graph is an orbit of its own (``support``), and orbit j holds
+    ``prod_t C(c_t, j_t)`` graphs (:meth:`masks`).  The types are split into
+    two groups of balanced orbit counts, and orbit ``jb * |a| + ja`` sets
+    ``ja`` in the first group's mixed radix and ``jb`` in the second's.
     """
-    dtype = _exact_dtype(space, r, total_weight)
-    ints = object if dtype is object else np.int64  # powers are taken in integers, then cast
-    low = (space.bound_M + 1) // 2
-    a = _popcount_table(sup_idx, low, ints)
-    b = _popcount_table(sup_idx >> low, space.bound_M - low, ints)
-    a_pows = [(a**j).astype(dtype) for j in range(1, r + 1)]  # a^j, j = 1..r
-    b_terms = [(math.comb(r, j) * b ** (r - j)).astype(dtype) for j in range(r)]  # C(r, j) b^(r-j), j = 0..r-1
-    ones_a, ones_b = np.ones(len(a), dtype), np.ones(len(b), dtype)
 
-    def scores(weights: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(weights).astype(dtype)
-        out = np.empty((len(rows), len(b), len(a)), dtype)
-        for w, block in zip(rows, out):
-            left = np.column_stack([b_terms[0] @ w, ones_b, *(t * w for t in b_terms[1:])])
-            right = np.column_stack([ones_a, a_pows[-1] @ w, *a_pows[:-1]])
-            np.matmul(left, right.T, out=block)
-        return out.reshape(len(rows), -1) if weights.ndim == 2 else out.reshape(-1)
+    def __init__(self, space: MetricSpace, sup_idx: np.ndarray):
+        self.space = space
+        self.base = np.uint64(sup_idx[0])
+        self._choices = {}  # (t, j) -> the masks of :meth:`_chosen`
+        slot_bits = np.uint64(1) << np.arange(space.bound_M, dtype=np.uint64)
+        patterns = ((sup_idx[0] ^ sup_idx).astype(np.uint64) & slot_bits[:, None] > 0).astype(np.int64)
+        ids = {}  # each pattern's type, numbered in order of its first slot
+        self.slot_type = np.array([ids.setdefault(p.tobytes(), len(ids)) for p in patterns], dtype=np.intp)
+        _, first = np.unique(self.slot_type, return_index=True)
+        self.types, self.counts = patterns[first], np.bincount(self.slot_type, minlength=len(ids))
+        self.type_masks = np.zeros(len(ids), dtype=np.uint64)
+        np.bitwise_or.at(self.type_masks, self.slot_type, slot_bits)
+        self.groups, sizes = ([], []), [1, 1]
+        for t in np.argsort(-self.counts, kind="stable").tolist():  # greedy balance of the two orbit counts
+            g = int(sizes[1] < sizes[0])
+            self.groups[g].append(t)
+            sizes[g] *= int(self.counts[t]) + 1
+        self.size = sizes[0] * sizes[1]
+        self.strides = np.empty(len(ids), dtype=np.int64)  # each type's stride in the orbit id
+        for group, stride in zip(self.groups, (1, sizes[0])):
+            for t in group:
+                self.strides[t] = stride
+                stride *= int(self.counts[t]) + 1
+        self.support = (self.types.T * self.counts) @ self.strides  # X_i sets every slot of the types it differs on
 
-    return scores
+    def scorer(self, r: int, total_weight: int) -> Callable:
+        """The exact order-r scores of every orbit.
+
+        Each group of types has a distance table over its orbits, ``a`` and
+        ``b``, filled by doubling over its types, and orbit ``jb * |a| + ja``
+        has ``d = a[ja] + b[jb]``.  By the binomial theorem the scores
+        ``sum_i w_i d(x, X_i)^r`` form the matrix ``sum_j C(r, j) (b^(r-j) *
+        w) @ (a^j).T``, whose ``j = 0`` and ``j = r`` terms are outer sums;
+        all terms of all weight rows go through one matmul.  The returned
+        function maps integer weights on the support, summing to at most
+        ``total_weight``, to the orbits' scores in the dtype
+        :func:`metric_core._exact_dtype` picks for the space, so a float64
+        matmul is exact; a weight matrix gets one score row per weight row.
+        When every ``c_t`` is 1 the orbits are the graphs and the tables have
+        ``2^ceil(slots/2)`` and ``2^floor(slots/2)`` rows.
+        """
+        dtype = _exact_dtype(self.space, r, total_weight)
+        m = self.types.shape[1]
+        tables = []
+        for group in self.groups:
+            table = np.empty((math.prod(self.counts[group] + 1), m), dtype=np.int64)
+            table[0] = self.counts[group] @ self.types[group]  # y sets no slot; X_1 ^ X_i sets its types'
+            n = 1
+            for t in group:  # setting one more slot of type t moves one slot towards or away from each X_i
+                for j in range(1, self.counts[t] + 1):
+                    table[j * n : (j + 1) * n] = table[(j - 1) * n : j * n] + (1 - 2 * self.types[t])
+                n *= self.counts[t] + 1
+            tables.append(table.astype(object if dtype is object else np.int64, copy=False))  # powers in integers
+        a, b = tables
+        a_r, b_r = (a**r).astype(dtype), (b**r).astype(dtype)
+        # the middle terms j = 1..r-1: C(r, j) b^(r-j) beside each weight on the left, a^j on the right
+        b_mid = np.empty((len(b), r - 1, m), dtype)
+        a_mid = np.empty((r - 1, m, len(a)), dtype)
+        for j in range(1, r):
+            b_mid[:, j - 1] = math.comb(r, j) * b ** (r - j)
+            a_mid[j - 1] = (a**j).T
+
+        def scores(weights: np.ndarray) -> np.ndarray:
+            rows = np.atleast_2d(weights).astype(dtype)
+            k = 2 + (r - 1) * m
+            left = np.empty((len(rows), len(b), k), dtype)
+            left[:, :, 0] = rows @ b_r.T  # the j = 0 term, sum_i w_i b^r, is an outer sum
+            left[:, :, 1] = 1
+            left[:, :, 2:] = (b_mid * rows[:, None, None, :]).reshape(len(rows), len(b), k - 2)
+            right = np.empty((len(rows), k, len(a)), dtype)
+            right[:, 0] = 1
+            right[:, 1] = rows @ a_r.T  # and so is the j = r term, sum_i w_i a^r
+            right[:, 2:] = a_mid.reshape(k - 2, len(a))
+            out = np.matmul(left, right).reshape(len(rows), -1)
+            return out if weights.ndim == 2 else out[0]
+
+        return scores
+
+    def graphs(self, orbits) -> tuple:
+        """The edge masks of every graph in the given orbits, orbit by orbit,
+        and the offsets where each orbit's masks start (one more, the end).
+
+        The output is allocated at its full size first, so a set past the
+        memory at hand fails at once with ``MemoryError``.
+        """
+        digits = np.asarray(orbits, dtype=np.int64)[:, None] // self.strides % (self.counts + 1)
+        whole = np.where(digits == self.counts, self.type_masks, np.uint64(0))  # j_t = c_t sets every slot of t
+        starts = np.bitwise_xor.reduce(whole, axis=1) ^ self.base
+        split = (digits > 0) & (digits < self.counts)  # types with some of their slots set, each a choice
+        several = np.flatnonzero(split.any(axis=1))  # orbits of more than one graph
+        rows, counts = digits[several].tolist(), self.counts.tolist()
+        sizes = np.ones(len(digits), dtype=np.int64)
+        sizes[several] = [math.prod(map(math.comb, counts, row)) for row in rows]
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        out = np.empty(offsets[-1], dtype=np.intp)
+        out[offsets[:-1]] = starts
+        for i, row in zip(several.tolist(), rows):
+            masks = starts[i : i + 1]
+            for t in np.flatnonzero(split[i]).tolist():
+                masks = (masks[:, None] ^ self._chosen(t, row[t])).ravel()
+            out[offsets[i] : offsets[i + 1]] = masks
+        return out, offsets
+
+    def masks(self, orbits) -> np.ndarray:
+        """The edge masks of every graph in the given orbits, in ascending order."""
+        out = self.graphs(orbits)[0]
+        out.sort()
+        return out
+
+    def _chosen(self, t: int, j: int) -> np.ndarray:
+        """Every mask that sets ``j`` of the slots of type t, memoised."""
+        if (t, j) not in self._choices:
+            bits = (1 << k for k in np.flatnonzero(self.slot_type == t).tolist())
+            size = math.comb(int(self.counts[t]), j)
+            self._choices[t, j] = np.fromiter(map(sum, combinations(bits, j)), np.uint64, size)
+        return self._choices[t, j]
 
 
 class _AllGraphs(Sequence):

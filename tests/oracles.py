@@ -65,6 +65,11 @@ def population_by_enumeration(space, pairs, r, candidates):
     return best, tuple(argmin)
 
 
+def functional_by_enumeration(space, pairs, r, candidate):
+    """sum d(x, candidate)^r w(x) as a Fraction; pairs = (point, weight)."""
+    return sum(Fraction(oracle_distance(space, x, candidate)) ** r * Fraction(w) for x, w in pairs)
+
+
 def float_functional_by_enumeration(space, pairs, r, candidate):
     """sum d(x, candidate)^r w(x) in floats, for any real r; pairs = (point, weight)."""
     return math.fsum(float(oracle_distance(space, x, candidate)) ** r * float(w) for x, w in pairs)

@@ -228,8 +228,9 @@ def _limit_address_space():
 @pytest.mark.parametrize("r", [1, 2])
 def test_full_space_past_memory_exit_3(tmp_path, command, r):
     # a graph and its complement on 11 vertices (2^55 graphs): at r = 1 every
-    # slot is free, so the mean set is the whole space; at r = 2 every graph
-    # gets a score.  Neither fits in a 3 GB address space.
+    # slot is free, so the mean set is the whole space; at r = 2 it is the
+    # 2 C(55, 27) graphs halfway between them.  Neither fits in a 3 GB
+    # address space.
     graphs = [format_graph(Graph(11, m)) for m in (0b1011, (1 << 55) - 1 ^ 0b1011)]
     path, out_dir = tmp_path / "g11.graphs", tmp_path / "out"
     if command == "mean":
@@ -282,6 +283,28 @@ def test_closed_pipe_exits_141_quietly(tmp_path, command, fmt):
 def test_invalid_order_rejected_by_argparse(capsys, pair_file):
     with pytest.raises(SystemExit):
         main(["mean", pair_file, "--r", "0.5"])
+
+
+def test_main_runs_again_after_a_bad_flag(capsys, pair_file):
+    # one process builds the parser once: a good command, a bad flag and the
+    # good command again give what each gives in a process of its own
+    good, bad = ["mean", pair_file, "--r", "2", "--format", "json"], ["mean", pair_file, "--no-such-flag"]
+    src = Path(cli.__file__).resolve().parent.parent
+    alone = [
+        subprocess.run(
+            [sys.executable, "-m", "frechet_means.cli", *argv], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        for argv in (good, bad)
+    ]
+    assert [p.returncode for p in alone] == [0, 2]
+
+    assert run_cli(capsys, *good) == (0, alone[0].stdout, "")
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (2, "", alone[1].stderr)
+    assert run_cli(capsys, *good) == (0, alone[0].stdout, "")
 
 
 # ---------------------------------------------------------------------------

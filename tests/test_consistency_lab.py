@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import statistics
 from collections import Counter
@@ -422,6 +424,25 @@ def test_report_renders_each_label_once(tmp_path):
     assert "<a>;<b>;<c>;<d>" in (tmp_path / "report.csv").read_text()  # ties between the support points
     assert set(calls) == set("abcd") and max(calls.values()) == 1
     assert not hashes  # labels are looked up by space index, not by point
+
+
+def test_report_quotes_cells_as_the_csv_module_does(tmp_path):
+    labels = {"a": "a,1", "b": 'say "b"', "c": "c\r\nd", "d": "plain"}
+    points = tuple(labels)
+    line = MetricSpace.from_int_matrix(points, [[abs(i - j) for j in range(4)] for i in range(4)], label=labels.get)
+    cfg = ExperimentConfig(
+        space_spec=None, mu=DiscreteMeasure.uniform((points[0], points[3])), r=1, n_max=40,
+        checkpoints=(4, 10, 40), replications=20, seed=5, restricted=True,
+    )
+    path = tmp_path / "report.csv"
+    write_report_csv(run_consistency_experiment(cfg, line), path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rewritten = io.StringIO(newline="")
+    csv.writer(rewritten).writerows(rows)
+    assert path.read_bytes() == rewritten.getvalue().encode()
+    assert len(rows) == 1 + 20 * 3
+    assert {'a,1;say "b";c\r\nd;plain', "a,1", "plain"} <= {cell for row in rows for cell in row}
 
 
 def test_reports_read_columns_without_building_records(pair_cfg, g4, tmp_path):

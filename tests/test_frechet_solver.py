@@ -338,3 +338,28 @@ def test_exact_full_graph_space_means_skip_the_distance_kernel(monkeypatch):
         assert population_mean_set(space, mu, r) == res
     with pytest.raises(AssertionError, match="int_block called"):
         restricted_sample_mean_set(space, sample, 2)
+
+
+@pytest.mark.parametrize("distance", [1, 2, 9, 14])
+def test_two_graph_population_mean_is_every_midpoint(distance):
+    # at r = 2, the mean set of two equally weighted graphs at distance D is
+    # every graph that agrees with both where they agree and sits D/2 from
+    # each (even D), or (D - 1)/2 from one and (D + 1)/2 from the other (odd D)
+    from math import comb
+
+    from frechet_means import ExperimentConfig, GraphSpec, run_consistency_experiment
+
+    rng = np.random.default_rng(distance)
+    x = int(rng.integers(0, 1 << 21))
+    differ = sum(1 << int(k) for k in rng.choice(21, distance, replace=False))
+    space = enumerate_space(7)
+    mu = DiscreteMeasure.uniform((Graph(7, x), Graph(7, x ^ differ)))
+    size = comb(distance, distance // 2) if distance % 2 == 0 else 2 * comb(distance, (distance - 1) // 2)
+    cfg = ExperimentConfig(
+        space_spec=GraphSpec(7), mu=mu, r=2, n_max=2, checkpoints=(2,), replications=1, limit_params=None,
+    )
+    engine_target = run_consistency_experiment(cfg, space).population
+    for res in (population_mean_set(space, mu, 2), engine_target):
+        assert res.size == size
+        assert all((g.edges ^ x) & ~differ == 0 for g in res.argmin)  # agrees with both where they agree
+    assert engine_target == population_mean_set(space, mu, 2)

@@ -56,12 +56,13 @@ from frechet_means.consistency_lab import (
     write_report_csv,
     write_summary_json,
 )
-from frechet_means.graph_space import _split_scorer, n_edge_slots
+from frechet_means.graph_space import _Orbits, n_edge_slots
 from frechet_means.metric_core import _INT64_SAFE, _exact_power_block, _weights
 from frechet_means.set_limits import default_burn_in
 from oracles import (
     epsilon_hull,
     float_functional_by_enumeration,
+    functional_by_enumeration,
     mean_set_by_enumeration,
     median_and_max_by_sorting,
     population_by_enumeration,
@@ -317,11 +318,85 @@ def test_split_scorer_is_exact_in_each_dtype_tier(limit, above, data, nv, r):
     mu = data.draw(tier_measures(nv, r, limit, above))
     sup_idx, weights, lcd, exact = _weights(space, mu, r)
     assert (max(space.bound_M, 1) ** r * lcd < limit) != above
-    assert _split_scorer(space, sup_idx, r, lcd)(weights).dtype == _tier(space, r, lcd)
+    assert _Orbits(space, sup_idx).scorer(r, lcd)(weights).dtype == _tier(space, r, lcd)
     res = population_mean_set(space, mu, r)
     assert res.exact
     pairs = list(zip(mu.support, mu.weights))
     assert (res.optimum, res.argmin) == population_by_enumeration(space, pairs, r, space.points)
+
+
+@st.composite
+def orbit_samples(draw, nv):
+    """Samples whose slots share types: repeated graphs, complementary
+    graphs, or graphs made of a few blocks of slots (each block one type)."""
+    slots = n_edge_slots(nv)
+    full = (1 << slots) - 1
+    kind = draw(st.sampled_from(["repeated", "complementary", "same type"]))
+    if kind == "same type":
+        block_of = draw(st.lists(st.integers(0, 2), min_size=slots, max_size=slots))  # each slot's block
+        blocks = [sum(1 << k for k, b in enumerate(block_of) if b == i) for i in range(3)]
+        picks = draw(st.lists(st.lists(st.booleans(), min_size=3, max_size=3), min_size=1, max_size=5))
+        flip = draw(st.integers(0, full))  # keeps every slot's type
+        items = [sum(b for b, on in zip(blocks, pick) if on) ^ flip for pick in picks]
+    else:
+        base = draw(st.lists(st.integers(0, full), min_size=1, max_size=3))
+        items = base * draw(st.integers(2, 3)) if kind == "repeated" else base + [m ^ full for m in base]
+    return [Graph(nv, m) for m in items]
+
+
+def _orbit_scores(space, items, r):
+    """The orbits of a sample's support and their scores, with the scores' normalizer."""
+    sup_idx, weights, normalizer, exact = _weights(space, Sample(tuple(items)), r)
+    assert exact
+    orbits = _Orbits(space, sup_idx)
+    return orbits, orbits.scorer(r, normalizer)(weights), normalizer
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), nv=st.integers(1, 5), r=st.integers(1, 4))
+def test_orbit_scores_match_every_masks_oracle_score(data, nv, r):
+    space = FULL_GRAPH_SPACES[nv]
+    items = data.draw(st.one_of(tie_heavy_samples(nv), orbit_samples(nv)))
+    orbits, scores, normalizer = _orbit_scores(space, items, r)
+    assert scores.shape == (orbits.size,)
+    pairs = [(x, Fraction(1, len(items))) for x in items]
+    seen = []
+    for orbit, score in enumerate(scores.tolist()):
+        masks = orbits.masks([orbit]).tolist()
+        assert masks and masks == sorted(masks)
+        seen += masks
+        for m in masks:
+            assert Fraction(int(score), normalizer) == functional_by_enumeration(space, pairs, r, Graph(nv, m))
+    assert sorted(seen) == list(range(len(space)))  # the orbits partition the space
+    assert orbits.masks(orbits.support).tolist() == sorted({g.edges for g in items})  # each support graph alone
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), nv=st.integers(1, 5), r=st.integers(1, 4))
+def test_expanded_orbit_ties_match_oracle(data, nv, r):
+    space = FULL_GRAPH_SPACES[nv]
+    items = data.draw(orbit_samples(nv))
+    orbits, scores, normalizer = _orbit_scores(space, items, r)
+    (best,), _, tied, _ = frechet_solver._min_ties(scores[None], True)
+    optimum, argmin = mean_set_by_enumeration(space, items, r, space.points)
+    assert Fraction(int(best), normalizer) == optimum
+    assert orbits.masks(tied).tolist() == [g.edges for g in argmin]
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), nv=st.integers(1, 5), r=st.integers(1, 4))
+def test_orbit_count_is_a_hamming_invariant(data, nv, r):
+    space = FULL_GRAPH_SPACES[nv]
+    slots = n_edge_slots(nv)
+    items = data.draw(st.one_of(tie_heavy_samples(nv), orbit_samples(nv)))
+    order = data.draw(st.permutations(range(slots)))
+    flip = data.draw(st.integers(0, len(space) - 1))
+    moved = [Graph(nv, sum((g.edges >> k & 1) << order[k] for k in range(slots)) ^ flip) for g in items]
+    orbits = _orbit_scores(space, items, r)[0]
+    assert _orbit_scores(space, moved, r)[0].size == orbits.size
+    counts = orbits.counts.tolist()
+    assert orbits.size == math.prod(c + 1 for c in counts) <= len(space)
+    assert (orbits.size == len(space)) == all(c == 1 for c in counts)
 
 
 @PROPERTY_SETTINGS
@@ -628,24 +703,29 @@ def _assert_replications_match_oracle(result):
 
 
 @pytest.mark.parametrize(
-    "spec, support, checkpoints, replications, restricted",
+    "spec, support, checkpoints, replications, restricted, cells",
     [
         # 2001 grid points: 32 replications per score chunk, 7 per draw block
-        (GridSpec("-1", "1", "0.001"), {"-1": "1/5", "1/4": "3/10", "1": "1/2"}, (10, 1000, 9000), 70, False),
-        # 2^15 graphs, restricted: 2 replications per score chunk; each stream is
-        # a draw block of its own, drawn in two pieces
+        (
+            GridSpec("-1", "1", "0.001"), {"-1": "1/5", "1/4": "3/10", "1": "1/2"}, (10, 1000, 9000), 70, False,
+            consistency_lab._CHUNK_CELLS,
+        ),
+        # 2^15 graphs in 432 slot-type orbits, restricted: with 2^10 score cells,
+        # 2 replications per score chunk; each stream is a draw block of its
+        # own, drawn in 69 pieces
         (
             GraphSpec(6),
             {"6:" + "1" * 15: "1/10", "6:" + "10" * 7 + "1": "2/5", "6:" + "0" * 15: "3/10", "6:" + "110" * 5: "1/5"},
             (10, 1000, 70_000),
             5,
             True,
+            1 << 10,
         ),
     ],
     ids=["grid", "g6-restricted"],
 )
 def test_engine_matches_solver_across_draw_blocks_and_score_chunks(
-    spec, support, checkpoints, replications, restricted
+    spec, support, checkpoints, replications, restricted, cells
 ):
     space = consistency_lab.build_space(spec)
     mu = DiscreteMeasure(
@@ -656,10 +736,11 @@ def test_engine_matches_solver_across_draw_blocks_and_score_chunks(
         space_spec=spec, mu=mu, r=2, n_max=checkpoints[-1] + 1000, checkpoints=checkpoints,
         replications=replications, seed=2**70 + 5, restricted=restricted, limit_params=None,
     )
-    cells = consistency_lab._CHUNK_CELLS
-    assert -(-replications // (cells // len(space))) > 2  # several score chunks
-    assert -(-replications // max(1, cells // checkpoints[-1])) > 2  # several draw blocks
-    _assert_replications_match_oracle(run_consistency_experiment(cfg, space))
+    with mock.patch.object(consistency_lab, "_CHUNK_CELLS", cells):
+        chunk = consistency_lab._Engine(space, cfg.validated(space)).chunk
+        assert -(-replications // chunk) > 2  # several score chunks
+        assert -(-replications // max(1, cells // checkpoints[-1])) > 2  # several draw blocks
+        _assert_replications_match_oracle(run_consistency_experiment(cfg, space))
 
 
 def _per_replication_outer_limits(result, suffix, target):
