@@ -69,6 +69,7 @@ from .metric_core import (
     _EXHAUSTIVE_MAX_POINTS,
     DiscreteMeasure,
     Sample,
+    _grid_bounds,
     check_metric_axioms,
     equicontinuity_bound,
     interval_grid,
@@ -428,7 +429,7 @@ def load_config_file(path) -> ExperimentConfig:
                 Fraction(bounds[-1])  # a bad literal is named by its own key
             spec = GridSpec(*bounds)
             key = "grid_end" if Fraction(spec.end) <= Fraction(spec.start) else "grid_step"
-            build_space(spec)  # the grid's checks: end above start, a positive step dividing the length
+            _grid_bounds(*bounds)  # the grid's checks: end above start, a positive step dividing the length
         else:
             raise ConfigError(f"space must be 'graph' or 'grid', got {kind!r}")
 

@@ -28,12 +28,14 @@ and the event tables read those columns; a Fraction or a float is built
 only where a value is written, and ``ExperimentResult.records`` only when
 it is read.
 
-Checkpoint mean sets are recorded as tuples of sorted space indices, the
-form the solver returns (on full graph spaces, where the engine scores
-slot-type orbits, each distinct tuple of tied orbits is expanded to it
-once); the points are ``result.space.points[i]``.  The outer-limit
-estimators take those tuples as they are, event predicates test them, and
-the report renders each index's label and each distinct mean set once.
+A run's mean sets are stored once.  The engine interns every checkpoint
+mean set of both tracks in one table of distinct sorted space-index tuples,
+in order of first appearance (on full graph spaces, where the engine scores
+slot-type orbits, each distinct tuple of tied orbits is expanded to its
+graphs' masks once), and the ``mean_set`` columns hold ids into that table;
+the points of a set are ``result.space.points[i]``.  Whatever depends on a
+set alone is made once per distinct set: the report's size and label cells,
+the event predicates' verdicts and the outer-limit estimators' neighbourhoods.
 
 Reports are emitted as a CSV of per-replication, per-checkpoint rows plus a
 JSON summary; both schemas are versioned (see ``CSV_SCHEMA`` and
@@ -345,23 +347,26 @@ class _Columns:
     at checkpoint ``pos``, one entry per replication.  A value is an integer
     numerator over ``denominators[pos]`` on the exact path, in int64 below
     the overflow guard and as Python ints past it; off the exact path it is
-    a float64 value and the denominators are 1.  Flags are bool arrays;
-    mean sets are lists of sorted space-index tuples.
-    ``limits[name][k]`` is field ``name`` of replication k's
-    :class:`TrajectoryRecord` (the outer-limit estimates).
+    a float64 value and the denominators are 1.  Flags are bool arrays.
+    A mean-set column (``mean_set``, ``mean_set_res``) holds ids into
+    ``sets``, the run's distinct mean sets of both tracks as sorted
+    space-index tuples in order of first appearance.  ``limits[name][k]`` is
+    field ``name`` of replication k's :class:`TrajectoryRecord` (the
+    outer-limit estimates).
     """
 
     exact: bool
     denominators: tuple
     stats: dict
     limits: dict
+    sets: tuple
 
     def record_values(self, name: str, pos: int) -> list:
         """Column ``name`` at checkpoint ``pos`` as record values: Fractions on the
-        exact path, floats off it, bools and index tuples as they are."""
+        exact path, floats off it, bools as they are and mean sets as index tuples."""
         col = self.stats[name][pos]
-        if isinstance(col, list):
-            return col
+        if name in ("mean_set", "mean_set_res"):
+            return [self.sets[i] for i in col.tolist()]
         if self.exact and col.dtype != bool:
             den = self.denominators[pos]
             return [Fraction(num, den) for num in col.tolist()]
@@ -487,7 +492,9 @@ class _Engine:
     exact path every score is an integer, and each value is kept as an
     integer numerator over the checkpoint's denominator ``n * d * q`` (d the
     weights' common denominator, ``scale**r = p / q``); off it values are
-    float64.  Mean sets are the sorted space indices of the ties: each
+    float64.  A mean set is the sorted space indices of a row's ties, kept as
+    its id in ``sets``, the distinct mean sets of both tracks in order of
+    first appearance: a row's ties are looked up by their bytes, and each
     distinct tuple of tied orbits is expanded to its graphs' masks once.
     """
 
@@ -501,7 +508,7 @@ class _Engine:
         if self.exact and isinstance(space.points, _AllGraphs):
             self.orbits = _Orbits(space, self.sup_idx)
             self.score = self.orbits.scorer(r, total)
-            sup_rows, self.expanded = self.orbits.support, {}  # tuple of tied orbits -> its graphs' masks
+            sup_rows = self.orbits.support
         else:
             block = _power_block(space, np.arange(len(space), dtype=np.intp), self.sup_idx, r, self.exact, total)
             if self.exact:  # integer scores are exact in any summation order
@@ -533,6 +540,9 @@ class _Engine:
             self.in_theta_res[pos] = True
             width = max(width, len(pos) * len(self.sup_idx))  # the t_res_upper gaps
         self.chunk = max(1, _CHUNK_CELLS // width)
+        self.sets = []  # every distinct mean set, a sorted tuple of space indices, by first appearance
+        self._ids = {}  # the bytes of a set's int64 indices -> its position in sets
+        self._orbit_ids = {}  # the bytes of a tuple of tied orbits -> the id of its graphs' set
         if self.exact:  # every numerator is at most 2 max(M, 1)^r n_max d p in size
             bound = 2 * cfg.n_max * self.pop_denominator * self.scale_r.numerator
             self.num_dtype = object if _exact_dtype(space, r, bound) is object else np.int64
@@ -540,18 +550,38 @@ class _Engine:
         self.pop = self._ints(pop_scores)
         self.pop_best = [self._ints(np.asarray(best)) for best in pop_best]
 
-    def _mean_sets(self, ties: np.ndarray, starts: np.ndarray) -> list:
-        """Each row's tied rows as the sorted tuple of their space indices."""
-        sets = _index_tuples(ties, starts)
-        if self.orbits is None:  # rows are space points
-            return sets
-        expanded = self.expanded
-        new = list(set(sets) - expanded.keys())
-        if new:  # one expansion for all of them: each tuple's graphs are one block
-            graphs, offsets = self.orbits.graphs(list(itertools.chain.from_iterable(new)))
-            for key, end in zip(new, itertools.accumulate(map(len, new))):
-                expanded[key] = tuple(np.sort(graphs[offsets[end - len(key)] : offsets[end]]).tolist())
-        return [expanded[key] for key in sets]
+    def _set_ids(self, ties: np.ndarray, starts: np.ndarray, orbits: bool = False) -> np.ndarray:
+        """The id in ``sets`` of each row's ties, the row's slice of ``ties`` from
+        ``starts``: sorted space indices, or tied orbits when ``orbits``.
+
+        A row is looked up by the bytes of its slice.  A slice not seen before
+        is interned: indices as they are, and tuples of orbits as the sorted
+        masks of their graphs, all new tuples expanded at once.
+        """
+        data = ties.astype(np.int64, copy=False).tobytes()
+        bounds = (starts * 8).tolist() + [len(data)]
+        keys = [data[a:b] for a, b in zip(bounds, bounds[1:])]
+        known = self._orbit_ids if orbits else self._ids
+        new = [key for key in dict.fromkeys(keys) if key not in known]
+        if orbits and new:
+            tied = [np.frombuffer(key, np.int64) for key in new]
+            graphs, offsets = self.orbits.graphs(np.concatenate(tied))
+            ends = offsets[np.cumsum([0, *map(len, tied)])].tolist()  # each tuple's graphs are one block
+            for key, a, b in zip(new, ends, ends[1:]):
+                known[key] = self._intern(np.sort(graphs[a:b]))
+        else:
+            for key in new:
+                self._intern(np.frombuffer(key, np.int64))
+        return np.fromiter(map(known.__getitem__, keys), np.intp, len(keys))
+
+    def _intern(self, indices: np.ndarray) -> int:
+        """The id of the set of sorted space indices ``indices``, added to ``sets``
+        when it is new."""
+        key = indices.astype(np.int64, copy=False).tobytes()
+        if key not in self._ids:
+            self._ids[key] = len(self.sets)
+            self.sets.append(tuple(indices.tolist()))
+        return self._ids[key]
 
     def denominator(self, n: int) -> int:
         """The denominator of every value at checkpoint n (1 off the exact path)."""
@@ -583,7 +613,7 @@ class _Engine:
         best, _, ties, starts = _min_ties(scores, self.exact)
         cols = dict(
             sigma_hat=self._excess(best, n),
-            mean_set=self._mean_sets(ties, starts),
+            mean_set=self._set_ids(ties, starts, self.orbits is not None),
             t_hat_max=self._excess(best, n, np.minimum.reduceat(pop[ties], starts)),
             t_star=self._excess(best, n, pop_best),
             t_theta_min=self._excess(scores[:, self.theta_rows].min(axis=1), n, pop_best),
@@ -601,7 +631,7 @@ class _Engine:
             gaps = np.where(observed[:, None, :], gaps, gaps.max()).min(axis=2)
             cols.update(
                 sigma_hat_res=self._excess(best, n),
-                mean_set_res=_index_tuples(self.sup_sorted[pos], starts),
+                mean_set_res=self._set_ids(self.sup_sorted[pos], starts),
                 tr_star=self._excess(best, n, pop_best),
                 t_res_hat_max=self._excess(best, n, np.minimum.reduceat(pop[self.sup_rows[pos]], starts)),
                 t_res_upper=self._excess((theta_scores + gaps).min(axis=1), n, pop_best),
@@ -611,22 +641,26 @@ class _Engine:
         return cols
 
 
-def _outer_limits(space: MetricSpace, lp: LimitParams, burn: int, mean_sets: list, target_idx: np.ndarray) -> dict:
+def _outer_limits(
+    space: MetricSpace, lp: LimitParams, burn: int, mean_sets: list, sets: list, target_idx: np.ndarray
+) -> dict:
     """The outer-limit fields of every replication's :class:`TrajectoryRecord`
     on one track, one list per field name (without the track's suffix).
 
-    ``mean_sets`` holds one column of index tuples per checkpoint and
+    ``mean_sets`` holds one column of ids into ``sets`` per checkpoint and
     ``target_idx`` the indices of the track's population mean set.  The tail
     and Kuratowski visits of all replications are counted by the estimators'
-    own counters, inclusion is one ``np.isin``, and every Kuratowski point's
-    distance to the target comes from one block over the distinct points.
+    own counters over the distinct tail sets, inclusion is one ``np.isin``,
+    and every Kuratowski point's distance to the target comes from one block
+    over the distinct points.
     """
     reps = len(mean_sets[0])
-    tails = list(zip(*mean_sets[burn:]))
+    used, tails = np.unique(np.stack(mean_sets[burn:], axis=1), return_inverse=True)
+    tails, tail_sets = tails.reshape(reps, -1), [sets[i] for i in used.tolist()]
     fields, point_sets = {}, {}  # point_sets: each distinct estimate's points, built once
     for name, included, (rows, idx) in (
-        ("tail_estimate", "tail_included", _recurrent_rows(tails, len(space), lp.min_visits)),
-        ("kuratowski", "kuratowski_included", _kuratowski_rows(space, tails, lp.epsilon, lp.min_visits)),
+        ("tail_estimate", "tail_included", _recurrent_rows(tails, tail_sets, len(space), lp.min_visits)),
+        ("kuratowski", "kuratowski_included", _kuratowski_rows(space, tails, tail_sets, lp.epsilon, lp.min_visits)),
     ):
         starts = np.searchsorted(rows, np.arange(reps))  # each replication's first pair
         inside = np.ones(reps, dtype=bool)
@@ -670,10 +704,7 @@ def run_consistency_experiment(
         for pos, n in enumerate(cfg.checkpoints):
             for name, col in engine.columns(counts[reps, pos], n).items():
                 if name not in stats:
-                    stats[name] = [
-                        [None] * cfg.replications if isinstance(col, list) else np.empty(cfg.replications, col.dtype)
-                        for _ in cfg.checkpoints
-                    ]
+                    stats[name] = [np.empty(cfg.replications, col.dtype) for _ in cfg.checkpoints]
                 stats[name][pos][reps] = col
 
     limits = {}
@@ -684,7 +715,7 @@ def run_consistency_experiment(
         if cfg.restricted:
             tracks.append(("_res", engine.theta_res_idx))
         for suffix, target_idx in tracks:
-            fields = _outer_limits(space, lp, burn, stats[f"mean_set{suffix}"], target_idx)
+            fields = _outer_limits(space, lp, burn, stats[f"mean_set{suffix}"], engine.sets, target_idx)
             limits.update((name + suffix, col) for name, col in fields.items())
 
     return ExperimentResult(
@@ -697,6 +728,7 @@ def run_consistency_experiment(
             denominators=tuple(engine.denominator(n) for n in cfg.checkpoints),
             stats=stats,
             limits=limits,
+            sets=tuple(engine.sets),
         ),
     )
 
@@ -745,11 +777,13 @@ class OscillationTable:
 
 def oscillation_stats(result: ExperimentResult, event: Callable, name: str = "event") -> OscillationTable:
     """Per-checkpoint frequency of an event on the mean sets of ``result``'s
-    replications, with binomial SE."""
+    replications, with binomial SE; the event is tested once per distinct set."""
     n_rep = result.config.replications
+    sets = result.columns.sets
+    hits = np.fromiter(map(event, sets), bool, len(sets))
     rows = []
-    for n, mean_sets in zip(result.config.checkpoints, result.columns.stats["mean_set"]):
-        successes = sum(1 for mean_set in mean_sets if event(mean_set))
+    for n, ids in zip(result.config.checkpoints, result.columns.stats["mean_set"]):
+        successes = int(np.count_nonzero(hits[ids]))
         freq = successes / n_rep
         se = float(np.sqrt(freq * (1.0 - freq) / n_rep))
         rows.append((n, successes, n_rep, freq, se))
@@ -773,6 +807,10 @@ def _sandwich_ok(lower, middle, upper, exact: bool):
     tol = 1e-9 * np.maximum(1.0, np.abs(middle))
     return (lower <= middle + tol) & (middle <= upper + tol)
 
+
+# Rows of report.csv made and written at a time; it bounds the writer's
+# working set, and the bytes do not depend on it.
+_REPORT_ROWS = 1 << 12
 
 # report.csv columns after replication and n: (header, statistic, cell kind)
 _CSV_COLUMNS = (
@@ -804,49 +842,60 @@ def _csv_cell(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
+def _float_cells(values: np.ndarray) -> tuple:
+    """Each distinct float of ``values`` as its ``str``, and each value's
+    position among them.  Floats are told apart by their bits, so ``-0.0``
+    keeps its own cell."""
+    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
+    return [str(value) for value in bits.view(np.float64).tolist()], inverse
+
+
 def write_report_csv(result: ExperimentResult, path) -> None:
     """One CSV row per replication x checkpoint (schema ``CSV_SCHEMA``).
 
-    Cells are made a column at a time: a number as its float, a flag as
-    ``true`` or ``false``, and each distinct mean set as one string joined
-    from its labels, each label rendered and each joined string quoted once
-    per report.  Each row is written as its cells' ``str`` joined by commas
-    and ended by ``\r\n``, the bytes the csv module's default writer gives
-    (it writes a float as its ``repr``, which ``str`` equals), without its
-    scan of every character.
+    Each column of a checkpoint is its distinct cells and every row's
+    position among them, and each distinct cell is rendered once: a number
+    as its float's ``str``, a flag as ``true`` or ``false``, and a mean set's
+    size and ``;``-joined labels once per distinct set of ``columns.sets``,
+    each label rendered and each joined string quoted once per report.  Rows
+    are written a bounded block of replications at a time, each as its
+    cells joined by commas and ended by ``\r\n``: the bytes the csv
+    module's default writer gives (it writes a float as its ``repr``, which
+    ``str`` equals), without its scan of every character.
     """
     space = result.space
     cols = result.columns
     cfg = result.config
     label = functools.cache(lambda i: space.label(space.points[i]))
-    joined = {}  # index tuple -> its ";"-joined labels, as a cell
+    sizes = [str(len(s)) for s in cols.sets]
+    labels = [_csv_cell(";".join(map(label, s))) for s in cols.sets]
 
-    def labels(mean_set) -> str:
-        text = joined.get(mean_set)
-        if text is None:
-            text = joined[mean_set] = _csv_cell(";".join(map(label, mean_set)))
-        return text
-
-    def cells(stat: str, kind: str, pos: int) -> list:
+    def cells(stat: str, kind: str, pos: int) -> tuple:
+        """Column ``stat`` at checkpoint ``pos`` as its distinct cells and each
+        row's position among them."""
         if kind in ("value", "abs"):
             values = cols.floats(stat, pos)
-            return (np.abs(values) if kind == "abs" else values).tolist()
-        col = cols.stats[stat][pos]
-        if kind == "flag":
-            return ["true" if flag else "false" for flag in col.tolist()]
-        return [len(m) for m in col] if kind == "size" else list(map(labels, col))
+            return _float_cells(np.abs(values) if kind == "abs" else values)
+        return {"flag": ("false", "true"), "size": sizes, "labels": labels}[kind], cols.stats[stat][pos]
 
     spec = _CSV_COLUMNS + (_CSV_COLUMNS_RES if cfg.restricted else ())
-    reps = list(range(cfg.replications))
-    per_checkpoint = [  # the columns of each checkpoint's rows
-        [reps, [n] * len(reps), *(cells(stat, kind, pos) for _, stat, kind in spec)]
-        for pos, n in enumerate(cfg.checkpoints)
+    per_checkpoint = [  # each checkpoint's columns after replication and n
+        [cells(stat, kind, pos) for _, stat, kind in spec] for pos in range(len(cfg.checkpoints))
     ]
     header = ["replication", "n", *(header for header, _, _ in spec)]
-    # rows run over replications, then checkpoints
-    rows = itertools.chain.from_iterable(zip(*(zip(*columns) for columns in per_checkpoint)))
+    block = max(1, _REPORT_ROWS // len(cfg.checkpoints))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(",".join(map(str, row)) + "\r\n" for row in itertools.chain([header], rows))
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, cfg.replications, block):
+            hi = min(lo + block, cfg.replications)
+            reps = list(map(str, range(lo, hi)))
+            checkpoints = [  # the columns of each checkpoint's rows in this block
+                [reps, [str(n)] * len(reps), *(map(texts.__getitem__, at[lo:hi].tolist()) for texts, at in columns)]
+                for n, columns in zip(cfg.checkpoints, per_checkpoint)
+            ]
+            # rows run over replications, then checkpoints
+            rows = itertools.chain.from_iterable(zip(*(zip(*columns) for columns in checkpoints)))
+            fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def _config_dict(result: ExperimentResult) -> dict:
@@ -917,6 +966,7 @@ def build_summary(result: ExperimentResult) -> dict:
     per_checkpoint = []
     sandwich_viol = 0
     sandwich_viol_res = 0
+    set_sizes = np.fromiter(map(len, cols.sets), np.intp, len(cols.sets))
     for pos, n in enumerate(cfg.checkpoints):
         s = {name: col[pos] for name, col in cols.stats.items()}
         den = cols.denominators[pos]
@@ -926,7 +976,7 @@ def build_summary(result: ExperimentResult) -> dict:
             "median_abs_error": median_error,
             "max_abs_error": max_error,
             "inclusion_rate": _rate(s["included_in_population"]),
-            "mean_set_size_mean": float(np.mean([len(m) for m in s["mean_set"]])),
+            "mean_set_size_mean": float(np.mean(set_sizes[s["mean_set"]])),
         }
         sandwich_viol += int(np.count_nonzero(~_sandwich_ok(s["t_hat_max"], s["t_star"], s["t_theta_min"], exact)))
         if cfg.restricted:

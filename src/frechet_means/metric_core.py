@@ -288,13 +288,9 @@ def _decimal_label(x: Fraction) -> str:
     return str(x)
 
 
-def interval_grid(start="-1", end="1", step="0.01") -> MetricSpace:
-    """Uniform rational grid on [start, end] with |x - y| as the metric.
-
-    ``step`` must divide ``end - start`` exactly; points are Fractions so
-    functionals over the grid stay in exact arithmetic.  bound_M is the
-    interval length.
-    """
+def _grid_bounds(start, end, step) -> tuple:
+    """The checked bounds of :func:`interval_grid`: start, end and step as
+    Fractions and the point count, made without any point."""
     lo, hi, st = Fraction(str(start)), Fraction(str(end)), Fraction(str(step))
     if hi <= lo:
         raise ValueError("end must exceed start")
@@ -303,7 +299,17 @@ def interval_grid(start="-1", end="1", step="0.01") -> MetricSpace:
     span = (hi - lo) / st
     if span.denominator != 1:
         raise ValueError(f"step {st} does not divide the interval length {hi - lo}")
-    count = int(span) + 1
+    return lo, hi, st, int(span) + 1
+
+
+def interval_grid(start="-1", end="1", step="0.01") -> MetricSpace:
+    """Uniform rational grid on [start, end] with |x - y| as the metric.
+
+    ``step`` must divide ``end - start`` exactly; points are Fractions so
+    functionals over the grid stay in exact arithmetic.  bound_M is the
+    interval length.
+    """
+    lo, hi, st, count = _grid_bounds(start, end, step)
     points = [lo + k * st for k in range(count)]
     idx = np.arange(count, dtype=np.int64)
 

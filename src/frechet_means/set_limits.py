@@ -20,11 +20,17 @@ Three estimators are provided:
 The convention d(x, {}) = +inf means an empty set never grants visits.
 
 Each estimator is the one-row case of a counter that takes many rows of
-tail sets at once, one row per replication in the experiment engine:
-``_recurrent_rows`` counts memberships and ``_kuratowski_rows`` metric
-visits, so the engine and the estimators count visits with the same code.
-At epsilon = 0 on a proper metric the Kuratowski counter is the membership
-counter.
+tail sets at once, one row per replication in the experiment engine, each
+row given as ids into a list of distinct sets: ``_recurrent_rows`` counts
+memberships and ``_kuratowski_rows`` metric visits, so the engine and the
+estimators count visits with the same code.  A metric visit is membership
+in the set's neighbourhood {x : d(x, A) < epsilon}, found once per distinct
+set and then counted by ``_recurrent_rows``.  On an exact space d < epsilon
+is ``d_int <= bound`` for an integer lattice bound.  On a proper metric,
+where that bound is 0 (epsilon = 0, or epsilon at most the lattice step, as
+epsilon = 1 on Hamming spaces), the neighbourhood is the set itself and no
+distance is computed.  Pseudo-metrics and positive bounds scan the space
+once per distinct set.
 
 A :class:`SetTrajectory` holds each set as the tuple of its sorted space
 indices, the form in which the solver and the experiment engine produce
@@ -118,52 +124,56 @@ def _check_tail(traj: SetTrajectory, burn_in: int, min_visits: int) -> None:
         raise ValueError("min_visits must be >= 1")
 
 
-def _recurrent_rows(tails: list, size: int, min_visits: int) -> tuple:
+def _one_row(sets) -> tuple:
+    """The counters' input for the single row ``sets`` (index tuples): the
+    row as ids into the distinct sets, and those sets."""
+    ids = {}
+    row = [ids.setdefault(s, len(ids)) for s in sets]
+    return np.array([row], dtype=np.intp), list(ids)
+
+
+def _recurrent_rows(rows: np.ndarray, sets: list, size: int, min_visits: int) -> tuple:
     """The indices appearing in at least ``min_visits`` sets of each row.
 
-    ``tails[k]`` is row k's sets, each a tuple of indices below ``size``.
-    Every visit of every row is counted in one ``np.unique`` over the keys
-    ``k * size + index``.  Returns the rows and indices of the recurrent
-    pairs, sorted by row and then by index.
+    ``rows[k]`` holds row k's sets as ids into ``sets``, each set a sequence
+    of distinct indices below ``size``.  Every visit of every row is counted
+    in one ``np.unique`` over the keys ``k * size + index``.  Returns the
+    rows and indices of the recurrent pairs, sorted by row and then by index.
     """
-    lengths = [sum(map(len, sets)) for sets in tails]
-    flat = itertools.chain.from_iterable
-    visited = np.fromiter(flat(flat(tails)), np.int64, sum(lengths))
-    keys, counts = np.unique(np.repeat(np.arange(len(tails)) * size, lengths) + visited, return_counts=True)
+    lengths = np.fromiter(map(len, sets), np.intp, len(sets))[rows]
+    visits = itertools.chain.from_iterable(map(sets.__getitem__, rows.ravel().tolist()))
+    visited = np.fromiter(visits, np.int64, lengths.sum())
+    keys, counts = np.unique(np.repeat(np.arange(len(rows)) * size, lengths.sum(axis=1)) + visited, return_counts=True)
     return np.divmod(keys[counts >= min_visits], size)
 
 
-def _kuratowski_rows(space: MetricSpace, tails: list, epsilon, min_visits: int) -> tuple:
+def _kuratowski_rows(space: MetricSpace, rows: np.ndarray, sets: list, epsilon, min_visits: int) -> tuple:
     """The points of ``space`` visited by at least ``min_visits`` sets of each row.
 
-    ``tails[k]`` is row k's sets, each a tuple of space indices.  A point x is
-    visited by a set A when d(x, A) < epsilon, or d(x, A) = 0 at epsilon = 0,
-    with d(x, {}) = +inf.  Returns the rows and indices of the recurrent
-    pairs, sorted by row and then by index, like :func:`_recurrent_rows`.
+    ``rows[k]`` holds row k's sets as ids into ``sets``, each set a tuple of
+    space indices.  A point x is visited by a set A when it lies in A's
+    neighbourhood {x : d(x, A) < epsilon}, or {x : d(x, A) = 0} at epsilon = 0,
+    with d(x, {}) = +inf.  Each set's neighbourhood is found once, and
+    :func:`_recurrent_rows` counts the memberships.  Returns the rows and
+    indices of the recurrent pairs, sorted by row and then by index.
     """
-    # On a proper metric d(x, A) = 0 iff x is in A, so epsilon = 0 is the
-    # visit count; a pseudo-metric must still credit zero-distance twins.
-    if epsilon == 0 and not space.is_pseudo:
-        return _recurrent_rows(tails, len(space), min_visits)
-    all_idx = np.arange(len(space), dtype=np.intp)
     if space.exact and isinstance(epsilon, (int, Fraction)):
         block, bound = space.int_block, _strict_int_bound(Fraction(epsilon) / space.scale) if epsilon > 0 else 0
     else:  # d < epsilon iff d <= the largest float below epsilon
         block, bound = space.float_block, np.nextafter(float(epsilon), -np.inf) if epsilon > 0 else 0.0
-    found = []
-    for sets in tails:  # one row at a time: |space| visit counts
-        visits = np.zeros(len(space), dtype=np.int64)
-        for s in sets:
-            if s:  # d(x, {}) = +inf: no visits
-                visits += block(all_idx, s).min(axis=1) <= bound
-        found.append(np.flatnonzero(visits >= min_visits))
-    return np.repeat(np.arange(len(tails)), list(map(len, found))), np.concatenate(found)
+    # On a proper metric d(x, A) = 0 iff x is in A, so at a zero bound each set
+    # is its own neighbourhood; a pseudo-metric must still credit its
+    # zero-distance twins, and a positive bound takes a scan of the space.
+    if bound != 0 or space.is_pseudo:
+        all_idx = np.arange(len(space), dtype=np.intp)
+        sets = [np.flatnonzero(block(all_idx, s).min(axis=1) <= bound).tolist() if s else s for s in sets]
+    return _recurrent_rows(rows, sets, len(space), min_visits)
 
 
 def tail_limsup(traj: SetTrajectory, burn_in: int, min_visits: int = 2) -> frozenset:
     """Points appearing in at least ``min_visits`` tail sets (direct count)."""
     _check_tail(traj, burn_in, min_visits)
-    idx = _recurrent_rows([traj.sets[burn_in:]], len(traj.space), min_visits)[1]
+    idx = _recurrent_rows(*_one_row(traj.sets[burn_in:]), len(traj.space), min_visits)[1]
     return frozenset(traj.space.points[i] for i in idx)
 
 
@@ -209,7 +219,7 @@ def kuratowski_limsup(
     _check_tail(traj, burn_in, min_visits)
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    idx = _kuratowski_rows(traj.space, [traj.sets[burn_in:]], epsilon, min_visits)[1]
+    idx = _kuratowski_rows(traj.space, *_one_row(traj.sets[burn_in:]), epsilon, min_visits)[1]
     pts = frozenset(traj.space.points[i] for i in idx)
     return OuterLimitEstimate(points=pts, epsilon=epsilon, burn_in=burn_in, min_visits=min_visits)
 

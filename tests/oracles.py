@@ -9,6 +9,7 @@ under test shares no minimization or tie-handling code with it.
 
 from __future__ import annotations
 
+import csv
 import math
 import statistics
 from fractions import Fraction
@@ -120,3 +121,34 @@ def epsilon_hull(space, points, epsilon):
 def median_and_max_by_sorting(values):
     """``float`` of the median and of the maximum, by sorting the values themselves."""
     return float(statistics.median(values)), float(max(values))
+
+
+def write_report_by_csv_writer(result, path):
+    """report.csv as the csv module's default writer renders it, one row per
+    replication and checkpoint of ``result.records``."""
+    space = result.space
+
+    def labels(mean_set):
+        return ";".join(space.label(space.points[i]) for i in mean_set)
+
+    def flag(value):
+        return "true" if value else "false"
+
+    header = ["replication", "n", "sigma_hat", "abs_error", "t_hat_max", "t_star", "t_theta_min",
+              "mean_set_size", "included_in_population", "mean_set"]
+    if result.config.restricted:
+        header += ["sigma_hat_res", "abs_error_res", "t_res_hat_max", "tr_star", "t_res_upper",
+                   "mean_set_res_size", "included_in_population_res", "subset_of_sampled", "mean_set_res"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for rec in result.records:
+            for s in rec.stats:
+                row = [rec.replication, s.n, float(s.sigma_hat), abs(float(s.t_star)), float(s.t_hat_max),
+                       float(s.t_star), float(s.t_theta_min), len(s.mean_set), flag(s.included_in_population),
+                       labels(s.mean_set)]
+                if result.config.restricted:
+                    row += [float(s.sigma_hat_res), abs(float(s.tr_star)), float(s.t_res_hat_max),
+                            float(s.tr_star), float(s.t_res_upper), len(s.mean_set_res),
+                            flag(s.included_in_population_res), flag(s.subset_of_sampled), labels(s.mean_set_res)]
+                writer.writerow(row)

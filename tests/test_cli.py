@@ -476,6 +476,22 @@ def test_simulate_grid_fixtures(capsys, tmp_path):
     assert summary["outer_limit"]["kuratowski_median_target_gap"] <= 0.1
 
 
+def test_simulate_builds_its_grid_once(capsys, tmp_path, monkeypatch):
+    # the config loader checks the grid's bounds without making its points
+    from frechet_means import consistency_lab
+
+    built = []
+    grid = consistency_lab.interval_grid
+    monkeypatch.setattr(consistency_lab, "interval_grid", lambda *bounds: built.append(bounds) or grid(*bounds))
+    raw = json.loads((FIXTURE_DIR / "grid_r1_oscillation.json").read_text())
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({**raw, "replications": 5}))
+    load_config_file(config)
+    assert built == []
+    code, _, _ = run_cli(capsys, "simulate", str(config), "--out", str(tmp_path / "sim"))
+    assert code == 0 and built == [("-1", "1", "0.01")]
+
+
 def test_failing_assertion_block_exit_5(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "summary_blocks", lambda result, summary: [("sandwich", False, "forced")])
     out_dir = tmp_path / "sim"

@@ -32,6 +32,7 @@ from frechet_means.consistency_lab import (
     event_contains,
     event_full_space,
     oscillation_stats,
+    parse_point_label,
     resolve_event,
     run_consistency_experiment,
     summary_blocks,
@@ -41,6 +42,7 @@ from frechet_means.consistency_lab import (
     _stream_states,
     replication_rng,
 )
+from oracles import write_report_by_csv_writer
 
 
 @pytest.fixture(scope="module")
@@ -425,6 +427,18 @@ def test_report_renders_each_label_once(tmp_path):
     assert set(calls) == set("abcd") and max(calls.values()) == 1
     assert not hashes  # labels are looked up by space index, not by point
 
+    tested = Counter()
+
+    def holds_a(mean_set):
+        tested[mean_set] += 1
+        return 0 in mean_set
+
+    table = oscillation_stats(result, holds_a, "holds a")
+    assert set(tested) == set(result.columns.sets) and max(tested.values()) == 1  # once per distinct set
+    assert len(result.columns.sets) < len(result.records)
+    for pos, (n, successes, *_) in enumerate(table.rows):
+        assert successes == sum(0 in rec.stats[pos].mean_set for rec in result.records)
+
 
 def test_report_quotes_cells_as_the_csv_module_does(tmp_path):
     labels = {"a": "a,1", "b": 'say "b"', "c": "c\r\nd", "d": "plain"}
@@ -443,6 +457,28 @@ def test_report_quotes_cells_as_the_csv_module_does(tmp_path):
     assert path.read_bytes() == rewritten.getvalue().encode()
     assert len(rows) == 1 + 20 * 3
     assert {'a,1;say "b";c\r\nd;plain', "a,1", "plain"} <= {cell for row in rows for cell in row}
+
+
+@pytest.mark.parametrize(
+    "spec, support, restricted",
+    [
+        (GridSpec("0", "2", "0.25"), ("0", "2"), False),  # r = 1 on two ends: whole-grid ties at even n
+        (GraphSpec(4), ("4:100101", "4:101001", "4:111111"), True),
+    ],
+    ids=["grid-r1-ties", "g4-restricted"],
+)
+def test_report_bytes_equal_the_csv_writer_oracle(spec, support, restricted, tmp_path):
+    space = build_space(spec)
+    mu = DiscreteMeasure.uniform(tuple(parse_point_label(spec, label) for label in support))
+    cfg = ExperimentConfig(
+        space_spec=spec, mu=mu, r=1, n_max=40, checkpoints=(3, 4, 10, 40), replications=30, seed=9,
+        restricted=restricted,
+    )
+    result = run_consistency_experiment(cfg, space)
+    write_report_csv(result, tmp_path / "report.csv")
+    write_report_by_csv_writer(result, tmp_path / "oracle.csv")
+    assert (tmp_path / "report.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert len(result.columns.sets) < len(cfg.checkpoints) * cfg.replications  # rows repeat their sets
 
 
 def test_reports_read_columns_without_building_records(pair_cfg, g4, tmp_path):
@@ -520,6 +556,8 @@ def test_engine_scores_full_graph_spaces_without_the_distance_kernel(monkeypatch
         sigma_hat, sigma_hat_res = (
             Fraction(int(cols[v][0]), engine.denominator(10)) for v in ("sigma_hat", "sigma_hat_res")
         )
-        mean_set, mean_set_res = (tuple(space.points[i] for i in cols[m][0]) for m in ("mean_set", "mean_set_res"))
+        mean_set, mean_set_res = (
+            tuple(space.points[i] for i in engine.sets[cols[m][0]]) for m in ("mean_set", "mean_set_res")
+        )
         assert (sigma_hat, mean_set) == (expected[r].optimum, expected[r].argmin)
         assert (sigma_hat_res, mean_set_res) == (expected_res[r].optimum, expected_res[r].argmin)

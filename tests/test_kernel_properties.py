@@ -58,7 +58,7 @@ from frechet_means.consistency_lab import (
 )
 from frechet_means.graph_space import _Orbits, n_edge_slots
 from frechet_means.metric_core import _INT64_SAFE, _exact_power_block, _weights
-from frechet_means.set_limits import default_burn_in
+from frechet_means.set_limits import _kuratowski_rows, default_burn_in
 from oracles import (
     epsilon_hull,
     float_functional_by_enumeration,
@@ -552,6 +552,42 @@ def test_kuratowski_limsup_matches_neighborhood_oracle(data, name, epsilon, min_
 
 
 @PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(SPACES) + ["pseudo"]),
+    # grid step 1/4: a lattice bound of 0 at 1/8 and 1/4; Hamming: at 1
+    epsilon=st.sampled_from([0, Fraction(1, 8), Fraction(1, 4), 1, Fraction(5, 2), 0.5, 2.0]),
+    min_visits=st.integers(1, 3),
+)
+def test_neighbourhood_counter_matches_hull_visits(data, name, epsilon, min_visits):
+    # many rows sharing their distinct sets, the engine's form of the tails
+    space = data.draw(pseudo_metric_spaces()) if name == "pseudo" else SPACES[name]
+    sets = data.draw(st.lists(st.frozensets(st.sampled_from(space.points), max_size=4), min_size=1, max_size=6))
+    rows = data.draw(st.lists(st.lists(st.integers(0, len(sets) - 1), min_size=4, max_size=4), min_size=1, max_size=5))
+    index_sets = [tuple(sorted(space.indices(s).tolist())) for s in sets]
+    got_rows, got_idx = _kuratowski_rows(space, np.array(rows), index_sets, epsilon, min_visits)
+    hulls = [epsilon_hull(space, s, epsilon) for s in sets]
+    for k, row in enumerate(rows):
+        expected = tail_limsup_by_counting([hulls[i] for i in row], 0, min_visits)
+        assert {space.points[i] for i in got_idx[got_rows == k]} == expected
+
+
+def test_kuratowski_visits_at_a_zero_lattice_bound_compute_no_distance(monkeypatch):
+    # epsilon = 1 on a Hamming space: d < 1 iff d = 0, so a visit is membership
+    space = enumerate_space(6)
+    traj = SetTrajectory.from_indices(space, [(3,), (3, 40), (), (40, 7000), (3, 40)])
+    expected = tail_limsup(traj, 1, 2)
+    assert len(expected) == 2
+
+    def refuse(self, rows, cols):
+        raise AssertionError("int_block called")
+
+    monkeypatch.setattr(MetricSpace, "int_block", refuse)
+    for epsilon in (1, Fraction(1), Fraction(1, 2)):
+        assert kuratowski_limsup(traj, epsilon, 1, 2).points == expected
+
+
+@PROPERTY_SETTINGS
 @given(data=st.data(), name=st.sampled_from(sorted(SPACES) + ["pseudo"]))
 def test_trajectory_from_indices_equals_trajectory_from_points(data, name):
     space = data.draw(pseudo_metric_spaces()) if name == "pseudo" else SPACES[name]
@@ -809,3 +845,24 @@ def test_outer_limits_credit_pseudo_metric_twins(epsilon):
             assert getattr(rec, f"kuratowski_target_gap{suffix}") == gap
             credited += "p4" in kura.points - tail
     assert credited > 0
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(2)], ids=["1", "2"])
+def test_graph_outer_limits_at_positive_epsilon_equal_the_per_replication_estimators(epsilon):
+    space = FULL_GRAPH_SPACES[5]
+    support = tuple(Graph(5, m) for m in (0, 0b1011, 0x3F0))
+    mu = DiscreteMeasure(support, (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)))
+    lp = LimitParams(epsilon=epsilon, burn_in=2, min_visits=2)
+    cfg = ExperimentConfig(
+        space_spec=GraphSpec(5), mu=mu, r=2, n_max=20, checkpoints=(2, 3, 5, 8, 13, 20),
+        replications=60, seed=3, restricted=True, limit_params=lp,
+    )
+    result = run_consistency_experiment(cfg, space)
+    grown = 0
+    for suffix, target in (("", result.population), ("_res", result.population_restricted)):
+        fields = ("tail_estimate", "tail_included", "kuratowski", "kuratowski_included", "kuratowski_target_gap")
+        for rec, expected in _per_replication_outer_limits(result, suffix, target):
+            got = tuple(getattr(rec, field + suffix) for field in fields)
+            assert got == expected
+            grown += bool(got[2].points - got[0])
+    assert (grown > 0) == (epsilon > 1)  # at epsilon = 1 a visit is membership
