@@ -17,16 +17,17 @@ The engine is columnar.  Every replication is drawn before any is scored:
 the seeds of all streams are hashed at once, one PCG64 is set to each
 stream in turn, only the draws up to the last checkpoint are taken, and
 their counts per checkpoint fill one replications x checkpoints x support
-array.  Each checkpoint then scores a chunk of replications at once: their
-counts form one matrix and their scores one block, whose row-wise minima and
-ties give every statistic of the chunk.  The tail and Kuratowski visits
-of all replications' mean sets are counted per track by the counters of
-:mod:`set_limits`, whose one-row case is each estimator.  The result keeps
-each statistic as a column over replications (exact values as integer
-numerators over the checkpoint's denominator), and the summary, the report
-and the event tables read those columns; a Fraction or a float is built
-only where a value is written, and ``ExperimentResult.records`` only when
-it is read.
+array.  Replications with one count row share every statistic, so each
+checkpoint scores its distinct count rows a chunk at a time: their counts
+form one matrix and their scores one block, whose row-wise minima and ties
+give every statistic, gathered back to the replications by row id.  The
+tail and Kuratowski visits of all replications' mean sets are counted per
+track by the counters of :mod:`set_limits`, whose one-row case is each
+estimator.  The result keeps each statistic as a column over replications
+(exact values as integer numerators over the checkpoint's denominator), and
+the summary, the report and the event tables read those columns; a Fraction
+or a float is built only where a value is written, and
+``ExperimentResult.records`` only when it is read.
 
 A run's mean sets are stored once.  The engine interns every checkpoint
 mean set of both tracks in one table of distinct sorted space-index tuples,
@@ -45,7 +46,6 @@ JSON summary; both schemas are versioned (see ``CSV_SCHEMA`` and
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import statistics
 from dataclasses import dataclass, field, replace
@@ -350,9 +350,10 @@ class _Columns:
     a float64 value and the denominators are 1.  Flags are bool arrays.
     A mean-set column (``mean_set``, ``mean_set_res``) holds ids into
     ``sets``, the run's distinct mean sets of both tracks as sorted
-    space-index tuples in order of first appearance.  ``limits[name][k]`` is
-    field ``name`` of replication k's :class:`TrajectoryRecord` (the
-    outer-limit estimates).
+    space-index tuples in order of first appearance.  ``row_ids[pos][k]`` is
+    the id of replication k's count row among the distinct ones at checkpoint
+    ``pos``, by first replication.  ``limits[name][k]`` is field ``name`` of
+    replication k's :class:`TrajectoryRecord` (the outer-limit estimates).
     """
 
     exact: bool
@@ -360,6 +361,7 @@ class _Columns:
     stats: dict
     limits: dict
     sets: tuple
+    row_ids: tuple
 
     def record_values(self, name: str, pos: int) -> list:
         """Column ``name`` at checkpoint ``pos`` as record values: Fractions on the
@@ -372,12 +374,12 @@ class _Columns:
             return [Fraction(num, den) for num in col.tolist()]
         return col.tolist()
 
-    def floats(self, name: str, pos: int) -> np.ndarray:
-        """Value column ``name`` at checkpoint ``pos`` as float64, each entry the
-        ``float`` of its exact value.  Numerator and denominator below 2^53 are
-        float64 numbers, so one IEEE division rounds as ``float(Fraction)``
-        does; past that each entry is divided as Python ints."""
-        col = self.stats[name][pos]
+    def floats(self, name: str, pos: int, rows: np.ndarray) -> np.ndarray:
+        """Value column ``name`` at checkpoint ``pos``, its entries ``rows``, as
+        float64, each entry the ``float`` of its exact value.  Numerator and
+        denominator below 2^53 are float64 numbers, so one IEEE division rounds
+        as ``float(Fraction)`` does; past that each entry is divided as Python ints."""
+        col = self.stats[name][pos][rows]
         if not self.exact:
             return col
         den = self.denominators[pos]
@@ -391,7 +393,8 @@ class ExperimentResult:
     """An experiment's population targets and its statistics as ``columns``.
 
     ``records`` presents the same statistics per replication; it is built
-    from the columns on first access.
+    from the columns on first access.  ``indices`` holds the space indices
+    of the ``support`` and of the ``population`` (``_restricted``) mean sets.
     """
 
     config: ExperimentConfig
@@ -399,6 +402,12 @@ class ExperimentResult:
     population: MeanSetResult
     population_restricted: MeanSetResult | None
     columns: _Columns = field(repr=False, compare=False)
+    indices: dict = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def _label(self) -> Callable:
+        """The label of point ``space.points[i]`` by its index i, made once per result."""
+        return functools.cache(lambda i: self.space.label(self.space.points[i]))
 
     @functools.cached_property
     def records(self) -> tuple:
@@ -419,9 +428,9 @@ class ExperimentResult:
 # the experiment engine
 # ---------------------------------------------------------------------------
 
-# Score cells (replications x space points) of one chunk of replications at a
-# checkpoint.  It bounds the engine's working set whatever the run's size; the
-# results do not depend on it.
+# Score cells (distinct count rows x space points) of one chunk of a
+# checkpoint's distinct count rows.  It bounds the engine's working set
+# whatever the run's size; the results do not depend on it.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -485,11 +494,10 @@ class _Engine:
     order).  The population targets are read off the scores of the measure's
     weights.
 
-    :meth:`columns` scores one checkpoint of a chunk of replications at once:
-    the chunk's counts are a matrix with one row per replication, and both
-    tracks (all points compete; only sampled support points compete) read
-    every statistic off its score rows with row-wise minima and ties.  On the
-    exact path every score is an integer, and each value is kept as an
+    :meth:`columns` scores a chunk of a checkpoint's distinct count rows at
+    once, as one matrix, and both tracks (all points compete; only sampled
+    support points compete) read every statistic off its score rows with
+    row-wise minima and ties.  On the exact path every score is an integer, and each value is kept as an
     integer numerator over the checkpoint's denominator ``n * d * q`` (d the
     weights' common denominator, ``scale**r = p / q``); off it values are
     float64.  A mean set is the sorted space indices of a row's ties, kept as
@@ -605,8 +613,8 @@ class _Engine:
         return (self._ints(scores) * d - pop * n) * self.scale_r.numerator
 
     def columns(self, counts: np.ndarray, n: int) -> dict:
-        """Every statistic at checkpoint n of a chunk of replications, as columns;
-        ``counts[k]`` counts replication k's first n draws per support point."""
+        """Every statistic at checkpoint n of a chunk of count rows, as columns;
+        ``counts[k]`` counts a replication's first n draws per support point."""
         scores = self.score(counts)
         pop = self.pop
         pop_best = self.pop_best[0]
@@ -688,7 +696,9 @@ def run_consistency_experiment(
     every checkpoint, sandwich diagnostics, and (when ``limit_params`` is
     set) outer-limit estimates of the checkpoint trajectory with inclusion
     checks against the population (and restricted) mean sets.  Every
-    replication is drawn first, then scored a chunk at a time, and the outer
+    replication is drawn first.  A checkpoint's statistics depend on the draws
+    only through their count row, so each checkpoint scores its distinct count
+    rows a chunk at a time and gathers every column back by row id.  The outer
     limits of each track are estimated for all replications at once; the
     result holds the statistics as columns, so no record is built unless it
     is read.
@@ -698,24 +708,26 @@ def run_consistency_experiment(
     cfg = cfg.validated(space)
     engine = _Engine(space, cfg)
     counts = _draw_counts(cfg)
-    stats = {}  # name -> one column per checkpoint, filled a chunk at a time
-    for lo in range(0, cfg.replications, engine.chunk):
-        reps = slice(lo, lo + engine.chunk)
-        for pos, n in enumerate(cfg.checkpoints):
-            for name, col in engine.columns(counts[reps, pos], n).items():
-                if name not in stats:
-                    stats[name] = [np.empty(cfg.replications, col.dtype) for _ in cfg.checkpoints]
-                stats[name][pos][reps] = col
+    stats, row_ids = {}, []  # name -> one column per checkpoint; each checkpoint's row ids
+    for pos, n in enumerate(cfg.checkpoints):
+        data, width = counts[:, pos].tobytes(), 8 * counts.shape[2]  # one count row per width bytes
+        distinct = {}  # each distinct count row's bytes -> its id, by first replication
+        ids = np.array([distinct.setdefault(data[a : a + width], len(distinct)) for a in range(0, len(data), width)])
+        rows = np.frombuffer(b"".join(distinct), np.int64).reshape(len(distinct), -1)
+        parts = [engine.columns(rows[lo : lo + engine.chunk], n) for lo in range(0, len(rows), engine.chunk)]
+        for name in parts[0]:
+            stats.setdefault(name, []).append(np.concatenate([part[name] for part in parts])[ids])
+        row_ids.append(ids)
 
+    indices = {"support": engine.sup_idx.tolist(), "population": engine.theta_idx.tolist()}
+    if cfg.restricted:
+        indices["population_restricted"] = engine.theta_res_idx.tolist()
     limits = {}
     lp = cfg.limit_params
     if lp is not None:
         burn = default_burn_in(len(cfg.checkpoints)) if lp.burn_in is None else lp.burn_in
-        tracks = [("", engine.theta_idx)]
-        if cfg.restricted:
-            tracks.append(("_res", engine.theta_res_idx))
-        for suffix, target_idx in tracks:
-            fields = _outer_limits(space, lp, burn, stats[f"mean_set{suffix}"], engine.sets, target_idx)
+        for suffix, target in (("", "population"), ("_res", "population_restricted"))[: 1 + cfg.restricted]:
+            fields = _outer_limits(space, lp, burn, stats[f"mean_set{suffix}"], engine.sets, indices[target])
             limits.update((name + suffix, col) for name, col in fields.items())
 
     return ExperimentResult(
@@ -729,7 +741,9 @@ def run_consistency_experiment(
             stats=stats,
             limits=limits,
             sets=tuple(engine.sets),
+            row_ids=tuple(row_ids),
         ),
+        indices=indices,
     )
 
 
@@ -853,54 +867,50 @@ def _float_cells(values: np.ndarray) -> tuple:
 def write_report_csv(result: ExperimentResult, path) -> None:
     """One CSV row per replication x checkpoint (schema ``CSV_SCHEMA``).
 
-    Each column of a checkpoint is its distinct cells and every row's
-    position among them, and each distinct cell is rendered once: a number
-    as its float's ``str``, a flag as ``true`` or ``false``, and a mean set's
-    size and ``;``-joined labels once per distinct set of ``columns.sets``,
-    each label rendered and each joined string quoted once per report.  Rows
-    are written a bounded block of replications at a time, each as its
-    cells joined by commas and ended by ``\r\n``: the bytes the csv
-    module's default writer gives (it writes a float as its ``repr``, which
-    ``str`` equals), without its scan of every character.
+    A row's tail, its cells after ``replication`` and ``n``, is rendered once
+    per distinct count row of ``columns.row_ids``, from its first replication,
+    and each distinct cell once: a number as its float's ``str``, a flag as
+    ``true`` or ``false``, a mean set's size and ``;``-joined labels once per
+    distinct set of ``columns.sets``, each label once per result.  Rows are
+    written a bounded block of replications at a time, each as ``str(k)``
+    and then ``f",{n},{tail}\r\n"``, made once per distinct count row: the
+    bytes the csv module's default writer gives (it writes a float as its
+    ``repr``, which ``str`` equals), without its scan of every character.
     """
-    space = result.space
     cols = result.columns
     cfg = result.config
-    label = functools.cache(lambda i: space.label(space.points[i]))
     sizes = [str(len(s)) for s in cols.sets]
-    labels = [_csv_cell(";".join(map(label, s))) for s in cols.sets]
+    labels = [_csv_cell(";".join(map(result._label, s))) for s in cols.sets]
 
-    def cells(stat: str, kind: str, pos: int) -> tuple:
-        """Column ``stat`` at checkpoint ``pos`` as its distinct cells and each
-        row's position among them."""
+    def cells(stat: str, kind: str, pos: int, rows: np.ndarray) -> tuple:
+        """Column ``stat`` at checkpoint ``pos`` on the replications ``rows`` as
+        its distinct cells and each replication's position among them."""
         if kind in ("value", "abs"):
-            values = cols.floats(stat, pos)
+            values = cols.floats(stat, pos, rows)
             return _float_cells(np.abs(values) if kind == "abs" else values)
-        return {"flag": ("false", "true"), "size": sizes, "labels": labels}[kind], cols.stats[stat][pos]
+        return {"flag": ("false", "true"), "size": sizes, "labels": labels}[kind], cols.stats[stat][pos][rows]
 
     spec = _CSV_COLUMNS + (_CSV_COLUMNS_RES if cfg.restricted else ())
-    per_checkpoint = [  # each checkpoint's columns after replication and n
-        [cells(stat, kind, pos) for _, stat, kind in spec] for pos in range(len(cfg.checkpoints))
-    ]
+    tails = []  # each checkpoint's rows after k, one string per distinct count row
+    for pos, (n, ids) in enumerate(zip(cfg.checkpoints, cols.row_ids)):
+        first = np.unique(ids, return_index=True)[1]  # each distinct count row's first replication
+        columns = [cells(stat, kind, pos, first) for _, stat, kind in spec]
+        rows = zip(*(map(texts.__getitem__, at.tolist()) for texts, at in columns))
+        tails.append(np.array([f",{n},{','.join(row)}\r\n" for row in rows], dtype=object))
     header = ["replication", "n", *(header for header, _, _ in spec)]
     block = max(1, _REPORT_ROWS // len(cfg.checkpoints))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, cfg.replications, block):
-            hi = min(lo + block, cfg.replications)
-            reps = list(map(str, range(lo, hi)))
-            checkpoints = [  # the columns of each checkpoint's rows in this block
-                [reps, [str(n)] * len(reps), *(map(texts.__getitem__, at[lo:hi].tolist()) for texts, at in columns)]
-                for n, columns in zip(cfg.checkpoints, per_checkpoint)
-            ]
-            # rows run over replications, then checkpoints
-            rows = itertools.chain.from_iterable(zip(*(zip(*columns) for columns in checkpoints)))
-            fh.writelines(",".join(row) + "\r\n" for row in rows)
+            reps = range(lo, min(lo + block, cfg.replications))
+            pieces = np.empty((len(reps), 2 * len(tails)), dtype=object)  # each row as k, then its string after k
+            pieces[:, 0::2] = np.array(list(map(str, reps)), dtype=object)[:, None]
+            pieces[:, 1::2] = np.stack([tail[ids[lo : lo + block]] for tail, ids in zip(tails, cols.row_ids)], axis=1)
+            fh.writelines(pieces.ravel().tolist())  # rows run over replications, then checkpoints
 
 
 def _config_dict(result: ExperimentResult) -> dict:
     cfg = result.config
-    space = result.space
     spec = cfg.space_spec
     d = {
         "r": cfg.r,
@@ -909,13 +919,13 @@ def _config_dict(result: ExperimentResult) -> dict:
         "replications": cfg.replications,
         "seed": cfg.seed,
         "restricted": cfg.restricted,
-        "support": [space.label(p) for p in cfg.mu.support],
+        "support": list(map(result._label, result.indices["support"])),
         "weights": [str(w) for w in cfg.mu.weights],
         "events": list(cfg.events),
     }
     if isinstance(spec, GraphSpec):
         d.update(space="graph", nv=spec.nv, enumeration_cap=spec.enumeration_cap)
-    else:
+    elif isinstance(spec, GridSpec):  # a space given without a spec has no spec keys
         d.update(space="grid", grid_start=spec.start, grid_end=spec.end, grid_step=spec.step)
     if cfg.limit_params is None:
         d["limit_params"] = None
@@ -929,14 +939,15 @@ def _config_dict(result: ExperimentResult) -> dict:
     return d
 
 
-def _mean_set_block(result: MeanSetResult, space: MetricSpace) -> dict:
+def _mean_set_block(result: ExperimentResult, name: str) -> dict:
+    mean = getattr(result, name)  # the population mean set ``name``, labelled by index
     return {
-        "optimum": float(result.optimum),
-        "optimum_exact": _exact_str(result.optimum),
-        "exact": result.exact,
-        "size": result.size,
-        "mean_set": [space.label(p) for p in result.argmin],
-        "candidate_domain": result.candidate_domain,
+        "optimum": float(mean.optimum),
+        "optimum_exact": _exact_str(mean.optimum),
+        "exact": mean.exact,
+        "size": mean.size,
+        "mean_set": list(map(result._label, result.indices[name])),
+        "candidate_domain": mean.candidate_domain,
     }
 
 
@@ -944,11 +955,12 @@ def _median_and_max(values, denominator: int = 1) -> tuple[float, float]:
     """The median and the maximum of ``values / denominator`` as floats.
 
     ``values`` are integer numerators over ``denominator``, or floats over 1.
-    They are sorted as they are and each pick is divided once: int / int
+    They are sorted as they are (a list by Python, as numpy would make its
+    ints past int64 float64) and each pick is divided once: int / int
     division rounds correctly, as ``float(Fraction)`` does, and an even
     count's middle pair is averaged as ``statistics.median`` averages floats.
     """
-    nums = np.sort(values).tolist()
+    nums = sorted(values) if isinstance(values, list) else np.sort(values).tolist()
     mid = len(nums) // 2
     median = nums[mid] / denominator if len(nums) % 2 else (nums[mid - 1] + nums[mid]) / (2 * denominator)
     return median, nums[-1] / denominator
@@ -998,10 +1010,8 @@ def build_summary(result: ExperimentResult) -> dict:
             "bound_M": float(space.bound_M),
             "exact": space.exact,
         },
-        "population": _mean_set_block(result.population, space),
-        "population_restricted": (
-            _mean_set_block(result.population_restricted, space) if cfg.restricted else None
-        ),
+        "population": _mean_set_block(result, "population"),
+        "population_restricted": _mean_set_block(result, "population_restricted") if cfg.restricted else None,
         "checkpoints": per_checkpoint,
         "sandwich": {
             "rows": cfg.replications * len(cfg.checkpoints),

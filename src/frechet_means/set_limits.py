@@ -26,7 +26,8 @@ memberships and ``_kuratowski_rows`` metric visits, so the engine and the
 estimators count visits with the same code.  A metric visit is membership
 in the set's neighbourhood {x : d(x, A) < epsilon}, found once per distinct
 set and then counted by ``_recurrent_rows``.  On an exact space d < epsilon
-is ``d_int <= bound`` for an integer lattice bound.  On a proper metric,
+is ``d_int <= bound`` for an integer lattice bound, a finite float epsilon
+taken as the Fraction it equals.  On a proper metric,
 where that bound is 0 (epsilon = 0, or epsilon at most the lattice step, as
 epsilon = 1 on Hamming spaces), the neighbourhood is the set itself and no
 distance is computed.  Pseudo-metrics and positive bounds scan the space
@@ -157,7 +158,7 @@ def _kuratowski_rows(space: MetricSpace, rows: np.ndarray, sets: list, epsilon, 
     :func:`_recurrent_rows` counts the memberships.  Returns the rows and
     indices of the recurrent pairs, sorted by row and then by index.
     """
-    if space.exact and isinstance(epsilon, (int, Fraction)):
+    if space.exact and (isinstance(epsilon, (int, Fraction)) or np.isfinite(epsilon)):
         block, bound = space.int_block, _strict_int_bound(Fraction(epsilon) / space.scale) if epsilon > 0 else 0
     else:  # d < epsilon iff d <= the largest float below epsilon
         block, bound = space.float_block, np.nextafter(float(epsilon), -np.inf) if epsilon > 0 else 0.0

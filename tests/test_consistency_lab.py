@@ -422,9 +422,13 @@ def test_report_renders_each_label_once(tmp_path):
     )
     result = run_consistency_experiment(cfg, line)
     hashes.clear()
+    summary = build_summary(result)  # simulate builds the summary before the report
     write_report_csv(result, tmp_path / "report.csv")
     assert "<a>;<b>;<c>;<d>" in (tmp_path / "report.csv").read_text()  # ties between the support points
-    assert set(calls) == set("abcd") and max(calls.values()) == 1
+    assert summary["config"]["support"] == ["<a>", "<d>"]
+    assert summary["population"]["mean_set"] == ["<a>", "<b>", "<c>", "<d>"]
+    assert summary["population_restricted"]["mean_set"] == ["<a>", "<d>"]
+    assert set(calls) == set("abcd") and max(calls.values()) == 1  # the summary and the report share labels
     assert not hashes  # labels are looked up by space index, not by point
 
     tested = Counter()

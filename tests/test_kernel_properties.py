@@ -8,8 +8,9 @@ sample mean sets from the candidate chunk size, the float path at
 non-integer orders against a float oracle, the outer-limit estimators
 against a counting oracle, and the consistency engine's agreement with the
 solver, the functionals and the counting oracle on exact, float and
-pseudo-metric spaces, whatever the size of its replication chunks and
-draw blocks, with its batched outer limits equal to the per-replication
+pseudo-metric spaces, whatever the size of its score chunks and draw
+blocks and however often count rows repeat (each distinct count row is
+scored once), with its batched outer limits equal to the per-replication
 estimators at epsilon = 0 and above.
 """
 
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURE_DIR
 from frechet_means import (
     DiscreteMeasure,
     ExperimentConfig,
@@ -48,6 +50,7 @@ from frechet_means import (
     ziezold_limcsup,
 )
 from frechet_means import consistency_lab, frechet_solver
+from frechet_means.cli import load_config_file
 from frechet_means.consistency_lab import (
     _draw_indices,
     _median_and_max,
@@ -573,17 +576,22 @@ def test_neighbourhood_counter_matches_hull_visits(data, name, epsilon, min_visi
 
 
 def test_kuratowski_visits_at_a_zero_lattice_bound_compute_no_distance(monkeypatch):
-    # epsilon = 1 on a Hamming space: d < 1 iff d = 0, so a visit is membership
+    # epsilon = 1 on a Hamming space: d < 1 iff d = 0, so a visit is membership;
+    # a float epsilon is compared as the Fraction it equals
     space = enumerate_space(6)
     traj = SetTrajectory.from_indices(space, [(3,), (3, 40), (), (40, 7000), (3, 40)])
     expected = tail_limsup(traj, 1, 2)
     assert len(expected) == 2
 
-    def refuse(self, rows, cols):
-        raise AssertionError("int_block called")
+    def refuse(name):
+        def block(self, rows, cols):
+            raise AssertionError(f"{name} called")
 
-    monkeypatch.setattr(MetricSpace, "int_block", refuse)
-    for epsilon in (1, Fraction(1), Fraction(1, 2)):
+        return block
+
+    monkeypatch.setattr(MetricSpace, "int_block", refuse("int_block"))
+    monkeypatch.setattr(MetricSpace, "float_block", refuse("float_block"))
+    for epsilon in (1, Fraction(1), Fraction(1, 2), 1.0):
         assert kuratowski_limsup(traj, epsilon, 1, 2).points == expected
 
 
@@ -738,16 +746,22 @@ def _assert_replications_match_oracle(result):
                 assert (stat.sigma_hat_res, _points(space, stat.mean_set_res)) == (res.optimum, res.argmin)
 
 
+def _distinct_count_rows(cfg, space) -> list:
+    """The number of distinct count rows at each checkpoint of an experiment."""
+    counts = consistency_lab._draw_counts(cfg.validated(space))
+    return [len(np.unique(counts[:, pos], axis=0)) for pos in range(counts.shape[1])]
+
+
 @pytest.mark.parametrize(
-    "spec, support, checkpoints, replications, restricted, cells",
+    "spec, support, checkpoints, replications, restricted, cells, repeated",
     [
-        # 2001 grid points: 32 replications per score chunk, 7 per draw block
+        # 2001 grid points: 32 count rows per score chunk, 7 replications per draw block
         (
             GridSpec("-1", "1", "0.001"), {"-1": "1/5", "1/4": "3/10", "1": "1/2"}, (10, 1000, 9000), 70, False,
-            consistency_lab._CHUNK_CELLS,
+            consistency_lab._CHUNK_CELLS, 0,
         ),
         # 2^15 graphs in 432 slot-type orbits, restricted: with 2^10 score cells,
-        # 2 replications per score chunk; each stream is a draw block of its
+        # 2 count rows per score chunk; each stream is a draw block of its
         # own, drawn in 69 pieces
         (
             GraphSpec(6),
@@ -756,12 +770,17 @@ def _assert_replications_match_oracle(result):
             5,
             True,
             1 << 10,
+            0,
         ),
+        # a 2-point support at small checkpoints: most count rows repeat, and
+        # with 2^6 score cells on 11 grid points the distinct ones still fill
+        # 5 count rows per score chunk; one replication per draw block
+        (GridSpec("0", "1", "0.1"), {"0": "1/3", "7/10": "2/3"}, (4, 15, 50), 200, True, 1 << 6, 0.8),
     ],
-    ids=["grid", "g6-restricted"],
+    ids=["grid", "g6-restricted", "pair-repeats"],
 )
 def test_engine_matches_solver_across_draw_blocks_and_score_chunks(
-    spec, support, checkpoints, replications, restricted, cells
+    spec, support, checkpoints, replications, restricted, cells, repeated
 ):
     space = consistency_lab.build_space(spec)
     mu = DiscreteMeasure(
@@ -774,9 +793,29 @@ def test_engine_matches_solver_across_draw_blocks_and_score_chunks(
     )
     with mock.patch.object(consistency_lab, "_CHUNK_CELLS", cells):
         chunk = consistency_lab._Engine(space, cfg.validated(space)).chunk
-        assert -(-replications // chunk) > 2  # several score chunks
+        distinct = _distinct_count_rows(cfg, space)
+        assert sum(distinct) <= (1 - repeated) * replications * len(checkpoints)  # the share of repeated rows
+        assert -(-max(distinct) // chunk) > 2  # a checkpoint's distinct count rows fill several score chunks
         assert -(-replications // max(1, cells // checkpoints[-1])) > 2  # several draw blocks
         _assert_replications_match_oracle(run_consistency_experiment(cfg, space))
+
+
+@pytest.mark.parametrize("name", ["g4_uniform_pair", "grid_r1_oscillation", "grid_r2_convergence"])
+def test_engine_scores_each_distinct_count_row_once(name, monkeypatch):
+    cfg = load_config_file(FIXTURE_DIR / f"{name}.json")
+    space = consistency_lab.build_space(cfg.space_spec)
+    received = []  # the rows of each score call after the population's
+    engine_init = consistency_lab._Engine.__init__
+
+    def counting_init(self, space, cfg):
+        engine_init(self, space, cfg)
+        score = self.score
+        self.score = lambda weights: received.append(len(weights)) or score(weights)
+
+    monkeypatch.setattr(consistency_lab._Engine, "__init__", counting_init)
+    run_consistency_experiment(cfg, space)
+    distinct = _distinct_count_rows(cfg, space)
+    assert sum(received) == sum(distinct) < cfg.replications * len(cfg.checkpoints)
 
 
 def _per_replication_outer_limits(result, suffix, target):
