@@ -650,7 +650,7 @@ class _Engine:
 
 
 def _outer_limits(
-    space: MetricSpace, lp: LimitParams, burn: int, mean_sets: list, sets: list, target_idx: np.ndarray
+    space: MetricSpace, lp: LimitParams, burn: int, mean_sets: list, sets: list, target_idx: list
 ) -> dict:
     """The outer-limit fields of every replication's :class:`TrajectoryRecord`
     on one track, one list per field name (without the track's suffix).
