@@ -35,6 +35,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .consistency_lab import (
     ConfigError,
@@ -189,17 +191,12 @@ def _solve_sample(args, restricted: bool):
     return space, sample, result
 
 
-def _subset_note(sample_points: frozenset, argmin: tuple) -> tuple[bool, bool]:
-    mean_points = frozenset(argmin)
-    subset = sample_points <= mean_points
-    proper = subset and sample_points != mean_points
-    return subset, proper
-
-
 def cmd_mean(args, restricted: bool) -> int:
     space, sample, result = _solve_sample(args, restricted)
-    subset, proper = _subset_note(frozenset(sample.distinct()), result.argmin)
-    labels = [space.label(p) for p in result.argmin]
+    sample_idx = space.indices(sample.distinct())
+    subset = bool(np.isin(sample_idx, result.indices).all())
+    proper = subset and result.size > len(sample_idx)
+    labels = [space.label(space.points[i]) for i in result.indices]
     payload = {
         "space": space.name,
         "points": len(space),
@@ -292,7 +289,7 @@ def _resolve_space(args):
         except (ValueError, ZeroDivisionError) as exc:
             raise _InputError(f"--grid {' '.join(args.grid)}: {exc}") from None
     elif args.nv is None:
-        raise ConfigError("pass --nv NV for a graph space or --grid START END STEP")
+        raise _InputError("pass --nv NV for a graph space or --grid START END STEP")
     else:
         space = _graph_space(args)
     if len(space) > _EXHAUSTIVE_MAX_POINTS:

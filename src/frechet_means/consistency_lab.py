@@ -26,17 +26,19 @@ track by the counters of :mod:`set_limits`, whose one-row case is each
 estimator.  The result keeps each statistic as a column over replications
 (exact values as integer numerators over the checkpoint's denominator), and
 the summary, the report and the event tables read those columns; a Fraction
-or a float is built only where a value is written, and
-``ExperimentResult.records`` only when it is read.
+or a float is built only where a value is written.
 
-A run's mean sets are stored once.  The engine interns every checkpoint
-mean set of both tracks in one table of distinct sorted space-index tuples,
-in order of first appearance (on full graph spaces, where the engine scores
-slot-type orbits, each distinct tuple of tied orbits is expanded to its
-graphs' masks once), and the ``mean_set`` columns hold ids into that table;
-the points of a set are ``result.space.points[i]``.  Whatever depends on a
-set alone is made once per distinct set: the report's size and label cells,
-the event predicates' verdicts and the outer-limit estimators' neighbourhoods.
+Every set of a run is a tuple of sorted space indices until a caller reads
+points (point i is ``result.space.points[i]``): the population mean sets
+(``MeanSetResult.indices``), the checkpoint mean sets and each
+replication's outer-limit estimates.  The engine interns the checkpoint
+mean sets of both tracks in ``result.sets``, in order of first appearance
+(on full graph spaces each distinct tuple of tied slot-type orbits is
+expanded to its graphs' masks once), and the ``mean_set`` columns hold ids
+into it.  Whatever depends on a set alone is made once per distinct set:
+the report's size and label cells, the event predicates' verdicts and the
+outer-limit estimators' neighbourhoods.  ``ExperimentResult.records``, with
+the estimates as sets of points, is built only when it is read.
 
 Reports are emitted as a CSV of per-replication, per-checkpoint rows plus a
 JSON summary; both schemas are versioned (see ``CSV_SCHEMA`` and
@@ -187,7 +189,7 @@ class ExperimentConfig:
             resolve_event(name, space, self.space_spec)
         if self.limit_params is not None:
             lp = self.limit_params
-            if lp.epsilon < 0:
+            if not lp.epsilon >= 0:  # NaN too
                 raise ConfigError("epsilon must be >= 0")
             if lp.min_visits < 1:
                 raise ConfigError("min_visits must be >= 1")
@@ -340,8 +342,9 @@ class TrajectoryRecord:
 
 
 @dataclass(frozen=True)
-class _Columns:
-    """Every statistic of an experiment as a column over its replications.
+class ExperimentResult:
+    """An experiment's population mean sets and every statistic as a column
+    over its replications.
 
     ``stats[name][pos]`` holds statistic ``name`` of :class:`CheckpointStats`
     at checkpoint ``pos``, one entry per replication.  A value is an integer
@@ -353,73 +356,70 @@ class _Columns:
     space-index tuples in order of first appearance.  ``row_ids[pos][k]`` is
     the id of replication k's count row among the distinct ones at checkpoint
     ``pos``, by first replication.  ``limits[name][k]`` is field ``name`` of
-    replication k's :class:`TrajectoryRecord` (the outer-limit estimates).
-    """
-
-    exact: bool
-    denominators: tuple
-    stats: dict
-    limits: dict
-    sets: tuple
-    row_ids: tuple
-
-    def record_values(self, name: str, pos: int) -> list:
-        """Column ``name`` at checkpoint ``pos`` as record values: Fractions on the
-        exact path, floats off it, bools as they are and mean sets as index tuples."""
-        col = self.stats[name][pos]
-        if name in ("mean_set", "mean_set_res"):
-            return [self.sets[i] for i in col.tolist()]
-        if self.exact and col.dtype != bool:
-            den = self.denominators[pos]
-            return [Fraction(num, den) for num in col.tolist()]
-        return col.tolist()
-
-    def floats(self, name: str, pos: int, rows: np.ndarray) -> np.ndarray:
-        """Value column ``name`` at checkpoint ``pos``, its entries ``rows``, as
-        float64, each entry the ``float`` of its exact value.  Numerator and
-        denominator below 2^53 are float64 numbers, so one IEEE division rounds
-        as ``float(Fraction)`` does; past that each entry is divided as Python ints."""
-        col = self.stats[name][pos][rows]
-        if not self.exact:
-            return col
-        den = self.denominators[pos]
-        if col.dtype != object and den < _FLOAT64_EXACT and np.abs(col).max() < _FLOAT64_EXACT:
-            return col / den
-        return np.array([num / den for num in col.tolist()], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """An experiment's population targets and its statistics as ``columns``.
-
-    ``records`` presents the same statistics per replication; it is built
-    from the columns on first access.  ``indices`` holds the space indices
-    of the ``support`` and of the ``population`` (``_restricted``) mean sets.
+    replication k's :class:`TrajectoryRecord`, with the tail and Kuratowski
+    estimates as sorted space-index tuples from checkpoint ``burn_in`` on.
+    ``support_indices`` index the measure's support.
     """
 
     config: ExperimentConfig
     space: MetricSpace
     population: MeanSetResult
     population_restricted: MeanSetResult | None
-    columns: _Columns = field(repr=False, compare=False)
-    indices: dict = field(repr=False, compare=False)
+    denominators: tuple = field(repr=False, compare=False)
+    stats: dict = field(repr=False, compare=False)
+    limits: dict = field(repr=False, compare=False)
+    sets: tuple = field(repr=False, compare=False)
+    row_ids: tuple = field(repr=False, compare=False)
+    support_indices: tuple = field(repr=False, compare=False)
+    burn_in: int | None = field(repr=False, compare=False)
 
     @functools.cached_property
     def _label(self) -> Callable:
         """The label of point ``space.points[i]`` by its index i, made once per result."""
         return functools.cache(lambda i: self.space.label(self.space.points[i]))
 
+    def _record_values(self, name: str, pos: int) -> list:
+        """Column ``name`` at checkpoint ``pos`` as record values: Fractions on the
+        exact path, floats off it, bools as they are and mean sets as index tuples."""
+        col = self.stats[name][pos]
+        if name in ("mean_set", "mean_set_res"):
+            return [self.sets[i] for i in col.tolist()]
+        if self.population.exact and col.dtype != bool:
+            den = self.denominators[pos]
+            return [Fraction(num, den) for num in col.tolist()]
+        return col.tolist()
+
+    def _floats(self, name: str, pos: int, rows: np.ndarray) -> np.ndarray:
+        """Value column ``name`` at checkpoint ``pos``, its entries ``rows``, as
+        float64, each entry the ``float`` of its exact value.  Numerator and
+        denominator below 2^53 are float64 numbers, so one IEEE division rounds
+        as ``float(Fraction)`` does; past that each entry is divided as Python ints."""
+        col = self.stats[name][pos][rows]
+        if not self.population.exact:
+            return col
+        den = self.denominators[pos]
+        if col.dtype != object and den < _FLOAT64_EXACT and np.abs(col).max() < _FLOAT64_EXACT:
+            return col / den
+        return np.array([num / den for num in col.tolist()], dtype=np.float64)
+
     @functools.cached_property
     def records(self) -> tuple:
-        """One :class:`TrajectoryRecord` per replication, in replication order."""
-        cols = self.columns
+        """One :class:`TrajectoryRecord` per replication, in replication order, made
+        from the columns on first access, the outer-limit estimates as points."""
         reps = range(self.config.replications)
         stats = []
         for pos, n in enumerate(self.config.checkpoints):
-            fields = {name: cols.record_values(name, pos) for name in cols.stats}
+            fields = {name: self._record_values(name, pos) for name in self.stats}
             stats.append([CheckpointStats(n, **{name: col[k] for name, col in fields.items()}) for k in reps])
+        lp, limits = self.config.limit_params, dict(self.limits)  # each estimate's index tuple becomes points
+        points = functools.cache(lambda t: frozenset(map(self.space.points.__getitem__, t)))  # once per estimate
+        for name in limits.keys() & {"tail_estimate", "tail_estimate_res"}:
+            limits[name] = list(map(points, limits[name]))
+        for name in limits.keys() & {"kuratowski", "kuratowski_res"}:
+            col = limits[name]
+            limits[name] = [OuterLimitEstimate(points(t), lp.epsilon, self.burn_in, lp.min_visits) for t in col]
         return tuple(
-            TrajectoryRecord(k, tuple(s[k] for s in stats), **{name: col[k] for name, col in cols.limits.items()})
+            TrajectoryRecord(k, tuple(s[k] for s in stats), **{name: col[k] for name, col in limits.items()})
             for k in reps
         )
 
@@ -528,8 +528,8 @@ class _Engine:
 
         (best,), _, self.theta_rows, _ = _min_ties(pop_scores[None], self.exact)
         pop_best = [best]
-        self.theta_idx = self.theta_rows if self.orbits is None else self.orbits.masks(self.theta_rows)
-        self.population = _mean_set(space, best, self.theta_idx, r, self.pop_denominator, self.exact, "full_space")
+        theta_idx = self.theta_rows if self.orbits is None else self.orbits.masks(self.theta_rows)
+        self.population = _mean_set(space, best, theta_idx, r, self.pop_denominator, self.exact, "full_space")
         self.in_theta = np.zeros(len(pop_scores), dtype=bool)
         self.in_theta[self.theta_rows] = True
         self.population_res = None
@@ -540,9 +540,9 @@ class _Engine:
             self.sup_rows = sup_rows[self.sup_order]
             (best,), _, pos, _ = _min_ties(pop_scores[None, self.sup_rows], self.exact)
             pop_best.append(best)
-            self.theta_res_idx, self.theta_res_rows = self.sup_sorted[pos], self.sup_rows[pos]
+            self.theta_res_rows = self.sup_rows[pos]
             self.population_res = _mean_set(
-                space, best, self.theta_res_idx, r, self.pop_denominator, self.exact, "measure_support"
+                space, best, self.sup_sorted[pos], r, self.pop_denominator, self.exact, "measure_support"
             )
             self.in_theta_res = np.zeros(len(self.sup_idx), dtype=bool)  # per sorted support position
             self.in_theta_res[pos] = True
@@ -650,10 +650,11 @@ class _Engine:
 
 
 def _outer_limits(
-    space: MetricSpace, lp: LimitParams, burn: int, mean_sets: list, sets: list, target_idx: list
+    space: MetricSpace, lp: LimitParams, burn: int, mean_sets: list, sets: list, target_idx: tuple
 ) -> dict:
     """The outer-limit fields of every replication's :class:`TrajectoryRecord`
-    on one track, one list per field name (without the track's suffix).
+    on one track, one list per field name (without the track's suffix), with
+    each tail and Kuratowski estimate as a tuple of sorted space indices.
 
     ``mean_sets`` holds one column of ids into ``sets`` per checkpoint and
     ``target_idx`` the indices of the track's population mean set.  The tail
@@ -665,7 +666,7 @@ def _outer_limits(
     reps = len(mean_sets[0])
     used, tails = np.unique(np.stack(mean_sets[burn:], axis=1), return_inverse=True)
     tails, tail_sets = tails.reshape(reps, -1), [sets[i] for i in used.tolist()]
-    fields, point_sets = {}, {}  # point_sets: each distinct estimate's points, built once
+    fields = {}
     for name, included, (rows, idx) in (
         ("tail_estimate", "tail_included", _recurrent_rows(tails, tail_sets, len(space), lp.min_visits)),
         ("kuratowski", "kuratowski_included", _kuratowski_rows(space, tails, tail_sets, lp.epsilon, lp.min_visits)),
@@ -673,9 +674,7 @@ def _outer_limits(
         starts = np.searchsorted(rows, np.arange(reps))  # each replication's first pair
         inside = np.ones(reps, dtype=bool)
         inside[rows[~np.isin(idx, target_idx)]] = False
-        estimates = _index_tuples(idx, starts)
-        point_sets.update((t, frozenset(space.points[i] for i in t)) for t in set(estimates) - point_sets.keys())
-        fields[name] = [point_sets[t] for t in estimates]
+        fields[name] = _index_tuples(idx, starts)
         fields[included] = inside.tolist()
     # idx and starts are now the Kuratowski estimate's
     points, pos = np.unique(idx, return_inverse=True)
@@ -683,7 +682,6 @@ def _outer_limits(
     near = block(points, target_idx).min(axis=1)[pos]  # each estimate point's distance to the target
     unit = space.scale if space.exact and space.scale != 1 else 1  # the type of MetricSpace.set_distance
     fields["kuratowski_target_gap"] = [max(d) * unit if d else 0 for d in _index_tuples(near, starts)]
-    fields["kuratowski"] = [OuterLimitEstimate(pts, lp.epsilon, burn, lp.min_visits) for pts in fields["kuratowski"]]
     return fields
 
 
@@ -719,15 +717,12 @@ def run_consistency_experiment(
             stats.setdefault(name, []).append(np.concatenate([part[name] for part in parts])[ids])
         row_ids.append(ids)
 
-    indices = {"support": engine.sup_idx.tolist(), "population": engine.theta_idx.tolist()}
-    if cfg.restricted:
-        indices["population_restricted"] = engine.theta_res_idx.tolist()
-    limits = {}
+    limits, burn = {}, None
     lp = cfg.limit_params
     if lp is not None:
         burn = default_burn_in(len(cfg.checkpoints)) if lp.burn_in is None else lp.burn_in
-        for suffix, target in (("", "population"), ("_res", "population_restricted"))[: 1 + cfg.restricted]:
-            fields = _outer_limits(space, lp, burn, stats[f"mean_set{suffix}"], engine.sets, indices[target])
+        for suffix, target in (("", engine.population), ("_res", engine.population_res))[: 1 + cfg.restricted]:
+            fields = _outer_limits(space, lp, burn, stats[f"mean_set{suffix}"], engine.sets, target.indices)
             limits.update((name + suffix, col) for name, col in fields.items())
 
     return ExperimentResult(
@@ -735,15 +730,13 @@ def run_consistency_experiment(
         space=space,
         population=engine.population,
         population_restricted=engine.population_res,
-        columns=_Columns(
-            exact=engine.exact,
-            denominators=tuple(engine.denominator(n) for n in cfg.checkpoints),
-            stats=stats,
-            limits=limits,
-            sets=tuple(engine.sets),
-            row_ids=tuple(row_ids),
-        ),
-        indices=indices,
+        denominators=tuple(engine.denominator(n) for n in cfg.checkpoints),
+        stats=stats,
+        limits=limits,
+        sets=tuple(engine.sets),
+        row_ids=tuple(row_ids),
+        support_indices=tuple(engine.sup_idx.tolist()),
+        burn_in=burn,
     )
 
 
@@ -793,10 +786,9 @@ def oscillation_stats(result: ExperimentResult, event: Callable, name: str = "ev
     """Per-checkpoint frequency of an event on the mean sets of ``result``'s
     replications, with binomial SE; the event is tested once per distinct set."""
     n_rep = result.config.replications
-    sets = result.columns.sets
-    hits = np.fromiter(map(event, sets), bool, len(sets))
+    hits = np.fromiter(map(event, result.sets), bool, len(result.sets))
     rows = []
-    for n, ids in zip(result.config.checkpoints, result.columns.stats["mean_set"]):
+    for n, ids in zip(result.config.checkpoints, result.stats["mean_set"]):
         successes = int(np.count_nonzero(hits[ids]))
         freq = successes / n_rep
         se = float(np.sqrt(freq * (1.0 - freq) / n_rep))
@@ -868,31 +860,30 @@ def write_report_csv(result: ExperimentResult, path) -> None:
     """One CSV row per replication x checkpoint (schema ``CSV_SCHEMA``).
 
     A row's tail, its cells after ``replication`` and ``n``, is rendered once
-    per distinct count row of ``columns.row_ids``, from its first replication,
+    per distinct count row of ``result.row_ids``, from its first replication,
     and each distinct cell once: a number as its float's ``str``, a flag as
     ``true`` or ``false``, a mean set's size and ``;``-joined labels once per
-    distinct set of ``columns.sets``, each label once per result.  Rows are
+    distinct set of ``result.sets``, each label once per result.  Rows are
     written a bounded block of replications at a time, each as ``str(k)``
     and then ``f",{n},{tail}\r\n"``, made once per distinct count row: the
     bytes the csv module's default writer gives (it writes a float as its
     ``repr``, which ``str`` equals), without its scan of every character.
     """
-    cols = result.columns
     cfg = result.config
-    sizes = [str(len(s)) for s in cols.sets]
-    labels = [_csv_cell(";".join(map(result._label, s))) for s in cols.sets]
+    sizes = [str(len(s)) for s in result.sets]
+    labels = [_csv_cell(";".join(map(result._label, s))) for s in result.sets]
 
     def cells(stat: str, kind: str, pos: int, rows: np.ndarray) -> tuple:
         """Column ``stat`` at checkpoint ``pos`` on the replications ``rows`` as
         its distinct cells and each replication's position among them."""
         if kind in ("value", "abs"):
-            values = cols.floats(stat, pos, rows)
+            values = result._floats(stat, pos, rows)
             return _float_cells(np.abs(values) if kind == "abs" else values)
-        return {"flag": ("false", "true"), "size": sizes, "labels": labels}[kind], cols.stats[stat][pos][rows]
+        return {"flag": ("false", "true"), "size": sizes, "labels": labels}[kind], result.stats[stat][pos][rows]
 
     spec = _CSV_COLUMNS + (_CSV_COLUMNS_RES if cfg.restricted else ())
     tails = []  # each checkpoint's rows after k, one string per distinct count row
-    for pos, (n, ids) in enumerate(zip(cfg.checkpoints, cols.row_ids)):
+    for pos, (n, ids) in enumerate(zip(cfg.checkpoints, result.row_ids)):
         first = np.unique(ids, return_index=True)[1]  # each distinct count row's first replication
         columns = [cells(stat, kind, pos, first) for _, stat, kind in spec]
         rows = zip(*(map(texts.__getitem__, at.tolist()) for texts, at in columns))
@@ -905,7 +896,7 @@ def write_report_csv(result: ExperimentResult, path) -> None:
             reps = range(lo, min(lo + block, cfg.replications))
             pieces = np.empty((len(reps), 2 * len(tails)), dtype=object)  # each row as k, then its string after k
             pieces[:, 0::2] = np.array(list(map(str, reps)), dtype=object)[:, None]
-            pieces[:, 1::2] = np.stack([tail[ids[lo : lo + block]] for tail, ids in zip(tails, cols.row_ids)], axis=1)
+            pieces[:, 1::2] = np.stack([tail[ids[lo : lo + block]] for tail, ids in zip(tails, result.row_ids)], axis=1)
             fh.writelines(pieces.ravel().tolist())  # rows run over replications, then checkpoints
 
 
@@ -919,7 +910,7 @@ def _config_dict(result: ExperimentResult) -> dict:
         "replications": cfg.replications,
         "seed": cfg.seed,
         "restricted": cfg.restricted,
-        "support": list(map(result._label, result.indices["support"])),
+        "support": list(map(result._label, result.support_indices)),
         "weights": [str(w) for w in cfg.mu.weights],
         "events": list(cfg.events),
     }
@@ -946,7 +937,7 @@ def _mean_set_block(result: ExperimentResult, name: str) -> dict:
         "optimum_exact": _exact_str(mean.optimum),
         "exact": mean.exact,
         "size": mean.size,
-        "mean_set": list(map(result._label, result.indices[name])),
+        "mean_set": list(map(result._label, mean.indices)),
         "candidate_domain": mean.candidate_domain,
     }
 
@@ -973,15 +964,14 @@ def _rate(flags) -> float:
 def build_summary(result: ExperimentResult) -> dict:
     cfg = result.config
     space = result.space
-    cols = result.columns
-    exact = cols.exact
+    exact = result.population.exact
     per_checkpoint = []
     sandwich_viol = 0
     sandwich_viol_res = 0
-    set_sizes = np.fromiter(map(len, cols.sets), np.intp, len(cols.sets))
+    set_sizes = np.fromiter(map(len, result.sets), np.intp, len(result.sets))
     for pos, n in enumerate(cfg.checkpoints):
-        s = {name: col[pos] for name, col in cols.stats.items()}
-        den = cols.denominators[pos]
+        s = {name: col[pos] for name, col in result.stats.items()}
+        den = result.denominators[pos]
         median_error, max_error = _median_and_max(np.abs(s["t_star"]), den)
         entry = {
             "n": n,
@@ -1021,7 +1011,7 @@ def build_summary(result: ExperimentResult) -> dict:
     }
 
     if cfg.limit_params is not None:
-        lim = cols.limits
+        lim = result.limits
         gaps = [float(g) for g in lim["kuratowski_target_gap"]]
         eps = float(cfg.limit_params.epsilon)
         block = {
@@ -1031,7 +1021,7 @@ def build_summary(result: ExperimentResult) -> dict:
             "kuratowski_max_target_gap": float(max(gaps)),
             "kuratowski_gap_within_budget_rate": _rate([g <= 2 * eps for g in gaps]),
             "mean_tail_size": float(np.mean([len(t) for t in lim["tail_estimate"]])),
-            "mean_kuratowski_size": float(np.mean([len(k.points) for k in lim["kuratowski"]])),
+            "mean_kuratowski_size": float(np.mean([len(k) for k in lim["kuratowski"]])),
         }
         if cfg.restricted:
             block["tail_inclusion_rate_res"] = _rate(lim["tail_included_res"])

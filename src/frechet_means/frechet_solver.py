@@ -10,7 +10,8 @@ arithmetic once: integer weights over a normalizer on exact spaces with an
 integer order and rational weights, float weights summing to one otherwise.
 Its tail, :func:`_mean_set`, turns the minimum and the tie indices into a
 result; the consistency harness calls it on the population scores its
-checkpoints use.
+checkpoints use.  A result keeps the sorted tie indices (``indices``) and
+builds the points (``argmin``) only when they are first read.
 
 Exact means over a full graph space use the Hamming structure instead of a
 distance block.  At r = 1 the functional splits over edge slots, so
@@ -38,7 +39,8 @@ is a BLAS matvec sum, whose rounding can change with the chunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -74,19 +76,25 @@ class MeanSetResult:
     """Optimal functional value plus the full argmin set.
 
     ``optimum`` is a Fraction on the exact path and a float otherwise;
-    ``argmin`` is in canonical space order; ``candidate_domain`` records
-    which points were allowed to compete.
+    ``indices`` are the argmin's sorted indices into ``space``, and
+    ``argmin`` its points in that canonical order, built when first read;
+    ``candidate_domain`` records which points were allowed to compete.
     """
 
     order_r: int | float
     optimum: Fraction | float
-    argmin: tuple
+    indices: tuple
     candidate_domain: str  # full_space | sample_support | measure_support
     exact: bool
+    space: MetricSpace = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def argmin(self) -> tuple:
+        return tuple(map(self.space.points.__getitem__, self.indices))
 
     @property
     def size(self) -> int:
-        return len(self.argmin)
+        return len(self.indices)
 
 
 def _min_ties(scores: np.ndarray, exact: bool, competes: np.ndarray | None = None) -> tuple:
@@ -156,13 +164,14 @@ def _mean_set(
     space: MetricSpace, best, ties: np.ndarray, r, normalizer: int, exact: bool, domain: str
 ) -> MeanSetResult:
     """The mean set of the minimum score ``best`` (over ``normalizer``) and its
-    ties, the sorted space indices ``ties``."""
+    ties, the sorted space indices ``ties``; no point is built."""
     return MeanSetResult(
         order_r=r,
         optimum=_score_value(best, normalizer, exact, space.scale**r),
-        argmin=tuple(space.points[i] for i in ties),
+        indices=tuple(ties.tolist()),
         candidate_domain=domain,
         exact=exact,
+        space=space,
     )
 
 

@@ -310,7 +310,9 @@ def interval_grid(start="-1", end="1", step="0.01") -> MetricSpace:
     interval length.
     """
     lo, hi, st, count = _grid_bounds(start, end, step)
-    points = [lo + k * st for k in range(count)]
+    den = math.lcm(lo.denominator, st.denominator)  # point k is (a + k b) / den
+    a, b = lo.numerator * (den // lo.denominator), st.numerator * (den // st.denominator)
+    points = [Fraction(a + k * b, den) for k in range(count)]
     idx = np.arange(count, dtype=np.int64)
 
     def block(rows, cols):

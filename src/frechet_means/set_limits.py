@@ -218,7 +218,7 @@ def kuratowski_limsup(
     visits in the tail.
     """
     _check_tail(traj, burn_in, min_visits)
-    if epsilon < 0:
+    if not epsilon >= 0:  # NaN too
         raise ValueError("epsilon must be >= 0")
     idx = _kuratowski_rows(traj.space, *_one_row(traj.sets[burn_in:]), epsilon, min_visits)[1]
     pts = frozenset(traj.space.points[i] for i in idx)

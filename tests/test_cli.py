@@ -376,8 +376,12 @@ def test_check_metric_grid(capsys):
 
 
 def test_check_metric_requires_a_space(capsys):
-    code, _, err = run_cli(capsys, "check-metric")
-    assert code == 4
+    # a missing space is a command-line input error (2), as a bad --grid is;
+    # 4 is kept for invalid experiment configs
+    for argv in (["check-metric"], ["modulus", "--delta", "1"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "pass --nv NV" in err
 
 
 def test_modulus_values(capsys):

@@ -42,6 +42,9 @@ from frechet_means.consistency_lab import (
     _stream_states,
     replication_rng,
 )
+from conftest import FIXTURE_DIR
+from frechet_means.cli import load_config_file
+from frechet_means.set_limits import OuterLimitEstimate
 from oracles import write_report_by_csv_writer
 
 
@@ -310,6 +313,17 @@ def test_config_errors_surface_before_running(mu_pair, mu_pm, g4):
         )
 
 
+@pytest.mark.parametrize("epsilon", [Fraction(-1), float("nan")], ids=["negative", "nan"])
+def test_config_refuses_an_epsilon_below_zero_or_nan(mu_pair, g4, epsilon):
+    # NaN fails every comparison, so a "< 0" test let it run as epsilon 0
+    cfg = ExperimentConfig(
+        space_spec=GraphSpec(4), mu=mu_pair, r=1, n_max=10, checkpoints=(10,), replications=1,
+        limit_params=LimitParams(epsilon=epsilon),
+    )
+    with pytest.raises(ConfigError, match="epsilon must be >= 0"):
+        run_consistency_experiment(cfg, g4)
+
+
 def test_build_space_dispatch():
     assert len(build_space(GraphSpec(3))) == 8
     assert len(build_space(GridSpec("0", "1", "0.5"))) == 3
@@ -438,8 +452,8 @@ def test_report_renders_each_label_once(tmp_path):
         return 0 in mean_set
 
     table = oscillation_stats(result, holds_a, "holds a")
-    assert set(tested) == set(result.columns.sets) and max(tested.values()) == 1  # once per distinct set
-    assert len(result.columns.sets) < len(result.records)
+    assert set(tested) == set(result.sets) and max(tested.values()) == 1  # once per distinct set
+    assert len(result.sets) < len(result.records)
     for pos, (n, successes, *_) in enumerate(table.rows):
         assert successes == sum(0 in rec.stats[pos].mean_set for rec in result.records)
 
@@ -482,7 +496,7 @@ def test_report_bytes_equal_the_csv_writer_oracle(spec, support, restricted, tmp
     write_report_csv(result, tmp_path / "report.csv")
     write_report_by_csv_writer(result, tmp_path / "oracle.csv")
     assert (tmp_path / "report.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-    assert len(result.columns.sets) < len(cfg.checkpoints) * cfg.replications  # rows repeat their sets
+    assert len(result.sets) < len(cfg.checkpoints) * cfg.replications  # rows repeat their sets
 
 
 def test_reports_read_columns_without_building_records(pair_cfg, g4, tmp_path):
@@ -492,6 +506,25 @@ def test_reports_read_columns_without_building_records(pair_cfg, g4, tmp_path):
     summary_blocks(result)
     assert "records" not in vars(result)  # built on first access only
     assert len(result.records) == pair_cfg.replications
+
+
+def test_reports_build_no_outer_limit_estimate(monkeypatch, tmp_path):
+    # the engine keeps estimates as index tuples; only records build point sets
+    built = []
+    init = OuterLimitEstimate.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OuterLimitEstimate, "__init__", counting_init)
+    cfg = load_config_file(FIXTURE_DIR / "g4_uniform_pair.json")
+    result = run_consistency_experiment(cfg)
+    summary = build_summary(result)
+    write_report_csv(result, tmp_path / "report.csv")
+    assert not built
+    assert summary["outer_limit"]["mean_kuratowski_size"] == np.mean([len(r.kuratowski.points) for r in result.records])
+    assert len(built) == cfg.replications
 
 
 def test_report_bytes_are_deterministic(pair_result, tmp_path):

@@ -363,3 +363,19 @@ def test_two_graph_population_mean_is_every_midpoint(distance):
         assert res.size == size
         assert all((g.edges ^ x) & ~differ == 0 for g in res.argmin)  # agrees with both where they agree
     assert engine_target == population_mean_set(space, mu, 2)
+
+
+def test_mean_set_builds_no_point_until_argmin_is_read(monkeypatch):
+    # a graph and its complement at r = 1 tie on every graph of the space; the
+    # result keeps the 2^15 ties as indices and builds graphs only when read
+    from frechet_means.graph_space import _AllGraphs
+
+    space = enumerate_space(6)
+    built = []
+    getitem = _AllGraphs.__getitem__
+    monkeypatch.setattr(_AllGraphs, "__getitem__", lambda self, i: built.append(i) or getitem(self, i))
+    res = sample_mean_set(space, Sample((Graph(6, 0b101), Graph(6, 0x7FFF ^ 0b101))), 1)
+    assert res.size == 2**15 and res.indices == tuple(range(2**15))
+    assert not built
+    assert res.argmin[-1] == Graph(6, 0x7FFF) and len(built) == 2**15
+    assert res.argmin is res.argmin and len(built) == 2**15  # built once

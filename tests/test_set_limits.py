@@ -198,6 +198,13 @@ def test_epsilon_must_be_nonnegative(line9):
         kuratowski_limsup(t, -1, burn_in=0)
 
 
+def test_nan_epsilon_is_refused(line9):
+    # NaN fails every comparison, so a "< 0" test let it run as epsilon 0
+    t = traj(line9, {p(0)}, {p(0)})
+    with pytest.raises(ValueError, match="epsilon"):
+        kuratowski_limsup(t, float("nan"), burn_in=0)
+
+
 # ---------------------------------------------------------------------------
 # inclusion checks
 # ---------------------------------------------------------------------------
