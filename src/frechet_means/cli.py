@@ -46,6 +46,7 @@ from .consistency_lab import (
     GridSpec,
     LimitParams,
     _exact_str,
+    _optimum_fields,
     build_space,
     build_summary,
     parse_point_label,
@@ -72,6 +73,7 @@ from .metric_core import (
     DiscreteMeasure,
     Sample,
     _grid_bounds,
+    _to_float,
     check_metric_axioms,
     equicontinuity_bound,
     interval_grid,
@@ -162,12 +164,14 @@ def _write(args, payload, header: list, rows, lines) -> None:
             fh.writelines(line + "\n" for line in lines)
 
 
-def _optimum_lines(result, comment: bool = False) -> list[str]:
+def _optimum_lines(fields: dict, comment: bool = False) -> list[str]:
+    """The text lines of :func:`_optimum_fields`: the exact optimum, and its
+    decimal when the exact value is a fraction."""
     prefix = "# " if comment else ""
-    exact = _exact_str(result.optimum)
-    lines = [f"{prefix}optimum: {exact or repr(result.optimum)}"]
+    exact = fields["optimum_exact"]
+    lines = [f"{prefix}optimum: {exact or repr(fields['optimum'])}"]
     if exact is not None and "/" in exact:
-        lines.append(f"# optimum as decimal: {float(result.optimum)!r}")
+        lines.append(f"# optimum as decimal: {fields['optimum']!r}")
     return lines
 
 
@@ -197,23 +201,22 @@ def cmd_mean(args, restricted: bool) -> int:
     subset = bool(np.isin(sample_idx, result.indices).all())
     proper = subset and result.size > len(sample_idx)
     labels = [space.label(space.points[i]) for i in result.indices]
+    optimum = _optimum_fields(result)
     payload = {
         "space": space.name,
         "points": len(space),
-        "bound_M": float(space.bound_M),
+        "bound_M": _to_float(space.bound_M),
         "r": result.order_r,
         "domain": result.candidate_domain,
         "sample_size": sample.n,
         "sample_distinct": len(sample.distinct()),
-        "optimum": float(result.optimum),
-        "optimum_exact": _exact_str(result.optimum),
-        "exact": result.exact,
+        **optimum,
         "mean_set_size": result.size,
         "mean_set": labels,
         "sample_subset_of_mean": subset,
         "sample_proper_subset": proper,
     }
-    cells = [repr(float(result.optimum)), result.order_r, str(result.exact).lower()]
+    cells = [repr(optimum["optimum"]), result.order_r, str(result.exact).lower()]
     note = "true (proper)" if proper else ("true (equal)" if subset else "false")
     lines = [
         f"# space: {space.name}, {len(space)} points, M={space.bound_M}",
@@ -221,7 +224,7 @@ def cmd_mean(args, restricted: bool) -> int:
         f"# domain: {result.candidate_domain}",
         f"# sample: {sample.n} graphs, {len(sample.distinct())} distinct",
         f"# exact: {str(result.exact).lower()}",
-        *_optimum_lines(result, comment=True),
+        *_optimum_lines(optimum, comment=True),
         f"# mean set: {result.size} graphs",
         *labels,
         f"# sample ⊂ mean set: {note}",
@@ -232,21 +235,15 @@ def cmd_mean(args, restricted: bool) -> int:
 
 def cmd_variance(args) -> int:
     space, sample, result = _solve_sample(args, args.restricted)
-    payload = {
-        "space": space.name,
-        "r": result.order_r,
-        "domain": result.candidate_domain,
-        "optimum": float(result.optimum),
-        "optimum_exact": _exact_str(result.optimum),
-        "exact": result.exact,
-    }
-    row = [repr(float(result.optimum)), result.order_r, result.candidate_domain, str(result.exact).lower()]
+    optimum = _optimum_fields(result)
+    payload = {"space": space.name, "r": result.order_r, "domain": result.candidate_domain, **optimum}
+    row = [repr(optimum["optimum"]), result.order_r, result.candidate_domain, str(result.exact).lower()]
     lines = [
         f"# space: {space.name}, {len(space)} points, M={space.bound_M}",
         f"# order r: {result.order_r}",
         f"# domain: {result.candidate_domain}",
         f"# exact: {str(result.exact).lower()}",
-        *_optimum_lines(result),
+        *_optimum_lines(optimum),
     ]
     _write(args, payload, ["optimum", "r", "domain", "exact"], [row], lines)
     return 0
@@ -271,7 +268,7 @@ def cmd_enumerate(args) -> int:
 
     def payload(fh):
         # the bytes of json.dump({"nv", "count", "bound_M", "graphs"}, indent=2, sort_keys=True)
-        fh.write(f'{{\n  "bound_M": {json.dumps(float(space.bound_M))},\n  "count": {len(space)},\n  "graphs": [')
+        fh.write(f'{{\n  "bound_M": {json.dumps(_to_float(space.bound_M))},\n  "count": {len(space)},\n  "graphs": [')
         for k, text in enumerate(labels):
             fh.write((",\n    " if k else "\n    ") + json.dumps(text))
         fh.write(f'\n  ],\n  "nv": {json.dumps(args.nv)}\n}}\n')
@@ -324,18 +321,16 @@ def cmd_modulus(args) -> int:
     value = modulus_of_continuity(space, space.points, args.delta, args.r)
     payload = {
         "space": space.name,
-        "delta": float(args.delta),
+        "delta": _to_float(args.delta),
         "r": args.r,
-        "s_delta": float(value),
+        "s_delta": _to_float(value),
         "s_delta_exact": _exact_str(value),
     }
     lines = [f"# space: {space.name}, {len(space)} points, M={space.bound_M}",
-             f"# delta: {float(args.delta)!r}",
+             f"# delta: {payload['delta']!r}",
              f"# order r: {args.r}"]
     if isinstance(args.r, int):
-        payload["lipschitz_bound"] = float(
-            equicontinuity_bound(Fraction(space.bound_M), args.r, Fraction(str(args.delta)))
-        )
+        payload["lipschitz_bound"] = _to_float(equicontinuity_bound(Fraction(space.bound_M), args.r, args.delta))
         payload["gamma"] = power_gamma(args.r)
         lines.append(f"# bound (2^r-1) M^(r-1) delta: {payload['lipschitz_bound']!r} (gamma={payload['gamma']})")
     lines.append(f"s_delta: {_exact_str(value) or repr(value)}")
@@ -609,6 +604,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error that a command reports on an ``error:`` line,
+# the first kind that matches; 0 is success, 5 a failed assertion block of
+# ``simulate`` and 141 a closed standard output.
+_EXIT_CODES = {
+    EnumerationCapError: 3,
+    _ScanMemoryError: 3,
+    GraphParseError: 2,
+    OSError: 2,
+    ConfigError: 4,
+    _InputError: 2,
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -622,24 +630,10 @@ def main(argv=None) -> int:
         # exit flush fails no more.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except EnumerationCapError as exc:
-        _err(f"{exc} (use --cap-override {exc.required_cap})" if exc.overridable else exc)
-        return 3
-    except _ScanMemoryError as exc:
-        _err(exc)
-        return 3
-    except GraphParseError as exc:
-        _err(exc)
-        return 2
-    except OSError as exc:
-        _err(exc)
-        return 2
-    except ConfigError as exc:
-        _err(exc)
-        return 4
-    except _InputError as exc:
-        _err(exc)
-        return 2
+    except tuple(_EXIT_CODES) as exc:
+        overridable = isinstance(exc, EnumerationCapError) and exc.overridable
+        _err(f"{exc} (use --cap-override {exc.required_cap})" if overridable else exc)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -65,6 +65,7 @@ from .metric_core import (
     Sample,
     _exact_dtype,
     _power_block,
+    _to_float,
     _weights,
     check_order,
     interval_grid,
@@ -393,14 +394,14 @@ class ExperimentResult:
         """Value column ``name`` at checkpoint ``pos``, its entries ``rows``, as
         float64, each entry the ``float`` of its exact value.  Numerator and
         denominator below 2^53 are float64 numbers, so one IEEE division rounds
-        as ``float(Fraction)`` does; past that each entry is divided as Python ints."""
+        as ``float(Fraction)`` does; past that each entry goes through :func:`_to_float`."""
         col = self.stats[name][pos][rows]
         if not self.population.exact:
             return col
         den = self.denominators[pos]
         if col.dtype != object and den < _FLOAT64_EXACT and np.abs(col).max() < _FLOAT64_EXACT:
             return col / den
-        return np.array([num / den for num in col.tolist()], dtype=np.float64)
+        return np.array([_to_float(num, den) for num in col.tolist()], dtype=np.float64)
 
     @functools.cached_property
     def records(self) -> tuple:
@@ -680,8 +681,7 @@ def _outer_limits(
     points, pos = np.unique(idx, return_inverse=True)
     block = space.int_block if space.exact else space.float_block
     near = block(points, target_idx).min(axis=1)[pos]  # each estimate point's distance to the target
-    unit = space.scale if space.exact and space.scale != 1 else 1  # the type of MetricSpace.set_distance
-    fields["kuratowski_target_gap"] = [max(d) * unit if d else 0 for d in _index_tuples(near, starts)]
+    fields["kuratowski_target_gap"] = [space.as_distance(max(d)) if d else 0 for d in _index_tuples(near, starts)]
     return fields
 
 
@@ -803,6 +803,12 @@ def oscillation_stats(result: ExperimentResult, event: Callable, name: str = "ev
 
 def _exact_str(value) -> str | None:
     return str(value) if isinstance(value, (Fraction, int)) else None
+
+
+def _optimum_fields(mean: MeanSetResult) -> dict:
+    """The optimum of a mean set as output fields: its float (``inf`` past the
+    float range), its exact value as text (None off the exact path) and the path."""
+    return {"optimum": _to_float(mean.optimum), "optimum_exact": _exact_str(mean.optimum), "exact": mean.exact}
 
 
 def _sandwich_ok(lower, middle, upper, exact: bool):
@@ -933,9 +939,7 @@ def _config_dict(result: ExperimentResult) -> dict:
 def _mean_set_block(result: ExperimentResult, name: str) -> dict:
     mean = getattr(result, name)  # the population mean set ``name``, labelled by index
     return {
-        "optimum": float(mean.optimum),
-        "optimum_exact": _exact_str(mean.optimum),
-        "exact": mean.exact,
+        **_optimum_fields(mean),
         "size": mean.size,
         "mean_set": list(map(result._label, mean.indices)),
         "candidate_domain": mean.candidate_domain,
@@ -947,14 +951,14 @@ def _median_and_max(values, denominator: int = 1) -> tuple[float, float]:
 
     ``values`` are integer numerators over ``denominator``, or floats over 1.
     They are sorted as they are (a list by Python, as numpy would make its
-    ints past int64 float64) and each pick is divided once: int / int
-    division rounds correctly, as ``float(Fraction)`` does, and an even
+    ints past int64 float64) and each pick is divided once by
+    :func:`_to_float`, which rounds as ``float(Fraction)`` does, and an even
     count's middle pair is averaged as ``statistics.median`` averages floats.
     """
     nums = sorted(values) if isinstance(values, list) else np.sort(values).tolist()
     mid = len(nums) // 2
-    median = nums[mid] / denominator if len(nums) % 2 else (nums[mid - 1] + nums[mid]) / (2 * denominator)
-    return median, nums[-1] / denominator
+    pick, den = (nums[mid], denominator) if len(nums) % 2 else (nums[mid - 1] + nums[mid], 2 * denominator)
+    return _to_float(pick, den), _to_float(nums[-1], denominator)
 
 
 def _rate(flags) -> float:
@@ -997,7 +1001,7 @@ def build_summary(result: ExperimentResult) -> dict:
         "space": {
             "name": space.name,
             "points": len(space),
-            "bound_M": float(space.bound_M),
+            "bound_M": _to_float(space.bound_M),
             "exact": space.exact,
         },
         "population": _mean_set_block(result, "population"),
@@ -1012,8 +1016,8 @@ def build_summary(result: ExperimentResult) -> dict:
 
     if cfg.limit_params is not None:
         lim = result.limits
-        gaps = [float(g) for g in lim["kuratowski_target_gap"]]
-        eps = float(cfg.limit_params.epsilon)
+        gaps = [_to_float(g) for g in lim["kuratowski_target_gap"]]
+        eps = _to_float(cfg.limit_params.epsilon)
         block = {
             "tail_inclusion_rate": _rate(lim["tail_included"]),
             "kuratowski_inclusion_rate": _rate(lim["kuratowski_included"]),
@@ -1027,7 +1031,7 @@ def build_summary(result: ExperimentResult) -> dict:
             block["tail_inclusion_rate_res"] = _rate(lim["tail_included_res"])
             block["kuratowski_inclusion_rate_res"] = _rate(lim["kuratowski_included_res"])
             if eps > 0:  # judged like the unrestricted gap; epsilon = 0 runs judge inclusion
-                gaps_res = [float(g) for g in lim["kuratowski_target_gap_res"]]
+                gaps_res = [_to_float(g) for g in lim["kuratowski_target_gap_res"]]
                 block["kuratowski_median_target_gap_res"] = float(statistics.median(gaps_res))
         summary["outer_limit"] = block
     else:
@@ -1106,7 +1110,7 @@ def summary_blocks(result: ExperimentResult, summary: dict | None = None) -> lis
 
     if summary["outer_limit"] is not None:
         ol = summary["outer_limit"]
-        eps = float(cfg.limit_params.epsilon)
+        eps = _to_float(cfg.limit_params.epsilon)
         tracks = [("outer-limit", "", "estimate", "target")]
         if cfg.restricted:
             tracks.append(("restricted-outer-limit", "_res", "restricted estimate", "restricted target"))

@@ -16,6 +16,7 @@ The functionals, the solver and the consistency engine share one scoring
 path for both arithmetics: :func:`_weights` decides exact-or-float once per
 sample or measure, a score is ``_power_block(...) @ weights``, and
 :func:`_score_value` turns a score over its normalizer into a value.
+:func:`_to_float` is the one conversion of an exact value to a float.
 """
 
 from __future__ import annotations
@@ -57,13 +58,20 @@ _INT64_SAFE = 2**62
 _EXHAUSTIVE_MAX_POINTS = 4096
 
 
-def _int_floor(q: Fraction) -> int:
-    return q.numerator // q.denominator
+def _to_float(value, denominator: int = 1) -> float:
+    """``value / denominator`` as a float: ``value`` an int, a Fraction or a
+    float and ``denominator`` a positive int.
 
-
-def _strict_int_bound(q: Fraction) -> int:
-    """Largest integer strictly below q (so k < q iff k <= bound for int k)."""
-    return q.numerator // q.denominator - (1 if q.denominator == 1 else 0)
+    It rounds as ``float(Fraction)`` and Python's int division do (correctly,
+    whatever the size of the integers), and where they would raise
+    ``OverflowError``, past the float range, it gives ``inf`` or ``-inf``.
+    """
+    if isinstance(value, Fraction):
+        value, denominator = value.numerator, value.denominator * denominator
+    try:
+        return float(value / denominator)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def check_order(r) -> None:
@@ -183,8 +191,7 @@ class MetricSpace:
         """Smallest integer lattice bound compatible with bound_M (exact spaces)."""
         if not self.exact:
             raise ValueError("max_int_distance is only defined for exact spaces")
-        q = Fraction(self.bound_M) / self.scale
-        return int(q) if q.denominator == 1 else int(q) + 1
+        return math.ceil(Fraction(self.bound_M) / self.scale)
 
     def int_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Integer lattice distances for rows x cols (exact spaces only)."""
@@ -199,74 +206,68 @@ class MetricSpace:
             return self._float_block_fn(rows, cols)
         return self._int_block_fn(rows, cols).astype(np.float64) * float(self.scale)
 
+    def as_distance(self, entry):
+        """The distance an entry of a distance block stands for: on exact spaces
+        a lattice entry times ``scale`` (an int at scale 1, else a Fraction),
+        elsewhere a float."""
+        if self.exact:
+            d = int(entry)
+            return d if self.scale == 1 else d * self.scale
+        return float(entry)
+
+    def _below(self, threshold) -> tuple:
+        """``(block, bound)`` such that ``d < threshold`` (``d = 0`` at threshold 0)
+        iff ``block(rows, cols) <= bound``.
+
+        On an exact space a finite threshold is read as the Fraction it equals,
+        a float as its exact binary value, and the bound is the largest lattice
+        integer below it; otherwise it is the largest float below the threshold.
+        """
+        if self.exact and (isinstance(threshold, (int, Fraction)) or np.isfinite(threshold)):
+            return self.int_block, math.ceil(Fraction(threshold) / self.scale) - 1 if threshold > 0 else 0
+        return self.float_block, np.nextafter(_to_float(threshold), -np.inf) if threshold > 0 else 0.0
+
     def distance(self, x, y):
         """Distance between two points; exact spaces return int or Fraction."""
-        i, j = self.index(x), self.index(y)
-        if self.exact:
-            d = int(self.int_block(np.array([i]), np.array([j]))[0, 0])
-            return d if self.scale == 1 else d * self.scale
-        return float(self.float_block(np.array([i]), np.array([j]))[0, 0])
+        return self.set_distance(x, (y,))
 
     def set_distance(self, x, points: Iterable):
         """d(x, A) = min over A, with the convention d(x, empty) = +inf."""
         pts = list(points)
         if not pts:
             return float("inf")
-        i = self.index(x)
-        cols = self.indices(pts)
-        if self.exact:
-            d = int(self.int_block(np.array([i]), cols).min())
-            return d if self.scale == 1 else d * self.scale
-        return float(self.float_block(np.array([i]), cols).min())
+        block = self.int_block if self.exact else self.float_block
+        return self.as_distance(block(np.array([self.index(x)]), self.indices(pts)).min())
+
+    @classmethod
+    def _from_matrix(cls, points: Sequence, matrix, dtype, backend: str, bound_M, **options) -> "MetricSpace":
+        """The space of the square distance matrix ``matrix`` over ``points``, served
+        as its ``backend`` block; ``bound_M`` defaults to its largest entry."""
+        if len(points) == 0:
+            raise ValueError("a metric space needs at least one point")
+        m = np.asarray(matrix, dtype=dtype)
+        if m.shape != (len(points), len(points)):
+            raise ValueError("distance matrix must be square and match the point count")
+        space = cls(points, **{backend: lambda r, c: m[np.ix_(r, c)]}, bound_M=bound_M, **options)
+        if bound_M is None:
+            space.bound_M = space.as_distance(m.max())
+        return space
 
     @classmethod
     def from_int_matrix(
-        cls,
-        points: Sequence,
-        matrix,
-        *,
-        scale: Fraction = Fraction(1),
-        bound_M=None,
-        is_pseudo: bool = False,
-        label=None,
-        name: str = "",
+        cls, points: Sequence, matrix, *, scale: Fraction = Fraction(1), bound_M=None,
+        is_pseudo: bool = False, label=None, name: str = "",
     ) -> "MetricSpace":
-        if len(points) == 0:
-            raise ValueError("a metric space needs at least one point")
-        m = np.asarray(matrix, dtype=np.int64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(points):
-            raise ValueError("distance matrix must be square and match the point count")
-        scale = Fraction(scale)
-        if bound_M is None:
-            bound_M = int(m.max()) * scale if scale != 1 else int(m.max())
-        return cls(
-            points,
-            int_block=lambda r, c: m[np.ix_(r, c)],
-            scale=scale,
-            bound_M=bound_M,
-            is_pseudo=is_pseudo,
-            label=label,
-            name=name,
+        return cls._from_matrix(
+            points, matrix, np.int64, "int_block", bound_M, scale=scale, is_pseudo=is_pseudo, label=label, name=name
         )
 
     @classmethod
     def from_float_matrix(
         cls, points: Sequence, matrix, *, bound_M=None, is_pseudo: bool = False, label=None, name: str = ""
     ) -> "MetricSpace":
-        if len(points) == 0:
-            raise ValueError("a metric space needs at least one point")
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(points):
-            raise ValueError("distance matrix must be square and match the point count")
-        if bound_M is None:
-            bound_M = float(m.max())
-        return cls(
-            points,
-            float_block=lambda r, c: m[np.ix_(r, c)],
-            bound_M=bound_M,
-            is_pseudo=is_pseudo,
-            label=label,
-            name=name,
+        return cls._from_matrix(
+            points, matrix, np.float64, "float_block", bound_M, is_pseudo=is_pseudo, label=label, name=name
         )
 
     def __repr__(self) -> str:
@@ -458,21 +459,14 @@ def check_metric_axioms(space: MetricSpace, max_points: int = _EXHAUSTIVE_MAX_PO
     all_idx = np.arange(n, dtype=np.intp)
     if space.exact:
         d = space.int_block(all_idx, all_idx).astype(np.int64)
-        m_units = Fraction(space.bound_M) / space.scale
-
-        def dist_value(i, j):
-            v = int(d[i, j])
-            return v if space.scale == 1 else v * space.scale
-
         # d_int > M/scale as a pure integer comparison
-        bound_exceeded = d > _int_floor(m_units)
+        bound_exceeded = d > math.floor(Fraction(space.bound_M) / space.scale)
     else:
         d = space.float_block(all_idx, all_idx)
-
-        def dist_value(i, j):
-            return float(d[i, j])
-
         bound_exceeded = d > float(space.bound_M)
+
+    def dist_value(i, j):
+        return space.as_distance(d[i, j])
 
     violations = []
 
@@ -574,21 +568,20 @@ def _exact_dtype(space: MetricSpace, r: int, total_weight: int):
     return np.float64 if bound < _FLOAT64_EXACT else np.int64 if bound < _INT64_SAFE else object
 
 
-def _exact_power_block(space: MetricSpace, rows, cols, r: int, total_weight: int) -> np.ndarray:
-    """Integer lattice distances of rows x cols raised to the integer power r,
-    in the dtype :func:`_exact_dtype` picks for weights summing to at most
+def _power_block(space: MetricSpace, rows, cols, r, exact: bool, total_weight: int) -> np.ndarray:
+    """``d**r`` for rows x cols on the path ``_weights`` chose.
+
+    Off the exact path these are float powers.  On it they are the integer
+    lattice distances raised to the integer power r, in the dtype
+    :func:`_exact_dtype` picks for weights summing to at most
     ``total_weight``: float64, int64 or Python ints, each exact at its size.
-    The power is taken in integers, so no floating-point ``pow`` is involved."""
+    The power is taken in integers, so no floating-point ``pow`` is involved.
+    """
+    if not exact:
+        return space.float_block(rows, cols) ** float(r)
     dtype = _exact_dtype(space, r, total_weight)
     block = space.int_block(rows, cols).astype(object if dtype is object else np.int64, copy=False)
     return (block**r).astype(dtype, copy=False)
-
-
-def _power_block(space: MetricSpace, rows, cols, r, exact: bool, total_weight: int) -> np.ndarray:
-    """``d**r`` for rows x cols on the path ``_weights`` chose."""
-    if exact:
-        return _exact_power_block(space, rows, cols, r, total_weight)
-    return space.float_block(rows, cols) ** float(r)
 
 
 def _score_value(score, normalizer: int, exact: bool, scale_r):
@@ -634,6 +627,10 @@ def modulus_of_continuity(space: MetricSpace, support: Iterable, delta, r):
     s(delta) = sup over z in support and pairs x, y in support with
     d(x, y) < delta of |d(z,x)^r - d(z,y)^r|, computed by exact enumeration
     of all qualifying triples.  Returns 0 when only identical pairs qualify.
+    ``d(x, y) < delta`` is decided as the Kuratowski estimator decides
+    ``d < epsilon``: on an exact space, for integer and float r alike, it is
+    exact, with a float delta read as the Fraction it equals (the float 0.1 is
+    a little above 1/10); on a float space it compares floats.
     The scan is O(n^3) in time over the n support points, so it shares the
     ``_EXHAUSTIVE_MAX_POINTS`` guard of :func:`check_metric_axioms`.
     """
@@ -647,15 +644,9 @@ def modulus_of_continuity(space: MetricSpace, support: Iterable, delta, r):
         raise ValueError(f"{len(sup)} support points exceed the {_EXHAUSTIVE_MAX_POINTS}-point guard")
     idx = space.indices(sup)
     exact = space.exact and isinstance(r, int)
-    if exact:
-        d = space.int_block(idx, idx)
-        powed = _exact_power_block(space, idx, idx, r, 1)
-        # d(x,y) < delta in lattice units is d_int <= k
-        thr = Fraction(str(delta)) if not isinstance(delta, (int, Fraction)) else Fraction(delta)
-        close = d <= _strict_int_bound(thr / space.scale)
-    else:
-        d = space.float_block(idx, idx)
-        powed, close = d ** float(r), d < float(delta)
+    block, bound = space._below(delta)
+    close = block(idx, idx) <= bound
+    powed = _power_block(space, idx, idx, r, exact, 1)
     best = 0
     for p in powed:
         masked = np.abs(p[:, None] - p[None, :])[close]

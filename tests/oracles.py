@@ -79,7 +79,7 @@ def float_functional_by_enumeration(space, pairs, r, candidate):
 def modulus_by_triple_enumeration(space, support, delta, r):
     """sup over z and pairs with d(x, y) < delta of |d(z,x)^r - d(z,y)^r|."""
     support = list(support)
-    delta = Fraction(str(delta))
+    delta = Fraction(delta)  # a float delta is the fraction it equals, as in the package
     close_pairs = [
         (x, y)
         for x in support

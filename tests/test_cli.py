@@ -427,6 +427,75 @@ def test_modulus_on_grid(capsys):
 
 
 # ---------------------------------------------------------------------------
+# exact values past the float range: float fields read inf, exact fields keep the value
+# ---------------------------------------------------------------------------
+
+# The two graphs of g4_pair.graphs are 2 apart, so at r = 1025 the restricted
+# optimum is 2^1025 / 2 = 2^1024, the first power of two past the float range.
+RESTRICTED_PAIR_R1025 = str(2**1024)
+
+
+@pytest.mark.parametrize("argv", [["restricted-mean"], ["mean", "--restricted"], ["variance", "--restricted"]])
+def test_exact_optimum_past_the_float_range_exits_0(capsys, pair_file, argv):
+    command = [*argv, pair_file, "--r", "1025"]
+    code, out, err = run_cli(capsys, *command)
+    assert code == 0 and err == ""
+    assert any(line.endswith(f"optimum: {RESTRICTED_PAIR_R1025}") for line in out.splitlines())
+
+    code, out, err = run_cli(capsys, *command, "--format", "json")
+    assert code == 0 and err == ""
+    assert '"optimum": Infinity' in out
+    payload = json.loads(out)
+    assert payload["optimum"] == float("inf") and payload["optimum_exact"] == RESTRICTED_PAIR_R1025
+
+    code, out, err = run_cli(capsys, *command, "--format", "csv")
+    assert code == 0 and err == ""
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    assert rows and {row[header.index("optimum")] for row in rows} == {"inf"}
+
+
+def test_fractional_optimum_past_the_float_range_has_an_inf_decimal_line(capsys, tmp_path):
+    path = tmp_path / "three.graphs"
+    path.write_text("4:000000\n4:110000\n4:101000\n")  # pairwise 2 apart
+    code, out, err = run_cli(capsys, "restricted-mean", str(path), "--r", "1025")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert f"# optimum: {Fraction(2 * 2**1025, 3)}" in lines
+    assert "# optimum as decimal: inf" in lines
+
+
+def test_modulus_past_the_float_range_exits_0(capsys):
+    code, out, err = run_cli(capsys, "modulus", "--nv", "4", "--delta", "2", "--r", "1100", "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["s_delta"] == payload["lipschitz_bound"] == float("inf")
+    assert payload["s_delta_exact"] == str(6**1100 - 5**1100)  # pairs at distance 1, z at 6 and 5 from them
+
+    code, out, err = run_cli(capsys, "modulus", "--nv", "4", "--delta", "1e400")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert "# delta: inf" in lines and "s_delta: 6" in lines
+    assert "# bound (2^r-1) M^(r-1) delta: inf (gamma=1)" in lines
+
+
+def test_simulate_past_the_float_range_writes_both_reports(capsys, tmp_path):
+    config = json.loads((FIXTURE_DIR / "g4_uniform_pair.json").read_text())
+    config.update(r=1100, restricted=True, replications=3)
+    path = tmp_path / "r1100.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "sim"
+    code, out, err = run_cli(capsys, "simulate", str(path), "--out", str(out_dir))
+    assert code == 0 and err == "", err
+    assert "all assertion blocks passed" in out
+    summary = json.loads((out_dir / "summary.json").read_text())
+    restricted = summary["population_restricted"]
+    assert restricted["optimum"] == float("inf") and restricted["optimum_exact"] == str(2**1099)
+    assert {c["median_abs_error_res"] for c in summary["checkpoints"]} == {float("inf")}
+    header, *rows = (out_dir / "report.csv").read_text().splitlines()
+    assert len(rows) == 9 and all(row.split(",")[header.split(",").index("sigma_hat_res")] == "inf" for row in rows)
+
+
+# ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 

@@ -60,7 +60,7 @@ from frechet_means.consistency_lab import (
     write_summary_json,
 )
 from frechet_means.graph_space import _Orbits, n_edge_slots
-from frechet_means.metric_core import _INT64_SAFE, _exact_power_block, _weights
+from frechet_means.metric_core import _INT64_SAFE, _power_block, _to_float, _weights
 from frechet_means.set_limits import _kuratowski_rows, default_burn_in
 from oracles import (
     epsilon_hull,
@@ -128,7 +128,7 @@ def near_guard_spaces(draw):
 
 def _assert_guard_side(space, total_weight):
     idx = np.arange(len(space), dtype=np.intp)
-    block = _exact_power_block(space, idx, idx, GUARD_R, total_weight)
+    block = _power_block(space, idx, idx, GUARD_R, True, total_weight)
     below = GUARD_MAX_D**GUARD_R * total_weight < _INT64_SAFE
     assert block.dtype == (np.int64 if below else object)
 
@@ -618,6 +618,23 @@ def test_summary_median_and_max_match_sorting(values):
     else:
         args = (values,)
     assert _median_and_max(*args) == median_and_max_by_sorting(values)
+
+
+@PROPERTY_SETTINGS
+@given(
+    num=st.one_of(st.integers(-(2**1100), 2**1100), st.integers(-(2**60), 2**60)),
+    den=st.one_of(st.integers(1, 2**1100), st.integers(1, 2**60)),
+)
+def test_to_float_rounds_as_float_of_fraction_and_saturates_past_it(num, den):
+    try:
+        expected = float(Fraction(num, den))
+        assert num / den == expected  # int division rounds alike
+    except OverflowError:
+        expected = math.inf if num > 0 else -math.inf
+    assert _to_float(num, den) == expected
+    assert _to_float(Fraction(num, den)) == expected
+    assert _to_float(Fraction(num, den), 1) == expected
+    assert _to_float(expected) == expected
 
 
 ENGINE_SPACES = {"g4": (G4, GraphSpec(4)), "grid": (GRID, GridSpec("0", "2", "0.25"))}

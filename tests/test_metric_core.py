@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,17 +8,20 @@ from frechet_means import (
     DiscreteMeasure,
     MetricSpace,
     Sample,
+    SetTrajectory,
     check_metric_axioms,
     check_order,
+    enumerate_space,
     equicontinuity_bound,
     interval_grid,
+    kuratowski_limsup,
     modulus_of_continuity,
     population_functional,
     power_gamma,
     sample_functional,
 )
 from frechet_means import metric_core
-from oracles import modulus_by_triple_enumeration
+from oracles import modulus_by_triple_enumeration, oracle_distance
 
 
 def two_point_space(d=1, pseudo=False):
@@ -199,6 +203,21 @@ def test_modulus_with_a_delta_past_every_float(g4):
         assert got == 6**r == modulus_by_triple_enumeration(g4, g4.points[:8] + g4.points[-8:], delta, r)
 
 
+@pytest.mark.parametrize("r", [1, 1.5])
+def test_modulus_and_kuratowski_read_a_float_threshold_alike(r):
+    # the float 0.1 is a little above 1/10, so pairs 1/10 apart are close,
+    # for integer and float orders alike, as in the Kuratowski estimator
+    grid = interval_grid("0", "1", "0.05")
+    value = modulus_of_continuity(grid, grid.points, 0.1, r)
+    assert value == modulus_of_continuity(grid, grid.points, Fraction(0.1), r)
+    if r == 1:
+        assert value == Fraction(1, 10) == modulus_by_triple_enumeration(grid, grid.points, 0.1, r)
+    else:
+        assert value == pytest.approx(1 - 0.9**1.5)
+    traj = SetTrajectory(grid, [(Fraction(0),)] * 2)
+    assert kuratowski_limsup(traj, 0.1, 0).points == {Fraction(0), Fraction(1, 20), Fraction(1, 10)}
+
+
 def test_modulus_monotone_in_delta(g4):
     deltas = [0.5, 1.5, 2.5, 3.5, 6.5]
     values = [modulus_of_continuity(g4, g4.points, d, 2) for d in deltas]
@@ -304,6 +323,43 @@ def test_interval_grid_validation():
 def test_empty_space_rejected():
     with pytest.raises(ValueError, match="at least one point"):
         MetricSpace.from_int_matrix((), np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("build", [MetricSpace.from_int_matrix, MetricSpace.from_float_matrix])
+def test_matrix_constructors_refuse_empty_points_and_non_square_matrices(build):
+    with pytest.raises(ValueError, match="a metric space needs at least one point"):
+        build((), np.zeros((0, 0)))
+    for matrix in (np.zeros((2, 3)), np.zeros((3, 3)), np.zeros(4), np.zeros((2, 2, 1))):
+        with pytest.raises(ValueError, match="distance matrix must be square and match the point count"):
+            build(("a", "b"), matrix)
+
+
+PLANE_POINTS = ((0.0, 0.0), (3.0, 0.0), (0.0, 0.1))
+PLANE = [[math.dist(p, q) for q in PLANE_POINTS] for p in PLANE_POINTS]
+TWINS = [[0, 0, 2], [0, 0, 2], [2, 2, 0]]  # a pseudo-metric: a and b are 0 apart
+
+
+@pytest.mark.parametrize(
+    "build, kind",
+    [
+        (lambda: enumerate_space(4), int),
+        (lambda: interval_grid("0", "1", "0.01"), Fraction),
+        (lambda: MetricSpace.from_float_matrix(PLANE_POINTS, PLANE, name="plane"), float),
+        (lambda: MetricSpace.from_int_matrix(("a", "b", "c"), TWINS, is_pseudo=True, name="twins"), int),
+    ],
+    ids=["g4", "grid", "plane", "pseudo"],
+)
+def test_distance_is_the_set_distance_to_one_point(build, kind):
+    space = build()
+    points = space.points[:: max(1, len(space) // 7)] + (space.points[-1],)
+    for x in points:
+        for y in points:
+            d = space.distance(x, y)
+            assert d == space.set_distance(x, [y]) and type(d) is type(space.set_distance(x, [y])) is kind
+            if kind is float:
+                assert d == PLANE[space.index(x)][space.index(y)]
+            else:
+                assert d == oracle_distance(space, x, y)
 
 
 def test_float_triangle_check_tolerates_rounding():

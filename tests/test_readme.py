@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from frechet_means.cli import main
+from frechet_means.cli import _EXIT_CODES, main
 
 ROOT = Path(__file__).parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -29,3 +29,9 @@ def test_readme_console_transcripts_run(monkeypatch, capsys, tmp_path):
         command, *expected = block.replace("/tmp/report", str(tmp_path)).splitlines()
         assert main(shlex.split(command)[2:]) == 0, command
         assert capsys.readouterr().out.splitlines() == expected, command
+
+
+def test_readme_exit_codes_match_the_cli_table():
+    bullet = re.search(r"^\* Exit codes:(.*?)(?=^\S|^\* |\Z)", README, re.S | re.M).group(1)
+    # 0 success, 5 a failed assertion block, 141 a closed pipe; the rest are the errors' codes
+    assert {int(code) for code in re.findall(r"`(\d+)`", bullet)} == {0, 5, 141, *_EXIT_CODES.values()}
