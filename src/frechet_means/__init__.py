@@ -34,7 +34,6 @@ from .graph_space import (
     enumerate_space,
     format_graph,
     graph_subspace,
-    hamming_distance,
     parse_graph,
     read_graph_file,
     read_graph_lines,
@@ -48,11 +47,9 @@ from .frechet_solver import (
     sample_mean_set,
 )
 from .set_limits import (
-    InclusionReport,
     OuterLimitEstimate,
     SetTrajectory,
     default_burn_in,
-    inclusion_check,
     kuratowski_limsup,
     tail_limsup,
     ziezold_limcsup,
@@ -67,7 +64,6 @@ from .consistency_lab import (
     OscillationTable,
     TrajectoryRecord,
     build_space,
-    diagnostic_T,
     event_contains,
     event_full_space,
     oscillation_stats,

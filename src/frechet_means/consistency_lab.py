@@ -19,8 +19,9 @@ stream in turn, only the draws up to the last checkpoint are taken, and
 their counts per checkpoint fill one replications x checkpoints x support
 array.  Replications with one count row share every statistic, so each
 checkpoint scores its distinct count rows a chunk at a time: their counts
-form one matrix and their scores one block, whose row-wise minima and ties
-give every statistic, gathered back to the replications by row id.  The
+form one matrix, scored by the solver's scorer a tile at a time, and the
+row-wise minima and ties each tile is reduced to give every statistic,
+gathered back to the replications by row id.  The
 tail and Kuratowski visits of all replications' mean sets are counted per
 track by the counters of :mod:`set_limits`, whose one-row case is each
 estimator.  The result keeps each statistic as a column over replications
@@ -56,21 +57,19 @@ from typing import Callable
 
 import numpy as np
 
-from .frechet_solver import MeanSetResult, _mean_set, _min_ties
-from .graph_space import GraphSpaceConfig, _AllGraphs, _Orbits, enumerate_space, parse_graph
+from . import frechet_solver
+from .frechet_solver import MeanSetResult, _mean_set, _min_ties, _scorer
+from .graph_space import GraphSpaceConfig, enumerate_space, parse_graph
 from .metric_core import (
     _FLOAT64_EXACT,
     DiscreteMeasure,
     MetricSpace,
     Sample,
     _exact_dtype,
-    _power_block,
     _to_float,
     _weights,
     check_order,
     interval_grid,
-    population_functional,
-    sample_functional,
 )
 from .set_limits import OuterLimitEstimate, _kuratowski_rows, _recurrent_rows, default_burn_in
 
@@ -88,7 +87,6 @@ __all__ = [
     "parse_point_label",
     "replication_rng",
     "sample_iid",
-    "diagnostic_T",
     "run_consistency_experiment",
     "oscillation_stats",
     "event_full_space",
@@ -288,11 +286,6 @@ def sample_iid(mu: DiscreteMeasure, n: int, seed: int) -> Sample:
     return Sample(tuple(mu.support[i] for i in idx))
 
 
-def diagnostic_T(space: MetricSpace, mu: DiscreteMeasure, sample: Sample, z, r):
-    """T_n(z): empirical minus population functional at z (exact when possible)."""
-    return sample_functional(space, sample, z, r) - population_functional(space, mu, z, r)
-
-
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
@@ -429,12 +422,6 @@ class ExperimentResult:
 # the experiment engine
 # ---------------------------------------------------------------------------
 
-# Score cells (distinct count rows x space points) of one chunk of a
-# checkpoint's distinct count rows.  It bounds the engine's working set
-# whatever the run's size; the results do not depend on it.
-_CHUNK_CELLS = 1 << 16
-
-
 def _index_tuples(flat: np.ndarray, starts: np.ndarray) -> list:
     """``flat`` cut at ``starts`` into one tuple of Python numbers per row."""
     flat = flat.tolist()
@@ -456,8 +443,8 @@ def _draw_counts(cfg: ExperimentConfig) -> np.ndarray:
     """
     cdf = _support_cdf(cfg.mu)
     reps, last = cfg.replications, cfg.checkpoints[-1]
-    width = min(last, _CHUNK_CELLS)
-    rows = min(reps, _CHUNK_CELLS // width)
+    width = min(last, frechet_solver._CHUNK_CELLS)
+    rows = min(reps, frechet_solver._CHUNK_CELLS // width)
     # stretches: the draws between consecutive checkpoints, cut at every block edge
     starts = np.array(sorted({0, *cfg.checkpoints[:-1], *range(0, last, width)}))
     below = np.empty((reps, len(starts), len(cdf)), dtype=np.int64)  # stretch draws below each cdf[j]
@@ -483,28 +470,35 @@ def _draw_counts(cfg: ExperimentConfig) -> np.ndarray:
     return np.diff(per_checkpoint, axis=2, prepend=0).cumsum(axis=1)
 
 
-class _Engine:
-    """The scores of one configuration's support, one per row: per slot-type
-    orbit on full graph spaces with exact scores, per space point elsewhere.
+def _gathered(tiles, cols: np.ndarray, out: np.ndarray):
+    """The ``(lo, tile)`` pairs of ``tiles``, passed on once ``out`` has each tile's scores at the sorted ``cols``."""
+    for lo, tile in tiles:
+        a, b = np.searchsorted(cols, (lo, lo + tile.shape[1]))
+        out[:, a:b] = tile[:, cols[a:b] - lo]
+        yield lo, tile
 
-    ``score(weights)`` is built once: on full graph spaces with exact scores
-    it is the scorer of :class:`graph_space._Orbits`, which holds two small
-    distance tables and scores a weight matrix with one matmul; elsewhere it
-    multiplies by one |space| x |support| distance-power block, as one matmul
-    on the exact path and one matvec per row off it (float sums keep their
-    order).  The population targets are read off the scores of the measure's
-    weights.
+
+class _Engine:
+    """The scores of one configuration's support at the positions of
+    :func:`frechet_solver._scorer` (slot-type orbits on full graph spaces
+    with exact scores, space points elsewhere), made by the solver's own
+    scorer a tile of at most ``_CHUNK_CELLS`` cells at a time; no
+    |space| x |support| block and no score row but the population's, off
+    which the population targets are read, is held.
 
     :meth:`columns` scores a chunk of a checkpoint's distinct count rows at
-    once, as one matrix, and both tracks (all points compete; only sampled
-    support points compete) read every statistic off its score rows with
-    row-wise minima and ties.  On the exact path every score is an integer, and each value is kept as an
-    integer numerator over the checkpoint's denominator ``n * d * q`` (d the
-    weights' common denominator, ``scale**r = p / q``); off it values are
-    float64.  A mean set is the sorted space indices of a row's ties, kept as
-    its id in ``sets``, the distinct mean sets of both tracks in order of
-    first appearance: a row's ties are looked up by their bytes, and each
-    distinct tuple of tied orbits is expanded to its graphs' masks once.
+    once: :func:`frechet_solver._min_ties` reduces each tile as it is made
+    into the rows' minima and ties, and the positions the statistics read
+    (the population mean set's and the support's) are gathered on the way.
+    Both tracks (all points compete; only sampled support points compete)
+    read every statistic off them.  On the exact path every score is an
+    integer, and each value is kept as an integer numerator over the
+    checkpoint's denominator ``n * d * q`` (d the weights' common
+    denominator, ``scale**r = p / q``); off it values are float64.  A mean
+    set is the sorted space indices of a row's ties, kept as its id in
+    ``sets``, the distinct mean sets of both tracks in order of first
+    appearance: a row's tied positions are looked up by their bytes, and
+    each distinct tuple of them is expanded to space indices once.
     """
 
     def __init__(self, space: MetricSpace, cfg: ExperimentConfig):
@@ -513,45 +507,39 @@ class _Engine:
         self.sup_idx, weights, self.pop_denominator, self.exact = _weights(space, cfg.mu, r)
         self.scale_r = space.scale**r
         total = 2 * max(cfg.n_max, self.pop_denominator)  # t_res_upper adds two scores
-        self.orbits = None  # the slot-type orbits that rows stand for, where they are not space points
-        if self.exact and isinstance(space.points, _AllGraphs):
-            self.orbits = _Orbits(space, self.sup_idx)
-            self.score = self.orbits.scorer(r, total)
-            sup_rows = self.orbits.support
-        else:
-            block = _power_block(space, np.arange(len(space), dtype=np.intp), self.sup_idx, r, self.exact, total)
-            if self.exact:  # integer scores are exact in any summation order
-                self.score = lambda w: w @ block.T
-            else:
-                self.score = lambda w: block @ w if w.ndim == 1 else np.stack([block @ row for row in w])
-            sup_rows = self.sup_idx
-        pop_scores = self.score(weights)
+        size, self.score, sup_rows, self.expand, row_cells = _scorer(space, self.sup_idx, r, self.exact, total)
+        pop_scores = None
+        for lo, tile in self.score(weights[None]):
+            if pop_scores is None:
+                pop_scores = np.empty(size, tile.dtype)
+            pop_scores[lo : lo + tile.shape[1]] = tile[0]
+        self.dtype = pop_scores.dtype
 
         (best,), _, self.theta_rows, _ = _min_ties(pop_scores[None], self.exact)
         pop_best = [best]
-        theta_idx = self.theta_rows if self.orbits is None else self.orbits.masks(self.theta_rows)
+        theta_idx = np.sort(self.expand(self.theta_rows)[0])
         self.population = _mean_set(space, best, theta_idx, r, self.pop_denominator, self.exact, "full_space")
-        self.in_theta = np.zeros(len(pop_scores), dtype=bool)
+        self.in_theta = np.zeros(size, dtype=bool)
         self.in_theta[self.theta_rows] = True
         self.population_res = None
-        width = len(pop_scores)
+        gather, width = [self.theta_rows], 0
         if self.restricted:
             self.sup_order = np.argsort(self.sup_idx)  # support positions in ascending space order
-            self.sup_sorted = self.sup_idx[self.sup_order]
             self.sup_rows = sup_rows[self.sup_order]
-            (best,), _, pos, _ = _min_ties(pop_scores[None, self.sup_rows], self.exact)
+            (best,), _, self.theta_res, _ = _min_ties(pop_scores[None, self.sup_rows], self.exact)
             pop_best.append(best)
-            self.theta_res_rows = self.sup_rows[pos]
-            self.population_res = _mean_set(
-                space, best, self.sup_sorted[pos], r, self.pop_denominator, self.exact, "measure_support"
-            )
+            idx = self.sup_idx[self.sup_order][self.theta_res]
+            self.population_res = _mean_set(space, best, idx, r, self.pop_denominator, self.exact, "measure_support")
             self.in_theta_res = np.zeros(len(self.sup_idx), dtype=bool)  # per sorted support position
-            self.in_theta_res[pos] = True
-            width = max(width, len(pos) * len(self.sup_idx))  # the t_res_upper gaps
-        self.chunk = max(1, _CHUNK_CELLS // width)
+            self.in_theta_res[self.theta_res] = True
+            gather.append(self.sup_rows)
+            width = len(self.theta_res) * len(self.sup_idx)  # the t_res_upper gaps
+        # the positions every row's statistics read, and where theta's and the support's sit among them
+        self.gather, where = np.unique(np.concatenate(gather), return_inverse=True)
+        self.theta_cols, self.sup_cols = where[: len(self.theta_rows)], where[len(self.theta_rows) :]
+        self.chunk = max(1, frechet_solver._CHUNK_CELLS // max(len(self.gather), width, row_cells))
         self.sets = []  # every distinct mean set, a sorted tuple of space indices, by first appearance
-        self._ids = {}  # the bytes of a set's int64 indices -> its position in sets
-        self._orbit_ids = {}  # the bytes of a tuple of tied orbits -> the id of its graphs' set
+        self._ids = {}  # the bytes of a tuple of tied positions -> the id of its set
         if self.exact:  # every numerator is at most 2 max(M, 1)^r n_max d p in size
             bound = 2 * cfg.n_max * self.pop_denominator * self.scale_r.numerator
             self.num_dtype = object if _exact_dtype(space, r, bound) is object else np.int64
@@ -559,38 +547,27 @@ class _Engine:
         self.pop = self._ints(pop_scores)
         self.pop_best = [self._ints(np.asarray(best)) for best in pop_best]
 
-    def _set_ids(self, ties: np.ndarray, starts: np.ndarray, orbits: bool = False) -> np.ndarray:
-        """The id in ``sets`` of each row's ties, the row's slice of ``ties`` from
-        ``starts``: sorted space indices, or tied orbits when ``orbits``.
+    def _set_ids(self, ties: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """The id in ``sets`` of each row's tied positions, the row's slice of
+        ``ties`` from ``starts``.
 
-        A row is looked up by the bytes of its slice.  A slice not seen before
-        is interned: indices as they are, and tuples of orbits as the sorted
-        masks of their graphs, all new tuples expanded at once.
+        A row is looked up by the bytes of its slice.  Each slice not seen
+        before is expanded to the sorted space indices of its points, all new
+        slices at once, and added to ``sets``: distinct slices are distinct
+        sets, as the positions partition the space.
         """
         data = ties.astype(np.int64, copy=False).tobytes()
         bounds = (starts * 8).tolist() + [len(data)]
         keys = [data[a:b] for a, b in zip(bounds, bounds[1:])]
-        known = self._orbit_ids if orbits else self._ids
-        new = [key for key in dict.fromkeys(keys) if key not in known]
-        if orbits and new:
+        new = [key for key in dict.fromkeys(keys) if key not in self._ids]
+        if new:
             tied = [np.frombuffer(key, np.int64) for key in new]
-            graphs, offsets = self.orbits.graphs(np.concatenate(tied))
-            ends = offsets[np.cumsum([0, *map(len, tied)])].tolist()  # each tuple's graphs are one block
+            points, offsets = self.expand(np.concatenate(tied))
+            ends = offsets[np.cumsum([0, *map(len, tied)])].tolist()  # each slice's points are one block
             for key, a, b in zip(new, ends, ends[1:]):
-                known[key] = self._intern(np.sort(graphs[a:b]))
-        else:
-            for key in new:
-                self._intern(np.frombuffer(key, np.int64))
-        return np.fromiter(map(known.__getitem__, keys), np.intp, len(keys))
-
-    def _intern(self, indices: np.ndarray) -> int:
-        """The id of the set of sorted space indices ``indices``, added to ``sets``
-        when it is new."""
-        key = indices.astype(np.int64, copy=False).tobytes()
-        if key not in self._ids:
-            self._ids[key] = len(self.sets)
-            self.sets.append(tuple(indices.tolist()))
-        return self._ids[key]
+                self._ids[key] = len(self.sets)
+                self.sets.append(tuple(np.sort(points[a:b]).tolist()))
+        return np.fromiter(map(self._ids.__getitem__, keys), np.intp, len(keys))
 
     def denominator(self, n: int) -> int:
         """The denominator of every value at checkpoint n (1 off the exact path)."""
@@ -616,31 +593,31 @@ class _Engine:
     def columns(self, counts: np.ndarray, n: int) -> dict:
         """Every statistic at checkpoint n of a chunk of count rows, as columns;
         ``counts[k]`` counts a replication's first n draws per support point."""
-        scores = self.score(counts)
+        gathered = np.empty((len(counts), len(self.gather)), self.dtype)
+        best, _, ties, starts = _min_ties(_gathered(self.score(counts), self.gather, gathered), self.exact)
         pop = self.pop
         pop_best = self.pop_best[0]
-        best, _, ties, starts = _min_ties(scores, self.exact)
         cols = dict(
             sigma_hat=self._excess(best, n),
-            mean_set=self._set_ids(ties, starts, self.orbits is not None),
+            mean_set=self._set_ids(ties, starts),
             t_hat_max=self._excess(best, n, np.minimum.reduceat(pop[ties], starts)),
             t_star=self._excess(best, n, pop_best),
-            t_theta_min=self._excess(scores[:, self.theta_rows].min(axis=1), n, pop_best),
+            t_theta_min=self._excess(gathered[:, self.theta_cols].min(axis=1), n, pop_best),
             included_in_population=np.logical_and.reduceat(self.in_theta[ties], starts),
         )
         if self.restricted:
             pop_best = self.pop_best[1]
             observed = counts[:, self.sup_order] > 0
-            sup_scores = scores[:, self.sup_rows]
+            sup_scores = gathered[:, self.sup_cols]
             best, rows, pos, starts = _min_ties(sup_scores, self.exact, observed)
             # upper bound: min over theta* of T_n(theta*) + min_{x' observed} |Fhat(x') - Fhat(theta*)|;
             # Fhat is a positive multiple of the score, so the bound is taken on scores
-            theta_scores = scores[:, self.theta_res_rows]
+            theta_scores = sup_scores[:, self.theta_res]
             gaps = np.abs(sup_scores[:, None, :] - theta_scores[:, :, None])
             gaps = np.where(observed[:, None, :], gaps, gaps.max()).min(axis=2)
             cols.update(
                 sigma_hat_res=self._excess(best, n),
-                mean_set_res=self._set_ids(self.sup_sorted[pos], starts),
+                mean_set_res=self._set_ids(self.sup_rows[pos], starts),
                 tr_star=self._excess(best, n, pop_best),
                 t_res_hat_max=self._excess(best, n, np.minimum.reduceat(pop[self.sup_rows[pos]], starts)),
                 t_res_upper=self._excess((theta_scores + gaps).min(axis=1), n, pop_best),

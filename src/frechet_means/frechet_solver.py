@@ -9,32 +9,24 @@ sample or the measure to :func:`metric_core._weights`, which decides the
 arithmetic once: integer weights over a normalizer on exact spaces with an
 integer order and rational weights, float weights summing to one otherwise.
 Its tail, :func:`_mean_set`, turns the minimum and the tie indices into a
-result; the consistency harness calls it on the population scores its
-checkpoints use.  A result keeps the sorted tie indices (``indices``) and
-builds the points (``argmin``) only when they are first read.
+result.  A result keeps the sorted tie indices (``indices``) and builds the
+points (``argmin``) only when they are first read.
 
-Exact means over a full graph space use the Hamming structure instead of a
-distance block.  At r = 1 the functional splits over edge slots, so
-:func:`_order1_cube` reads the argmin cube off per-slot weights without
-scoring any graph.  At r >= 2, :class:`graph_space._Orbits` scores each
-slot-type orbit of the support once, with one matmul of two small distance
-tables, and the tied orbits expand to the sorted masks of their graphs.
-Every other case scores each candidate as ``d**r @ weights``, with ``d**r``
-from :func:`metric_core._power_block`.  On the exact path the scores are
-integers in the dtype :func:`metric_core._exact_dtype` picks (float64, int64
-or Python ints, each exact at its size).
-
-One reducer, :func:`_min_ties`, picks the argmin set of every row of a
-score block: the solver calls it on one row, the consistency engine on one
-row per replication.  On the exact path it keeps every score equal to the
-exact minimum, so tie sets are bit-reproducible; on the float path it keeps
-every score <= optimum * (1 + 1e-9), a tolerance that is part of the
-contract.
-
-Distance blocks are scored in chunks of candidates only to bound their
-working set, and the reducer sees all scores at once.  Exact scores are
-integers, so exact results do not depend on the chunk size; a float score
-is a BLAS matvec sum, whose rounding can change with the chunk.
+One factory, :func:`_scorer`, scores for the solver and the consistency
+engine alike.  Exact scores over a full graph space come per slot-type orbit
+of the support from :class:`graph_space._Orbits`, whose tied orbits expand
+to their graphs (at r = 1 the solver reads the argmin cube off per-slot
+weights instead, :func:`_order1_cube`); every other case scores each
+candidate as ``d**r @ weights``, with ``d**r`` from
+:func:`metric_core._power_block`.  Exact scores are integers in the dtype
+:func:`metric_core._exact_dtype` picks, so BLAS sums them exactly in any
+order; a float score is summed one support column at a time, in support
+order.  Scores are made a tile of at most ``_CHUNK_CELLS`` cells at a time,
+into one buffer, and one reducer, :func:`_min_ties`, takes each tile as it
+is made and keeps each row's running minimum and ties; no score row is held
+whole, and no result depends on the tiles.  Exact ties are the scores equal
+to the exact minimum, so tie sets are bit-reproducible; float ties are the
+scores <= optimum * (1 + 1e-9), a tolerance that is part of the contract.
 """
 
 from __future__ import annotations
@@ -50,6 +42,7 @@ from .metric_core import (
     DiscreteMeasure,
     MetricSpace,
     Sample,
+    _exact_dtype,
     _power_block,
     _score_value,
     _weights,
@@ -66,9 +59,9 @@ __all__ = [
 
 FLOAT_TIE_RTOL = 1e-9
 
-# Candidate chunk size for vectorized evaluation; it bounds the distance-block
-# working set, and any value gives identical exact results.
-_DEFAULT_CHUNK = 65536
+# The most cells of a score tile (weight rows x positions), of the blocks it is
+# made from, of the engine's count chunks and of its draw blocks; no result depends on it.
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,21 +90,52 @@ class MeanSetResult:
         return len(self.indices)
 
 
-def _min_ties(scores: np.ndarray, exact: bool, competes: np.ndarray | None = None) -> tuple:
+def _tied(scores: np.ndarray, best, exact: bool) -> np.ndarray:
+    """Where ``scores`` tie with ``best``: equal when exact, within ``FLOAT_TIE_RTOL`` otherwise."""
+    return scores == best if exact else scores <= best * (1.0 + FLOAT_TIE_RTOL)
+
+
+def _min_ties(tiles, exact: bool, competes: np.ndarray | None = None) -> tuple:
     """Each row's minimum score and the positions tied with it, among the
     positions where ``competes`` holds (None: all; each row has at least one).
 
-    Exact scores tie only when equal, float scores within ``FLOAT_TIE_RTOL``.
-    Returns the minima and the tied positions as ``rows``, ``cols`` in
-    row-major order, with ``starts[k]`` the first tie of row k.
+    ``tiles`` yields ``(lo, tile)`` in ascending ``lo``, ``tile[k, c]`` being
+    row k's score at position ``lo + c`` (an array is one tile at 0), and
+    each tile is reduced as it comes: a lower minimum drops the row's ties,
+    and the tile's scores tied with the minimum join them.  Returns the
+    minima and the ties as ``rows``, ``cols`` in row-major order, with
+    ``starts[k]`` the first tie of row k.
     """
-    masked = scores if competes is None else np.where(competes, scores, scores.max())
-    best = masked.min(axis=1)[:, None]
-    tied = scores == best if exact else scores <= best * (1.0 + FLOAT_TIE_RTOL)
-    if competes is not None:
-        tied &= competes
-    rows, cols = np.divmod(np.flatnonzero(tied), scores.shape[1])  # np.nonzero is slow on 2-D masks
-    return best[:, 0], rows, cols, np.searchsorted(rows, np.arange(len(scores)))
+    if isinstance(tiles, np.ndarray):
+        tiles = ((0, tiles),)
+    best, merged = None, False
+    rows = cols = np.empty(0, dtype=np.intp)
+    for lo, tile in tiles:
+        if competes is not None:
+            inside = competes[:, lo : lo + tile.shape[1]]
+            tile = np.where(inside, tile, np.iinfo(np.int64).max if tile.dtype == np.int64 else np.inf)  # above all
+        low = tile.min(axis=1)
+        if best is None:
+            best, values = low, tile[:0, 0]
+        elif (low < best).any():
+            best = np.minimum(best, low)
+            keep = _tied(values, best[rows], exact)
+            rows, cols, values = rows[keep], cols[keep], values[keep]
+        if not _tied(low, best, exact).any():
+            continue  # no row's minimum is in this tile
+        tied = _tied(tile, best[:, None], exact)
+        if competes is not None:
+            tied &= inside
+        r, c = np.divmod(np.flatnonzero(tied), tile.shape[1])  # np.nonzero is slow on 2-D masks
+        if len(rows):
+            rows, cols, values = (np.concatenate(pair) for pair in ((rows, r), (cols, c + lo), (values, tile[r, c])))
+            merged = True
+        else:
+            rows, cols, values = r, c + lo, tile[r, c]
+    if merged:  # rows of several tiles, each row's ties in ascending position
+        order = np.argsort(rows, kind="stable")
+        rows, cols = rows[order], cols[order]
+    return best, rows, cols, np.searchsorted(rows, np.arange(len(best)))
 
 
 def _order1_cube(space: MetricSpace, sup_idx: np.ndarray, weights: np.ndarray, total: int) -> tuple:
@@ -134,29 +158,64 @@ def _order1_cube(space: MetricSpace, sup_idx: np.ndarray, weights: np.ndarray, t
     return sum(min(ck, total - ck) for ck in c), ties
 
 
+def _scorer(space: MetricSpace, sup_idx: np.ndarray, r, exact: bool, total: int, full: bool = True) -> tuple:
+    """``(size, score, support, expand, row_cells)``: the scores of weights on
+    the support ``sup_idx`` at every point (``full``) or support point.
+
+    The scores stand for ``size`` positions, slot-type orbits on a full
+    graph space with exact scores and candidates elsewhere; ``support``
+    holds each support point's.  ``score(weights)`` maps a weight matrix to
+    the ``(lo, tile)`` pairs :func:`_min_ties` reduces, each valid until the
+    next, and each weight row holds ``row_cells`` cells beside them.  Off
+    the orbits a tile is a range of candidates, made from that range's power
+    block, and neither holds over ``_CHUNK_CELLS`` cells.  ``expand(positions)``
+    gives each position's space indices and the offsets where they start.
+    """
+    if exact and full and isinstance(space.points, _AllGraphs):
+        orbits = _Orbits(space, sup_idx)
+        tiles, row_cells = orbits.scorer(r, total)
+        return orbits.size, lambda w: tiles(w, _CHUNK_CELLS), orbits.support, orbits.graphs, row_cells
+    size, m = len(space) if full else len(sup_idx), len(sup_idx)
+    dtype = _exact_dtype(space, r, total) if exact else np.float64
+
+    def score(weights: np.ndarray):
+        weights = weights.astype(dtype)
+        step = max(1, _CHUNK_CELLS // max(len(weights), m))  # candidates per tile
+        buffers = np.empty((2, len(weights) * min(step, size)), dtype)
+        for lo in range(0, size, step):
+            rows = np.arange(lo, min(lo + step, size)) if full else sup_idx[lo : lo + step]
+            block = np.ascontiguousarray(_power_block(space, rows, sup_idx, r, exact, total).T)
+            out, term = (b[: len(weights) * len(rows)].reshape(len(weights), -1) for b in buffers)
+            if exact:
+                np.matmul(weights, block, out=out)
+            else:  # one support column at a time, in support order
+                np.multiply(weights[:, :1], block[0], out=out)
+                for j in range(1, m):
+                    out += np.multiply(weights[:, j : j + 1], block[j], out=term)
+            yield lo, out
+
+    def expand(positions: np.ndarray) -> tuple:
+        return positions if full else sup_idx[positions], np.arange(len(positions) + 1)
+
+    return size, score, sup_idx if full else np.arange(m), expand, 1
+
+
 def _solve(space: MetricSpace, data: Sample | DiscreteMeasure, r, domain: str) -> MeanSetResult:
     """Argmin of the functional of a sample or a measure ``data``.
 
     The candidates are the whole space for the ``full_space`` domain and
-    the support of ``data`` otherwise.  Exact means over a full graph space
-    come from :func:`_order1_cube` at r = 1 and otherwise from the orbit
-    scorer, whose tied orbits expand to the sorted masks of their graphs;
-    every other case scores distance blocks.
+    the support of ``data`` otherwise.  Exact order-1 means over a full
+    graph space come from :func:`_order1_cube`; every other case reduces
+    the tiles of :func:`_scorer` and expands the tied positions.
     """
     sup_idx, weights, normalizer, exact = _weights(space, data, r)
-    if exact and domain == "full_space" and isinstance(space.points, _AllGraphs):
-        if r == 1:
-            best, ties = _order1_cube(space, sup_idx, weights, normalizer)
-        else:
-            orbits = _Orbits(space, sup_idx)
-            (best,), _, tied, _ = _min_ties(orbits.scorer(r, normalizer)(weights)[None], exact)
-            ties = orbits.masks(tied)
+    full = domain == "full_space"
+    if exact and full and r == 1 and isinstance(space.points, _AllGraphs):
+        best, ties = _order1_cube(space, sup_idx, weights, normalizer)
     else:
-        candidates_idx = np.arange(len(space), dtype=np.intp) if domain == "full_space" else sup_idx
-        chunks = (candidates_idx[lo : lo + _DEFAULT_CHUNK] for lo in range(0, len(candidates_idx), _DEFAULT_CHUNK))
-        scores = [_power_block(space, c, sup_idx, r, exact, normalizer) @ weights for c in chunks]
-        (best,), _, pos, _ = _min_ties(np.concatenate(scores)[None], exact)
-        ties = np.sort(candidates_idx[pos])
+        _, score, _, expand, _ = _scorer(space, sup_idx, r, exact, normalizer, full)
+        (best,), _, tied, _ = _min_ties(score(weights[None]), exact)
+        ties = np.sort(expand(tied)[0])
     return _mean_set(space, best, ties, r, normalizer, exact, domain)
 
 

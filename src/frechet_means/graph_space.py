@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -31,7 +31,6 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "n_edge_slots",
     "slot_pairs",
-    "hamming_distance",
     "enumerate_space",
     "graph_subspace",
     "parse_graph",
@@ -95,13 +94,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({format_graph(self)!r})"
-
-
-def hamming_distance(g1: Graph, g2: Graph) -> int:
-    """Number of edge slots on which two graphs differ (popcount of XOR)."""
-    if g1.nv != g2.nv:
-        raise ValueError(f"vertex counts differ: {g1.nv} != {g2.nv}")
-    return (g1.edges ^ g2.edges).bit_count()
 
 
 @dataclass(frozen=True)
@@ -168,7 +160,7 @@ class _Orbits:
     sum_t (P_ti ? c_t - j_t : j_t)``, so every score depends on x only
     through its orbit j, one of ``size = prod_t (c_t + 1)``.  Each support
     graph is an orbit of its own (``support``), and orbit j holds
-    ``prod_t C(c_t, j_t)`` graphs (:meth:`masks`).  The types are split into
+    ``prod_t C(c_t, j_t)`` graphs (:meth:`graphs`).  The types are split into
     two groups of balanced orbit counts, and orbit ``jb * |a| + ja`` sets
     ``ja`` in the first group's mixed radix and ``jb`` in the second's.
     """
@@ -198,21 +190,24 @@ class _Orbits:
                 stride *= int(self.counts[t]) + 1
         self.support = (self.types.T * self.counts) @ self.strides  # X_i sets every slot of the types it differs on
 
-    def scorer(self, r: int, total_weight: int) -> Callable:
-        """The exact order-r scores of every orbit.
+    def scorer(self, r: int, total_weight: int) -> tuple:
+        """The exact order-r scores of every orbit, one tile at a time.
 
         Each group of types has a distance table over its orbits, ``a`` and
         ``b``, filled by doubling over its types, and orbit ``jb * |a| + ja``
         has ``d = a[ja] + b[jb]``.  By the binomial theorem the scores
         ``sum_i w_i d(x, X_i)^r`` form the matrix ``sum_j C(r, j) (b^(r-j) *
-        w) @ (a^j).T``, whose ``j = 0`` and ``j = r`` terms are outer sums;
-        all terms of all weight rows go through one matmul.  The returned
-        function maps integer weights on the support, summing to at most
-        ``total_weight``, to the orbits' scores in the dtype
-        :func:`metric_core._exact_dtype` picks for the space, so a float64
-        matmul is exact; a weight matrix gets one score row per weight row.
-        When every ``c_t`` is 1 the orbits are the graphs and the tables have
-        ``2^ceil(slots/2)`` and ``2^floor(slots/2)`` rows.
+        w) @ (a^j).T``, whose ``j = 0`` and ``j = r`` terms are outer sums.
+        Returns a function and the cells each weight row holds beside its
+        tiles.  The function maps integer weights on the support (a matrix,
+        each row summing to at most ``total_weight``) and a cell budget to
+        ``(lo, tile)`` pairs: ``tile[k]`` holds row k's scores of the orbits
+        from ``lo`` on, a range of ``b``'s rows, made by one matmul into one
+        buffer in the dtype :func:`metric_core._exact_dtype` picks, so a
+        float64 matmul is exact.  A tile holds at most ``cells`` cells, or
+        one row of ``b`` per weight row.  When every ``c_t`` is 1 the orbits
+        are the graphs, and the tables have ``2^ceil(slots/2)`` and
+        ``2^floor(slots/2)`` rows.
         """
         dtype = _exact_dtype(self.space, r, total_weight)
         m = self.types.shape[1]
@@ -229,27 +224,29 @@ class _Orbits:
         a, b = tables
         a_r, b_r = (a**r).astype(dtype), (b**r).astype(dtype)
         # the middle terms j = 1..r-1: C(r, j) b^(r-j) beside each weight on the left, a^j on the right
-        b_mid = np.empty((len(b), r - 1, m), dtype)
-        a_mid = np.empty((r - 1, m, len(a)), dtype)
-        for j in range(1, r):
-            b_mid[:, j - 1] = math.comb(r, j) * b ** (r - j)
-            a_mid[j - 1] = (a**j).T
+        k = 2 + (r - 1) * m
+        b_mid, a_mid = np.empty((len(b), k - 2), dtype), np.empty((k - 2, len(a)), dtype)
+        for j in range(1, r):  # term j's weight i at (j - 1) m + i
+            b_mid[:, (j - 1) * m : j * m] = math.comb(r, j) * b ** (r - j)
+            a_mid[(j - 1) * m : j * m] = (a**j).T
 
-        def scores(weights: np.ndarray) -> np.ndarray:
-            rows = np.atleast_2d(weights).astype(dtype)
-            k = 2 + (r - 1) * m
+        def tiles(weights: np.ndarray, cells: int):
+            rows = weights.astype(dtype)
             left = np.empty((len(rows), len(b), k), dtype)
             left[:, :, 0] = rows @ b_r.T  # the j = 0 term, sum_i w_i b^r, is an outer sum
             left[:, :, 1] = 1
-            left[:, :, 2:] = (b_mid * rows[:, None, None, :]).reshape(len(rows), len(b), k - 2)
+            np.multiply(b_mid, np.tile(rows, r - 1)[:, None, :], out=left[:, :, 2:])
             right = np.empty((len(rows), k, len(a)), dtype)
             right[:, 0] = 1
             right[:, 1] = rows @ a_r.T  # and so is the j = r term, sum_i w_i a^r
-            right[:, 2:] = a_mid.reshape(k - 2, len(a))
-            out = np.matmul(left, right).reshape(len(rows), -1)
-            return out if weights.ndim == 2 else out[0]
+            right[:, 2:] = a_mid
+            step = min(len(b), max(1, cells // (len(rows) * len(a))))  # rows of b per tile
+            buffer = np.empty(len(rows) * step * len(a), dtype)
+            for lo in range(0, len(b), step):
+                out = buffer[: len(rows) * min(step, len(b) - lo) * len(a)].reshape(len(rows), -1, len(a))
+                yield lo * len(a), np.matmul(left[:, lo : lo + step], right, out=out).reshape(len(rows), -1)
 
-        return scores
+        return tiles, k * (len(a) + len(b))
 
     def graphs(self, orbits) -> tuple:
         """The edge masks of every graph in the given orbits, orbit by orbit,
@@ -275,12 +272,6 @@ class _Orbits:
                 masks = (masks[:, None] ^ self._chosen(t, row[t])).ravel()
             out[offsets[i] : offsets[i + 1]] = masks
         return out, offsets
-
-    def masks(self, orbits) -> np.ndarray:
-        """The edge masks of every graph in the given orbits, in ascending order."""
-        out = self.graphs(orbits)[0]
-        out.sort()
-        return out
 
     def _chosen(self, t: int, j: int) -> np.ndarray:
         """Every mask that sets ``j`` of the slots of type t, memoised."""

@@ -276,15 +276,15 @@ class MetricSpace:
 
 
 def _decimal_label(x: Fraction) -> str:
-    """Exact decimal rendering when the denominator is 2^a * 5^b, else 'p/q'."""
+    """The float's repr when that float is x and x's denominator is 2^a * 5^b, else 'p/q'."""
     q = x.denominator
     for p in (2, 5):
         while q % p == 0:
             q //= p
     if q != 1:
         return str(x)
-    f = float(x)
-    if Fraction(str(f)) == x or Fraction(f) == x:
+    f = _to_float(x)
+    if math.isfinite(f) and (Fraction(str(f)) == x or Fraction(f) == x):
         return repr(f)
     return str(x)
 
@@ -598,7 +598,7 @@ def _score_value(score, normalizer: int, exact: bool, scale_r):
 def _functional(space: MetricSpace, data: Sample | DiscreteMeasure, candidate, r):
     sup_idx, weights, normalizer, exact = _weights(space, data, r)
     c = np.array([space.index(candidate)], dtype=np.intp)
-    score = (_power_block(space, c, sup_idx, r, exact, normalizer) @ weights)[0]
+    score = np.cumsum(_power_block(space, c, sup_idx, r, exact, normalizer)[0] * weights)[-1]  # in support order
     return _score_value(score, normalizer, exact, space.scale**r)
 
 

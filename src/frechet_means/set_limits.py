@@ -53,12 +53,10 @@ from .metric_core import MetricSpace
 __all__ = [
     "SetTrajectory",
     "OuterLimitEstimate",
-    "InclusionReport",
     "default_burn_in",
     "tail_limsup",
     "ziezold_limcsup",
     "kuratowski_limsup",
-    "inclusion_check",
 ]
 
 
@@ -104,15 +102,6 @@ class OuterLimitEstimate:
     epsilon: float | Fraction
     burn_in: int
     min_visits: int
-
-
-@dataclass(frozen=True)
-class InclusionReport:
-    included: bool
-    violations: tuple  # (point, distance to target) for points outside the target
-
-    def __bool__(self) -> bool:
-        return self.included
 
 
 def default_burn_in(n_sets: int) -> int:
@@ -221,18 +210,3 @@ def kuratowski_limsup(
     idx = _kuratowski_rows(traj.space, *_one_row(traj.sets[burn_in:]), epsilon, min_visits)[1]
     pts = frozenset(traj.space.points[i] for i in idx)
     return OuterLimitEstimate(points=pts, epsilon=epsilon, burn_in=burn_in, min_visits=min_visits)
-
-
-def inclusion_check(space: MetricSpace, estimate, target) -> InclusionReport:
-    """Is estimate a subset of target?  Violating points carry d(x, target).
-
-    The empty estimate is included in anything; an empty target makes every
-    estimate point a violation at distance +inf.
-    """
-    est = frozenset(estimate)
-    tgt = frozenset(target)
-    for p in est | tgt:
-        space.index(p)
-    outside = sorted(est - tgt, key=space.index)
-    violations = tuple((p, space.set_distance(p, tgt)) for p in outside)
-    return InclusionReport(included=not violations, violations=violations)

@@ -1,6 +1,7 @@
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -9,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # expose oracles.py to test modu
 from frechet_means import (
     DiscreteMeasure,
     enumerate_space,
+    frechet_solver,
     interval_grid,
     parse_graph,
 )
@@ -22,6 +24,13 @@ MEAN_SET_R1_TEXTS = ("4:100001", "4:101001", "4:100101", "4:101101")
 MEAN_SET_R2_TEXTS = ("4:100001", "4:101101")
 
 FIXTURE_DIR = Path(__file__).parent.parent / "src" / "frechet_means" / "fixtures"
+
+
+@pytest.fixture(scope="session")
+def cell_budget():
+    """``cell_budget(cells)``: a context that sets the package's one cell
+    budget (score tiles, the engine's count chunks and its draw blocks)."""
+    return lambda cells: mock.patch.object(frechet_solver, "_CHUNK_CELLS", cells)
 
 
 @pytest.fixture(scope="session")

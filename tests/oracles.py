@@ -4,7 +4,10 @@ Everything here recomputes functionals with Fraction arithmetic (floats
 summed by ``math.fsum`` for non-integer orders) and plain double loops,
 using its own distance definitions where the space has one (edge-set
 symmetric difference for graphs, |x - y| for grid points), so the solver
-under test shares no minimization or tie-handling code with it.
+under test shares no minimization or tie-handling code with it.  It also
+holds the helpers only tests use: ``hamming_distance`` on two graphs, the
+diagnostic ``diagnostic_T`` from the package's functionals, and
+``inclusion_check``, a subset test with the distances of the points outside.
 """
 
 from __future__ import annotations
@@ -12,14 +15,52 @@ from __future__ import annotations
 import csv
 import math
 import statistics
+from dataclasses import dataclass
 from fractions import Fraction
 
+from frechet_means import population_functional, sample_functional
 from frechet_means.graph_space import Graph
 
 
 def hamming_by_edge_sets(g1: Graph, g2: Graph) -> int:
     """Symmetric-difference cardinality of the two edge sets."""
     return len(set(g1.edge_list()) ^ set(g2.edge_list()))
+
+
+def hamming_distance(g1: Graph, g2: Graph) -> int:
+    """Number of edge slots on which two graphs differ (popcount of XOR)."""
+    if g1.nv != g2.nv:
+        raise ValueError(f"vertex counts differ: {g1.nv} != {g2.nv}")
+    return (g1.edges ^ g2.edges).bit_count()
+
+
+def diagnostic_T(space, mu, sample, z, r):
+    """T_n(z): empirical minus population functional at z (exact when possible)."""
+    return sample_functional(space, sample, z, r) - population_functional(space, mu, z, r)
+
+
+@dataclass(frozen=True)
+class InclusionReport:
+    included: bool
+    violations: tuple  # (point, distance to target) for points outside the target
+
+    def __bool__(self) -> bool:
+        return self.included
+
+
+def inclusion_check(space, estimate, target) -> InclusionReport:
+    """Is estimate a subset of target?  Violating points carry d(x, target).
+
+    The empty estimate is included in anything; an empty target makes every
+    estimate point a violation at distance +inf.
+    """
+    est = frozenset(estimate)
+    tgt = frozenset(target)
+    for p in est | tgt:
+        space.index(p)
+    outside = sorted(est - tgt, key=space.index)
+    violations = tuple((p, space.set_distance(p, tgt)) for p in outside)
+    return InclusionReport(included=not violations, violations=violations)
 
 
 def oracle_distance(space, x, y):

@@ -418,6 +418,14 @@ def test_exhaustive_scan_input_errors_exit_2(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [("check-metric",), ("modulus", "--delta", "1e399")], ids=["check-metric", "modulus"])
+def test_grid_past_the_float_range_exits_0(capsys, argv):
+    # every point but 0 is past the float range: labels are rendered from the Fractions
+    code, out, err = run_cli(capsys, *argv, "--grid", "0", "1e400", "1e399")
+    assert (code, err) == (0, "")
+    assert f"grid[0.0,{10**400}]/{10**399}" in out
+
+
 def test_modulus_on_grid(capsys):
     code, out, _ = run_cli(
         capsys, "modulus", "--grid", "0", "1", "0.25", "--delta", "0.6", "--r", "1", "--format", "json"
@@ -610,9 +618,10 @@ def test_fixture_reports_are_byte_identical(capsys, tmp_path, name):
 
 
 # The same pin for two configs off the bundled paths: a restricted float run
-# (grid_r2_convergence at r = 1.5, no limits, 10 replications) and an exact
-# run whose weights' denominator 2^62 + 1 puts scores and report values on
-# Python ints.
+# (grid_r2_convergence at r = 1.5, no limits, 10 replications; its float
+# scores are summed one support column at a time, in support order) and an
+# exact run whose weights' denominator 2^62 + 1 puts scores and report values
+# on Python ints.
 CONFIG_REPORT_CASES = {
     "grid_r1.5_restricted_float": (
         "grid_r2_convergence", {"r": 1.5, "restricted": True, "limits": False, "replications": 10}
@@ -628,8 +637,8 @@ CONFIG_REPORT_CASES = {
 }
 CONFIG_REPORT_DIGESTS = {
     "grid_r1.5_restricted_float": {
-        "report.csv": "a81f77c9dc901d6a54808eef5d7bd54f382d0e709ca3ab2b2b4cae343f9a496c",
-        "summary.json": "02e678e6c58e7cdfa4de35d7d0d87f86dbf3c5540c9aaec9c4b8d566c9ee103b",
+        "report.csv": "323d1e730e7983ef8b8b541bc2059f8012cdc60980ec87c34d4e7d65443e6e76",
+        "summary.json": "d31c697fec2859e28767c430c8ca2c4134bc2675671377728466667a6eb8f2d3",
     },
     "g4_pair_r2_bigint": {
         "report.csv": "abd60d57db9c65e32ef0449c56c6c3b3df165a9b382a51f5d5febe560e2109c6",

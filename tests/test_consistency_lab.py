@@ -15,7 +15,6 @@ from frechet_means import (
     DiscreteMeasure,
     MetricSpace,
     Sample,
-    diagnostic_T,
     parse_graph,
     sample_iid,
 )
@@ -45,7 +44,7 @@ from frechet_means.consistency_lab import (
 from conftest import FIXTURE_DIR
 from frechet_means.cli import load_config_file
 from frechet_means.set_limits import OuterLimitEstimate
-from oracles import write_report_by_csv_writer
+from oracles import diagnostic_T, write_report_by_csv_writer
 
 
 @pytest.fixture(scope="module")
@@ -598,3 +597,29 @@ def test_engine_scores_full_graph_spaces_without_the_distance_kernel(monkeypatch
         )
         assert (sigma_hat, mean_set) == (expected[r].optimum, expected[r].argmin)
         assert (sigma_hat_res, mean_set_res) == (expected_res[r].optimum, expected_res[r].argmin)
+
+
+def test_float_engine_working_set_stays_within_the_cell_budget():
+    # a float simulate on the 2^15 graphs of nv = 6 with a 40-graph support:
+    # the engine makes each score tile from its own distance-power block, so
+    # its traced peak stays within 8 budgets of float64 cells (4 MB), where
+    # one held 2^15 x 40 block of float powers takes 10 MB (20 MB traced)
+    import tracemalloc
+
+    from frechet_means import Graph, enumerate_space, frechet_solver
+
+    space = enumerate_space(6)
+    rng = np.random.default_rng(6)
+    mu = DiscreteMeasure.uniform(tuple(Graph(6, int(m)) for m in rng.choice(1 << 15, 40, replace=False)))
+    cfg = ExperimentConfig(
+        space_spec=GraphSpec(6), mu=mu, r=1.5, n_max=100, checkpoints=(10, 100), replications=20, seed=1,
+        restricted=True,
+    )
+    tracemalloc.start()
+    try:
+        result = run_consistency_experiment(cfg, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.population.exact
+    assert peak < 8 * 8 * frechet_solver._CHUNK_CELLS, peak

@@ -1,12 +1,10 @@
 import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import MEAN_SET_R1_TEXTS, MEAN_SET_R2_TEXTS
-from frechet_means import frechet_solver
 from frechet_means import (
     DiscreteMeasure,
     Graph,
@@ -162,17 +160,17 @@ def test_pseudo_metric_coherence():
             assert ("a" in res.argmin) == ("b" in res.argmin)
 
 
-def test_chunking_does_not_change_results(g4, grid201, mu_pm, s1, s2):
+def test_chunking_does_not_change_results(g4, grid201, mu_pm, s1, s2, cell_budget):
     sample = Sample((s1, s2, s1))
     baseline = sample_mean_set(g4, sample, 2)
     for chunk in (1, 3, 17, 64, 10**6):
-        with mock.patch.object(frechet_solver, "_DEFAULT_CHUNK", chunk):
+        with cell_budget(chunk):
             again = sample_mean_set(g4, sample, 2)
         assert again == baseline
     gsample = Sample((Fraction(-1), Fraction(1), Fraction(1)))
     baseline = sample_mean_set(grid201, gsample, 1)
     for chunk in (1, 50, 201):
-        with mock.patch.object(frechet_solver, "_DEFAULT_CHUNK", chunk):
+        with cell_budget(chunk):
             assert sample_mean_set(grid201, gsample, 1) == baseline
 
 
@@ -314,10 +312,10 @@ def test_nv7_full_space_mean_set_matches_popcount_table(nv7_sample_scores, r):
 
 
 def test_exact_full_graph_space_means_skip_the_distance_kernel(monkeypatch):
-    # r = 1 reads the mean set off per edge slot and r >= 2 uses the split
-    # scorer: neither gathers distances, and the split scorer's largest array
-    # is the 2^21-entry score vector (16 MB), where a 2^21 x 50 block would
-    # take 100 MB even as uint8
+    # r = 1 reads the mean set off per edge slot and r >= 2 uses the orbit
+    # scorer: neither gathers distances, and the orbit scorer reduces its
+    # scores a tile of 2^16 cells at a time, so no 2^21-entry score vector
+    # (16 MB) is held, let alone a 2^21 x 50 block (100 MB even as uint8)
     def refuse(self, rows, cols):
         raise AssertionError("int_block called")
 
@@ -334,7 +332,7 @@ def test_exact_full_graph_space_means_skip_the_distance_kernel(monkeypatch):
         finally:
             tracemalloc.stop()
         assert res.exact and res.argmin
-        assert peak < 32 * 2**20, (r, peak)
+        assert peak < 12 * 2**20, (r, peak)
         assert population_mean_set(space, mu, r) == res
     with pytest.raises(AssertionError, match="int_block called"):
         restricted_sample_mean_set(space, sample, 2)

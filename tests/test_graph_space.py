@@ -13,13 +13,12 @@ from frechet_means import (
     enumerate_space,
     format_graph,
     graph_subspace,
-    hamming_distance,
     parse_graph,
     read_graph_lines,
     restricted_sample_mean_set,
 )
 from frechet_means.graph_space import n_edge_slots, slot_pairs
-from oracles import hamming_by_edge_sets, mean_set_by_enumeration
+from oracles import hamming_by_edge_sets, hamming_distance, mean_set_by_enumeration
 
 
 def test_slot_order_is_row_major_upper_triangular():

@@ -4,8 +4,10 @@ They cover rational measure weights brought to a common denominator, the
 int64 / Python-int switch of the overflow guard, order-1 mean sets of full
 graph spaces read off per edge slot, higher orders scored by splitting the
 edge slots in each of the three dtype tiers, the independence of
-sample mean sets from the candidate chunk size, the float path at
-non-integer orders against a float oracle, the outer-limit estimators
+sample mean sets from the cell budget of the score tiles, the tile-by-tile
+reducer against the enumeration oracle on tiles of a few candidates, the
+float path at non-integer orders against a float oracle (and the float
+functional against the solver's optimum, bit for bit), the outer-limit estimators
 against a counting oracle, and the consistency engine's agreement with the
 solver, the functionals and the counting oracle on exact, float and
 pseudo-metric spaces, whatever the size of its score chunks and draw
@@ -18,11 +20,10 @@ import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_DIR
@@ -321,7 +322,8 @@ def test_split_scorer_is_exact_in_each_dtype_tier(limit, above, data, nv, r):
     mu = data.draw(tier_measures(nv, r, limit, above))
     sup_idx, weights, lcd, exact = _weights(space, mu, r)
     assert (max(space.bound_M, 1) ** r * lcd < limit) != above
-    assert _Orbits(space, sup_idx).scorer(r, lcd)(weights).dtype == _tier(space, r, lcd)
+    tiles, _ = _Orbits(space, sup_idx).scorer(r, lcd)
+    assert next(tiles(weights[None], 1 << 16))[1].dtype == _tier(space, r, lcd)
     res = population_mean_set(space, mu, r)
     assert res.exact
     pairs = list(zip(mu.support, mu.weights))
@@ -352,7 +354,13 @@ def _orbit_scores(space, items, r):
     sup_idx, weights, normalizer, exact = _weights(space, Sample(tuple(items)), r)
     assert exact
     orbits = _Orbits(space, sup_idx)
-    return orbits, orbits.scorer(r, normalizer)(weights), normalizer
+    tiles, _ = orbits.scorer(r, normalizer)
+    return orbits, np.concatenate([tile[0].copy() for _, tile in tiles(weights[None], 1 << 16)]), normalizer
+
+
+def _masks(orbits, ids) -> list:
+    """The edge masks of every graph in the orbits ``ids``, in ascending order."""
+    return sorted(orbits.graphs(ids)[0].tolist())
 
 
 @PROPERTY_SETTINGS
@@ -365,13 +373,13 @@ def test_orbit_scores_match_every_masks_oracle_score(data, nv, r):
     pairs = [(x, Fraction(1, len(items))) for x in items]
     seen = []
     for orbit, score in enumerate(scores.tolist()):
-        masks = orbits.masks([orbit]).tolist()
+        masks = _masks(orbits, [orbit])
         assert masks and masks == sorted(masks)
         seen += masks
         for m in masks:
             assert Fraction(int(score), normalizer) == functional_by_enumeration(space, pairs, r, Graph(nv, m))
     assert sorted(seen) == list(range(len(space)))  # the orbits partition the space
-    assert orbits.masks(orbits.support).tolist() == sorted({g.edges for g in items})  # each support graph alone
+    assert _masks(orbits, orbits.support) == sorted({g.edges for g in items})  # each support graph alone
 
 
 @PROPERTY_SETTINGS
@@ -383,7 +391,7 @@ def test_expanded_orbit_ties_match_oracle(data, nv, r):
     (best,), _, tied, _ = frechet_solver._min_ties(scores[None], True)
     optimum, argmin = mean_set_by_enumeration(space, items, r, space.points)
     assert Fraction(int(best), normalizer) == optimum
-    assert orbits.masks(tied).tolist() == [g.edges for g in argmin]
+    assert _masks(orbits, tied) == [g.edges for g in argmin]
 
 
 @PROPERTY_SETTINGS
@@ -446,13 +454,36 @@ def test_engine_matches_solver_on_full_graph_spaces(data, nv, r, family, restric
     r=st.sampled_from([1, 2, 3, 1.5]),
     chunk_size=st.integers(1, 80),
 )
-def test_sample_mean_set_is_chunk_size_invariant(name, data, r, chunk_size):
+def test_sample_mean_set_is_chunk_size_invariant(name, data, r, chunk_size, cell_budget):
     space = SPACES[name]
     items = data.draw(st.lists(st.sampled_from(space.points), min_size=1, max_size=8))
     sample = Sample(tuple(items))
-    with mock.patch.object(frechet_solver, "_DEFAULT_CHUNK", chunk_size):
+    with cell_budget(chunk_size):
         chunked = sample_mean_set(space, sample, r)
     assert chunked == sample_mean_set(space, sample, r)
+
+
+@PROPERTY_SETTINGS
+@given(
+    name=st.sampled_from(["g4", "grid", "g5"]),
+    positions=st.lists(st.integers(0, 2**20), min_size=1, max_size=8),
+    r=st.integers(1, 3),
+    cells=st.integers(1, 16),
+)
+# grid points 0.5 and 1.5 at r = 1, one candidate per tile: the minimum falls
+# in the second and third tiles, and the five tied points take five tiles
+@example(name="grid", positions=[2, 6], r=1, cells=2)
+def test_streaming_reducer_matches_oracle_across_tiles(name, positions, r, cells, cell_budget):
+    # budgets this small cut the scores into tiles of a few candidates, or of
+    # one row of the orbit scorer's table b, so ties span tiles and a lower
+    # minimum arrives in a later tile
+    space = {**SPACES, "g5": FULL_GRAPH_SPACES[5]}[name]
+    r += name == "g5"  # graph spaces score orbits from r = 2 on
+    items = [space.points[i % len(space)] for i in positions]
+    with cell_budget(cells):
+        res = sample_mean_set(space, Sample(tuple(items)), r)
+    assert res.exact
+    assert (res.optimum, res.argmin) == mean_set_by_enumeration(space, items, r, space.points)
 
 
 # Euclidean distances between points of the plane: a space with no integer lattice.
@@ -502,6 +533,17 @@ def test_float_path_matches_float_oracle(data, name, r, kind):
     sure = {c for c in space.points if oracle[c] <= best * (1 + 0.5e-9)}
     possible = {c for c in space.points if oracle[c] <= best * (1 + 2e-9)}
     assert sure <= set(res.argmin) <= possible
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), name=st.sampled_from(sorted(FLOAT_PATH_SPACES)), r=st.sampled_from([1.5, 2.5, 3.7]))
+def test_float_functional_over_the_mean_set_reaches_the_optimum_exactly(data, name, r):
+    # the functional sums its terms in support order, as the scorer does, so
+    # its least value over the mean set is the optimum to the last bit
+    space = FLOAT_PATH_SPACES[name]
+    sample = Sample(tuple(data.draw(st.lists(st.sampled_from(space.points), min_size=1, max_size=8))))
+    res = sample_mean_set(space, sample, r)
+    assert min(sample_functional(space, sample, x, r) for x in res.argmin) == res.optimum
 
 
 @st.composite
@@ -734,7 +776,9 @@ def _outputs(result) -> tuple:
     replications=st.integers(1, 7),
     checkpoints=st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True).map(sorted),
 )
-def test_results_do_not_depend_on_the_chunk_budget(data, name, r, restricted, seed, replications, checkpoints):
+def test_results_do_not_depend_on_the_chunk_budget(
+    data, name, r, restricted, seed, replications, checkpoints, cell_budget
+):
     space, spec = ENGINE_SPACES[name]
     cfg = ExperimentConfig(
         space_spec=spec, mu=data.draw(measures(space)), r=r, n_max=checkpoints[-1],
@@ -743,7 +787,7 @@ def test_results_do_not_depend_on_the_chunk_budget(data, name, r, restricted, se
     )
     outputs = []
     for cells in (1, 2**40):  # one replication per chunk, then all replications in one
-        with mock.patch.object(consistency_lab, "_CHUNK_CELLS", cells):
+        with cell_budget(cells):
             outputs.append(_outputs(run_consistency_experiment(cfg, space)))
     assert outputs[0] == outputs[1]
 
@@ -772,14 +816,15 @@ def _distinct_count_rows(cfg, space) -> list:
 @pytest.mark.parametrize(
     "spec, support, checkpoints, replications, restricted, cells, repeated",
     [
-        # 2001 grid points: 32 count rows per score chunk, 7 replications per draw block
+        # 2001 grid points: 70 distinct count rows take 936 candidates per score
+        # tile, 3 tiles; 7 replications per draw block
         (
             GridSpec("-1", "1", "0.001"), {"-1": "1/5", "1/4": "3/10", "1": "1/2"}, (10, 1000, 9000), 70, False,
-            consistency_lab._CHUNK_CELLS, 0,
+            frechet_solver._CHUNK_CELLS, 0,
         ),
-        # 2^15 graphs in 432 slot-type orbits, restricted: with 2^10 score cells,
-        # 2 count rows per score chunk; each stream is a draw block of its
-        # own, drawn in 69 pieces
+        # 2^15 graphs in 432 = 24 x 18 slot-type orbits, restricted: with 2^10
+        # score cells, 5 count rows take chunks of 4 and 1 row, in 2 tiles
+        # and 1; each stream is a draw block of its own, drawn in 69 pieces
         (
             GraphSpec(6),
             {"6:" + "1" * 15: "1/10", "6:" + "10" * 7 + "1": "2/5", "6:" + "0" * 15: "3/10", "6:" + "110" * 5: "1/5"},
@@ -790,14 +835,14 @@ def _distinct_count_rows(cfg, space) -> list:
             0,
         ),
         # a 2-point support at small checkpoints: most count rows repeat, and
-        # with 2^6 score cells on 11 grid points the distinct ones still fill
-        # 5 count rows per score chunk; one replication per draw block
+        # with 2^6 score cells on 11 grid points the 18 distinct ones still
+        # take 3 candidates per tile, 4 tiles; one replication per draw block
         (GridSpec("0", "1", "0.1"), {"0": "1/3", "7/10": "2/3"}, (4, 15, 50), 200, True, 1 << 6, 0.8),
     ],
     ids=["grid", "g6-restricted", "pair-repeats"],
 )
 def test_engine_matches_solver_across_draw_blocks_and_score_chunks(
-    spec, support, checkpoints, replications, restricted, cells, repeated
+    spec, support, checkpoints, replications, restricted, cells, repeated, cell_budget
 ):
     space = consistency_lab.build_space(spec)
     mu = DiscreteMeasure(
@@ -808,11 +853,13 @@ def test_engine_matches_solver_across_draw_blocks_and_score_chunks(
         space_spec=spec, mu=mu, r=2, n_max=checkpoints[-1] + 1000, checkpoints=checkpoints,
         replications=replications, seed=2**70 + 5, restricted=restricted, limit_params=None,
     )
-    with mock.patch.object(consistency_lab, "_CHUNK_CELLS", cells):
-        chunk = consistency_lab._Engine(space, cfg.validated(space)).chunk
+    with cell_budget(cells):
+        engine = consistency_lab._Engine(space, cfg.validated(space))
         distinct = _distinct_count_rows(cfg, space)
         assert sum(distinct) <= (1 - repeated) * replications * len(checkpoints)  # the share of repeated rows
-        assert -(-max(distinct) // chunk) > 2  # a checkpoint's distinct count rows fill several score chunks
+        rows = np.zeros((max(distinct), len(support)), dtype=np.int64)
+        tiles = sum(len(list(engine.score(rows[lo : lo + engine.chunk]))) for lo in range(0, len(rows), engine.chunk))
+        assert tiles > 2  # a checkpoint's distinct count rows fill several score tiles
         assert -(-replications // max(1, cells // checkpoints[-1])) > 2  # several draw blocks
         _assert_replications_match_oracle(run_consistency_experiment(cfg, space))
 

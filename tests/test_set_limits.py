@@ -6,7 +6,6 @@ import pytest
 from frechet_means import (
     MetricSpace,
     SetTrajectory,
-    inclusion_check,
     interval_grid,
     kuratowski_limsup,
     population_mean_set,
@@ -22,6 +21,7 @@ from frechet_means.consistency_lab import (
     run_consistency_experiment,
 )
 from frechet_means.set_limits import default_burn_in
+from oracles import inclusion_check
 
 
 @pytest.fixture(scope="module")
