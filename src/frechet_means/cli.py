@@ -56,6 +56,7 @@ from .consistency_lab import (
     write_summary_json,
 )
 from .frechet_solver import (
+    _labels,
     restricted_sample_mean_set,
     sample_mean_set,
 )
@@ -200,7 +201,7 @@ def cmd_mean(args, restricted: bool) -> int:
     sample_idx = space.indices(sample.distinct())
     subset = bool(np.isin(sample_idx, result.indices).all())
     proper = subset and result.size > len(sample_idx)
-    labels = [space.label(space.points[i]) for i in result.indices]
+    labels = list(_labels(space, result.indices))
     optimum = _optimum_fields(result)
     payload = {
         "space": space.name,
@@ -262,9 +263,9 @@ def _graph_space(args):
 
 
 def cmd_enumerate(args) -> int:
-    """Every graph of the space, written label by label as it is rendered."""
+    """Every graph of the space, written label by label, a block of labels rendered at a time."""
     space = _graph_space(args)
-    labels = map(space.label, space.points)
+    labels = _labels(space, range(len(space)))
 
     def payload(fh):
         # the bytes of json.dump({"nv", "count", "bound_M", "graphs"}, indent=2, sort_keys=True)
@@ -326,13 +327,17 @@ def cmd_modulus(args) -> int:
         "s_delta": _to_float(value),
         "s_delta_exact": _exact_str(value),
     }
+
+    def text(exact, key: str) -> str:  # the float payload[key]'s repr; past the float range, exact's own text
+        return repr(payload[key]) if math.isfinite(payload[key]) else str(exact)
+
     lines = [f"# space: {space.name}, {len(space)} points, M={space.bound_M}",
-             f"# delta: {payload['delta']!r}",
+             f"# delta: {text(args.delta, 'delta')}",
              f"# order r: {args.r}"]
     if isinstance(args.r, int):
-        payload["lipschitz_bound"] = _to_float(equicontinuity_bound(Fraction(space.bound_M), args.r, args.delta))
-        payload["gamma"] = power_gamma(args.r)
-        lines.append(f"# bound (2^r-1) M^(r-1) delta: {payload['lipschitz_bound']!r} (gamma={payload['gamma']})")
+        bound = equicontinuity_bound(Fraction(space.bound_M), args.r, args.delta)
+        payload["lipschitz_bound"], payload["gamma"] = _to_float(bound), power_gamma(args.r)
+        lines.append(f"# bound (2^r-1) M^(r-1) delta: {text(bound, 'lipschitz_bound')} (gamma={payload['gamma']})")
     lines.append(f"s_delta: {_exact_str(value) or repr(value)}")
     header = sorted(payload)
     _write(args, payload, header, [[payload[k] for k in header]], lines)

@@ -34,12 +34,12 @@ points (point i is ``result.space.points[i]``): the population mean sets
 (``MeanSetResult.indices``), the checkpoint mean sets and each
 replication's outer-limit estimates.  The engine interns the checkpoint
 mean sets of both tracks in ``result.sets``, in order of first appearance
-(on full graph spaces each distinct tuple of tied slot-type orbits is
-expanded to its graphs' masks once), and the ``mean_set`` columns hold ids
-into it.  Whatever depends on a set alone is made once per distinct set:
-the report's size and label cells, the event predicates' verdicts and the
-outer-limit estimators' neighbourhoods.  ``ExperimentResult.records``, with
-the estimates as sets of points, is built only when it is read.
+(on full graph spaces a chunk's new tuples of tied slot-type orbits are
+expanded to their graphs' masks together), and the ``mean_set`` columns hold
+ids into it.  Whatever depends on a set alone is made once per distinct set:
+the report's size and label cells (each point labelled once per result), the
+event predicates' verdicts and the outer-limit estimators' neighbourhoods.
+``ExperimentResult.records`` is built only when it is read.
 
 Reports are emitted as a CSV of per-replication, per-checkpoint rows plus a
 JSON summary; both schemas are versioned (see ``CSV_SCHEMA`` and
@@ -49,6 +49,7 @@ JSON summary; both schemas are versioned (see ``CSV_SCHEMA`` and
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import statistics
 from dataclasses import dataclass, field, replace
@@ -58,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from . import frechet_solver
-from .frechet_solver import MeanSetResult, _mean_set, _min_ties, _scorer
+from .frechet_solver import MeanSetResult, _labels, _mean_set, _min_ties, _scorer
 from .graph_space import GraphSpaceConfig, enumerate_space, parse_graph
 from .metric_core import (
     _FLOAT64_EXACT,
@@ -369,8 +370,12 @@ class ExperimentResult:
 
     @functools.cached_property
     def _label(self) -> Callable:
-        """The label of point ``space.points[i]`` by its index i, made once per result."""
-        return functools.cache(lambda i: self.space.label(self.space.points[i]))
+        """The label of point ``space.points[i]`` by its index i, for each index of the sets, the
+        support and the population mean sets, made in one pass (:func:`frechet_solver._labels`)."""
+        means = (self.population, self.population_restricted)
+        named = [*self.sets, self.support_indices, *(mean.indices for mean in means if mean is not None)]
+        indices = list(dict.fromkeys(itertools.chain.from_iterable(named)))  # each once, by first appearance
+        return dict(zip(indices, _labels(self.space, indices))).__getitem__
 
     def _record_values(self, name: str, pos: int) -> list:
         """Column ``name`` at checkpoint ``pos`` as record values: Fractions on the
@@ -551,22 +556,21 @@ class _Engine:
         """The id in ``sets`` of each row's tied positions, the row's slice of
         ``ties`` from ``starts``.
 
-        A row is looked up by the bytes of its slice.  Each slice not seen
-        before is expanded to the sorted space indices of its points, all new
-        slices at once, and added to ``sets``: distinct slices are distinct
-        sets, as the positions partition the space.
+        A row is looked up by the bytes of its slice.  The slices not seen
+        before are expanded to their points all at once, sorted in one pass
+        (by slice, then space index) and added to ``sets``: distinct slices
+        are distinct sets, as the positions partition the space.
         """
         data = ties.astype(np.int64, copy=False).tobytes()
         bounds = (starts * 8).tolist() + [len(data)]
         keys = [data[a:b] for a, b in zip(bounds, bounds[1:])]
         new = [key for key in dict.fromkeys(keys) if key not in self._ids]
         if new:
-            tied = [np.frombuffer(key, np.int64) for key in new]
-            points, offsets = self.expand(np.concatenate(tied))
-            ends = offsets[np.cumsum([0, *map(len, tied)])].tolist()  # each slice's points are one block
-            for key, a, b in zip(new, ends, ends[1:]):
-                self._ids[key] = len(self.sets)
-                self.sets.append(tuple(np.sort(points[a:b]).tolist()))
+            points, offsets = self.expand(np.frombuffer(b"".join(new), np.int64))
+            ends = offsets[np.cumsum([0, *map(len, new)]) // 8]  # each slice's points are one block
+            owner = np.repeat(np.arange(len(new)), np.diff(ends))
+            self._ids.update(zip(new, range(len(self.sets), len(self.sets) + len(new))))
+            self.sets += _index_tuples(points[np.lexsort((points, owner))], ends[:-1])
         return np.fromiter(map(self._ids.__getitem__, keys), np.intp, len(keys))
 
     def denominator(self, n: int) -> int:
@@ -833,43 +837,41 @@ def _csv_cell(text: str) -> str:
 
 def _float_cells(values: np.ndarray) -> tuple:
     """Each distinct float of ``values`` as its ``str``, and each value's
-    position among them.  Floats are told apart by their bits, so ``-0.0``
-    keeps its own cell."""
+    position among them, in the shape of ``values``.  Floats are told apart
+    by their bits, so ``-0.0`` keeps its own cell."""
     bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
-    return [str(value) for value in bits.view(np.float64).tolist()], inverse
+    return [str(value) for value in bits.view(np.float64).tolist()], inverse.reshape(values.shape)
 
 
 def write_report_csv(result: ExperimentResult, path) -> None:
     """One CSV row per replication x checkpoint (schema ``CSV_SCHEMA``).
 
-    A row's tail, its cells after ``replication`` and ``n``, is rendered once
-    per distinct count row of ``result.row_ids``, from its first replication,
-    and each distinct cell once: a number as its float's ``str``, a flag as
-    ``true`` or ``false``, a mean set's size and ``;``-joined labels once per
-    distinct set of ``result.sets``, each label once per result.  Rows are
-    written a bounded block of replications at a time, each as ``str(k)``
-    and then ``f",{n},{tail}\r\n"``, made once per distinct count row: the
-    bytes the csv module's default writer gives (it writes a float as its
-    ``repr``, which ``str`` equals), without its scan of every character.
+    A row's tail, its cells after ``replication`` and ``n``, is rendered once per distinct
+    count row of ``result.row_ids``, from its first replication, and each distinct cell once:
+    a number as its float's ``str``, once per checkpoint over all its number columns; a flag
+    as ``true`` or ``false``; a mean set's size and ``;``-joined labels once per distinct set
+    of ``result.sets``, from the labels of ``result._label``.  Rows are written a bounded
+    block of replications at a time, each as ``str(k)`` and then ``f",{n},{tail}\r\n"``,
+    made once per distinct count row: the bytes the csv module's default writer gives (it
+    writes a float as its ``repr``, which ``str`` equals), without its scan of every character.
     """
     cfg = result.config
     sizes = [str(len(s)) for s in result.sets]
     labels = [_csv_cell(";".join(map(result._label, s))) for s in result.sets]
-
-    def cells(stat: str, kind: str, pos: int, rows: np.ndarray) -> tuple:
-        """Column ``stat`` at checkpoint ``pos`` on the replications ``rows`` as
-        its distinct cells and each replication's position among them."""
-        if kind in ("value", "abs"):
-            values = result._floats(stat, pos, rows)
-            return _float_cells(np.abs(values) if kind == "abs" else values)
-        return {"flag": ("false", "true"), "size": sizes, "labels": labels}[kind], result.stats[stat][pos][rows]
-
+    texts = {"flag": ("false", "true"), "size": sizes, "labels": labels}
     spec = _CSV_COLUMNS + (_CSV_COLUMNS_RES if cfg.restricted else ())
+    numbers = [(stat, kind == "abs") for _, stat, kind in spec if kind in ("value", "abs")]
     tails = []  # each checkpoint's rows after k, one string per distinct count row
     for pos, (n, ids) in enumerate(zip(cfg.checkpoints, result.row_ids)):
         first = np.unique(ids, return_index=True)[1]  # each distinct count row's first replication
-        columns = [cells(stat, kind, pos, first) for _, stat, kind in spec]
-        rows = zip(*(map(texts.__getitem__, at.tolist()) for texts, at in columns))
+        values = np.stack([result._floats(stat, pos, first) for stat, _ in numbers])
+        floats, at = _float_cells(np.where([[absolute] for _, absolute in numbers], np.abs(values), values))
+        at = iter(at)  # each number column's positions among the cells of all of them
+        columns = [
+            (floats, next(at)) if kind in ("value", "abs") else (texts[kind], result.stats[stat][pos][first])
+            for _, stat, kind in spec
+        ]
+        rows = zip(*(map(cells.__getitem__, where.tolist()) for cells, where in columns))
         tails.append(np.array([f",{n},{','.join(row)}\r\n" for row in rows], dtype=object))
     header = ["replication", "n", *(header for header, _, _ in spec)]
     block = max(1, _REPORT_ROWS // len(cfg.checkpoints))

@@ -32,12 +32,13 @@ scores <= optimum * (1 + 1e-9), a tolerance that is part of the contract.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .graph_space import _AllGraphs, _Orbits
+from .graph_space import _AllGraphs, _mask_labels, _Orbits
 from .metric_core import (
     DiscreteMeasure,
     MetricSpace,
@@ -198,6 +199,15 @@ def _scorer(space: MetricSpace, sup_idx: np.ndarray, r, exact: bool, total: int,
         return positions if full else sup_idx[positions], np.arange(len(positions) + 1)
 
     return size, score, sup_idx if full else np.arange(m), expand, 1
+
+
+def _labels(space: MetricSpace, indices: Sequence) -> Iterator[str]:
+    """The label of each point ``space.points[i]`` of ``indices``, in order, made as they are read:
+    on a full graph space from the edge masks i, a block of at most ``_CHUNK_CELLS`` characters at
+    a time, with no Graph built (:func:`graph_space._mask_labels`); elsewhere by the space's ``label``."""
+    if isinstance(space.points, _AllGraphs):
+        return _mask_labels(space.points.nv, indices, _CHUNK_CELLS)
+    return map(space.label, map(space.points.__getitem__, indices))
 
 
 def _solve(space: MetricSpace, data: Sample | DiscreteMeasure, r, domain: str) -> MeanSetResult:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -175,6 +175,9 @@ class _Orbits:
         self.slot_type = np.array([ids.setdefault(p.tobytes(), len(ids)) for p in patterns], dtype=np.intp)
         _, first = np.unique(self.slot_type, return_index=True)
         self.types, self.counts = patterns[first], np.bincount(self.slot_type, minlength=len(ids))
+        top = range(self.counts.max(initial=0) + 1)  # binomial[t, j] = C(c_t, j), the size of :meth:`_chosen`
+        self.binomial = np.array([[math.comb(c, j) for j in top] for c in self.counts.tolist()], np.int64)
+        self.binomial.shape = (len(ids), len(top))  # (0, 1) when there is no slot
         self.type_masks = np.zeros(len(ids), dtype=np.uint64)
         np.bitwise_or.at(self.type_masks, self.slot_type, slot_bits)
         self.groups, sizes = ([], []), [1, 1]
@@ -252,26 +255,30 @@ class _Orbits:
         """The edge masks of every graph in the given orbits, orbit by orbit,
         and the offsets where each orbit's masks start (one more, the end).
 
-        The output is allocated at its full size first, so a set past the
-        memory at hand fails at once with ``MemoryError``.
+        All the orbits are expanded at once, one array pass per split type
+        (the first one's choices of :meth:`_chosen` varying slowest), into an
+        output allocated at its full size first, so a set past the memory at
+        hand fails at once with ``MemoryError``.
         """
         digits = np.asarray(orbits, dtype=np.int64)[:, None] // self.strides % (self.counts + 1)
         whole = np.where(digits == self.counts, self.type_masks, np.uint64(0))  # j_t = c_t sets every slot of t
         starts = np.bitwise_xor.reduce(whole, axis=1) ^ self.base
         split = (digits > 0) & (digits < self.counts)  # types with some of their slots set, each a choice
-        several = np.flatnonzero(split.any(axis=1))  # orbits of more than one graph
-        rows, counts = digits[several].tolist(), self.counts.tolist()
-        sizes = np.ones(len(digits), dtype=np.int64)
-        sizes[several] = [math.prod(map(math.comb, counts, row)) for row in rows]
+        types = np.flatnonzero(split.any(axis=0))  # the types split in some orbit
+        radix = self.binomial[types, digits[:, types]]  # choices per split type, 1 where it is not split
+        sizes = radix.prod(axis=1)
+        after = sizes[:, None] // np.cumprod(radix, axis=1)  # choices of the split types after it
         offsets = np.concatenate([[0], np.cumsum(sizes)])
-        out = np.empty(offsets[-1], dtype=np.intp)
-        out[offsets[:-1]] = starts
-        for i, row in zip(several.tolist(), rows):
-            masks = starts[i : i + 1]
-            for t in np.flatnonzero(split[i]).tolist():
-                masks = (masks[:, None] ^ self._chosen(t, row[t])).ravel()
-            out[offsets[i] : offsets[i + 1]] = masks
-        return out, offsets
+        owner = np.repeat(np.arange(len(digits)), sizes)  # each mask's orbit
+        rank = np.arange(offsets[-1]) - offsets[owner]
+        out = starts[owner]
+        for k, t in enumerate(types.tolist()):
+            js = np.flatnonzero(np.bincount(digits[split[:, t], t]))  # the j_t chosen among
+            table = np.concatenate([np.zeros(1, np.uint64), *(self._chosen(t, j) for j in js.tolist())])
+            first = np.zeros(self.counts[t] + 1, dtype=np.int64)  # where each j_t's choices start in table
+            first[js] = 1 + np.cumsum(self.binomial[t, js]) - self.binomial[t, js]  # unsplit: 0, no slot
+            out ^= table[first[digits[owner, t]] + rank // after[owner, k] % radix[owner, k]]
+        return out.view(np.intp), offsets
 
     def _chosen(self, t: int, j: int) -> np.ndarray:
         """Every mask that sets ``j`` of the slots of type t, memoised."""
@@ -402,6 +409,22 @@ def format_graph(g: Graph) -> str:
     # the sentinel bit above the top slot pads bin() to exactly one digit per
     # slot (none for nv = 1); reversed, slot 0 comes first
     return f"{g.nv}:{bin(g.edges | 1 << n_edge_slots(g.nv))[:2:-1]}"
+
+
+def _mask_labels(nv: int, masks: Sequence, cells: int) -> Iterator[str]:
+    """The label :func:`format_graph` gives the graph on ``nv`` vertices of
+    each edge mask of ``masks``, in order, written from the masks' bits a
+    block of at most ``cells`` characters at a time: no Graph is built."""
+    head, slots = np.frombuffer(f"{nv}:".encode(), np.uint8), n_edge_slots(nv)
+    width = len(head) + slots
+    step = max(1, cells // width)  # labels per block
+    for lo in range(0, len(masks), step):
+        octets = np.asarray(masks[lo : lo + step], dtype="<u8").view(np.uint8).reshape(-1, 8)  # bit k: slot k
+        text = np.empty((len(octets), width), dtype=np.uint8)  # one label per row
+        text[:, : len(head)] = head
+        np.add(np.unpackbits(octets, axis=1, count=slots, bitorder="little"), ord("0"), out=text[:, len(head) :])
+        block = text.tobytes().decode()  # ASCII, one label every width characters
+        yield from (block[i : i + width] for i in range(0, len(block), width))
 
 
 def read_graph_lines(lines: Iterable[str], source: str = "<input>") -> list[Graph]:

@@ -482,8 +482,8 @@ def test_modulus_past_the_float_range_exits_0(capsys):
     code, out, err = run_cli(capsys, "modulus", "--nv", "4", "--delta", "1e400")
     assert code == 0 and err == ""
     lines = out.splitlines()
-    assert "# delta: inf" in lines and "s_delta: 6" in lines
-    assert "# bound (2^r-1) M^(r-1) delta: inf (gamma=1)" in lines
+    assert f"# delta: {10**400}" in lines and "s_delta: 6" in lines  # exact past the float range
+    assert f"# bound (2^r-1) M^(r-1) delta: {10**400} (gamma=1)" in lines
 
 
 def test_simulate_past_the_float_range_writes_both_reports(capsys, tmp_path):
@@ -662,6 +662,25 @@ def test_mean_output_is_byte_identical(capsys, pair_file):
     code, out, _ = run_cli(capsys, "mean", pair_file, "--r", "1")
     assert code == 0
     assert _sha256(out.encode("utf-8")) == MEAN_G4_PAIR_R1_DIGEST
+
+
+# `mean --r 1` of an nv = 6 graph and its complement, whose mean set is all
+# 2^15 graphs; the text output as it was when each label was made from a Graph.
+MEAN_G6_COMPLEMENTS = ("6:101000111001101", "6:010111000110010")
+MEAN_G6_COMPLEMENTS_R1_DIGEST = "26e4d2b9b0e3af16c2077913615dbe988e734dbe36bf8b44c079d3a9b19814db"
+
+
+def test_mean_labels_a_full_space_without_building_graphs(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "complements.graphs"
+    path.write_text("".join(f"{text}\n" for text in MEAN_G6_COMPLEMENTS))
+    built = []
+    check = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda g: (built.append(format_graph(g)), check(g))[1])
+    code, out, _ = run_cli(capsys, "mean", str(path), "--r", "1")
+    assert code == 0
+    assert built == list(MEAN_G6_COMPLEMENTS)  # the sample's graphs, as it is read, and no other
+    assert f"# mean set: {2**15} graphs" in out.splitlines()
+    assert _sha256(out.encode("utf-8")) == MEAN_G6_COMPLEMENTS_R1_DIGEST
 
 
 # Argument lists of the commands pinned by OUTPUT_DIGESTS; "{pair}" is the

@@ -17,6 +17,7 @@ from frechet_means import (
     read_graph_lines,
     restricted_sample_mean_set,
 )
+from frechet_means.frechet_solver import _CHUNK_CELLS, _labels
 from frechet_means.graph_space import n_edge_slots, slot_pairs
 from oracles import hamming_by_edge_sets, hamming_distance, mean_set_by_enumeration
 
@@ -113,6 +114,31 @@ def test_full_space_holds_no_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("nv", [1, 2, 3, 4, 5])
+def test_bulk_labels_match_format_graph(nv):
+    space = enumerate_space(nv)
+    labels = list(_labels(space, range(len(space))))
+    assert labels == [format_graph(Graph(nv, m)) for m in range(len(space))]
+    assert nv > 1 or labels == ["1:"]  # no slots, an empty bit string
+
+
+def test_bulk_labels_match_format_graph_across_blocks():
+    space = enumerate_space(7)
+    step = _CHUNK_CELLS // (len("7:") + n_edge_slots(7))  # labels per block
+    rng = np.random.default_rng(22)
+    sample = np.unique(np.concatenate([rng.integers(0, len(space), 3 * step), [0, len(space) - 1]]))
+    assert len(sample) > 2 * step
+    assert list(_labels(space, sample)) == [format_graph(Graph(7, m)) for m in sample.tolist()]
+    for lo, hi in (0, 2 * step + 1), (len(space) - 2 * step - 1, len(space)):  # block edges at both ends
+        assert list(_labels(space, range(lo, hi))) == [format_graph(Graph(7, m)) for m in range(lo, hi)]
+
+
+def test_bulk_labels_reach_the_top_slot():
+    space = enumerate_space(GraphSpaceConfig(11, 62))  # 55 slots, every mask bit but the top 9
+    masks = [0, 1, 1 << 54, len(space) - 1, 0x55AA55AA55AA55 & (len(space) - 1)]
+    assert list(_labels(space, masks)) == [format_graph(Graph(11, m)) for m in masks]
 
 
 def test_full_spaces_stop_at_62_edge_slots():

@@ -3,7 +3,8 @@
 They cover rational measure weights brought to a common denominator, the
 int64 / Python-int switch of the overflow guard, order-1 mean sets of full
 graph spaces read off per edge slot, higher orders scored by splitting the
-edge slots in each of the three dtype tiers, the independence of
+edge slots in each of the three dtype tiers, the expansion of many
+slot-type orbits at once against a brute-force grouping of every mask, the independence of
 sample mean sets from the cell budget of the score tiles, the tile-by-tile
 reducer against the enumeration oracle on tiles of a few candidates, the
 float path at non-integer orders against a float oracle (and the float
@@ -408,6 +409,28 @@ def test_orbit_count_is_a_hamming_invariant(data, nv, r):
     counts = orbits.counts.tolist()
     assert orbits.size == math.prod(c + 1 for c in counts) <= len(space)
     assert (orbits.size == len(space)) == all(c == 1 for c in counts)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), nv=st.integers(1, 5))
+def test_orbits_expand_together_to_the_masks_of_each_orbit(data, nv):
+    space = FULL_GRAPH_SPACES[nv]
+    items = data.draw(st.one_of(tie_heavy_samples(nv), orbit_samples(nv)))
+    orbits = _Orbits(space, np.array(list(dict.fromkeys(g.edges for g in items))[:5]))
+    counts, strides = orbits.counts, orbits.strides
+    # brute force: mask x sets j_t = popcount((x ^ X_1) & type t's slots), and its orbit is sum_t j_t strides_t
+    j = np.bitwise_count((np.arange(len(space), dtype=np.uint64) ^ orbits.base)[:, None] & orbits.type_masks)
+    owner = j.astype(np.int64) @ strides
+    whole_type = [int(c * s) for c, s in zip(counts, strides)]  # every slot of one type, none of the others
+    single = [*orbits.support.tolist(), int(counts @ strides), *whole_type]  # orbits of one graph
+    requested = data.draw(st.lists(st.one_of(st.integers(0, orbits.size - 1), st.sampled_from(single)), min_size=1))
+    requested += data.draw(st.lists(st.sampled_from(requested), min_size=1, max_size=3))  # repeats
+    masks, offsets = orbits.graphs(requested)
+    assert offsets.tolist() == [0, *np.cumsum([np.count_nonzero(owner == k) for k in requested]).tolist()]
+    for k, orbit in enumerate(requested):
+        digits = orbit // strides % (counts + 1)
+        assert offsets[k + 1] - offsets[k] == math.prod(map(math.comb, counts.tolist(), digits.tolist()))
+        assert sorted(masks[offsets[k] : offsets[k + 1]].tolist()) == np.flatnonzero(owner == orbit).tolist()
 
 
 @PROPERTY_SETTINGS
