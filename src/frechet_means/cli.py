@@ -39,17 +39,13 @@ import numpy as np
 
 from . import __version__
 from .consistency_lab import (
+    _CONFIG_KEYS,
     ConfigError,
-    DEFAULT_CHECKPOINTS,
-    ExperimentConfig,
-    GraphSpec,
-    GridSpec,
-    LimitParams,
     _exact_str,
     _optimum_fields,
     build_space,
     build_summary,
-    parse_point_label,
+    load_config_file,
     run_consistency_experiment,
     summary_blocks,
     write_report_csv,
@@ -71,9 +67,7 @@ from .graph_space import (
 )
 from .metric_core import (
     _EXHAUSTIVE_MAX_POINTS,
-    DiscreteMeasure,
     Sample,
-    _grid_bounds,
     _to_float,
     check_metric_axioms,
     equicontinuity_bound,
@@ -83,8 +77,6 @@ from .metric_core import (
 )
 
 __all__ = ["main", "load_config_file"]
-
-CONFIG_SCHEMA = "experiment-config-v1"
 
 
 class _InputError(Exception):
@@ -348,155 +340,11 @@ def cmd_modulus(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "schema",
-    "space",
-    "nv",
-    "enumeration_cap",
-    "grid_start",
-    "grid_end",
-    "grid_step",
-    "support",
-    "weights",
-    "r",
-    "n_max",
-    "checkpoints",
-    "replications",
-    "seed",
-    "restricted",
-    "limits",
-    "epsilon",
-    "burn_in",
-    "min_visits",
-    "events",
-}
-
-
-def _config_int(value) -> int:
-    """Integer config value; JSON booleans and non-integral numbers are refused, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {json.dumps(value)}")
-    return int(value)
-
-
-def _config_bool(value) -> bool:
-    """Boolean config value: only JSON true and false."""
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {json.dumps(value)}")
-    return value
-
-
-def load_config_file(path) -> ExperimentConfig:
-    """Parse a flat JSON experiment config (schema ``experiment-config-v1``)."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must hold a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    if raw.get("schema") != CONFIG_SCHEMA:
-        raise ConfigError(f"config schema must be {CONFIG_SCHEMA!r}, got {raw.get('schema')!r}")
-
-    key = None  # the config key being read, named when its value is bad
-
-    def get(k, default=None):
-        nonlocal key
-        key = k
-        return raw.get(k, default)
-
-    def need(k):
-        if k not in raw:
-            raise ConfigError(f"config key {k!r} is required")
-        return get(k)
-
-    try:
-        kind = need("space")
-        if kind == "graph":
-            cap = _config_int(get("enumeration_cap", DEFAULT_ENUMERATION_CAP))
-            spec = GraphSpec(_config_int(need("nv")), cap)  # a bad nv is named by its own key
-        elif kind == "grid":
-            bounds = []
-            for k, default in (("grid_start", "-1"), ("grid_end", "1"), ("grid_step", "0.01")):
-                bounds.append(str(get(k, default)))
-                Fraction(bounds[-1])  # a bad literal is named by its own key
-            spec = GridSpec(*bounds)
-            key = "grid_end" if Fraction(spec.end) <= Fraction(spec.start) else "grid_step"
-            _grid_bounds(*bounds)  # the grid's checks: end above start, a positive step dividing the length
-        else:
-            raise ConfigError(f"space must be 'graph' or 'grid', got {kind!r}")
-
-        support_labels = need("support")
-        if not isinstance(support_labels, list) or not support_labels:
-            raise ConfigError("support must be a non-empty list of point labels")
-        support = [parse_point_label(spec, str(s)) for s in support_labels]
-        mu = DiscreteMeasure.uniform(support)  # a repeated point is named by the support key
-        if raw.get("weights") is not None:
-            mu = DiscreteMeasure(tuple(support), tuple(Fraction(str(w)) for w in get("weights")))
-
-        r = need("r")
-        if isinstance(r, float) and r == int(r):
-            r = int(r)
-        n_max = _config_int(need("n_max"))
-        checkpoints = get("checkpoints")
-        if checkpoints is None:
-            checkpoints = [c for c in DEFAULT_CHECKPOINTS if c <= n_max] or [n_max]
-        elif not isinstance(checkpoints, list):
-            raise ConfigError("checkpoints must be a list of sample sizes")
-        checkpoints = tuple(_config_int(c) for c in checkpoints)
-
-        if _config_bool(get("limits", True)):
-            limit_params = LimitParams(
-                epsilon=Fraction(str(get("epsilon", "0"))),
-                burn_in=None if get("burn_in") is None else _config_int(raw["burn_in"]),
-                min_visits=_config_int(get("min_visits", 2)),
-            )
-        else:
-            limit_params = None
-
-        events = get("events", [])
-        if not isinstance(events, list):
-            raise ConfigError("events must be a list of event names")
-
-        return ExperimentConfig(
-            space_spec=spec,
-            mu=mu,
-            r=r,
-            n_max=n_max,
-            checkpoints=checkpoints,
-            replications=_config_int(get("replications", 200)),
-            seed=_config_int(get("seed", 0)),
-            restricted=_config_bool(get("restricted", False)),
-            limit_params=limit_params,
-            events=tuple(str(e) for e in events),
-        )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, ArithmeticError) as exc:
-        raise ConfigError(f"bad value for config key {key!r}: {exc}") from None
-
 
 def cmd_simulate(args) -> int:
-    import dataclasses
-
-    cfg = load_config_file(args.config_file)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    overrides = {}
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
-    if args.burn_in is not None:
-        overrides["burn_in"] = args.burn_in
-    if args.min_visits is not None:
-        overrides["min_visits"] = args.min_visits
-    if overrides:
-        base = cfg.limit_params or LimitParams()
-        cfg = dataclasses.replace(cfg, limit_params=dataclasses.replace(base, **overrides))
-
+    # --seed, --epsilon, --burn-in and --min-visits replace the config keys of their names
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
+    cfg = load_config_file(args.config_file, flags)
     space = build_space(cfg.space_spec)
     with _scanning(space):
         result = run_consistency_experiment(cfg, space)

@@ -52,8 +52,9 @@ import functools
 import itertools
 import json
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -67,6 +68,7 @@ from .metric_core import (
     MetricSpace,
     Sample,
     _exact_dtype,
+    _grid_bounds,
     _to_float,
     _weights,
     check_order,
@@ -85,6 +87,7 @@ __all__ = [
     "ExperimentResult",
     "OscillationTable",
     "build_space",
+    "load_config_file",
     "parse_point_label",
     "replication_rng",
     "sample_iid",
@@ -199,6 +202,149 @@ class ExperimentConfig:
                     f"burn_in must be a checkpoint index in [0, {len(checkpoints) - 1}], got {lp.burn_in}"
                 )
         return replace(self, checkpoints=checkpoints)
+
+
+# ---------------------------------------------------------------------------
+# config files
+# ---------------------------------------------------------------------------
+
+CONFIG_SCHEMA = "experiment-config-v1"
+
+
+def _config_int(value) -> int:
+    """Integer config value; JSON booleans and non-integral numbers are refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _config_bool(value) -> bool:
+    """Boolean config value: only JSON true and false."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {json.dumps(value)}")
+    return value
+
+
+def _config_rational(value) -> Fraction:
+    return Fraction(str(value))
+
+
+def _config_rational_text(value) -> str:
+    """A rational literal, kept as it is written."""
+    _config_rational(value)
+    return str(value)
+
+
+def _config_events(value) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError("events must be a list of event names")
+    return tuple(map(str, value))
+
+
+# Each config key the loader converts: the dataclass it sets, the field it
+# sets there and the converter of its JSON value.  A key not given is not
+# passed, so its field keeps the dataclass default; a field without one is a
+# required key.  The summary's config block writes the same keys back.
+_CONFIG_KEYS = {
+    "nv": (GraphSpec, "nv", _config_int),
+    "enumeration_cap": (GraphSpec, "enumeration_cap", _config_int),
+    "grid_start": (GridSpec, "start", _config_rational_text),
+    "grid_end": (GridSpec, "end", _config_rational_text),
+    "grid_step": (GridSpec, "step", _config_rational_text),
+    "replications": (ExperimentConfig, "replications", _config_int),
+    "seed": (ExperimentConfig, "seed", _config_int),
+    "restricted": (ExperimentConfig, "restricted", _config_bool),
+    "events": (ExperimentConfig, "events", _config_events),
+    "epsilon": (LimitParams, "epsilon", _config_rational),
+    "burn_in": (LimitParams, "burn_in", lambda value: None if value is None else _config_int(value)),
+    "min_visits": (LimitParams, "min_visits", _config_int),
+}
+# The keys the loader reads itself; ``limits`` false builds no LimitParams.
+_STRUCTURAL_KEYS = {"schema", "space", "support", "weights", "r", "n_max", "checkpoints", "limits"}
+_SPACE_SPECS = {"graph": GraphSpec, "grid": GridSpec}
+
+
+def load_config_file(path, flags=None) -> ExperimentConfig:
+    """Parse a flat JSON experiment config (schema ``experiment-config-v1``).
+
+    ``flags`` maps config keys to values that replace the file's before any
+    is converted (``simulate``'s ``--seed``, ``--epsilon``, ``--burn-in`` and
+    ``--min-visits``); a limit key among them turns limits on.
+    """
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config file must hold a JSON object")
+    unknown = set(raw) - _CONFIG_KEYS.keys() - _STRUCTURAL_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    if raw.get("schema") != CONFIG_SCHEMA:
+        raise ConfigError(f"config schema must be {CONFIG_SCHEMA!r}, got {raw.get('schema')!r}")
+    flags = flags or {}
+    raw.update(flags)
+
+    key = None  # the config key being read, named when its value is bad
+
+    def get(k, default=None):
+        nonlocal key
+        key = k
+        return raw.get(k, default)
+
+    def need(k):
+        if k not in raw:
+            raise ConfigError(f"config key {k!r} is required")
+        return get(k)
+
+    try:
+        kind = need("space")
+        if not isinstance(kind, str) or kind not in _SPACE_SPECS:
+            raise ConfigError(f"space must be 'graph' or 'grid', got {kind!r}")
+        spec_cls = _SPACE_SPECS[kind]
+        given = {spec_cls: {}, ExperimentConfig: {}, LimitParams: {}}  # field values by dataclass
+        for k, (cls, name, convert) in _CONFIG_KEYS.items():
+            if k in raw:  # every key given is converted, whatever the space and limits
+                value = convert(get(k))
+                if cls not in given:
+                    raise ConfigError(f"config key {k!r} does not apply to {kind} spaces")
+                given[cls][name] = value
+            elif cls is spec_cls and cls.__dataclass_fields__[name].default is MISSING:
+                need(k)
+        spec_key = {name: k for k, (cls, name, _) in _CONFIG_KEYS.items() if cls is spec_cls}
+        key = spec_key.get("nv")  # the one field a GraphSpec checks
+        spec = spec_cls(**given[spec_cls])
+        if spec_cls is GridSpec:  # the grid's checks, made without any point
+            key = spec_key["end" if Fraction(spec.end) <= Fraction(spec.start) else "step"]
+            _grid_bounds(spec.start, spec.end, spec.step)
+
+        support_labels = need("support")
+        if not isinstance(support_labels, list) or not support_labels:
+            raise ConfigError("support must be a non-empty list of point labels")
+        support = [parse_point_label(spec, str(s)) for s in support_labels]
+        mu = DiscreteMeasure.uniform(support)  # a repeated point is named by the support key
+        if raw.get("weights") is not None:
+            mu = DiscreteMeasure(tuple(support), tuple(Fraction(str(w)) for w in get("weights")))
+
+        r = need("r")
+        if isinstance(r, float) and r == int(r):
+            r = int(r)
+        n_max = _config_int(need("n_max"))
+        checkpoints = get("checkpoints")
+        if checkpoints is None:
+            checkpoints = [c for c in DEFAULT_CHECKPOINTS if c <= n_max] or [n_max]
+        elif not isinstance(checkpoints, list):
+            raise ConfigError("checkpoints must be a list of sample sizes")
+        checkpoints = tuple(_config_int(c) for c in checkpoints)
+        limits = _config_bool(get("limits", True)) or any(_CONFIG_KEYS[k][0] is LimitParams for k in flags)
+        limit_params = LimitParams(**given[LimitParams]) if limits else None
+        return ExperimentConfig(spec, mu, r, n_max, checkpoints, limit_params=limit_params, **given[ExperimentConfig])
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        raise ConfigError(f"bad value for config key {key!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -887,31 +1033,23 @@ def write_report_csv(result: ExperimentResult, path) -> None:
 
 def _config_dict(result: ExperimentResult) -> dict:
     cfg = result.config
-    spec = cfg.space_spec
     d = {
         "r": cfg.r,
         "n_max": cfg.n_max,
         "checkpoints": list(cfg.checkpoints),
-        "replications": cfg.replications,
-        "seed": cfg.seed,
-        "restricted": cfg.restricted,
         "support": list(map(result._label, result.support_indices)),
         "weights": [str(w) for w in cfg.mu.weights],
-        "events": list(cfg.events),
+        "limit_params": None if cfg.limit_params is None else {},
     }
-    if isinstance(spec, GraphSpec):
-        d.update(space="graph", nv=spec.nv, enumeration_cap=spec.enumeration_cap)
-    elif isinstance(spec, GridSpec):  # a space given without a spec has no spec keys
-        d.update(space="grid", grid_start=spec.start, grid_end=spec.end, grid_step=spec.step)
-    if cfg.limit_params is None:
-        d["limit_params"] = None
-    else:
-        lp = cfg.limit_params
-        d["limit_params"] = {
-            "epsilon": str(lp.epsilon),
-            "burn_in": lp.burn_in,
-            "min_visits": lp.min_visits,
-        }
+    for kind, cls in _SPACE_SPECS.items():
+        if isinstance(cfg.space_spec, cls):  # a space given without a spec has no spec keys
+            d["space"] = kind
+    owners = {type(cfg.space_spec): cfg.space_spec, ExperimentConfig: cfg, LimitParams: cfg.limit_params}
+    for key, (cls, name, convert) in _CONFIG_KEYS.items():
+        if owners.get(cls) is not None:
+            value = getattr(owners[cls], name)
+            value = str(value) if convert is _config_rational else value
+            (d["limit_params"] if cls is LimitParams else d)[key] = value
     return d
 
 

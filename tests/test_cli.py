@@ -12,8 +12,9 @@ import pytest
 from conftest import FIXTURE_DIR, MEAN_SET_R1_TEXTS
 from frechet_means import cli
 from frechet_means.cli import load_config_file, main
-from frechet_means.consistency_lab import ConfigError
+from frechet_means.consistency_lab import ConfigError, ExperimentConfig, GridSpec
 from frechet_means.graph_space import Graph, format_graph, n_edge_slots, read_graph_file
+from frechet_means.metric_core import DiscreteMeasure
 from oracles import mean_set_by_enumeration
 
 
@@ -543,6 +544,38 @@ def test_simulate_seed_override_changes_report(capsys, tmp_path):
     assert summary["config"]["seed"] == 999
 
 
+def test_simulate_limit_flags_replace_config_keys(capsys, tmp_path):
+    def limit_params(fixture, *flags, **keys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**json.loads((FIXTURE_DIR / fixture).read_text()), **keys}))
+        out_dir = tmp_path / fixture
+        code, _, err = run_cli(capsys, "simulate", str(config), "--out", str(out_dir), *flags)
+        assert code == 0, err
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert "outer_limit" in summary  # a limit flag turns limits on
+        return summary["config"]["limit_params"]
+
+    assert limit_params("grid_r1_oscillation.json", "--epsilon", "1/10") == {
+        "epsilon": "1/10", "burn_in": None, "min_visits": 2,
+    }
+    assert limit_params("g4_uniform_pair.json", "--burn-in", "0", "--min-visits", "3") == {
+        "epsilon": "0", "burn_in": 0, "min_visits": 3,
+    }
+    # on a config with limits off, a flag keeps the file's own limit keys
+    assert limit_params("grid_r2_convergence.json", "--min-visits", "3", limits=False) == {
+        "epsilon": "1/20", "burn_in": 2, "min_visits": 3,
+    }
+    code, _, err = run_cli(capsys, "simulate", str(FIXTURE_DIR / "g4_uniform_pair.json"),
+                           "--out", str(tmp_path / "bad"), "--min-visits", "0")
+    assert code == 4 and "min_visits" in err, err
+    # a flag that turns limits on still has the file's limits key checked
+    config = tmp_path / "limits.json"
+    config.write_text(json.dumps({**json.loads((FIXTURE_DIR / "g4_uniform_pair.json").read_text()), "limits": "no"}))
+    code, _, err = run_cli(capsys, "simulate", str(config), "--out", str(tmp_path / "bad"), "--epsilon", "0")
+    assert code == 4 and "limits" in err, err
+    assert not (tmp_path / "bad" / "report.csv").exists()
+
+
 def test_simulate_grid_fixtures(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,
@@ -785,7 +818,7 @@ def test_simulate_invalid_config_exit_4(capsys, tmp_path):
     # and boolean keys refuse anything but true and false
     base = json.loads((FIXTURE_DIR / "g4_uniform_pair.json").read_text())
     grid_base = json.loads((FIXTURE_DIR / "grid_r1_oscillation.json").read_text())
-    for key, value in [
+    cases = [(grid_base if key.startswith("grid_") else base, key, value) for key, value in [
         ("replications", "many"),
         ("epsilon", "abc"),
         ("nv", "four"),
@@ -813,8 +846,17 @@ def test_simulate_invalid_config_exit_4(capsys, tmp_path):
         ("grid_start", "x"),
         ("grid_end", "-1"),  # not above grid_start
         ("grid_step", "0.3"),  # does not divide the length 2
-    ]:
-        raw = grid_base if key.startswith("grid_") else base
+    ]]
+    # every key given is converted, whatever the space and limits say, and a
+    # space key of the other kind is refused
+    cases += [
+        (base, "grid_step", "x"),
+        (grid_base, "nv", "four"),
+        (grid_base, "epsilon", "abc"),  # under "limits": false
+        (base, "grid_step", "0.5"),
+        (base, "space", ["graph"]),
+    ]
+    for raw, key, value in cases:
         bad.write_text(json.dumps({**raw, key: value}))
         code, _, err = run_cli(capsys, "simulate", str(bad), "--out", str(out_dir))
         assert code == 4, key
@@ -886,6 +928,8 @@ def test_load_config_defaults(tmp_path):
     assert cfg.replications == 200
     assert cfg.mu.weights == (0.5, 0.5) or float(cfg.mu.weights[0]) == 0.5
     assert cfg.limit_params is not None
+    # every key left out keeps its dataclass default, and nothing else sets one
+    assert cfg == ExperimentConfig(GridSpec(), DiscreteMeasure.uniform([Fraction(-1), Fraction(1)]), 1, 100, (10, 100))
 
 
 def test_load_config_rejects_uniform_weight_mismatch(tmp_path):

@@ -5,6 +5,7 @@ import shlex
 from pathlib import Path
 
 from frechet_means.cli import _EXIT_CODES, main
+from frechet_means.consistency_lab import _CONFIG_KEYS, _STRUCTURAL_KEYS
 
 ROOT = Path(__file__).parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -35,3 +36,10 @@ def test_readme_exit_codes_match_the_cli_table():
     bullet = re.search(r"^\* Exit codes:(.*?)(?=^\S|^\* |\Z)", README, re.S | re.M).group(1)
     # 0 success, 5 a failed assertion block, 141 a closed pipe; the rest are the errors' codes
     assert {int(code) for code in re.findall(r"`(\d+)`", bullet)} == {0, 5, 141, *_EXIT_CODES.values()}
+
+
+def test_readme_config_keys_match_the_loader():
+    section = README.split("## Experiment configs", 1)[1].split("\n## ", 1)[0]
+    first_cells = re.findall(r"^\| (.*?) \|", section, re.M)[2:]  # below the header and its rule
+    keys = {key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)}
+    assert keys == _CONFIG_KEYS.keys() | _STRUCTURAL_KEYS
