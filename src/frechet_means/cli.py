@@ -315,6 +315,7 @@ def cmd_modulus(args) -> int:
     payload = {
         "space": space.name,
         "delta": _to_float(args.delta),
+        "delta_exact": _exact_str(args.delta),
         "r": args.r,
         "s_delta": _to_float(value),
         "s_delta_exact": _exact_str(value),
@@ -329,6 +330,7 @@ def cmd_modulus(args) -> int:
     if isinstance(args.r, int):
         bound = equicontinuity_bound(Fraction(space.bound_M), args.r, args.delta)
         payload["lipschitz_bound"], payload["gamma"] = _to_float(bound), power_gamma(args.r)
+        payload["lipschitz_bound_exact"] = _exact_str(bound)
         lines.append(f"# bound (2^r-1) M^(r-1) delta: {text(bound, 'lipschitz_bound')} (gamma={payload['gamma']})")
     lines.append(f"s_delta: {_exact_str(value) or repr(value)}")
     header = sorted(payload)

@@ -51,16 +51,16 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import statistics
+import math
 from dataclasses import MISSING, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import frechet_solver
-from .frechet_solver import MeanSetResult, _labels, _mean_set, _min_ties, _scorer
+from .frechet_solver import MeanSetResult, _labels, _mean_set, _min_ties, _scorer, _tied
 from .graph_space import GraphSpaceConfig, enumerate_space, parse_graph
 from .metric_core import (
     _FLOAT64_EXACT,
@@ -670,8 +670,6 @@ class _Engine:
         pop_best = [best]
         theta_idx = np.sort(self.expand(self.theta_rows)[0])
         self.population = _mean_set(space, best, theta_idx, r, self.pop_denominator, self.exact, "full_space")
-        self.in_theta = np.zeros(size, dtype=bool)
-        self.in_theta[self.theta_rows] = True
         self.population_res = None
         gather, width = [self.theta_rows], 0
         if self.restricted:
@@ -681,8 +679,6 @@ class _Engine:
             pop_best.append(best)
             idx = self.sup_idx[self.sup_order][self.theta_res]
             self.population_res = _mean_set(space, best, idx, r, self.pop_denominator, self.exact, "measure_support")
-            self.in_theta_res = np.zeros(len(self.sup_idx), dtype=bool)  # per sorted support position
-            self.in_theta_res[self.theta_res] = True
             gather.append(self.sup_rows)
             width = len(self.theta_res) * len(self.sup_idx)  # the t_res_upper gaps
         # the positions every row's statistics read, and where theta's and the support's sit among them
@@ -745,21 +741,21 @@ class _Engine:
         ``counts[k]`` counts a replication's first n draws per support point."""
         gathered = np.empty((len(counts), len(self.gather)), self.dtype)
         best, _, ties, starts = _min_ties(_gathered(self.score(counts), self.gather, gathered), self.exact)
-        pop = self.pop
-        pop_best = self.pop_best[0]
+        # a row's ties all lie in theta iff the largest population score among them ties with its optimum
+        pop, pop_best = self.pop[ties], self.pop_best[0]
         cols = dict(
             sigma_hat=self._excess(best, n),
             mean_set=self._set_ids(ties, starts),
-            t_hat_max=self._excess(best, n, np.minimum.reduceat(pop[ties], starts)),
+            t_hat_max=self._excess(best, n, np.minimum.reduceat(pop, starts)),
             t_star=self._excess(best, n, pop_best),
             t_theta_min=self._excess(gathered[:, self.theta_cols].min(axis=1), n, pop_best),
-            included_in_population=np.logical_and.reduceat(self.in_theta[ties], starts),
+            included_in_population=_tied(np.maximum.reduceat(pop, starts), pop_best, self.exact),
         )
         if self.restricted:
-            pop_best = self.pop_best[1]
             observed = counts[:, self.sup_order] > 0
             sup_scores = gathered[:, self.sup_cols]
             best, rows, pos, starts = _min_ties(sup_scores, self.exact, observed)
+            pop, pop_best = self.pop[self.sup_rows[pos]], self.pop_best[1]
             # upper bound: min over theta* of T_n(theta*) + min_{x' observed} |Fhat(x') - Fhat(theta*)|;
             # Fhat is a positive multiple of the score, so the bound is taken on scores
             theta_scores = sup_scores[:, self.theta_res]
@@ -769,9 +765,9 @@ class _Engine:
                 sigma_hat_res=self._excess(best, n),
                 mean_set_res=self._set_ids(self.sup_rows[pos], starts),
                 tr_star=self._excess(best, n, pop_best),
-                t_res_hat_max=self._excess(best, n, np.minimum.reduceat(pop[self.sup_rows[pos]], starts)),
+                t_res_hat_max=self._excess(best, n, np.minimum.reduceat(pop, starts)),
                 t_res_upper=self._excess((theta_scores + gaps).min(axis=1), n, pop_best),
-                included_in_population_res=np.logical_and.reduceat(self.in_theta_res[pos], starts),
+                included_in_population_res=_tied(np.maximum.reduceat(pop, starts), pop_best, self.exact),
                 subset_of_sampled=np.logical_and.reduceat(observed[rows, pos], starts),
             )
         return cols
@@ -1063,52 +1059,80 @@ def _mean_set_block(result: ExperimentResult, name: str) -> dict:
     }
 
 
-def _median_and_max(values, denominator: int = 1) -> tuple[float, float]:
-    """The median and the maximum of ``values / denominator`` as floats.
+def _median_and_max(values, denominator: int = 1) -> tuple:
+    """The median and the maximum of ``values / denominator``, exact.
 
-    ``values`` are integer numerators over ``denominator``, or floats over 1.
-    They are sorted as they are (a list by Python, as numpy would make its
-    ints past int64 float64) and each pick is divided once by
-    :func:`_to_float`, which rounds as ``float(Fraction)`` does, and an even
-    count's middle pair is averaged as ``statistics.median`` averages floats.
+    ``values`` are rationals over ``denominator`` (integer numerators, or
+    Fractions over 1), or floats over 1.  They are sorted as they are (a list
+    by Python, as numpy would make its ints past int64 float64) and an even
+    count's middle pair is averaged: the picks are Fractions for rationals,
+    and floats for floats, averaged as ``statistics.median`` averages them.
     """
     nums = sorted(values) if isinstance(values, list) else np.sort(values).tolist()
     mid = len(nums) // 2
     pick, den = (nums[mid], denominator) if len(nums) % 2 else (nums[mid - 1] + nums[mid], 2 * denominator)
-    return _to_float(pick, den), _to_float(nums[-1], denominator)
+    if isinstance(pick, float):
+        return pick / den, nums[-1] / denominator
+    return Fraction(pick, den), Fraction(nums[-1], denominator)
+
+
+def _abs_errors(result: ExperimentResult, stat: str, pos: int) -> tuple:
+    """The exact median and maximum of ``|stat|`` over the replications at checkpoint ``pos``."""
+    return _median_and_max(np.abs(result.stats[stat][pos]), result.denominators[pos])
+
+
+def _budget(cfg: ExperimentConfig):
+    """The outer limits' gap budget ``2*epsilon``, a float epsilon read as the Fraction it equals."""
+    eps = cfg.limit_params.epsilon
+    return 2 * (eps if eps == math.inf else Fraction(eps))
 
 
 def _rate(flags) -> float:
     return int(np.count_nonzero(flags)) / len(flags)
 
 
+class _Track(NamedTuple):
+    """A track of a run: all points compete (``""``), or only sampled support points (``"_res"``)."""
+
+    suffix: str  # of the track's statistics, outer-limit fields and summary fields
+    prefix: str  # of its assertion blocks' names
+    error: str  # the variance error, whose median |value| should not grow
+    sandwich: tuple  # lower <= middle <= upper on every row
+    violations: str  # its sandwich violation count in the summary
+    error_text: str
+    estimate: str
+    target: str
+
+
+_TRACKS = (
+    _Track("", "", "t_star", ("t_hat_max", "t_star", "t_theta_min"), "violations",
+           "sigma_hat - sigma", "estimate", "target"),
+    _Track("_res", "restricted-", "tr_star", ("t_res_hat_max", "tr_star", "t_res_upper"), "violations_restricted",
+           "sigma*_hat - sigma*", "restricted estimate", "restricted target"),
+)
+
+
 def build_summary(result: ExperimentResult) -> dict:
     cfg = result.config
     space = result.space
     exact = result.population.exact
+    tracks = _TRACKS[: 1 + cfg.restricted]
+    sandwich = {"rows": cfg.replications * len(cfg.checkpoints), "violations_restricted": None}
+    sandwich.update((t.violations, 0) for t in tracks)
     per_checkpoint = []
-    sandwich_viol = 0
-    sandwich_viol_res = 0
     set_sizes = np.fromiter(map(len, result.sets), np.intp, len(result.sets))
     for pos, n in enumerate(cfg.checkpoints):
         s = {name: col[pos] for name, col in result.stats.items()}
-        den = result.denominators[pos]
-        median_error, max_error = _median_and_max(np.abs(s["t_star"]), den)
-        entry = {
-            "n": n,
-            "median_abs_error": median_error,
-            "max_abs_error": max_error,
-            "inclusion_rate": _rate(s["included_in_population"]),
-            "mean_set_size_mean": float(np.mean(set_sizes[s["mean_set"]])),
-        }
-        sandwich_viol += int(np.count_nonzero(~_sandwich_ok(s["t_hat_max"], s["t_star"], s["t_theta_min"], exact)))
+        entry = {"n": n, "mean_set_size_mean": float(np.mean(set_sizes[s["mean_set"]]))}
+        for t in tracks:
+            median, top = map(_to_float, _abs_errors(result, t.error, pos))
+            entry[f"median_abs_error{t.suffix}"] = median
+            entry[f"inclusion_rate{t.suffix}"] = _rate(s[f"included_in_population{t.suffix}"])
+            sandwich[t.violations] += int(np.count_nonzero(~_sandwich_ok(*(s[k] for k in t.sandwich), exact)))
+            if not t.suffix:
+                entry["max_abs_error"] = top
         if cfg.restricted:
-            entry["median_abs_error_res"] = _median_and_max(np.abs(s["tr_star"]), den)[0]
-            entry["inclusion_rate_res"] = _rate(s["included_in_population_res"])
             entry["subset_of_sampled_rate"] = _rate(s["subset_of_sampled"])
-            sandwich_viol_res += int(np.count_nonzero(
-                ~_sandwich_ok(s["t_res_hat_max"], s["tr_star"], s["t_res_upper"], exact)
-            ))
         per_checkpoint.append(entry)
 
     summary = {
@@ -1124,44 +1148,32 @@ def build_summary(result: ExperimentResult) -> dict:
         "population": _mean_set_block(result, "population"),
         "population_restricted": _mean_set_block(result, "population_restricted") if cfg.restricted else None,
         "checkpoints": per_checkpoint,
-        "sandwich": {
-            "rows": cfg.replications * len(cfg.checkpoints),
-            "violations": sandwich_viol,
-            "violations_restricted": sandwich_viol_res if cfg.restricted else None,
+        "sandwich": sandwich,
+        "outer_limit": None,
+        "events": {
+            name: oscillation_stats(result, resolve_event(name, space, cfg.space_spec), name).as_dicts()
+            for name in cfg.events
         },
     }
 
     if cfg.limit_params is not None:
         lim = result.limits
-        gaps = [_to_float(g) for g in lim["kuratowski_target_gap"]]
-        eps = _to_float(cfg.limit_params.epsilon)
+        budget = _budget(cfg)
+        median, top = _median_and_max([_to_float(g) for g in lim["kuratowski_target_gap"]])
         block = {
-            "tail_inclusion_rate": _rate(lim["tail_included"]),
-            "kuratowski_inclusion_rate": _rate(lim["kuratowski_included"]),
-            "kuratowski_median_target_gap": float(statistics.median(gaps)),
-            "kuratowski_max_target_gap": float(max(gaps)),
-            "kuratowski_gap_within_budget_rate": _rate([g <= 2 * eps for g in gaps]),
+            "kuratowski_median_target_gap": median,
+            "kuratowski_max_target_gap": top,
+            "kuratowski_gap_within_budget_rate": _rate([Fraction(g) <= budget for g in lim["kuratowski_target_gap"]]),
             "mean_tail_size": float(np.mean([len(t) for t in lim["tail_estimate"]])),
             "mean_kuratowski_size": float(np.mean([len(k) for k in lim["kuratowski"]])),
         }
-        if cfg.restricted:
-            block["tail_inclusion_rate_res"] = _rate(lim["tail_included_res"])
-            block["kuratowski_inclusion_rate_res"] = _rate(lim["kuratowski_included_res"])
-            if eps > 0:  # judged like the unrestricted gap; epsilon = 0 runs judge inclusion
-                gaps_res = [_to_float(g) for g in lim["kuratowski_target_gap_res"]]
-                block["kuratowski_median_target_gap_res"] = float(statistics.median(gaps_res))
+        for t in tracks:
+            block[f"tail_inclusion_rate{t.suffix}"] = _rate(lim[f"tail_included{t.suffix}"])
+            block[f"kuratowski_inclusion_rate{t.suffix}"] = _rate(lim[f"kuratowski_included{t.suffix}"])
+        if cfg.restricted and budget > 0:  # judged like the unrestricted gap; epsilon = 0 runs judge inclusion
+            gaps_res = [_to_float(g) for g in lim["kuratowski_target_gap_res"]]
+            block["kuratowski_median_target_gap_res"] = _median_and_max(gaps_res)[0]
         summary["outer_limit"] = block
-    else:
-        summary["outer_limit"] = None
-
-    if cfg.events:
-        tables = {}
-        for name in cfg.events:
-            pred = resolve_event(name, space, cfg.space_spec)
-            tables[name] = oscillation_stats(result, pred, name).as_dicts()
-        summary["events"] = tables
-    else:
-        summary["events"] = {}
     return summary
 
 
@@ -1174,91 +1186,46 @@ def write_summary_json(result: ExperimentResult, path, summary: dict | None = No
 
 
 def summary_blocks(result: ExperimentResult, summary: dict | None = None) -> list:
-    """Pass/fail assertion blocks printed by the simulate command.
+    """Pass/fail assertion blocks printed by the simulate command, each kind
+    once per track of the run.
 
     Returns (name, passed, detail) triples: sandwich identities must hold on
     every row; outer-limit estimates should land inside (or within epsilon
     of) the population target in at least 99% of replications; the variance
-    error should not grow from the first to the last checkpoint.
+    error should not grow from the first to the last checkpoint.  Errors and
+    gaps are judged on their exact values (on the exact path), not on the
+    summary's floats.
     """
     if summary is None:
         summary = build_summary(result)
     cfg = result.config
-    blocks = []
-
+    tracks = _TRACKS[: 1 + cfg.restricted]
     s = summary["sandwich"]
-    blocks.append(
-        (
-            "sandwich",
-            s["violations"] == 0,
-            f"{s['violations']} violation(s) in {s['rows']} checkpoint rows",
-        )
-    )
-    if cfg.restricted:
-        blocks.append(
-            (
-                "restricted-sandwich",
-                s["violations_restricted"] == 0,
-                f"{s['violations_restricted']} violation(s) in {s['rows']} checkpoint rows",
-            )
-        )
-
+    blocks = [
+        (f"{t.prefix}sandwich", s[t.violations] == 0, f"{s[t.violations]} violation(s) in {s['rows']} checkpoint rows")
+        for t in tracks
+    ]
     if len(cfg.checkpoints) >= 2:
-        first = summary["checkpoints"][0]["median_abs_error"]
-        last = summary["checkpoints"][-1]["median_abs_error"]
-        blocks.append(
-            (
-                "variance-trend",
-                last <= first,
-                f"median |sigma_hat - sigma|: {first:.6g} (n={cfg.checkpoints[0]}) -> "
-                f"{last:.6g} (n={cfg.checkpoints[-1]})",
-            )
-        )
-        if cfg.restricted:
-            first = summary["checkpoints"][0]["median_abs_error_res"]
-            last = summary["checkpoints"][-1]["median_abs_error_res"]
-            blocks.append(
-                (
-                    "restricted-variance-trend",
-                    last <= first,
-                    f"median |sigma*_hat - sigma*|: {first:.6g} -> {last:.6g}",
-                )
-            )
+        for t in tracks:
+            first, last = (_abs_errors(result, t.error, pos)[0] for pos in (0, -1))
+            detail = (f"median |{t.error_text}|: {_to_float(first):.6g} (n={cfg.checkpoints[0]}) -> "
+                      f"{_to_float(last):.6g} (n={cfg.checkpoints[-1]})")
+            blocks.append((f"{t.prefix}variance-trend", last <= first, detail))
 
     if summary["outer_limit"] is not None:
-        ol = summary["outer_limit"]
-        eps = _to_float(cfg.limit_params.epsilon)
-        tracks = [("outer-limit", "", "estimate", "target")]
-        if cfg.restricted:
-            tracks.append(("restricted-outer-limit", "_res", "restricted estimate", "restricted target"))
-        for name, suffix, estimate, target in tracks:
-            if eps > 0:
-                gap = ol[f"kuratowski_median_target_gap{suffix}"]
-                blocks.append(
-                    (
-                        name,
-                        gap <= 2 * eps,
-                        f"median worst {estimate}-to-target distance {gap:.6g} "
-                        f"(budget 2*epsilon = {2 * eps:.6g})",
-                    )
-                )
+        budget = _budget(cfg)
+        for t in tracks:
+            if budget > 0:
+                gap = _median_and_max([Fraction(g) for g in result.limits[f"kuratowski_target_gap{t.suffix}"]])[0]
+                text = f"median worst {t.estimate}-to-target distance {_to_float(gap):.6g}"
+                passed, detail = gap <= budget, f"{text} (budget 2*epsilon = {_to_float(budget):.6g})"
             else:
-                rate = ol[f"kuratowski_inclusion_rate{suffix}"]
-                blocks.append(
-                    (
-                        name,
-                        rate >= 0.99,
-                        f"{estimate} subset of {target} in {rate:.2%} of replications",
-                    )
-                )
+                rate = summary["outer_limit"][f"kuratowski_inclusion_rate{t.suffix}"]
+                passed, detail = rate >= 0.99, f"{t.estimate} subset of {t.target} in {rate:.2%} of replications"
+            blocks.append((f"{t.prefix}outer-limit", passed, detail))
 
     if cfg.restricted:
-        rates = [c["subset_of_sampled_rate"] for c in summary["checkpoints"]]
-        blocks.append(
-            (
-                "restricted-support",
-                all(r == 1.0 for r in rates),
-                "restricted mean sets drawn from sampled points at every checkpoint",
-            )
-        )
+        supported = all(c["subset_of_sampled_rate"] == 1.0 for c in summary["checkpoints"])
+        detail = "restricted mean sets drawn from sampled points at every checkpoint"
+        blocks.append(("restricted-support", supported, detail))
     return blocks

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .metric_core import MetricSpace, _exact_dtype
+from .metric_core import _INT64_SAFE, MetricSpace, _exact_dtype
 
 __all__ = [
     "Graph",
@@ -206,13 +206,14 @@ class _Orbits:
         each row summing to at most ``total_weight``) and a cell budget to
         ``(lo, tile)`` pairs: ``tile[k]`` holds row k's scores of the orbits
         from ``lo`` on, a range of ``b``'s rows, made by one matmul into one
-        buffer in the dtype :func:`metric_core._exact_dtype` picks, so a
-        float64 matmul is exact.  A tile holds at most ``cells`` cells, or
+        buffer in the dtype :func:`metric_core._exact_dtype` picks (Python
+        ints once the binomials pass int64), so a float64 matmul is exact.  A tile holds at most ``cells`` cells, or
         one row of ``b`` per weight row.  When every ``c_t`` is 1 the orbits
         are the graphs, and the tables have ``2^ceil(slots/2)`` and
         ``2^floor(slots/2)`` rows.
         """
-        dtype = _exact_dtype(self.space, r, total_weight)
+        # the binomials C(r, j) pass int64 from r = 67, where M = 1 keeps the scores themselves small
+        dtype = object if math.comb(r, r // 2) >= _INT64_SAFE else _exact_dtype(self.space, r, total_weight)
         m = self.types.shape[1]
         tables = []
         for group in self.groups:

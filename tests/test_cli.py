@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -486,6 +487,30 @@ def test_modulus_past_the_float_range_exits_0(capsys):
     assert f"# delta: {10**400}" in lines and "s_delta: 6" in lines  # exact past the float range
     assert f"# bound (2^r-1) M^(r-1) delta: {10**400} (gamma=1)" in lines
 
+    grid = ["modulus", "--grid", "0", "1e400", "1e399", "--delta", "1e399"]
+    code, out, err = run_cli(capsys, *grid, "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["delta"] == payload["lipschitz_bound"] == float("inf")
+    assert payload["delta_exact"] == payload["lipschitz_bound_exact"] == str(10**399)  # r = 1: the bound is delta
+    code, out, err = run_cli(capsys, *grid, "--format", "csv")
+    header, row = csv.reader(out.splitlines())
+    assert row[header.index("delta_exact")] == row[header.index("lipschitz_bound_exact")] == str(10**399)
+
+
+def test_high_orders_on_one_edge_slot_exit_0(capsys, tmp_path):
+    # every score of nv = 2 is at most the total weight, but C(70, 35) passes 2^63
+    path = tmp_path / "nv2.graphs"
+    path.write_text("2:1\n2:0\n2:0\n")
+    code, out, err = run_cli(capsys, "mean", str(path), "--r", "70")
+    assert (code, err) == (0, "")
+    assert {"# optimum: 1/3", "# mean set: 1 graphs", "2:0"} <= set(out.splitlines())
+    config = {"schema": "experiment-config-v1", "space": "graph", "nv": 2, "support": ["2:0", "2:1"], "r": 70,
+              "n_max": 100, "checkpoints": [10, 100], "replications": 5, "restricted": True}
+    (tmp_path / "nv2.json").write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "simulate", str(tmp_path / "nv2.json"), "--out", str(tmp_path / "sim"))
+    assert (code, err) == (0, ""), err
+
 
 def test_simulate_past_the_float_range_writes_both_reports(capsys, tmp_path):
     config = json.loads((FIXTURE_DIR / "g4_uniform_pair.json").read_text())
@@ -691,6 +716,45 @@ def test_config_reports_are_byte_identical(capsys, tmp_path, name):
         assert _sha256((tmp_path / filename).read_bytes()) == digest, filename
 
 
+# Every assertion block line `simulate` prints, for the bundled configs and a
+# restricted epsilon > 0 run, whose two outer-limit blocks judge gaps.
+BLOCK_CASES = {
+    "g4_uniform_pair": ("g4_uniform_pair", {}, [
+        "[sandwich] PASS - 0 violation(s) in 300 checkpoint rows",
+        "[variance-trend] PASS - median |sigma_hat - sigma|: 0.2 (n=10) -> 0.021 (n=1000)",
+        "[outer-limit] PASS - estimate subset of target in 100.00% of replications",
+    ]),
+    "grid_r1_oscillation": ("grid_r1_oscillation", {}, [
+        "[sandwich] PASS - 0 violation(s) in 4000 checkpoint rows",
+        "[variance-trend] PASS - median |sigma_hat - sigma|: 0.2 (n=10) -> 0.08 (n=100)",
+    ]),
+    "grid_r2_convergence": ("grid_r2_convergence", {}, [
+        "[sandwich] PASS - 0 violation(s) in 100 checkpoint rows",
+        "[variance-trend] PASS - median |sigma_hat - sigma|: 0.04 (n=10) -> 5.2e-05 (n=10000)",
+        "[outer-limit] PASS - median worst estimate-to-target distance 0.05 (budget 2*epsilon = 0.1)",
+    ]),
+    "g4_pair_restricted_epsilon": ("g4_uniform_pair", {"restricted": True, "r": 2, "epsilon": "3/2"}, [
+        "[sandwich] PASS - 0 violation(s) in 300 checkpoint rows",
+        "[restricted-sandwich] PASS - 0 violation(s) in 300 checkpoint rows",
+        "[variance-trend] PASS - median |sigma_hat - sigma|: 0 (n=10) -> 0 (n=1000)",
+        "[restricted-variance-trend] PASS - median |sigma*_hat - sigma*|: 0.4 (n=10) -> 0.042 (n=1000)",
+        "[outer-limit] PASS - median worst estimate-to-target distance 1 (budget 2*epsilon = 3)",
+        "[restricted-outer-limit] PASS - median worst restricted estimate-to-target distance 1 (budget 2*epsilon = 3)",
+        "[restricted-support] PASS - restricted mean sets drawn from sampled points at every checkpoint",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_simulate_prints_each_assertion_block(capsys, tmp_path, name):
+    fixture, overrides, lines = BLOCK_CASES[name]
+    config = {**json.loads((FIXTURE_DIR / f"{fixture}.json").read_text()), **overrides}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "simulate", str(tmp_path / "config.json"), "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert [line for line in out.splitlines() if line.startswith("[")] == lines
+
+
 def test_mean_output_is_byte_identical(capsys, pair_file):
     code, out, _ = run_cli(capsys, "mean", pair_file, "--r", "1")
     assert code == 0
@@ -773,14 +837,14 @@ OUTPUT_DIGESTS = {
     ("check-metric-grid", "json"): "015a03f6dc63b87b3f41f2135da9b2c963f788bac969a24456ad2755dbbfc2ac",
     ("check-metric-grid", "csv"): "e7a790ce5a0d6141e61c0121ba867183311410a770798915bf6df341481aaace",
     ("modulus-nv4", "text"): "a956e904642677af3bc4938c8d441d75f0c7b25ca891c3920b84dc197978b3ef",
-    ("modulus-nv4", "json"): "ea650ab51e140efcb97d5844dbe980ace1c75adbb7b1d881c9c00a88e56d54a0",
-    ("modulus-nv4", "csv"): "7a50e2d6b380d673887384dabd84d5f544a7c418754fe7382f2a1e7fce63c1ca",
+    ("modulus-nv4", "json"): "b82f46be4ff2a0b156e724ee1dbd3100e0adce45722d99864076e399d7ac7d25",
+    ("modulus-nv4", "csv"): "418c92f6cfdda61d1e93b8fb4307bf85518a2b619d4ccb2f522d4e5a2d4c0b43",
     ("modulus-nv4-r1.5", "text"): "d976f1d909b2d931bd97279cfedd258227feb202eb363d4346a29374aa3f9977",
-    ("modulus-nv4-r1.5", "json"): "c8746b2b1184ea399023259464e699bf7f24cad0d859ddaa5ad0d48a133aff2f",
-    ("modulus-nv4-r1.5", "csv"): "087fb2d8fe5a0170c4f37f01398f38ca571fb980a2656707fbec47bf3be4fed3",
+    ("modulus-nv4-r1.5", "json"): "86d8a17f4ee638015f4e63f6e35c4a29a2cdd2ff0822b31e329edfd7ef4b413e",
+    ("modulus-nv4-r1.5", "csv"): "24d92122c9e088c9b3159d11f5bb9e68a4d95fc509f02837be227690ed2c5188",
     ("modulus-grid", "text"): "7d67d010323a7c8ff8c1d2cd45a4dfda50b9cf4000b0d98077d7de4a9f1fcfd5",
-    ("modulus-grid", "json"): "9a40e24c85f92775ea4b6ba33abb4f357fc26cd5b63ba6966ac3fd28a7c2cb16",
-    ("modulus-grid", "csv"): "b8faf42c9b84a0202a2062f4655144624b9dc36d3b6096894327aae5fb04b494",
+    ("modulus-grid", "json"): "6db18cac40dd8be11dfe7e8c84f20719dcbc482b618f59ee8ece0277aff2ae92",
+    ("modulus-grid", "csv"): "f5e8833daa826179c6a25695b4c958b94431e553eb742a9b702501ede005ab25",
 }
 
 

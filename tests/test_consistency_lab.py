@@ -560,6 +560,31 @@ def test_restricted_outer_limit_is_judged_by_its_gap_at_positive_epsilon(g4, mu_
     assert "kuratowski_median_target_gap_res" not in exact["outer_limit"]  # epsilon = 0 judges inclusion
 
 
+def test_variance_trend_is_judged_on_exact_medians():
+    # 2^60 and 2^60 + 1/den round to one float, printed 1.15292e+18 at both
+    # checkpoints; only the exact medians show that the error grew
+    result = run_consistency_experiment(load_config_file(FIXTURE_DIR / "g4_uniform_pair.json"))
+    reps, first, last = result.config.replications, result.denominators[0], result.denominators[-1]
+    result.stats["t_star"][0] = np.full(reps, 2**60 * first, dtype=object)
+    result.stats["t_star"][-1] = np.full(reps, 2**60 * last + 1, dtype=object)
+    blocks = {name: (passed, detail) for name, passed, detail in summary_blocks(result)}
+    assert blocks["variance-trend"] == (
+        False, "median |sigma_hat - sigma|: 1.15292e+18 (n=10) -> 1.15292e+18 (n=1000)"
+    )
+
+
+def test_outer_limit_gap_is_judged_on_exact_values():
+    # a gap 10^-30 past the budget 2*epsilon = 1/10 is the float 0.1, as the budget is
+    result = run_consistency_experiment(load_config_file(FIXTURE_DIR / "grid_r2_convergence.json"))
+    budget = 2 * result.config.limit_params.epsilon
+    result.limits["kuratowski_target_gap"] = [budget + Fraction(1, 10**30)] * result.config.replications
+    summary = build_summary(result)
+    assert summary["outer_limit"]["kuratowski_median_target_gap"] == 0.1
+    assert summary["outer_limit"]["kuratowski_gap_within_budget_rate"] == 0
+    blocks = {name: (passed, detail) for name, passed, detail in summary_blocks(result, summary)}
+    assert blocks["outer-limit"] == (False, "median worst estimate-to-target distance 0.1 (budget 2*epsilon = 0.1)")
+
+
 def test_summary_blocks_all_pass(pair_result):
     blocks = summary_blocks(pair_result)
     names = [name for name, _, _ in blocks]

@@ -234,6 +234,21 @@ def test_large_order_falls_back_to_bigint(g4, s1, s2):
     assert (res.optimum, res.argmin) == (opt, argmin)
 
 
+@pytest.mark.parametrize("r", [2, 66, 67, 70, 100, 1100])
+@pytest.mark.parametrize("nv", [1, 2])
+def test_high_orders_on_spaces_of_at_most_one_slot_match_the_oracles(nv, r):
+    # M = 1 keeps every score below the total weight, but from r = 67 the orbit
+    # scorer's binomials C(r, j) pass 2^63 and need Python ints
+    space = enumerate_space(nv)
+    sample = Sample((space.points[-1], space.points[0], space.points[0]))  # 2:1 2:0 2:0 at nv = 2
+    res = sample_mean_set(space, sample, r)
+    assert (res.optimum, res.argmin) == mean_set_by_enumeration(space, sample.items, r, space.points)
+    weights = (Fraction(1),) if nv == 1 else (Fraction(1, 3), Fraction(2, 3))
+    pairs = list(zip(space.points, weights))
+    pop = population_mean_set(space, DiscreteMeasure(tuple(space.points), weights), r)
+    assert (pop.optimum, pop.argmin) == population_by_enumeration(space, pairs, r, space.points)
+
+
 def test_restricted_beyond_enumeration_via_subspace(s1, s2):
     # nv = 8 cannot be enumerated under the default cap, but restricted
     # candidates are just the observed graphs

@@ -18,6 +18,7 @@ estimators at epsilon = 0 and above.
 """
 
 import math
+import statistics
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -682,7 +683,9 @@ def test_summary_median_and_max_match_sorting(values):
         args = ([v.numerator * (common // v.denominator) for v in values], common)
     else:
         args = (values,)
-    assert _median_and_max(*args) == median_and_max_by_sorting(values)
+    exact = _median_and_max(*args)  # Fractions of the numerators, floats of floats
+    assert exact == (statistics.median(values), max(values))
+    assert tuple(map(_to_float, exact)) == median_and_max_by_sorting(values)
 
 
 @PROPERTY_SETTINGS

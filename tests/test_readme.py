@@ -5,7 +5,7 @@ import shlex
 from pathlib import Path
 
 from frechet_means.cli import _EXIT_CODES, main
-from frechet_means.consistency_lab import _CONFIG_KEYS, _STRUCTURAL_KEYS
+from frechet_means.consistency_lab import _CONFIG_KEYS, _CSV_COLUMNS, _CSV_COLUMNS_RES, _STRUCTURAL_KEYS
 
 ROOT = Path(__file__).parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -43,3 +43,13 @@ def test_readme_config_keys_match_the_loader():
     first_cells = re.findall(r"^\| (.*?) \|", section, re.M)[2:]  # below the header and its rule
     keys = {key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)}
     assert keys == _CONFIG_KEYS.keys() | _STRUCTURAL_KEYS
+
+
+def test_readme_report_columns_match_the_writer():
+    section = README.split("## Report schemas", 1)[1].split("\n## ", 1)[0]
+    paragraph = section.strip().split("\n\n", 1)[0]  # the one on report.csv
+    lists = [[name.strip() for name in span.split(",")] for span in re.findall(r"`([^`]+,[^`]+)`", paragraph)]
+    assert lists == [  # the header write_report_csv writes, and its restricted columns
+        ["replication", "n", *(header for header, _, _ in _CSV_COLUMNS)],
+        [header for header, _, _ in _CSV_COLUMNS_RES],
+    ]
