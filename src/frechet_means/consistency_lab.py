@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import frechet_solver
-from .frechet_solver import MeanSetResult, _labels, _mean_set, _min_ties, _scorer, _tied
+from .frechet_solver import MeanSetResult, _labels, _mean_set, _min_ties, _product, _scorer, _tied
 from .graph_space import GraphSpaceConfig, enumerate_space, parse_graph
 from .metric_core import (
     _FLOAT64_EXACT,
@@ -621,78 +621,64 @@ def _draw_counts(cfg: ExperimentConfig) -> np.ndarray:
     return np.diff(per_checkpoint, axis=2, prepend=0).cumsum(axis=1)
 
 
-def _gathered(tiles, cols: np.ndarray, out: np.ndarray):
-    """The ``(lo, tile)`` pairs of ``tiles``, passed on once ``out`` has each tile's scores at the sorted ``cols``."""
-    for lo, tile in tiles:
-        a, b = np.searchsorted(cols, (lo, lo + tile.shape[1]))
-        out[:, a:b] = tile[:, cols[a:b] - lo]
-        yield lo, tile
-
-
 class _Engine:
     """The scores of one configuration's support at the positions of
     :func:`frechet_solver._scorer` (slot-type orbits on full graph spaces
-    with exact scores, space points elsewhere), made by the solver's own
+    with exact scores, space points elsewhere), reduced by the solver's own
     scorer a tile of at most ``_CHUNK_CELLS`` cells at a time; no
-    |space| x |support| block and no score row but the population's, off
-    which the population targets are read, is held.
+    |space| x |support| block and no score row is held.
 
     :meth:`columns` scores a chunk of a checkpoint's distinct count rows at
-    once: :func:`frechet_solver._min_ties` reduces each tile as it is made
-    into the rows' minima and ties, and the positions the statistics read
-    (the population mean set's and the support's) are gathered on the way.
-    Both tracks (all points compete; only sampled support points compete)
-    read every statistic off them.  On the exact path every score is an
-    integer, and each value is kept as an integer numerator over the
-    checkpoint's denominator ``n * d * q`` (d the weights' common
-    denominator, ``scale**r = p / q``); off it values are float64.  A mean
-    set is the sorted space indices of a row's ties, kept as its id in
-    ``sets``, the distinct mean sets of both tracks in order of first
-    appearance: a row's tied positions are looked up by their bytes, and
-    each distinct tuple of them is expanded to space indices once.
+    once into the rows' minima and ties, and the scores that the statistics
+    read (at the population mean set and at the support, and the
+    population's at the ties) are direct products of those positions'
+    ``d**r`` with the weights.  Both tracks (all points compete; only
+    sampled support points compete) read every statistic off them.  On the
+    exact path every score is an integer, and each value is kept as an
+    integer numerator over the checkpoint's denominator ``n * d * q`` (d the
+    weights' common denominator, ``scale**r = p / q``); off it values are
+    float64.  A mean set is the sorted space indices of a row's ties, kept
+    as its id in ``sets``, the distinct mean sets of both tracks in order of
+    first appearance: a row's tied positions are looked up by their bytes,
+    and each distinct tuple of them is expanded to space indices once.
     """
 
     def __init__(self, space: MetricSpace, cfg: ExperimentConfig):
         r = cfg.r
         self.restricted = cfg.restricted
-        self.sup_idx, weights, self.pop_denominator, self.exact = _weights(space, cfg.mu, r)
+        self.sup_idx, self.weights, self.pop_denominator, self.exact = _weights(space, cfg.mu, r)
         self.scale_r = space.scale**r
         total = 2 * max(cfg.n_max, self.pop_denominator)  # t_res_upper adds two scores
-        size, self.score, sup_rows, self.expand, row_cells = _scorer(space, self.sup_idx, r, self.exact, total)
-        pop_scores = None
-        for lo, tile in self.score(weights[None]):
-            if pop_scores is None:
-                pop_scores = np.empty(size, tile.dtype)
-            pop_scores[lo : lo + tile.shape[1]] = tile[0]
-        self.dtype = pop_scores.dtype
-
-        (best,), _, self.theta_rows, _ = _min_ties(pop_scores[None], self.exact)
-        pop_best = [best]
-        theta_idx = np.sort(self.expand(self.theta_rows)[0])
-        self.population = _mean_set(space, best, theta_idx, r, self.pop_denominator, self.exact, "full_space")
-        self.population_res = None
-        gather, width = [self.theta_rows], 0
-        if self.restricted:
-            self.sup_order = np.argsort(self.sup_idx)  # support positions in ascending space order
-            self.sup_rows = sup_rows[self.sup_order]
-            (best,), _, self.theta_res, _ = _min_ties(pop_scores[None, self.sup_rows], self.exact)
-            pop_best.append(best)
-            idx = self.sup_idx[self.sup_order][self.theta_res]
-            self.population_res = _mean_set(space, best, idx, r, self.pop_denominator, self.exact, "measure_support")
-            gather.append(self.sup_rows)
-            width = len(self.theta_res) * len(self.sup_idx)  # the t_res_upper gaps
-        # the positions every row's statistics read, and where theta's and the support's sit among them
-        self.gather, where = np.unique(np.concatenate(gather), return_inverse=True)
-        self.theta_cols, self.sup_cols = where[: len(self.theta_rows)], where[len(self.theta_rows) :]
-        self.chunk = max(1, frechet_solver._CHUNK_CELLS // max(len(self.gather), width, row_cells))
-        self.sets = []  # every distinct mean set, a sorted tuple of space indices, by first appearance
-        self._ids = {}  # the bytes of a tuple of tied positions -> the id of its set
+        self.ties, self.powers, sup_rows, self.expand, self.row_cells = _scorer(
+            space, self.sup_idx, r, self.exact, total
+        )
         if self.exact:  # every numerator is at most 2 max(M, 1)^r n_max d p in size
             bound = 2 * cfg.n_max * self.pop_denominator * self.scale_r.numerator
             self.num_dtype = object if _exact_dtype(space, r, bound) is object else np.int64
-        # the population side of every excess: all scores, and each track's minimum
-        self.pop = self._ints(pop_scores)
-        self.pop_best = [self._ints(np.asarray(best)) for best in pop_best]
+        # the population side of every excess: each track's minimum, and its scores at the support
+        (best,), _, theta_rows, _ = self.ties(self.weights[None])
+        self.pop_best = [self._ints(np.asarray(best))]
+        theta_idx = np.sort(self.expand(theta_rows)[0])
+        self.population = _mean_set(space, best, theta_idx, r, self.pop_denominator, self.exact, "full_space")
+        self.population_res = None
+        self.theta_powers, self.width = self.powers(theta_rows), len(theta_rows)  # cells per row beside the tiles
+        if self.restricted:
+            self.sup_order = np.argsort(self.sup_idx)  # support positions in ascending space order
+            self.sup_rows = sup_rows[self.sup_order]
+            self.sup_powers = self.powers(self.sup_rows)
+            pop_sup = _product(self.weights[None], self.sup_powers, self.exact)
+            (best,), _, self.theta_res, _ = _min_ties(pop_sup, self.exact)
+            self.pop_best.append(self._ints(np.asarray(best)))
+            self.pop_sup = self._ints(pop_sup[0])
+            idx = self.sup_idx[self.sup_order][self.theta_res]
+            self.population_res = _mean_set(space, best, idx, r, self.pop_denominator, self.exact, "measure_support")
+            self.width = max(self.width + len(self.sup_idx), len(self.theta_res) * len(self.sup_idx))  # the gaps
+        self.sets = []  # every distinct mean set, a sorted tuple of space indices, by first appearance
+        self._ids = {}  # the bytes of a tuple of tied positions -> the id of its set
+
+    def chunk(self, rows: np.ndarray) -> int:
+        """How many of a checkpoint's distinct count rows ``rows`` to score at once."""
+        return max(1, frechet_solver._CHUNK_CELLS // max(self.width, self.row_cells(rows)))
 
     def _set_ids(self, ties: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """The id in ``sets`` of each row's tied positions, the row's slice of
@@ -739,23 +725,22 @@ class _Engine:
     def columns(self, counts: np.ndarray, n: int) -> dict:
         """Every statistic at checkpoint n of a chunk of count rows, as columns;
         ``counts[k]`` counts a replication's first n draws per support point."""
-        gathered = np.empty((len(counts), len(self.gather)), self.dtype)
-        best, _, ties, starts = _min_ties(_gathered(self.score(counts), self.gather, gathered), self.exact)
+        best, _, ties, starts = self.ties(counts)
         # a row's ties all lie in theta iff the largest population score among them ties with its optimum
-        pop, pop_best = self.pop[ties], self.pop_best[0]
+        pop, pop_best = self._ints(_product(self.weights[None], self.powers(ties), self.exact)[0]), self.pop_best[0]
         cols = dict(
             sigma_hat=self._excess(best, n),
             mean_set=self._set_ids(ties, starts),
             t_hat_max=self._excess(best, n, np.minimum.reduceat(pop, starts)),
             t_star=self._excess(best, n, pop_best),
-            t_theta_min=self._excess(gathered[:, self.theta_cols].min(axis=1), n, pop_best),
+            t_theta_min=self._excess(_product(counts, self.theta_powers, self.exact).min(axis=1), n, pop_best),
             included_in_population=_tied(np.maximum.reduceat(pop, starts), pop_best, self.exact),
         )
         if self.restricted:
             observed = counts[:, self.sup_order] > 0
-            sup_scores = gathered[:, self.sup_cols]
+            sup_scores = _product(counts, self.sup_powers, self.exact)
             best, rows, pos, starts = _min_ties(sup_scores, self.exact, observed)
-            pop, pop_best = self.pop[self.sup_rows[pos]], self.pop_best[1]
+            pop, pop_best = self.pop_sup[pos], self.pop_best[1]
             # upper bound: min over theta* of T_n(theta*) + min_{x' observed} |Fhat(x') - Fhat(theta*)|;
             # Fhat is a positive multiple of the score, so the bound is taken on scores
             theta_scores = sup_scores[:, self.theta_res]
@@ -785,7 +770,7 @@ def _outer_limits(
     and Kuratowski visits of all replications are counted by the estimators'
     own counters over the distinct tail sets, inclusion is one ``np.isin``,
     and every Kuratowski point's distance to the target comes from one block
-    over the distinct points.
+    over the distinct points outside it.
     """
     reps = len(mean_sets[0])
     used, tails = np.unique(np.stack(mean_sets[burn:], axis=1), return_inverse=True)
@@ -796,14 +781,15 @@ def _outer_limits(
         ("kuratowski", "kuratowski_included", _kuratowski_rows(space, tails, tail_sets, lp.epsilon, lp.min_visits)),
     ):
         starts = np.searchsorted(rows, np.arange(reps))  # each replication's first pair
-        inside = np.ones(reps, dtype=bool)
-        inside[rows[~np.isin(idx, target_idx)]] = False
+        inside, outside = np.ones(reps, dtype=bool), ~np.isin(idx, target_idx)
+        inside[rows[outside]] = False
         fields[name] = _index_tuples(idx, starts)
         fields[included] = inside.tolist()
-    # idx and starts are now the Kuratowski estimate's
-    points, pos = np.unique(idx, return_inverse=True)
+    # idx, starts and outside are now the Kuratowski estimate's; a point of the target is at distance 0 from it
+    points, pos = np.unique(idx[outside], return_inverse=True)
     block = space.int_block if space.exact else space.float_block
-    near = block(points, target_idx).min(axis=1)[pos]  # each estimate point's distance to the target
+    near = np.zeros(len(idx), dtype=np.int64 if space.exact else np.float64)  # each point's distance to the target
+    near[outside] = block(points, target_idx).min(axis=1)[pos]
     fields["kuratowski_target_gap"] = [space.as_distance(max(d)) if d else 0 for d in _index_tuples(near, starts)]
     return fields
 
@@ -835,7 +821,8 @@ def run_consistency_experiment(
         distinct = {}  # each distinct count row's bytes -> its id, by first replication
         ids = np.array([distinct.setdefault(data[a : a + width], len(distinct)) for a in range(0, len(data), width)])
         rows = np.frombuffer(b"".join(distinct), np.int64).reshape(len(distinct), -1)
-        parts = [engine.columns(rows[lo : lo + engine.chunk], n) for lo in range(0, len(rows), engine.chunk)]
+        step = engine.chunk(rows)
+        parts = [engine.columns(rows[lo : lo + step], n) for lo in range(0, len(rows), step)]
         for name in parts[0]:
             stats.setdefault(name, []).append(np.concatenate([part[name] for part in parts])[ids])
         row_ids.append(ids)

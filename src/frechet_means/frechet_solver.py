@@ -14,9 +14,10 @@ points (``argmin``) only when they are first read.
 
 One factory, :func:`_scorer`, scores for the solver and the consistency
 engine alike.  Exact scores over a full graph space come per slot-type orbit
-of the support from :class:`graph_space._Orbits`, whose tied orbits expand
-to their graphs (at r = 1 the solver reads the argmin cube off per-slot
-weights instead, :func:`_order1_cube`); every other case scores each
+of the support from :class:`graph_space._Orbits`, only for the orbits that
+can hold a minimum, and the tied orbits expand to their graphs (at r = 1
+the solver reads the argmin cube off per-slot weights instead,
+:func:`_order1_cube`); every other case scores each
 candidate as ``d**r @ weights``, with ``d**r`` from
 :func:`metric_core._power_block`.  Exact scores are integers in the dtype
 :func:`metric_core._exact_dtype` picks, so BLAS sums them exactly in any
@@ -159,46 +160,66 @@ def _order1_cube(space: MetricSpace, sup_idx: np.ndarray, weights: np.ndarray, t
     return sum(min(ck, total - ck) for ck in c), ties
 
 
+def _product(weights: np.ndarray, powers: np.ndarray, exact: bool, out=None, term=None) -> np.ndarray:
+    """``weights @ powers``: the scores of weight rows at the positions of
+    ``powers``' columns, ``d**r`` with one row per support point.  Exact
+    scores are integers, summed in any order; float scores are summed one
+    support column at a time, in support order, so no score depends on the
+    positions scored beside it."""
+    if exact:
+        return np.matmul(weights.astype(powers.dtype, copy=False), powers, out=out)
+    out = np.multiply(weights[:, :1], powers[0], out=out)
+    for j in range(1, len(powers)):
+        out += np.multiply(weights[:, j : j + 1], powers[j], out=term)
+    return out
+
+
 def _scorer(space: MetricSpace, sup_idx: np.ndarray, r, exact: bool, total: int, full: bool = True) -> tuple:
-    """``(size, score, support, expand, row_cells)``: the scores of weights on
+    """``(ties, powers, support, expand, row_cells)``: the scores of weights on
     the support ``sup_idx`` at every point (``full``) or support point.
 
-    The scores stand for ``size`` positions, slot-type orbits on a full
-    graph space with exact scores and candidates elsewhere; ``support``
-    holds each support point's.  ``score(weights)`` maps a weight matrix to
-    the ``(lo, tile)`` pairs :func:`_min_ties` reduces, each valid until the
-    next, and each weight row holds ``row_cells`` cells beside them.  Off
-    the orbits a tile is a range of candidates, made from that range's power
-    block, and neither holds over ``_CHUNK_CELLS`` cells.  ``expand(positions)``
-    gives each position's space indices and the offsets where they start.
+    The scores stand for positions, slot-type orbits on a full graph space
+    with exact scores and candidates elsewhere; ``support`` holds each
+    support point's.  ``ties(weights)`` gives each weight row's minimum and
+    tied positions as :func:`_min_ties` does, from tiles of at most
+    ``_CHUNK_CELLS`` cells, and each row holds ``row_cells(weights)`` cells
+    beside them.  On the orbits only those that can hold a minimum are
+    scored (:meth:`graph_space._Orbits.scorer`); off them a tile is a range
+    of candidates, made from that range's power block.  ``powers(positions)``
+    gives the positions' ``d**r`` for :func:`_product`, and
+    ``expand(positions)`` each position's space indices and the offsets
+    where they start.
     """
     if exact and full and isinstance(space.points, _AllGraphs):
         orbits = _Orbits(space, sup_idx)
-        tiles, row_cells = orbits.scorer(r, total)
-        return orbits.size, lambda w: tiles(w, _CHUNK_CELLS), orbits.support, orbits.graphs, row_cells
+        tiles, powers = orbits.scorer(r, total)
+
+        def ties(weights: np.ndarray) -> tuple:
+            orbit_of, _, scores = tiles(weights, _CHUNK_CELLS)
+            best, rows, positions, starts = _min_ties(scores, True)
+            return best, rows, orbit_of(positions), starts
+
+        return ties, powers, orbits.support, orbits.graphs, lambda w: tiles(w, _CHUNK_CELLS)[1]
     size, m = len(space) if full else len(sup_idx), len(sup_idx)
     dtype = _exact_dtype(space, r, total) if exact else np.float64
 
-    def score(weights: np.ndarray):
+    def powers(positions: np.ndarray) -> np.ndarray:
+        rows = positions if full else sup_idx[positions]
+        return np.ascontiguousarray(_power_block(space, rows, sup_idx, r, exact, total).T)
+
+    def tiles(weights: np.ndarray):
         weights = weights.astype(dtype)
         step = max(1, _CHUNK_CELLS // max(len(weights), m))  # candidates per tile
         buffers = np.empty((2, len(weights) * min(step, size)), dtype)
         for lo in range(0, size, step):
-            rows = np.arange(lo, min(lo + step, size)) if full else sup_idx[lo : lo + step]
-            block = np.ascontiguousarray(_power_block(space, rows, sup_idx, r, exact, total).T)
-            out, term = (b[: len(weights) * len(rows)].reshape(len(weights), -1) for b in buffers)
-            if exact:
-                np.matmul(weights, block, out=out)
-            else:  # one support column at a time, in support order
-                np.multiply(weights[:, :1], block[0], out=out)
-                for j in range(1, m):
-                    out += np.multiply(weights[:, j : j + 1], block[j], out=term)
-            yield lo, out
+            block = powers(np.arange(lo, min(lo + step, size)))
+            out, term = (b[: len(weights) * block.shape[1]].reshape(len(weights), -1) for b in buffers)
+            yield lo, _product(weights, block, exact, out, term)
 
     def expand(positions: np.ndarray) -> tuple:
         return positions if full else sup_idx[positions], np.arange(len(positions) + 1)
 
-    return size, score, sup_idx if full else np.arange(m), expand, 1
+    return lambda w: _min_ties(tiles(w), exact), powers, sup_idx if full else np.arange(m), expand, lambda w: 1
 
 
 def _labels(space: MetricSpace, indices: Sequence) -> Iterator[str]:
@@ -223,8 +244,8 @@ def _solve(space: MetricSpace, data: Sample | DiscreteMeasure, r, domain: str) -
     if exact and full and r == 1 and isinstance(space.points, _AllGraphs):
         best, ties = _order1_cube(space, sup_idx, weights, normalizer)
     else:
-        _, score, _, expand, _ = _scorer(space, sup_idx, r, exact, normalizer, full)
-        (best,), _, tied, _ = _min_ties(score(weights[None]), exact)
+        ties_of, _, _, expand, _ = _scorer(space, sup_idx, r, exact, normalizer, full)
+        (best,), _, tied, _ = ties_of(weights[None])
         ties = np.sort(expand(tied)[0])
     return _mean_set(space, best, ties, r, normalizer, exact, domain)
 

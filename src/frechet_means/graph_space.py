@@ -169,6 +169,7 @@ class _Orbits:
         self.space = space
         self.base = np.uint64(sup_idx[0])
         self._choices = {}  # (t, j) -> the masks of :meth:`_chosen`
+        self._cuts = {}  # the bytes of an active set -> its kept table rows, of :meth:`cut`
         slot_bits = np.uint64(1) << np.arange(space.bound_M, dtype=np.uint64)
         patterns = ((sup_idx[0] ^ sup_idx).astype(np.uint64) & slot_bits[:, None] > 0).astype(np.int64)
         ids = {}  # each pattern's type, numbered in order of its first slot
@@ -180,51 +181,57 @@ class _Orbits:
         self.binomial.shape = (len(ids), len(top))  # (0, 1) when there is no slot
         self.type_masks = np.zeros(len(ids), dtype=np.uint64)
         np.bitwise_or.at(self.type_masks, self.slot_type, slot_bits)
-        self.groups, sizes = ([], []), [1, 1]
+        self.groups, self.sizes = ([], []), [1, 1]  # sizes: each group's table rows
         for t in np.argsort(-self.counts, kind="stable").tolist():  # greedy balance of the two orbit counts
-            g = int(sizes[1] < sizes[0])
+            g = int(self.sizes[1] < self.sizes[0])
             self.groups[g].append(t)
-            sizes[g] *= int(self.counts[t]) + 1
-        self.size = sizes[0] * sizes[1]
+            self.sizes[g] *= int(self.counts[t]) + 1
+        self.size = self.sizes[0] * self.sizes[1]
         self.strides = np.empty(len(ids), dtype=np.int64)  # each type's stride in the orbit id
-        for group, stride in zip(self.groups, (1, sizes[0])):
+        for group, stride in zip(self.groups, (1, self.sizes[0])):
             for t in group:
                 self.strides[t] = stride
                 stride *= int(self.counts[t]) + 1
         self.support = (self.types.T * self.counts) @ self.strides  # X_i sets every slot of the types it differs on
 
     def scorer(self, r: int, total_weight: int) -> tuple:
-        """The exact order-r scores of every orbit, one tile at a time.
+        """The exact order-r scores of the orbits that can hold a minimum
+        (:meth:`cut`), a tile at a time: ``(tiles, powers)``.
 
         Each group of types has a distance table over its orbits, ``a`` and
         ``b``, filled by doubling over its types, and orbit ``jb * |a| + ja``
-        has ``d = a[ja] + b[jb]``.  By the binomial theorem the scores
-        ``sum_i w_i d(x, X_i)^r`` form the matrix ``sum_j C(r, j) (b^(r-j) *
-        w) @ (a^j).T``, whose ``j = 0`` and ``j = r`` terms are outer sums.
-        Returns a function and the cells each weight row holds beside its
-        tiles.  The function maps integer weights on the support (a matrix,
-        each row summing to at most ``total_weight``) and a cell budget to
-        ``(lo, tile)`` pairs: ``tile[k]`` holds row k's scores of the orbits
-        from ``lo`` on, a range of ``b``'s rows, made by one matmul into one
-        buffer in the dtype :func:`metric_core._exact_dtype` picks (Python
-        ints once the binomials pass int64), so a float64 matmul is exact.  A tile holds at most ``cells`` cells, or
-        one row of ``b`` per weight row.  When every ``c_t`` is 1 the orbits
-        are the graphs, and the tables have ``2^ceil(slots/2)`` and
+        has ``d = a[ja] + b[jb]``.  ``powers(orbits)`` gives the orbits'
+        ``d^r``, a row per support graph, in the dtype
+        :func:`metric_core._exact_dtype` picks (Python ints once the
+        binomials pass int64), so a float64 matmul is exact.
+        ``tiles(weights, cells)`` takes integer weights on the support (a
+        matrix, each row summing to at most ``total_weight``) and gives the
+        orbit id of each position it scores (the product of the tables' kept
+        rows), the cells each weight row holds beside its tiles, and the
+        ``(lo, tile)`` pairs, ``tile[k]`` holding row k's scores of the
+        positions from ``lo`` on, at most ``cells`` cells or one row of ``b``
+        per weight row.  A tile is ``weights @ powers`` of its positions when
+        that holds fewer cells; otherwise it is a range of b's kept rows of
+        ``sum_j C(r, j) (b^(r-j) * w) @ (a^j).T``, the scores by the binomial
+        theorem, whose ``j = 0`` and ``j = r`` terms are outer sums, made by
+        one matmul into one buffer.  When every ``c_t`` is 1 the orbits are
+        the graphs, and the tables have ``2^ceil(slots/2)`` and
         ``2^floor(slots/2)`` rows.
         """
         # the binomials C(r, j) pass int64 from r = 67, where M = 1 keeps the scores themselves small
         dtype = object if math.comb(r, r // 2) >= _INT64_SAFE else _exact_dtype(self.space, r, total_weight)
+        ints = object if dtype is object else np.int64  # powers are taken in integers
         m = self.types.shape[1]
         tables = []
-        for group in self.groups:
-            table = np.empty((math.prod(self.counts[group] + 1), m), dtype=np.int64)
+        for group, size in zip(self.groups, self.sizes):
+            table = np.empty((size, m), dtype=np.int64)
             table[0] = self.counts[group] @ self.types[group]  # y sets no slot; X_1 ^ X_i sets its types'
             n = 1
             for t in group:  # setting one more slot of type t moves one slot towards or away from each X_i
                 for j in range(1, self.counts[t] + 1):
                     table[j * n : (j + 1) * n] = table[(j - 1) * n : j * n] + (1 - 2 * self.types[t])
                 n *= self.counts[t] + 1
-            tables.append(table.astype(object if dtype is object else np.int64, copy=False))  # powers in integers
+            tables.append(table.astype(ints, copy=False))
         a, b = tables
         a_r, b_r = (a**r).astype(dtype), (b**r).astype(dtype)
         # the middle terms j = 1..r-1: C(r, j) b^(r-j) beside each weight on the left, a^j on the right
@@ -234,23 +241,91 @@ class _Orbits:
             b_mid[:, (j - 1) * m : j * m] = math.comb(r, j) * b ** (r - j)
             a_mid[(j - 1) * m : j * m] = (a**j).T
 
-        def tiles(weights: np.ndarray, cells: int):
-            rows = weights.astype(dtype)
-            left = np.empty((len(rows), len(b), k), dtype)
-            left[:, :, 0] = rows @ b_r.T  # the j = 0 term, sum_i w_i b^r, is an outer sum
-            left[:, :, 1] = 1
-            np.multiply(b_mid, np.tile(rows, r - 1)[:, None, :], out=left[:, :, 2:])
-            right = np.empty((len(rows), k, len(a)), dtype)
-            right[:, 0] = 1
-            right[:, 1] = rows @ a_r.T  # and so is the j = r term, sum_i w_i a^r
-            right[:, 2:] = a_mid
-            step = min(len(b), max(1, cells // (len(rows) * len(a))))  # rows of b per tile
-            buffer = np.empty(len(rows) * step * len(a), dtype)
-            for lo in range(0, len(b), step):
-                out = buffer[: len(rows) * min(step, len(b) - lo) * len(a)].reshape(len(rows), -1, len(a))
-                yield lo * len(a), np.matmul(left[:, lo : lo + step], right, out=out).reshape(len(rows), -1)
+        def kept(table, rows, axis=0):  # a table no rule cuts is used whole, with no copy
+            return table if len(rows) == table.shape[axis] else table.take(rows, axis)
 
-        return tiles, k * (len(a) + len(b))
+        def tiles(weights: np.ndarray, cells: int) -> tuple:
+            ia, ib = self.cut(weights)
+            rows, size = weights.astype(dtype), len(ia) * len(ib)
+
+            def orbit(positions: np.ndarray) -> np.ndarray:
+                return ib[positions // len(ia)] * len(a) + ia[positions % len(ia)]
+
+            if m * size <= len(rows) * k * (len(ia) + len(ib)):  # d^r of the kept orbits is the smaller working set
+                step = max(1, cells // max(len(rows), m))  # orbits per tile
+                made = ((lo, rows @ powers(orbit(np.arange(lo, min(lo + step, size))))) for lo in range(0, size, step))
+                return orbit, m, made
+
+            def made():
+                left = np.empty((len(rows), len(ib), k), dtype)
+                left[:, :, 0] = rows @ kept(b_r, ib).T  # the j = 0 term, sum_i w_i b^r, is an outer sum
+                left[:, :, 1] = 1
+                np.multiply(kept(b_mid, ib), np.tile(rows, r - 1)[:, None, :], out=left[:, :, 2:])
+                right = np.empty((len(rows), k, len(ia)), dtype)
+                right[:, 0] = 1
+                right[:, 1] = rows @ kept(a_r, ia).T  # and so is the j = r term, sum_i w_i a^r
+                right[:, 2:] = kept(a_mid, ia, 1)
+                step = min(len(ib), max(1, cells // (len(rows) * len(ia))))  # rows of b per tile
+                buffer = np.empty(len(rows) * step * len(ia), dtype)
+                for lo in range(0, len(ib), step):
+                    out = buffer[: len(rows) * min(step, len(ib) - lo) * len(ia)].reshape(len(rows), -1, len(ia))
+                    yield lo * len(ia), np.matmul(left[:, lo : lo + step], right, out=out).reshape(len(rows), -1)
+
+            return orbit, k * (len(ia) + len(ib)), made()
+
+        def powers(orbits: np.ndarray) -> np.ndarray:
+            jb, ja = np.divmod(orbits, len(a))
+            return ((a[ja] + b[jb]) ** r).T.astype(dtype)
+
+        return tiles, powers
+
+    def cut(self, weights: np.ndarray) -> tuple:
+        """The ascending rows of each distance table, ``a`` and ``b``, that
+        can hold a minimum of some row of ``weights``: all of them for a row
+        of no positive weight.
+
+        Let A be a row's support points of positive weight and P_t the points
+        that differ from ``X_1`` on type t.  If x differs from ``X_1`` on a
+        slot of type p and agrees with it on one of type q, flipping both
+        brings x 2 closer to each point of ``P_q \\ P_p`` and 2 farther from
+        each point of ``P_p \\ P_q``.  So where A meets the first and not the
+        second, the score falls at every order r > 0, and no minimizer has
+        ``j_p > 0`` with ``j_q < c_q``.  Flipping one slot likewise rules out
+        ``j_t > 0`` where P_t misses A, and ``j_t < c_t`` where P_t holds A.
+        A table keeps the rows that break no rule among its group's types for
+        some row's A, so the product of the kept rows holds every row's
+        minimizers.  Each distinct A is checked once, and remembered.
+        """
+        active = np.ascontiguousarray(weights > 0)
+        data, m = active.tobytes(), active.shape[1]
+        keys = dict.fromkeys(data[i : i + m] for i in range(0, len(data), m))
+        new = [key for key in keys if key not in self._cuts]
+        if new:
+            self._cuts.update(zip(new, self._kept(np.frombuffer(b"".join(new), bool).reshape(len(new), m))))
+        keep = np.logical_or.reduce([self._cuts[key] for key in keys])
+        return np.flatnonzero(keep[: self.sizes[0]]), np.flatnonzero(keep[self.sizes[0] :])
+
+    def _kept(self, sets: np.ndarray) -> np.ndarray:
+        """The rows of a, then of b, that break no rule of :meth:`cut` for each active set (a row of ``sets``)."""
+        differs = self.types.astype(bool)  # P_t, a row per type
+        inside = sets[:, None, :] & differs  # the points of A in P_t
+        apart = inside.astype(np.int64) @ ~differs.T  # |A & P_p \ P_q| at [set, p, q]
+        some = sets.any(axis=1)[:, None]  # an empty A cuts nothing
+        count = inside.sum(axis=2)
+        empty, full = (count == 0) & some, (count == sets.sum(axis=1)[:, None]) & some
+        second = np.zeros(len(self.counts), dtype=bool)
+        second[self.groups[1]] = True
+        swap = (apart == 0) & (apart.transpose(0, 2, 1) > 0) & (second[:, None] == second)  # j_p > 0 forces j_q = c_q
+        ruled = empty.any(axis=0) | full.any(axis=0) | swap.any(axis=(0, 2)) | swap.any(axis=(0, 1))
+        if not ruled.any():
+            return np.ones((len(sets), sum(self.sizes)), dtype=bool)
+        bound = np.flatnonzero(ruled)  # the types some rule binds
+        ids = np.concatenate([np.arange(self.sizes[0]), np.arange(self.sizes[1]) * self.sizes[0]])  # each row's orbit
+        digits = ids[:, None] // self.strides[bound] % (self.counts[bound] + 1)
+        own = np.repeat([False, True], self.sizes)[:, None] == second[bound]  # the types of the row's own table
+        set_, short = digits > 0, (digits < self.counts[bound]) & own  # j_t > 0 and j_t < c_t
+        broken = ((set_ @ swap[:, bound][:, :, bound]) & short).any(axis=2)
+        return ~(broken | (set_ @ empty[:, bound].T).T | (short @ full[:, bound].T).T)
 
     def graphs(self, orbits) -> tuple:
         """The edge masks of every graph in the given orbits, orbit by orbit,

@@ -648,3 +648,35 @@ def test_float_engine_working_set_stays_within_the_cell_budget():
         tracemalloc.stop()
     assert not result.population.exact
     assert peak < 8 * 8 * frechet_solver._CHUNK_CELLS, peak
+
+
+def test_outer_limits_of_a_whole_space_target_end_by_their_verdicts(tmp_path):
+    # a graph and its complement at r = 1: the population mean set is all 2^15
+    # graphs of nv = 6 and holds every estimate point, each at distance 0 from
+    # it, so no point-to-target block is made (one of 2^15 x 2^15 cells made
+    # the run exit 3); the address-space cap only makes such a block fail fast
+    import resource
+    import tracemalloc
+    from pathlib import Path
+
+    from frechet_means.cli import main
+
+    config = tmp_path / "complement_pair.json"
+    config.write_text(json.dumps({
+        "schema": "experiment-config-v1", "space": "graph", "nv": 6,
+        "support": ["6:111111100000000", "6:000000011111111"], "r": 1, "n_max": 4, "checkpoints": [2, 4],
+        "replications": 20, "seed": 0, "limits": True, "epsilon": "0", "burn_in": 0,
+    }))
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    mapped = int(Path("/proc/self/statm").read_text().split()[0]) * resource.getpagesize()
+    cap = mapped + 2**30 if limits[1] == resource.RLIM_INFINITY else min(mapped + 2**30, limits[1])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+    tracemalloc.start()
+    try:
+        code = main(["simulate", str(config), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+    assert code == 5  # the variance-trend block fails on two checkpoints
+    assert peak < 64 * 2**20, peak

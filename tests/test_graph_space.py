@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -14,11 +15,13 @@ from frechet_means import (
     format_graph,
     graph_subspace,
     parse_graph,
+    read_graph_file,
     read_graph_lines,
     restricted_sample_mean_set,
 )
 from frechet_means.frechet_solver import _CHUNK_CELLS, _labels
-from frechet_means.graph_space import n_edge_slots, slot_pairs
+from frechet_means.graph_space import _Orbits, n_edge_slots, slot_pairs
+from frechet_means.metric_core import _weights
 from oracles import hamming_by_edge_sets, hamming_distance, mean_set_by_enumeration
 
 
@@ -282,3 +285,32 @@ def test_graph_subspace_past_64_edge_slots_matches_oracle(nv, r):
     ]
     res = restricted_sample_mean_set(sub, Sample(tuple(graphs)), r)
     assert (res.optimum, res.argmin) == mean_set_by_enumeration(sub, graphs, r, sub.points)
+
+
+def test_benchmark_supports_have_the_pinned_orbit_and_cut_counts(bench_inputs, g6_orbits):
+    # the nv = 6 simulate support: 4,608 orbits, 540 = 30 x 18 of them in the
+    # cut once every support graph is drawn
+    assert g6_orbits.size == 4608
+    ia, ib = g6_orbits.cut(np.ones((1, 5), dtype=np.int64))
+    assert (len(ia), len(ib)) == (30, 18)
+    # the nv = 7, r = 2 mean sample: no rule binds within a group, so the cut
+    # keeps both tables whole and the scorer copies neither
+    space = enumerate_space(7)
+    sup_idx, weights, _, _ = _weights(space, Sample(tuple(read_graph_file(bench_inputs / "mean-b-r2.graphs"))), 2)
+    orbits = _Orbits(space, sup_idx)
+    ia, ib = orbits.cut(weights[None])
+    assert orbits.sizes == [2048, 1024] and ia.tolist() == list(range(2048)) and ib.tolist() == list(range(1024))
+
+
+def test_cuts_keep_the_weighted_support_orbits_and_the_population_mean_set(g6_orbits):
+    orbits = g6_orbits
+    _, powers = orbits.scorer(2, 5)
+    scores = np.ones(5, dtype=np.int64) @ powers(np.arange(orbits.size))  # the uniform population's, every orbit
+    theta = np.flatnonzero(scores == scores.min())
+    for active in itertools.product((0, 1), repeat=5):
+        row = np.array(active) * np.arange(1, 6)  # positive weights on the active points
+        ia, ib = orbits.cut(row[None])
+        kept = set((ib[:, None] * orbits.sizes[0] + ia).ravel().tolist())
+        assert set(orbits.support[row > 0].tolist()) <= kept
+        if all(active):
+            assert set(theta.tolist()) <= kept

@@ -22,6 +22,7 @@ import statistics
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -325,7 +326,7 @@ def test_split_scorer_is_exact_in_each_dtype_tier(limit, above, data, nv, r):
     sup_idx, weights, lcd, exact = _weights(space, mu, r)
     assert (max(space.bound_M, 1) ** r * lcd < limit) != above
     tiles, _ = _Orbits(space, sup_idx).scorer(r, lcd)
-    assert next(tiles(weights[None], 1 << 16))[1].dtype == _tier(space, r, lcd)
+    assert next(tiles(weights[None], 1 << 16)[2])[1].dtype == _tier(space, r, lcd)
     res = population_mean_set(space, mu, r)
     assert res.exact
     pairs = list(zip(mu.support, mu.weights))
@@ -357,7 +358,9 @@ def _orbit_scores(space, items, r):
     assert exact
     orbits = _Orbits(space, sup_idx)
     tiles, _ = orbits.scorer(r, normalizer)
-    return orbits, np.concatenate([tile[0].copy() for _, tile in tiles(weights[None], 1 << 16)]), normalizer
+    # beside a row of no positive weight, which cuts no orbit, the tiles score every orbit
+    _, _, scores = tiles(np.stack([weights, 0 * weights]), 1 << 16)
+    return orbits, np.concatenate([tile[0].copy() for _, tile in scores]), normalizer
 
 
 def _masks(orbits, ids) -> list:
@@ -432,6 +435,27 @@ def test_orbits_expand_together_to_the_masks_of_each_orbit(data, nv):
         digits = orbit // strides % (counts + 1)
         assert offsets[k + 1] - offsets[k] == math.prod(map(math.comb, counts.tolist(), digits.tolist()))
         assert sorted(masks[offsets[k] : offsets[k + 1]].tolist()) == np.flatnonzero(owner == orbit).tolist()
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), nv=st.integers(1, 5), r=st.integers(1, 4), cells=st.sampled_from([1 << 16, 40]))
+def test_cut_tables_hold_every_minimum_of_each_weight_row(data, nv, r, cells):
+    # rows of one matrix with different zeros: a rule taken from their common
+    # active set alone would cut some row's minimizers
+    space = FULL_GRAPH_SPACES[nv]
+    orbits = _Orbits(space, np.unique([g.edges for g in data.draw(orbit_samples(nv))]))
+    m = orbits.types.shape[1]
+    weights = np.array(data.draw(st.lists(st.lists(st.integers(0, 3), min_size=m, max_size=m), min_size=1, max_size=4)))
+    tiles, powers = orbits.scorer(r, max(1, int(weights.sum(axis=1).max())))
+    best, rows, ties, starts = frechet_solver._min_ties(
+        frechet_solver._product(weights, powers(np.arange(orbits.size)), True), True
+    )  # every orbit scored, by its distances to the support
+    ia, ib = orbits.cut(weights)
+    assert set(ties.tolist()) <= set((ib[:, None] * orbits.sizes[0] + ia).ravel().tolist())
+    orbit_of, _, scores = tiles(weights, cells)
+    cut_best, cut_rows, cut_ties, cut_starts = frechet_solver._min_ties(scores, True)
+    assert cut_best.tolist() == best.tolist() and cut_starts.tolist() == starts.tolist()
+    assert cut_rows.tolist() == rows.tolist() and orbit_of(cut_ties).tolist() == ties.tolist()
 
 
 @PROPERTY_SETTINGS
@@ -833,6 +857,25 @@ def _assert_replications_match_oracle(result):
                 assert (stat.sigma_hat_res, _points(space, stat.mean_set_res)) == (res.optimum, res.argmin)
 
 
+def _tile_count(engine, rows) -> int:
+    """How many score tiles the engine makes for the count rows ``rows``, a chunk at a time."""
+    lows, reduce = [], frechet_solver._min_ties
+
+    def counting(tiles, exact):
+        def seen():
+            for lo, tile in tiles:
+                lows.append(lo)
+                yield lo, tile
+
+        return reduce(seen(), exact)
+
+    step = engine.chunk(rows)
+    with mock.patch.object(frechet_solver, "_min_ties", counting):
+        for lo in range(0, len(rows), step):
+            engine.ties(rows[lo : lo + step])
+    return len(lows)
+
+
 def _distinct_count_rows(cfg, space) -> list:
     """The number of distinct count rows at each checkpoint of an experiment."""
     counts = consistency_lab._draw_counts(cfg.validated(space))
@@ -884,8 +927,7 @@ def test_engine_matches_solver_across_draw_blocks_and_score_chunks(
         distinct = _distinct_count_rows(cfg, space)
         assert sum(distinct) <= (1 - repeated) * replications * len(checkpoints)  # the share of repeated rows
         rows = np.zeros((max(distinct), len(support)), dtype=np.int64)
-        tiles = sum(len(list(engine.score(rows[lo : lo + engine.chunk]))) for lo in range(0, len(rows), engine.chunk))
-        assert tiles > 2  # a checkpoint's distinct count rows fill several score tiles
+        assert _tile_count(engine, rows) > 2  # a checkpoint's distinct count rows fill several score tiles
         assert -(-replications // max(1, cells // checkpoints[-1])) > 2  # several draw blocks
         _assert_replications_match_oracle(run_consistency_experiment(cfg, space))
 
@@ -899,8 +941,8 @@ def test_engine_scores_each_distinct_count_row_once(name, monkeypatch):
 
     def counting_init(self, space, cfg):
         engine_init(self, space, cfg)
-        score = self.score
-        self.score = lambda weights: received.append(len(weights)) or score(weights)
+        ties = self.ties
+        self.ties = lambda weights: received.append(len(weights)) or ties(weights)
 
     monkeypatch.setattr(consistency_lab._Engine, "__init__", counting_init)
     run_consistency_experiment(cfg, space)

@@ -4,6 +4,8 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+
 from frechet_means.cli import _EXIT_CODES, main
 from frechet_means.consistency_lab import _CONFIG_KEYS, _CSV_COLUMNS, _CSV_COLUMNS_RES, _STRUCTURAL_KEYS
 
@@ -53,3 +55,11 @@ def test_readme_report_columns_match_the_writer():
         ["replication", "n", *(header for header, _, _ in _CSV_COLUMNS)],
         [header for header, _, _ in _CSV_COLUMNS_RES],
     ]
+
+
+def test_readme_orbit_counts_match_the_scorer(g6_orbits):
+    sentence = r"support of 5 graphs has ([\d,]+)\s+orbits.*?its cut\s+keeps ([\d,]+) of them \((\d+) × (\d+)\)"
+    quoted = re.search(sentence, README, re.S)
+    size, cut, *tables = (int(number.replace(",", "")) for number in quoted.groups())
+    ia, ib = g6_orbits.cut(np.ones((1, 5), dtype=np.int64))  # every support graph drawn
+    assert (size, cut, *tables) == (g6_orbits.size, len(ia) * len(ib), len(ia), len(ib))
