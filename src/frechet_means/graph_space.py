@@ -210,17 +210,15 @@ class _Orbits:
         rows), the cells each weight row holds beside its tiles, and the
         ``(lo, tile)`` pairs, ``tile[k]`` holding row k's scores of the
         positions from ``lo`` on, at most ``cells`` cells or one row of ``b``
-        per weight row.  A tile is ``weights @ powers`` of its positions when
-        that holds fewer cells; otherwise it is a range of b's kept rows of
-        ``sum_j C(r, j) (b^(r-j) * w) @ (a^j).T``, the scores by the binomial
-        theorem, whose ``j = 0`` and ``j = r`` terms are outer sums, made by
-        one matmul into one buffer.  When every ``c_t`` is 1 the orbits are
+        per weight row.  A tile is a range of b's kept rows of ``sum_j C(r,
+        j) (b^(r-j) * w) @ (a^j).T``, the scores by the binomial theorem,
+        whose ``j = 0`` and ``j = r`` terms are outer sums, made by one
+        matmul into one buffer.  When every ``c_t`` is 1 the orbits are
         the graphs, and the tables have ``2^ceil(slots/2)`` and
         ``2^floor(slots/2)`` rows.
         """
         # the binomials C(r, j) pass int64 from r = 67, where M = 1 keeps the scores themselves small
         dtype = object if math.comb(r, r // 2) >= _INT64_SAFE else _exact_dtype(self.space, r, total_weight)
-        ints = object if dtype is object else np.int64  # powers are taken in integers
         m = self.types.shape[1]
         tables = []
         for group, size in zip(self.groups, self.sizes):
@@ -231,7 +229,7 @@ class _Orbits:
                 for j in range(1, self.counts[t] + 1):
                     table[j * n : (j + 1) * n] = table[(j - 1) * n : j * n] + (1 - 2 * self.types[t])
                 n *= self.counts[t] + 1
-            tables.append(table.astype(ints, copy=False))
+            tables.append(table.astype(object if dtype is object else np.int64, copy=False))  # powers in integers
         a, b = tables
         a_r, b_r = (a**r).astype(dtype), (b**r).astype(dtype)
         # the middle terms j = 1..r-1: C(r, j) b^(r-j) beside each weight on the left, a^j on the right
@@ -245,16 +243,11 @@ class _Orbits:
             return table if len(rows) == table.shape[axis] else table.take(rows, axis)
 
         def tiles(weights: np.ndarray, cells: int) -> tuple:
-            ia, ib = self.cut(weights)
-            rows, size = weights.astype(dtype), len(ia) * len(ib)
+            ia, ib = self.cut(weights, cells)
+            rows = weights.astype(dtype)
 
             def orbit(positions: np.ndarray) -> np.ndarray:
                 return ib[positions // len(ia)] * len(a) + ia[positions % len(ia)]
-
-            if m * size <= len(rows) * k * (len(ia) + len(ib)):  # d^r of the kept orbits is the smaller working set
-                step = max(1, cells // max(len(rows), m))  # orbits per tile
-                made = ((lo, rows @ powers(orbit(np.arange(lo, min(lo + step, size))))) for lo in range(0, size, step))
-                return orbit, m, made
 
             def made():
                 left = np.empty((len(rows), len(ib), k), dtype)
@@ -279,7 +272,7 @@ class _Orbits:
 
         return tiles, powers
 
-    def cut(self, weights: np.ndarray) -> tuple:
+    def cut(self, weights: np.ndarray, cells: int) -> tuple:
         """The ascending rows of each distance table, ``a`` and ``b``, that
         can hold a minimum of some row of ``weights``: all of them for a row
         of no positive weight.
@@ -294,15 +287,26 @@ class _Orbits:
         ``j_t > 0`` where P_t misses A, and ``j_t < c_t`` where P_t holds A.
         A table keeps the rows that break no rule among its group's types for
         some row's A, so the product of the kept rows holds every row's
-        minimizers.  Each distinct A is checked once, and remembered.
+        minimizers.  Each distinct A is checked once, the new ones in blocks
+        of about ``cells`` cells, and remembered while the remembered rows
+        hold at most ``cells`` cells (past that they are dropped).
         """
         active = np.ascontiguousarray(weights > 0)
         data, m = active.tobytes(), active.shape[1]
         keys = dict.fromkeys(data[i : i + m] for i in range(0, len(data), m))
+        parts = [self._cuts[key] for key in keys if key in self._cuts]
         new = [key for key in keys if key not in self._cuts]
-        if new:
-            self._cuts.update(zip(new, self._kept(np.frombuffer(b"".join(new), bool).reshape(len(new), m))))
-        keep = np.logical_or.reduce([self._cuts[key] for key in keys])
+        room = cells // sum(self.sizes)  # the remembered rows hold at most ``cells`` cells
+        if len(self._cuts) + len(new) > room:
+            self._cuts.clear()
+        step = max(1, cells // ((sum(self.sizes) + m) * max(1, len(self.counts))))  # active sets per rule check
+        for lo in range(0, len(new), step):
+            block = new[lo : lo + step]
+            kept = self._kept(np.frombuffer(b"".join(block), bool).reshape(len(block), m))
+            parts.append(kept.any(axis=0))
+            if len(self._cuts) + len(block) <= room:
+                self._cuts.update(zip(block, kept))
+        keep = np.logical_or.reduce(parts)
         return np.flatnonzero(keep[: self.sizes[0]]), np.flatnonzero(keep[self.sizes[0] :])
 
     def _kept(self, sets: np.ndarray) -> np.ndarray:
@@ -323,9 +327,10 @@ class _Orbits:
         ids = np.concatenate([np.arange(self.sizes[0]), np.arange(self.sizes[1]) * self.sizes[0]])  # each row's orbit
         digits = ids[:, None] // self.strides[bound] % (self.counts[bound] + 1)
         own = np.repeat([False, True], self.sizes)[:, None] == second[bound]  # the types of the row's own table
-        set_, short = digits > 0, (digits < self.counts[bound]) & own  # j_t > 0 and j_t < c_t
-        broken = ((set_ @ swap[:, bound][:, :, bound]) & short).any(axis=2)
-        return ~(broken | (set_ @ empty[:, bound].T).T | (short @ full[:, bound].T).T)
+        set_ = (digits > 0).astype(np.float32)  # j_t > 0, in floats so that BLAS counts the broken rules
+        short = ((digits < self.counts[bound]) & own).astype(np.float32)  # j_t < c_t
+        broken = np.einsum("srq,rq->sr", set_ @ swap[:, bound][:, :, bound], short)
+        return broken + (set_ @ empty[:, bound].T + short @ full[:, bound].T).T == 0
 
     def graphs(self, orbits) -> tuple:
         """The edge masks of every graph in the given orbits, orbit by orbit,

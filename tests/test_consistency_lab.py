@@ -650,6 +650,38 @@ def test_float_engine_working_set_stays_within_the_cell_budget():
     assert peak < 8 * 8 * frechet_solver._CHUNK_CELLS, peak
 
 
+def test_exact_engine_score_chunks_stay_within_the_cell_budget(cell_budget, monkeypatch):
+    # an exact restricted simulate on nv = 6 with a 6-graph support and 2^12
+    # score cells: at n = 5 the distinct count rows miss different support
+    # points, so a chunk's cut differs from its checkpoint's, and each
+    # checkpoint ends in a partial chunk; every chunk, the partial ones too,
+    # holds at most the cell budget beside its tiles (at n = 100 the 464
+    # distinct rows take chunks of 6, the cut's 656 cells a row)
+    from frechet_means import Graph, enumerate_space
+    from frechet_means.consistency_lab import _Engine
+
+    space = enumerate_space(6)
+    rng = np.random.default_rng(6)
+    mu = DiscreteMeasure.uniform(tuple(Graph(6, int(m)) for m in rng.choice(1 << 15, 6, replace=False)))
+    cfg = ExperimentConfig(
+        space_spec=GraphSpec(6), mu=mu, r=2, n_max=100, checkpoints=(5, 20, 100), replications=464, seed=1,
+        restricted=True,
+    )
+    chunks = []  # (checkpoint, rows, cells per row beside the tiles) of each chunk scored
+    columns = _Engine.columns
+
+    def counting(engine, counts, n):
+        chunks.append((n, len(counts), max(engine.width, engine.row_cells(counts))))
+        return columns(engine, counts, n)
+
+    monkeypatch.setattr(_Engine, "columns", counting)
+    with cell_budget(1 << 12):
+        run_consistency_experiment(cfg, space)
+    assert all(rows == 1 or rows * cells <= 1 << 12 for _, rows, cells in chunks), chunks  # or one row
+    first = [rows for n, rows, _ in chunks if n == 5]
+    assert len(first) > 2 and first[-1] < first[0] and len({cells for n, _, cells in chunks if n == 5}) > 2
+
+
 def test_outer_limits_of_a_whole_space_target_end_by_their_verdicts(tmp_path):
     # a graph and its complement at r = 1: the population mean set is all 2^15
     # graphs of nv = 6 and holds every estimate point, each at distance 0 from

@@ -291,14 +291,14 @@ def test_benchmark_supports_have_the_pinned_orbit_and_cut_counts(bench_inputs, g
     # the nv = 6 simulate support: 4,608 orbits, 540 = 30 x 18 of them in the
     # cut once every support graph is drawn
     assert g6_orbits.size == 4608
-    ia, ib = g6_orbits.cut(np.ones((1, 5), dtype=np.int64))
+    ia, ib = g6_orbits.cut(np.ones((1, 5), dtype=np.int64), _CHUNK_CELLS)
     assert (len(ia), len(ib)) == (30, 18)
     # the nv = 7, r = 2 mean sample: no rule binds within a group, so the cut
     # keeps both tables whole and the scorer copies neither
     space = enumerate_space(7)
     sup_idx, weights, _, _ = _weights(space, Sample(tuple(read_graph_file(bench_inputs / "mean-b-r2.graphs"))), 2)
     orbits = _Orbits(space, sup_idx)
-    ia, ib = orbits.cut(weights[None])
+    ia, ib = orbits.cut(weights[None], _CHUNK_CELLS)
     assert orbits.sizes == [2048, 1024] and ia.tolist() == list(range(2048)) and ib.tolist() == list(range(1024))
 
 
@@ -309,7 +309,7 @@ def test_cuts_keep_the_weighted_support_orbits_and_the_population_mean_set(g6_or
     theta = np.flatnonzero(scores == scores.min())
     for active in itertools.product((0, 1), repeat=5):
         row = np.array(active) * np.arange(1, 6)  # positive weights on the active points
-        ia, ib = orbits.cut(row[None])
+        ia, ib = orbits.cut(row[None], _CHUNK_CELLS)
         kept = set((ib[:, None] * orbits.sizes[0] + ia).ravel().tolist())
         assert set(orbits.support[row > 0].tolist()) <= kept
         if all(active):

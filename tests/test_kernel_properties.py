@@ -17,6 +17,7 @@ scored once), with its batched outer limits equal to the per-replication
 estimators at epsilon = 0 and above.
 """
 
+import collections
 import math
 import statistics
 import tempfile
@@ -450,7 +451,7 @@ def test_cut_tables_hold_every_minimum_of_each_weight_row(data, nv, r, cells):
     best, rows, ties, starts = frechet_solver._min_ties(
         frechet_solver._product(weights, powers(np.arange(orbits.size)), True), True
     )  # every orbit scored, by its distances to the support
-    ia, ib = orbits.cut(weights)
+    ia, ib = orbits.cut(weights, cells)
     assert set(ties.tolist()) <= set((ib[:, None] * orbits.sizes[0] + ia).ravel().tolist())
     orbit_of, _, scores = tiles(weights, cells)
     cut_best, cut_rows, cut_ties, cut_starts = frechet_solver._min_ties(scores, True)
@@ -857,23 +858,25 @@ def _assert_replications_match_oracle(result):
                 assert (stat.sigma_hat_res, _points(space, stat.mean_set_res)) == (res.optimum, res.argmin)
 
 
-def _tile_count(engine, rows) -> int:
-    """How many score tiles the engine makes for the count rows ``rows``, a chunk at a time."""
-    lows, reduce = [], frechet_solver._min_ties
+def _run_counting_tiles(cfg, space) -> tuple:
+    """The experiment's result, and how many score tiles each checkpoint's count rows filled."""
+    tiles, reduce, columns = collections.Counter(), frechet_solver._min_ties, consistency_lab._Engine.columns
+    at = [None]  # the checkpoint being scored; None while the engine scores the population
 
-    def counting(tiles, exact):
+    def counting(scores, exact):
         def seen():
-            for lo, tile in tiles:
-                lows.append(lo)
+            for lo, tile in scores:
+                tiles[at[0]] += 1
                 yield lo, tile
 
         return reduce(seen(), exact)
 
-    step = engine.chunk(rows)
-    with mock.patch.object(frechet_solver, "_min_ties", counting):
-        for lo in range(0, len(rows), step):
-            engine.ties(rows[lo : lo + step])
-    return len(lows)
+    def scoring(engine, counts, n):
+        at[0] = n
+        return columns(engine, counts, n)
+
+    with mock.patch.object(frechet_solver, "_min_ties", counting), mock.patch.object(consistency_lab._Engine, "columns", scoring):
+        return run_consistency_experiment(cfg, space), tiles
 
 
 def _distinct_count_rows(cfg, space) -> list:
@@ -891,16 +894,18 @@ def _distinct_count_rows(cfg, space) -> list:
             GridSpec("-1", "1", "0.001"), {"-1": "1/5", "1/4": "3/10", "1": "1/2"}, (10, 1000, 9000), 70, False,
             frechet_solver._CHUNK_CELLS, 0,
         ),
-        # 2^15 graphs in 432 = 24 x 18 slot-type orbits, restricted: with 2^10
-        # score cells, 5 count rows take chunks of 4 and 1 row, in 2 tiles
-        # and 1; each stream is a draw block of its own, drawn in 69 pieces
+        # 2^15 graphs in 432 = 24 x 18 slot-type orbits, restricted: once all
+        # four points are drawn the cut keeps 72 = 9 x 8; with 2^6 score cells
+        # each of the 5 count rows is a chunk of its own, scored in 2 tiles
+        # (7 rows of the cut b and 1); each stream is a draw block of its
+        # own, drawn 64 draws at a time
         (
             GraphSpec(6),
             {"6:" + "1" * 15: "1/10", "6:" + "10" * 7 + "1": "2/5", "6:" + "0" * 15: "3/10", "6:" + "110" * 5: "1/5"},
             (10, 1000, 70_000),
             5,
             True,
-            1 << 10,
+            1 << 6,
             0,
         ),
         # a 2-point support at small checkpoints: most count rows repeat, and
@@ -923,13 +928,12 @@ def test_engine_matches_solver_across_draw_blocks_and_score_chunks(
         replications=replications, seed=2**70 + 5, restricted=restricted, limit_params=None,
     )
     with cell_budget(cells):
-        engine = consistency_lab._Engine(space, cfg.validated(space))
         distinct = _distinct_count_rows(cfg, space)
         assert sum(distinct) <= (1 - repeated) * replications * len(checkpoints)  # the share of repeated rows
-        rows = np.zeros((max(distinct), len(support)), dtype=np.int64)
-        assert _tile_count(engine, rows) > 2  # a checkpoint's distinct count rows fill several score tiles
         assert -(-replications // max(1, cells // checkpoints[-1])) > 2  # several draw blocks
-        _assert_replications_match_oracle(run_consistency_experiment(cfg, space))
+        result, tiles = _run_counting_tiles(cfg, space)
+        assert max(tiles[n] for n in checkpoints) > 2  # a checkpoint's distinct count rows fill several score tiles
+        _assert_replications_match_oracle(result)
 
 
 @pytest.mark.parametrize("name", ["g4_uniform_pair", "grid_r1_oscillation", "grid_r2_convergence"])

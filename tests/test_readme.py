@@ -8,6 +8,7 @@ import numpy as np
 
 from frechet_means.cli import _EXIT_CODES, main
 from frechet_means.consistency_lab import _CONFIG_KEYS, _CSV_COLUMNS, _CSV_COLUMNS_RES, _STRUCTURAL_KEYS
+from frechet_means.frechet_solver import _CHUNK_CELLS
 
 ROOT = Path(__file__).parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -61,5 +62,5 @@ def test_readme_orbit_counts_match_the_scorer(g6_orbits):
     sentence = r"support of 5 graphs has ([\d,]+)\s+orbits.*?its cut\s+keeps ([\d,]+) of them \((\d+) × (\d+)\)"
     quoted = re.search(sentence, README, re.S)
     size, cut, *tables = (int(number.replace(",", "")) for number in quoted.groups())
-    ia, ib = g6_orbits.cut(np.ones((1, 5), dtype=np.int64))  # every support graph drawn
+    ia, ib = g6_orbits.cut(np.ones((1, 5), dtype=np.int64), _CHUNK_CELLS)  # every support graph drawn
     assert (size, cut, *tables) == (g6_orbits.size, len(ia) * len(ib), len(ia), len(ib))
