@@ -677,8 +677,8 @@ class _Engine:
         self._ids = {}  # the bytes of a tuple of tied positions -> the id of its set
 
     def chunk(self, rows: np.ndarray) -> int:
-        """How many of a checkpoint's distinct count rows ``rows`` to score
-        at once: sized from the cut of all of them, which holds every chunk's."""
+        """How many of a checkpoint's distinct count rows ``rows`` to score at once: sized
+        from the table rows that the cut and the bound keep for all of them, which hold every chunk's."""
         return max(1, frechet_solver._CHUNK_CELLS // max(self.width, self.row_cells(rows)))
 
     def _set_ids(self, ties: np.ndarray, starts: np.ndarray) -> np.ndarray:

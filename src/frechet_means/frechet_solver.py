@@ -15,7 +15,7 @@ points (``argmin``) only when they are first read.
 One factory, :func:`_scorer`, scores for the solver and the consistency
 engine alike.  Exact scores over a full graph space come per slot-type orbit
 of the support from :class:`graph_space._Orbits`, only for the orbits that
-can hold a minimum, and the tied orbits expand to their graphs (at r = 1
+a cut and a bound admit, and the tied orbits expand to their graphs (at r = 1
 the solver reads the argmin cube off per-slot weights instead,
 :func:`_order1_cube`); every other case scores each
 candidate as ``d**r @ weights``, with ``d**r`` from
@@ -183,11 +183,11 @@ def _scorer(space: MetricSpace, sup_idx: np.ndarray, r, exact: bool, total: int,
     support point's.  ``ties(weights)`` gives each weight row's minimum and
     tied positions as :func:`_min_ties` does, from tiles of at most
     ``_CHUNK_CELLS`` cells, and each row holds ``row_cells(weights)`` cells
-    beside them.  On the orbits only those that can hold a minimum are
-    scored (:meth:`graph_space._Orbits.scorer`); off them a tile is a range
-    of candidates, made from that range's power block.  ``powers(positions)``
-    gives the positions' ``d**r`` for :func:`_product`, and
-    ``expand(positions)`` each position's space indices and the offsets
+    beside them.  On the orbits only those that the slot-swap cut and the
+    order-1 bound keep are scored (:meth:`graph_space._Orbits.scorer`); off
+    them a tile is a range of candidates, made from its power block.
+    ``powers(positions)`` gives the positions' ``d**r`` for :func:`_product`,
+    and ``expand(positions)`` each position's space indices and the offsets
     where they start.
     """
     if exact and full and isinstance(space.points, _AllGraphs):

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .metric_core import _INT64_SAFE, MetricSpace, _exact_dtype
+from .metric_core import _INT64_SAFE, MetricSpace, _exact_dtype, _to_float
 
 __all__ = [
     "Graph",
@@ -193,71 +193,69 @@ class _Orbits:
                 self.strides[t] = stride
                 stride *= int(self.counts[t]) + 1
         self.support = (self.types.T * self.counts) @ self.strides  # X_i sets every slot of the types it differs on
-
-    def scorer(self, r: int, total_weight: int) -> tuple:
-        """The exact order-r scores of the orbits that can hold a minimum
-        (:meth:`cut`), a tile at a time: ``(tiles, powers)``.
-
-        Each group of types has a distance table over its orbits, ``a`` and
-        ``b``, filled by doubling over its types, and orbit ``jb * |a| + ja``
-        has ``d = a[ja] + b[jb]``.  ``powers(orbits)`` gives the orbits'
-        ``d^r``, a row per support graph, in the dtype
-        :func:`metric_core._exact_dtype` picks (Python ints once the
-        binomials pass int64), so a float64 matmul is exact.
-        ``tiles(weights, cells)`` takes integer weights on the support (a
-        matrix, each row summing to at most ``total_weight``) and gives the
-        orbit id of each position it scores (the product of the tables' kept
-        rows), the cells each weight row holds beside its tiles, and the
-        ``(lo, tile)`` pairs, ``tile[k]`` holding row k's scores of the
-        positions from ``lo`` on, at most ``cells`` cells or one row of ``b``
-        per weight row.  A tile is a range of b's kept rows of ``sum_j C(r,
-        j) (b^(r-j) * w) @ (a^j).T``, the scores by the binomial theorem,
-        whose ``j = 0`` and ``j = r`` terms are outer sums, made by one
-        matmul into one buffer.  When every ``c_t`` is 1 the orbits are
-        the graphs, and the tables have ``2^ceil(slots/2)`` and
-        ``2^floor(slots/2)`` rows.
-        """
-        # the binomials C(r, j) pass int64 from r = 67, where M = 1 keeps the scores themselves small
-        dtype = object if math.comb(r, r // 2) >= _INT64_SAFE else _exact_dtype(self.space, r, total_weight)
-        m = self.types.shape[1]
-        tables = []
+        self.tables = []  # each group's distance table over its orbits, filled by doubling over its types
         for group, size in zip(self.groups, self.sizes):
-            table = np.empty((size, m), dtype=np.int64)
+            table = np.empty((size, len(sup_idx)), dtype=np.int64)
             table[0] = self.counts[group] @ self.types[group]  # y sets no slot; X_1 ^ X_i sets its types'
             n = 1
             for t in group:  # setting one more slot of type t moves one slot towards or away from each X_i
                 for j in range(1, self.counts[t] + 1):
                     table[j * n : (j + 1) * n] = table[(j - 1) * n : j * n] + (1 - 2 * self.types[t])
                 n *= self.counts[t] + 1
-            tables.append(table.astype(object if dtype is object else np.int64, copy=False))  # powers in integers
-        a, b = tables
-        a_r, b_r = (a**r).astype(dtype), (b**r).astype(dtype)
-        # the middle terms j = 1..r-1: C(r, j) b^(r-j) beside each weight on the left, a^j on the right
-        k = 2 + (r - 1) * m
-        b_mid, a_mid = np.empty((len(b), k - 2), dtype), np.empty((k - 2, len(a)), dtype)
-        for j in range(1, r):  # term j's weight i at (j - 1) m + i
-            b_mid[:, (j - 1) * m : j * m] = math.comb(r, j) * b ** (r - j)
-            a_mid[(j - 1) * m : j * m] = (a**j).T
+            self.tables.append(table)
+        self.floats = [table.astype(np.float64) for table in self.tables]  # for :meth:`bound`
 
-        def kept(table, rows, axis=0):  # a table no rule cuts is used whole, with no copy
-            return table if len(rows) == table.shape[axis] else table.take(rows, axis)
+    def scorer(self, r: int, total_weight: int) -> tuple:
+        """The exact order-r scores of the orbits that can hold a minimum
+        (:meth:`cut` and :meth:`bound`), a tile at a time: ``(tiles, powers)``.
+
+        Orbit ``jb * |a| + ja`` has ``d = a[ja] + b[jb]`` in the ``tables`` a
+        and b.  ``powers(orbits)`` gives the orbits' ``d^r``, a row per support
+        graph, in the dtype :func:`metric_core._exact_dtype` picks (Python ints
+        once the binomials pass int64), so a float64 matmul is exact.
+        ``tiles(weights, cells)`` takes integer weights on the support (a
+        matrix, each row summing to at most ``total_weight``) and gives the
+        orbit id of each position it scores (the product of the table rows
+        that the cut and the bound both keep), the cells each weight row holds
+        beside its tiles, and the ``(lo, tile)`` pairs, ``tile[k]`` holding
+        row k's scores of the positions from ``lo`` on, at most ``cells``
+        cells or one row of ``b`` per weight row.  A tile is a range of b's
+        kept rows of ``sum_j C(r, j) (b^(r-j) * w) @ (a^j).T``, the scores by
+        the binomial theorem, whose ``j = 0`` and ``j = r`` terms are outer
+        sums, made by one matmul into one buffer from the kept rows' powers
+        (when every ``c_t`` is 1 the orbits are the graphs).
+        """
+        # the binomials C(r, j) pass int64 from r = 67, where M = 1 keeps the scores themselves small
+        dtype = object if math.comb(r, r // 2) >= _INT64_SAFE else _exact_dtype(self.space, r, total_weight)
+        ints = object if dtype is object else np.int64  # powers are taken in integers
+        a, b = self.tables
+        m, k = a.shape[1], 2 + (r - 1) * a.shape[1]  # k: each factor's length, 2 outer-sum slots and m per middle term
+
+        last = {}  # the kept rows of the last integer weights, by their bytes: the engine sizes a chunk from them first
 
         def tiles(weights: np.ndarray, cells: int) -> tuple:
-            ia, ib = self.cut(weights, cells)
-            rows = weights.astype(dtype)
+            key = weights.tobytes() if weights.dtype != object else None
+            if key is None or key not in last:
+                (ia, ib), bound = self.cut(weights, cells), self.bound(weights, r).any(axis=0)
+                last.clear()
+                last[key] = ia[bound[ia]], ib[bound[len(a) + ib]]
+            (ia, ib), rows = last[key], weights.astype(dtype)
 
             def orbit(positions: np.ndarray) -> np.ndarray:
                 return ib[positions // len(ia)] * len(a) + ia[positions % len(ia)]
 
             def made():
+                ka, kb = a[ia].astype(ints), b[ib].astype(ints)
                 left = np.empty((len(rows), len(ib), k), dtype)
-                left[:, :, 0] = rows @ kept(b_r, ib).T  # the j = 0 term, sum_i w_i b^r, is an outer sum
+                left[:, :, 0] = rows @ (kb**r).T  # the j = 0 term, sum_i w_i b^r, is an outer sum
                 left[:, :, 1] = 1
-                np.multiply(kept(b_mid, ib), np.tile(rows, r - 1)[:, None, :], out=left[:, :, 2:])
                 right = np.empty((len(rows), k, len(ia)), dtype)
                 right[:, 0] = 1
-                right[:, 1] = rows @ kept(a_r, ia).T  # and so is the j = r term, sum_i w_i a^r
-                right[:, 2:] = kept(a_mid, ia, 1)
+                right[:, 1] = rows @ (ka**r).T  # and so is the j = r term, sum_i w_i a^r
+                for j in range(1, r):  # term j: C(r, j) b^(r-j) beside each weight on the left, a^j on the right
+                    middle = slice(2 + (j - 1) * m, 2 + j * m)
+                    np.multiply(math.comb(r, j) * kb ** (r - j), rows[:, None], out=left[:, :, middle])
+                    right[:, middle] = (ka**j).T
                 step = min(len(ib), max(1, cells // (len(rows) * len(ia))))  # rows of b per tile
                 buffer = np.empty(len(rows) * step * len(ia), dtype)
                 for lo in range(0, len(ib), step):
@@ -268,9 +266,31 @@ class _Orbits:
 
         def powers(orbits: np.ndarray) -> np.ndarray:
             jb, ja = np.divmod(orbits, len(a))
-            return ((a[ja] + b[jb]) ** r).T.astype(dtype)
+            return ((a[ja] + b[jb]).astype(ints) ** r).T.astype(dtype)
 
         return tiles, powers
+
+    def bound(self, weights: np.ndarray, r: int) -> np.ndarray:
+        """The rows of a, then of b, that the order-1 bound keeps: masks per weight row w.
+
+        With W = sum(w), Jensen gives ``F_r >= F_1^r / W^(r-1)``, and ``F_1 =
+        A1[ja] + B1[jb]`` (``A1 = a w``, ``B1 = b w``) is least at the orbit
+        (argmin A1, argmin B1), whose F_r score U is at least the minimum: no
+        row ja with ``(A1[ja] + min B1)^r > U W^(r-1)`` holds a minimizer (and
+        so for b).  Each row is bounded alone (F_1 summed exactly, or else in
+        support order), in float64 with a slack of 1e-9 that errs towards keeping;
+        one whose ``U W^(r-1)`` passes the float range keeps every row.
+        """
+        w = (np.frompyfunc(_to_float, 1, 1)(weights) if weights.dtype == object else weights).astype(np.float64)
+        a, b = self.floats
+        exact = w.sum(axis=1).max() * self.space.bound_M < 2**52  # so no row's F_1 depends on the rows beside it
+        ones = [w @ t.T if exact else sum(w[:, i, None] * t[:, i] for i in range(w.shape[1])) for t in (a, b)]
+        best = [np.argmin(one, axis=1) for one in ones]
+        low = [one[np.arange(len(w)), j, None] for one, j in zip(ones, best)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = np.einsum("nm,nm->n", w, (a[best[0]] + b[best[1]]) ** r)
+            limit = ((u * w.sum(axis=1) ** (r - 1)) ** (1 / r) * (1 + 1e-9))[:, None]
+        return np.hstack([ones[0] <= limit - low[1], ones[1] <= limit - low[0]]) | ~np.isfinite(limit)
 
     def cut(self, weights: np.ndarray, cells: int) -> tuple:
         """The ascending rows of each distance table, ``a`` and ``b``, that

@@ -107,6 +107,53 @@ def population_by_enumeration(space, pairs, r, candidates):
     return best, tuple(argmin)
 
 
+def order1_bound_by_enumeration(distances, sizes, weights, r, near=Fraction(1, 10**12), slack=Fraction(1, 10**6)):
+    """The orbit-table rows that the order-1 bound must keep and those it may
+    keep for one weight row, as two masks over the first table's rows, then
+    the second's.
+
+    ``distances[jb * sizes[0] + ja]`` are orbit (ja, jb)'s distances to the
+    support points.  In integers, F_1 and F_r are each orbit's weighted sums
+    of ``d`` and ``d^r``, W the weights' sum, and a table row's value its
+    least F_1.  F_1's minimizer, found in floats, lies among the rows within
+    a relative ``near`` of each table's least value, and U is the F_r score
+    of one of those orbits.  A row must be kept when its value raised to r
+    is at most ``U W^(r-1)`` for the least such U, and may be kept only when
+    it is at most ``U W^(r-1) (1 + slack)^r`` for the largest.
+    """
+    w = [int(x) for x in weights]
+    f1 = [sum(x * d for x, d in zip(w, ds)) for ds in distances]
+    na, nb = sizes
+    values = [min(f1[ja::na]) for ja in range(na)] + [min(f1[jb * na : (jb + 1) * na]) for jb in range(nb)]
+    near_a = [ja for ja in range(na) if values[ja] <= min(values[:na]) * (1 + near)]
+    near_b = [jb for jb in range(nb) if values[na + jb] <= min(values[na:]) * (1 + near)]
+    scores = [sum(x * d**r for x, d in zip(w, distances[jb * na + ja])) for ja in near_a for jb in near_b]
+    power = sum(w) ** (r - 1)
+    must = [v**r <= min(scores) * power for v in values]
+    return must, [v**r <= max(scores) * power * (1 + slack) ** r for v in values]
+
+
+def certificate_by_enumeration(space, pairs, counts, r, candidates):
+    """The strong law's certificate over ``candidates``: ``(deviation, delta, theta)``.
+
+    ``counts`` pairs each sampled point with its count among the n draws,
+    ``deviation`` is ``max_x |Fhat_n(x) - F(x)|`` over the candidates, of the
+    empirical functional and of the population's (``pairs``), ``theta`` the
+    candidates that minimise F, and ``delta`` the least F off ``theta``
+    minus the optimum (None when every candidate is in ``theta``).  A sample
+    whose deviation is below ``delta / 2`` has every empirical minimizer in
+    ``theta`` as soon as it has drawn some point of ``theta``.
+    """
+    n = sum(count for _, count in counts)
+    sample = [(x, Fraction(count, n)) for x, count in counts]
+    population = [functional_by_enumeration(space, pairs, r, c) for c in candidates]
+    empirical = [functional_by_enumeration(space, sample, r, c) for c in candidates]
+    best = min(population)
+    off = [value for value in population if value != best]
+    theta = tuple(c for c, value in zip(candidates, population) if value == best)
+    return max(abs(e - p) for e, p in zip(empirical, population)), min(off) - best if off else None, theta
+
+
 def functional_by_enumeration(space, pairs, r, candidate):
     """sum d(x, candidate)^r w(x) as a Fraction; pairs = (point, weight)."""
     return sum(Fraction(oracle_distance(space, x, candidate)) ** r * Fraction(w) for x, w in pairs)

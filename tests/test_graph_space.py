@@ -1,10 +1,13 @@
 import itertools
+import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from frechet_means import (
+    DiscreteMeasure,
     EnumerationCapError,
     Sample,
     Graph,
@@ -15,6 +18,7 @@ from frechet_means import (
     format_graph,
     graph_subspace,
     parse_graph,
+    population_mean_set,
     read_graph_file,
     read_graph_lines,
     restricted_sample_mean_set,
@@ -22,7 +26,7 @@ from frechet_means import (
 from frechet_means.frechet_solver import _CHUNK_CELLS, _labels
 from frechet_means.graph_space import _Orbits, n_edge_slots, slot_pairs
 from frechet_means.metric_core import _weights
-from oracles import hamming_by_edge_sets, hamming_distance, mean_set_by_enumeration
+from oracles import hamming_by_edge_sets, hamming_distance, mean_set_by_enumeration, population_by_enumeration
 
 
 def test_slot_order_is_row_major_upper_triangular():
@@ -294,12 +298,42 @@ def test_benchmark_supports_have_the_pinned_orbit_and_cut_counts(bench_inputs, g
     ia, ib = g6_orbits.cut(np.ones((1, 5), dtype=np.int64), _CHUNK_CELLS)
     assert (len(ia), len(ib)) == (30, 18)
     # the nv = 7, r = 2 mean sample: no rule binds within a group, so the cut
-    # keeps both tables whole and the scorer copies neither
+    # keeps both tables whole, and the order-1 bound keeps 97 x 89 of their
+    # rows, scored in one tile
     space = enumerate_space(7)
-    sup_idx, weights, _, _ = _weights(space, Sample(tuple(read_graph_file(bench_inputs / "mean-b-r2.graphs"))), 2)
+    sup_idx, weights, total, _ = _weights(space, Sample(tuple(read_graph_file(bench_inputs / "mean-b-r2.graphs"))), 2)
     orbits = _Orbits(space, sup_idx)
     ia, ib = orbits.cut(weights[None], _CHUNK_CELLS)
     assert orbits.sizes == [2048, 1024] and ia.tolist() == list(range(2048)) and ib.tolist() == list(range(1024))
+    kept = orbits.bound(weights[None], 2)[0]
+    assert (kept[:2048].sum(), kept[2048:].sum()) == (97, 89)
+    _, _, scores = orbits.scorer(2, total)[0](weights[None], _CHUNK_CELLS)
+    assert [tile.shape for _, tile in scores] == [(1, 97 * 89)]
+
+
+def _measure_over_2_62(nv: int, draws: int, seed: int) -> DiscreteMeasure:
+    """The distinct graphs of ``draws`` masks from ``random.Random(seed)``,
+    weighted by random fractions over 2^62 + 1 that sum to 1."""
+    rng = random.Random(seed)
+    graphs = sorted({Graph(nv, rng.getrandbits(n_edge_slots(nv))) for _ in range(draws)})
+    denominator = 2**62 + 1
+    cuts = [0, *sorted(rng.sample(range(1, denominator), len(graphs) - 1)), denominator]
+    return DiscreteMeasure(tuple(graphs), tuple(Fraction(b - a, denominator) for a, b in zip(cuts, cuts[1:])))
+
+
+def test_population_mean_in_python_ints_scores_only_the_bounded_orbits():
+    # 50 random nv = 7 graphs (seed 7) at r = 2 with weights over 2^62 + 1:
+    # the scores are Python ints, and of the 2^21 orbits the order-1 bound
+    # leaves 36,366, scored in one tile
+    space = enumerate_space(7)
+    sup_idx, weights, total, _ = _weights(space, _measure_over_2_62(7, 50, 7), 2)
+    _, _, scores = _Orbits(space, sup_idx).scorer(2, total)[0](weights[None], _CHUNK_CELLS)
+    assert [(tile.dtype, tile.size) for _, tile in scores] == [(object, 36366)]
+    # the same draws on nv = 5 (8 graphs) give the enumeration oracle's mean set
+    space, mu = enumerate_space(5), _measure_over_2_62(5, 8, 7)
+    res = population_mean_set(space, mu, 2)
+    pairs = list(zip(mu.support, mu.weights))
+    assert (res.optimum, res.argmin) == population_by_enumeration(space, pairs, 2, space.points)
 
 
 def test_cuts_keep_the_weighted_support_orbits_and_the_population_mean_set(g6_orbits):

@@ -14,7 +14,9 @@ solver, the functionals and the counting oracle on exact, float and
 pseudo-metric spaces, whatever the size of its score chunks and draw
 blocks and however often count rows repeat (each distinct count row is
 scored once), with its batched outer limits equal to the per-replication
-estimators at epsilon = 0 and above.
+estimators at epsilon = 0 and above.  The order-1 bound of the orbit tables
+is checked against an integer oracle, and the inclusion flags against the
+strong laws' certificate (a deviation below half the population's gap).
 """
 
 import collections
@@ -68,11 +70,13 @@ from frechet_means.graph_space import _Orbits, n_edge_slots
 from frechet_means.metric_core import _INT64_SAFE, _power_block, _to_float, _weights
 from frechet_means.set_limits import _kuratowski_rows, default_burn_in
 from oracles import (
+    certificate_by_enumeration,
     epsilon_hull,
     float_functional_by_enumeration,
     functional_by_enumeration,
     mean_set_by_enumeration,
     median_and_max_by_sorting,
+    order1_bound_by_enumeration,
     population_by_enumeration,
     tail_limsup_by_counting,
     zero_distance_hull,
@@ -439,16 +443,28 @@ def test_orbits_expand_together_to_the_masks_of_each_orbit(data, nv):
 
 
 @PROPERTY_SETTINGS
-@given(data=st.data(), nv=st.integers(1, 5), r=st.integers(1, 4), cells=st.sampled_from([1 << 16, 40]))
-def test_cut_tables_hold_every_minimum_of_each_weight_row(data, nv, r, cells):
+@given(
+    data=st.data(),
+    nv=st.integers(1, 5),
+    r=st.integers(1, 4),
+    cells=st.sampled_from([1 << 16, 40]),
+    scale=st.sampled_from([1, 2**60, 2**98]),
+    zero_row=st.booleans(),
+)
+def test_cut_tables_hold_every_minimum_of_each_weight_row(data, nv, r, cells, scale, zero_row):
     # rows of one matrix with different zeros: a rule taken from their common
-    # active set alone would cut some row's minimizers
+    # active set alone would cut some row's minimizers.  Weights up to 3 keep
+    # the order-1 bound's float64 sums exact; weights near 2^62 (int64) and
+    # 2^100 (Python ints) do not, and a row of no weight keeps every table row
     space = FULL_GRAPH_SPACES[nv]
-    orbits = _Orbits(space, np.unique([g.edges for g in data.draw(orbit_samples(nv))]))
-    m = orbits.types.shape[1]
-    weights = np.array(data.draw(st.lists(st.lists(st.integers(0, 3), min_size=m, max_size=m), min_size=1, max_size=4)))
-    tiles, powers = orbits.scorer(r, max(1, int(weights.sum(axis=1).max())))
-    best, rows, ties, starts = frechet_solver._min_ties(
+    sup_idx = np.unique([g.edges for g in data.draw(orbit_samples(nv))])
+    orbits = _Orbits(space, sup_idx)
+    weight = st.integers(0, 3) if scale == 1 else st.one_of(st.just(0), st.integers(scale, 4 * scale))
+    rows = data.draw(st.lists(st.lists(weight, min_size=len(sup_idx), max_size=len(sup_idx)), min_size=1, max_size=4))
+    rows += [[0] * len(sup_idx)] * zero_row
+    weights = np.array(rows, dtype=object if scale > 2**60 else np.int64)
+    tiles, powers = orbits.scorer(r, max(1, *map(sum, rows)))
+    best, tie_rows, ties, starts = frechet_solver._min_ties(
         frechet_solver._product(weights, powers(np.arange(orbits.size)), True), True
     )  # every orbit scored, by its distances to the support
     ia, ib = orbits.cut(weights, cells)
@@ -456,7 +472,15 @@ def test_cut_tables_hold_every_minimum_of_each_weight_row(data, nv, r, cells):
     orbit_of, _, scores = tiles(weights, cells)
     cut_best, cut_rows, cut_ties, cut_starts = frechet_solver._min_ties(scores, True)
     assert cut_best.tolist() == best.tolist() and cut_starts.tolist() == starts.tolist()
-    assert cut_rows.tolist() == rows.tolist() and orbit_of(cut_ties).tolist() == ties.tolist()
+    assert cut_rows.tolist() == tie_rows.tolist() and orbit_of(cut_ties).tolist() == ties.tolist()
+    # each row's bound is the same alone as among the other rows, and within the oracle's (one graph per orbit)
+    masks, offsets = orbits.graphs(np.arange(orbits.size))
+    distances = [[(x ^ s).bit_count() for s in sup_idx.tolist()] for x in masks[offsets[:-1]].tolist()]
+    kept = orbits.bound(weights, r)
+    for k, row in enumerate(rows):
+        assert kept[k].tolist() == orbits.bound(weights[k : k + 1], r)[0].tolist()
+        must, may = order1_bound_by_enumeration(distances, orbits.sizes, row, r)
+        assert (kept[k] >= must).all() and (kept[k] <= may).all()
 
 
 @PROPERTY_SETTINGS
@@ -740,6 +764,52 @@ def _points(space, mean_set) -> tuple:
 
 def _close(a, b) -> bool:
     return a == b if isinstance(a, Fraction) else math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@st.composite
+def small_weight_measures(draw, space):
+    """Measures on one to four points with weights of 1 to 3 parts, so that
+    the counts of a few draws can match them."""
+    positions = draw(st.lists(st.integers(0, len(space) - 1), min_size=1, max_size=4, unique=True))
+    parts = draw(st.lists(st.integers(1, 3), min_size=len(positions), max_size=len(positions)))
+    return DiscreteMeasure(tuple(space.points[i] for i in positions), tuple(Fraction(w, sum(parts)) for w in parts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(["g3", *sorted(ENGINE_SPACES)]),
+    r=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_certified_rows_lie_in_the_population_mean_sets(data, name, r, seed):
+    # the proof of the strong laws: whenever sup_x |Fhat_n(x) - F(x)| is below
+    # half the gap between F's optimum and its least value off the mean set,
+    # the sample mean set lies inside the population's (the restricted track's
+    # over the support, once a point of its population mean set is drawn).
+    # Checkpoints at multiples of the weights' denominator let the counts of
+    # the draws match the weights, where the deviation is 0
+    space, spec = ENGINE_SPACES[name] if name in ENGINE_SPACES else (FULL_GRAPH_SPACES[3], GraphSpec(3))
+    mu = data.draw(small_weight_measures(space))
+    parts = math.lcm(*(w.denominator for w in mu.weights))
+    n = st.one_of(st.integers(1, 6).map(parts.__mul__), st.integers(1, 24))
+    checkpoints = sorted(data.draw(st.sets(n, min_size=1, max_size=4)))
+    cfg = ExperimentConfig(
+        space_spec=spec, mu=mu, r=r, n_max=checkpoints[-1], checkpoints=tuple(checkpoints),
+        replications=6, seed=seed, restricted=True, limit_params=None,
+    )
+    result = run_consistency_experiment(cfg, space)
+    pairs = list(zip(mu.support, mu.weights))
+    for rec in result.records:
+        idx = _draw_indices(_support_cdf(mu), cfg.n_max, replication_rng(seed, rec.replication))
+        for stat in rec.stats:
+            counts = [(mu.support[i], c) for i, c in sorted(collections.Counter(idx[: stat.n].tolist()).items())]
+            deviation, delta, _ = certificate_by_enumeration(space, pairs, counts, r, space.points)
+            if delta is None or deviation < delta / 2:
+                assert stat.included_in_population
+            deviation, delta, theta = certificate_by_enumeration(space, pairs, counts, r, mu.support)
+            if (delta is None or deviation < delta / 2) and any(x in theta for x, _ in counts):
+                assert stat.included_in_population_res
 
 
 @PROPERTY_SETTINGS
