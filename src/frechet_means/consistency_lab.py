@@ -770,15 +770,15 @@ def _outer_limits(
     ``target_idx`` the indices of the track's population mean set.  The tail
     and Kuratowski visits of all replications are counted by the estimators'
     own counters over the distinct tail sets, inclusion is one ``np.isin``,
-    and every Kuratowski point's distance to the target comes from one block
-    over the distinct points outside it.
+    and the distinct Kuratowski points outside the target take their distance
+    to it from :meth:`MetricSpace.nearest`, within the cell budget.
     """
     reps = len(mean_sets[0])
     used, tails = np.unique(np.stack(mean_sets[burn:], axis=1), return_inverse=True)
     tails, tail_sets = tails.reshape(reps, -1), [sets[i] for i in used.tolist()]
     fields = {}
     for name, included, (rows, idx) in (
-        ("tail_estimate", "tail_included", _recurrent_rows(tails, tail_sets, len(space), lp.min_visits)),
+        ("tail_estimate", "tail_included", _recurrent_rows(tails, tail_sets, lp.min_visits)),
         ("kuratowski", "kuratowski_included", _kuratowski_rows(space, tails, tail_sets, lp.epsilon, lp.min_visits)),
     ):
         starts = np.searchsorted(rows, np.arange(reps))  # each replication's first pair
@@ -788,9 +788,8 @@ def _outer_limits(
         fields[included] = inside.tolist()
     # idx, starts and outside are now the Kuratowski estimate's; a point of the target is at distance 0 from it
     points, pos = np.unique(idx[outside], return_inverse=True)
-    block = space.int_block if space.exact else space.float_block
     near = np.zeros(len(idx), dtype=np.int64 if space.exact else np.float64)  # each point's distance to the target
-    near[outside] = block(points, target_idx).min(axis=1)[pos]
+    near[outside] = space.nearest(points, target_idx, frechet_solver._CHUNK_CELLS)[pos]
     fields["kuratowski_target_gap"] = [space.as_distance(max(d)) if d else 0 for d in _index_tuples(near, starts)]
     return fields
 
@@ -1147,7 +1146,7 @@ def build_summary(result: ExperimentResult) -> dict:
     if cfg.limit_params is not None:
         lim = result.limits
         budget = _budget(cfg)
-        median, top = _median_and_max([_to_float(g) for g in lim["kuratowski_target_gap"]])
+        median, top = map(_to_float, _median_and_max([Fraction(g) for g in lim["kuratowski_target_gap"]]))
         block = {
             "kuratowski_median_target_gap": median,
             "kuratowski_max_target_gap": top,
@@ -1159,8 +1158,8 @@ def build_summary(result: ExperimentResult) -> dict:
             block[f"tail_inclusion_rate{t.suffix}"] = _rate(lim[f"tail_included{t.suffix}"])
             block[f"kuratowski_inclusion_rate{t.suffix}"] = _rate(lim[f"kuratowski_included{t.suffix}"])
         if cfg.restricted and budget > 0:  # judged like the unrestricted gap; epsilon = 0 runs judge inclusion
-            gaps_res = [_to_float(g) for g in lim["kuratowski_target_gap_res"]]
-            block["kuratowski_median_target_gap_res"] = _median_and_max(gaps_res)[0]
+            gaps_res = [Fraction(g) for g in lim["kuratowski_target_gap_res"]]
+            block["kuratowski_median_target_gap_res"] = _to_float(_median_and_max(gaps_res)[0])
         summary["outer_limit"] = block
     return summary
 

@@ -206,11 +206,25 @@ class MetricSpace:
             return self._float_block_fn(rows, cols)
         return self._int_block_fn(rows, cols).astype(np.float64) * float(self.scale)
 
+    def nearest(self, rows, cols, cells: int) -> np.ndarray:
+        """Each row point's least distance-block entry to the points ``cols``
+        (+inf for none), from blocks of at most ``cells`` entries reduced as
+        they are made: the package's one d(x, A).  By symmetry a block's rows
+        are ``cols``, so a minimum runs down contiguous columns (~40x faster)."""
+        block, width = self.int_block if self.exact else self.float_block, max(1, min(len(cols), cells))
+        step = max(1, cells // width)  # a block: width points of cols by step of rows
+        near = np.full(len(rows), np.iinfo(np.int64).max if self.exact and len(cols) else np.inf)
+        for lo in range(0, len(rows), step):
+            for at in range(0, len(cols), width):
+                part = near[lo : lo + step]
+                np.minimum(part, block(cols[at : at + width], rows[lo : lo + step]).min(axis=0), out=part)
+        return near
+
     def as_distance(self, entry):
         """The distance an entry of a distance block stands for: on exact spaces
         a lattice entry times ``scale`` (an int at scale 1, else a Fraction),
-        elsewhere a float."""
-        if self.exact:
+        elsewhere, and for +inf, a float."""
+        if self.exact and entry != math.inf:
             d = int(entry)
             return d if self.scale == 1 else d * self.scale
         return float(entry)
@@ -232,12 +246,9 @@ class MetricSpace:
         return self.set_distance(x, (y,))
 
     def set_distance(self, x, points: Iterable):
-        """d(x, A) = min over A, with the convention d(x, empty) = +inf."""
-        pts = list(points)
-        if not pts:
-            return float("inf")
-        block = self.int_block if self.exact else self.float_block
-        return self.as_distance(block(np.array([self.index(x)]), self.indices(pts)).min())
+        """d(x, A), the one-row case of :meth:`nearest` (so d(x, empty) = +inf)."""
+        from .frechet_solver import _CHUNK_CELLS  # the cell budget; that module imports this one
+        return self.as_distance(self.nearest([self.index(x)], self.indices(points), _CHUNK_CELLS)[0])
 
     @classmethod
     def _from_matrix(cls, points: Sequence, matrix, dtype, backend: str, bound_M, **options) -> "MetricSpace":

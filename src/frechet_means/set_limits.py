@@ -31,8 +31,8 @@ taken as the Fraction it equals (``MetricSpace._below``, which
 ``modulus_of_continuity`` shares).  On a proper metric,
 where that bound is 0 (epsilon = 0, or epsilon at most the lattice step, as
 epsilon = 1 on Hamming spaces), the neighbourhood is the set itself and no
-distance is computed.  Pseudo-metrics and positive bounds scan the space
-once per distinct set.
+distance is computed.  Pseudo-metrics and positive bounds scan the space once
+per distinct set, in blocks of at most the cell budget (``nearest``).
 
 A :class:`SetTrajectory` holds each set as the tuple of its sorted space
 indices, the form in which the solver and the experiment engine produce
@@ -48,6 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import frechet_solver
 from .metric_core import MetricSpace
 
 __all__ = [
@@ -123,19 +124,20 @@ def _one_row(sets) -> tuple:
     return np.array([row], dtype=np.intp), list(ids)
 
 
-def _recurrent_rows(rows: np.ndarray, sets: list, size: int, min_visits: int) -> tuple:
+def _recurrent_rows(rows: np.ndarray, sets: list, min_visits: int) -> tuple:
     """The indices appearing in at least ``min_visits`` sets of each row.
 
     ``rows[k]`` holds row k's sets as ids into ``sets``, each set a sequence
-    of distinct indices below ``size``.  Every visit of every row is counted
-    in one ``np.unique`` over the keys ``k * size + index``.  Returns the
-    rows and indices of the recurrent pairs, sorted by row and then by index.
+    of distinct indices.  One ``np.unique`` counts every visit by its key
+    ``k * |seen| + rank``, the index ranked among the distinct visited ones.
+    Returns the recurrent pairs' rows and indices, by row and then by index.
     """
     lengths = np.fromiter(map(len, sets), np.intp, len(sets))[rows]
     visits = itertools.chain.from_iterable(map(sets.__getitem__, rows.ravel().tolist()))
-    visited = np.fromiter(visits, np.int64, lengths.sum())
-    keys, counts = np.unique(np.repeat(np.arange(len(rows)) * size, lengths.sum(axis=1)) + visited, return_counts=True)
-    return np.divmod(keys[counts >= min_visits], size)
+    seen, rank = np.unique(np.fromiter(visits, np.int64, lengths.sum()), return_inverse=True)
+    keys, counts = np.unique(np.repeat(np.arange(len(rows)) * len(seen), lengths.sum(1)) + rank, return_counts=True)
+    row, pos = np.divmod(keys[counts >= min_visits], len(seen))
+    return row, seen[pos]
 
 
 def _kuratowski_rows(space: MetricSpace, rows: np.ndarray, sets: list, epsilon, min_visits: int) -> tuple:
@@ -148,20 +150,20 @@ def _kuratowski_rows(space: MetricSpace, rows: np.ndarray, sets: list, epsilon, 
     :func:`_recurrent_rows` counts the memberships.  Returns the rows and
     indices of the recurrent pairs, sorted by row and then by index.
     """
-    block, bound = space._below(epsilon)
+    bound = space._below(epsilon)[1]
     # On a proper metric d(x, A) = 0 iff x is in A, so at a zero bound each set
     # is its own neighbourhood; a pseudo-metric must still credit its
     # zero-distance twins, and a positive bound takes a scan of the space.
     if bound != 0 or space.is_pseudo:
         all_idx = np.arange(len(space), dtype=np.intp)
-        sets = [np.flatnonzero(block(all_idx, s).min(axis=1) <= bound).tolist() if s else s for s in sets]
-    return _recurrent_rows(rows, sets, len(space), min_visits)
+        sets = [np.flatnonzero(space.nearest(all_idx, s, frechet_solver._CHUNK_CELLS) <= bound).tolist() for s in sets]
+    return _recurrent_rows(rows, sets, min_visits)
 
 
 def tail_limsup(traj: SetTrajectory, burn_in: int, min_visits: int = 2) -> frozenset:
     """Points appearing in at least ``min_visits`` tail sets (direct count)."""
     _check_tail(traj, burn_in, min_visits)
-    idx = _recurrent_rows(*_one_row(traj.sets[burn_in:]), len(traj.space), min_visits)[1]
+    idx = _recurrent_rows(*_one_row(traj.sets[burn_in:]), min_visits)[1]
     return frozenset(traj.space.points[i] for i in idx)
 
 

@@ -560,6 +560,40 @@ def test_restricted_outer_limit_is_judged_by_its_gap_at_positive_epsilon(g4, mu_
     assert "kuratowski_median_target_gap_res" not in exact["outer_limit"]  # epsilon = 0 judges inclusion
 
 
+def test_outer_limit_gap_median_is_written_from_its_exact_value():
+    # gaps 1/5 and 1/10: averaging their floats gives 0.15000000000000002,
+    # the float of the exact median 3/20 is 0.15
+    mu = DiscreteMeasure.uniform((Fraction(-1), Fraction(3, 10), Fraction(1)))
+    cfg = ExperimentConfig(
+        space_spec=GridSpec("-1", "1", "0.1"), mu=mu, r=2, n_max=1000, checkpoints=(10, 100, 1000),
+        replications=2, seed=0, limit_params=LimitParams(epsilon=Fraction(1, 5), burn_in=1),
+    )
+    result = run_consistency_experiment(cfg)
+    assert sorted(result.limits["kuratowski_target_gap"]) == [Fraction(1, 10), Fraction(1, 5)]
+    ol = build_summary(result)["outer_limit"]
+    assert (ol["kuratowski_median_target_gap"], ol["kuratowski_max_target_gap"]) == (0.15, 0.2)
+
+
+def test_visit_counts_of_replications_on_a_2_to_55_point_space_stay_apart():
+    # at nv = 11 a space index takes 55 bits, so keys replication * 2^55 + index
+    # wrapped in int64 from replication 257 on and merged the visits of
+    # replications 512 apart; every estimate is its own trajectory's
+    from frechet_means import Graph, SetTrajectory, tail_limsup
+
+    mu = DiscreteMeasure.uniform(Graph(11, m) for m in (0b1011, 0b0111, 0b1110))
+    cfg = ExperimentConfig(
+        space_spec=GraphSpec(11, 55), mu=mu, r=2, n_max=20, checkpoints=(2, 3, 5, 8, 13, 20),
+        replications=600, seed=1, limit_params=LimitParams(epsilon=0, burn_in=2),
+    )
+    result = run_consistency_experiment(cfg)
+    space = result.space
+    for k in range(cfg.replications):
+        traj = SetTrajectory.from_indices(space, [result.sets[col[k]] for col in result.stats["mean_set"]])
+        own = tuple(sorted(map(space.index, tail_limsup(traj, 2))))
+        assert result.limits["tail_estimate"][k] == result.limits["kuratowski"][k] == own, k
+    assert result.limits["tail_estimate"][8] == (10, 15)
+
+
 def test_variance_trend_is_judged_on_exact_medians():
     # 2^60 and 2^60 + 1/den round to one float, printed 1.15292e+18 at both
     # checkpoints; only the exact medians show that the error grew

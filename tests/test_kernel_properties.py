@@ -690,6 +690,35 @@ def test_neighbourhood_counter_matches_hull_visits(data, name, epsilon, min_visi
         assert {space.points[i] for i in got_idx[got_rows == k]} == expected
 
 
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(FLOAT_PATH_SPACES) + ["pseudo"]),
+    cells=st.sampled_from([1, 7, 40, 1 << 16]),
+)
+def test_nearest_is_the_least_block_entry_within_the_cell_budget(data, name, cells, cell_budget):
+    # the one d(x, A): each row's least entry of its distance block to A, +inf
+    # for an empty A, from blocks of at most the cell budget; set_distance is
+    # its one-row case
+    space = data.draw(pseudo_metric_spaces()) if name == "pseudo" else FLOAT_PATH_SPACES[name]
+    rows = data.draw(st.lists(st.integers(0, len(space) - 1), min_size=1, max_size=30))
+    cols = data.draw(st.lists(st.integers(0, len(space) - 1), max_size=50, unique=True))
+    kind = "int_block" if space.exact else "float_block"
+    block, made = getattr(space, kind), []
+
+    def counting(r, c):
+        made.append(len(r) * len(c))
+        return block(r, c)
+
+    with cell_budget(cells), mock.patch.object(space, kind, counting):
+        near = space.nearest(np.array(rows), np.array(cols, dtype=np.intp), cells)
+        d = space.set_distance(space.points[rows[0]], [space.points[i] for i in cols])
+    expected = block(rows, cols).min(axis=1) if cols else np.full(len(rows), np.inf)
+    assert near.tolist() == expected.tolist()
+    assert d == (space.as_distance(expected[0]) if cols else math.inf)
+    assert max(made, default=0) <= cells
+
+
 def test_kuratowski_visits_at_a_zero_lattice_bound_compute_no_distance(monkeypatch):
     # epsilon = 1 on a Hamming space: d < 1 iff d = 0, so a visit is membership;
     # a float epsilon is compared as the Fraction it equals
@@ -787,6 +816,8 @@ def test_certified_rows_lie_in_the_population_mean_sets(data, name, r, seed):
     # half the gap between F's optimum and its least value off the mean set,
     # the sample mean set lies inside the population's (the restricted track's
     # over the support, once a point of its population mean set is drawn).
+    # So a replication certified at every checkpoint from the burn-in on has
+    # its epsilon = 0 outer-limit estimates inside that mean set too.
     # Checkpoints at multiples of the weights' denominator let the counts of
     # the draws match the weights, where the deviation is 0
     space, spec = ENGINE_SPACES[name] if name in ENGINE_SPACES else (FULL_GRAPH_SPACES[3], GraphSpec(3))
@@ -796,20 +827,29 @@ def test_certified_rows_lie_in_the_population_mean_sets(data, name, r, seed):
     checkpoints = sorted(data.draw(st.sets(n, min_size=1, max_size=4)))
     cfg = ExperimentConfig(
         space_spec=spec, mu=mu, r=r, n_max=checkpoints[-1], checkpoints=tuple(checkpoints),
-        replications=6, seed=seed, restricted=True, limit_params=None,
+        replications=6, seed=seed, restricted=True, limit_params=LimitParams(epsilon=0),
     )
     result = run_consistency_experiment(cfg, space)
     pairs = list(zip(mu.support, mu.weights))
     for rec in result.records:
         idx = _draw_indices(_support_cdf(mu), cfg.n_max, replication_rng(seed, rec.replication))
+        certified = []  # each checkpoint's (certified, certified on the restricted track)
         for stat in rec.stats:
             counts = [(mu.support[i], c) for i, c in sorted(collections.Counter(idx[: stat.n].tolist()).items())]
             deviation, delta, _ = certificate_by_enumeration(space, pairs, counts, r, space.points)
-            if delta is None or deviation < delta / 2:
+            whole = delta is None or deviation < delta / 2
+            if whole:
                 assert stat.included_in_population
             deviation, delta, theta = certificate_by_enumeration(space, pairs, counts, r, mu.support)
-            if (delta is None or deviation < delta / 2) and any(x in theta for x, _ in counts):
+            res = (delta is None or deviation < delta / 2) and any(x in theta for x, _ in counts)
+            if res:
                 assert stat.included_in_population_res
+            certified.append((whole, res))
+        tail = certified[result.burn_in :]
+        if all(c for c, _ in tail):
+            assert rec.tail_included and rec.kuratowski_included
+        if all(c for _, c in tail):
+            assert rec.tail_included_res and rec.kuratowski_included_res
 
 
 @PROPERTY_SETTINGS

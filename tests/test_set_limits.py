@@ -6,6 +6,8 @@ import pytest
 from frechet_means import (
     MetricSpace,
     SetTrajectory,
+    enumerate_space,
+    frechet_solver,
     interval_grid,
     kuratowski_limsup,
     population_mean_set,
@@ -20,7 +22,7 @@ from frechet_means.consistency_lab import (
     _support_cdf,
     run_consistency_experiment,
 )
-from frechet_means.set_limits import default_burn_in
+from frechet_means.set_limits import _kuratowski_rows, default_burn_in
 from oracles import inclusion_check
 
 
@@ -203,6 +205,28 @@ def test_nan_epsilon_is_refused(line9):
     t = traj(line9, {p(0)}, {p(0)})
     with pytest.raises(ValueError, match="epsilon"):
         kuratowski_limsup(t, float("nan"), burn_in=0)
+
+
+def test_kuratowski_scan_stays_within_the_cell_budget():
+    # epsilon = 2 on the 2^15 graphs of nv = 6: each tail set's neighbourhood
+    # takes a scan of the space, made a block of at most the cell budget at a
+    # time, so the traced peak stays within 8 budgets of int64 cells (4 MB),
+    # where one whole 2^15 x 512 block took 128 MB
+    import tracemalloc
+
+    space = enumerate_space(6)
+    rng = np.random.default_rng(6)
+    sets = [tuple(sorted(rng.choice(1 << 15, 512, replace=False).tolist())) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        rows, idx = _kuratowski_rows(space, np.array([[0, 1, 0, 1]]), sets, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * frechet_solver._CHUNK_CELLS, peak
+    # d < 2 is Hamming distance at most 1, and each set is visited twice
+    near = {x ^ bit for s in sets for x in s for bit in (0, *(1 << k for k in range(15)))}
+    assert rows.tolist() == [0] * len(near) and idx.tolist() == sorted(near)
 
 
 # ---------------------------------------------------------------------------
