@@ -59,7 +59,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import frechet_solver
+from . import metric_core
 from .frechet_solver import MeanSetResult, _labels, _mean_set, _min_ties, _product, _scorer, _tied
 from .graph_space import GraphSpaceConfig, enumerate_space, parse_graph
 from .metric_core import (
@@ -594,8 +594,8 @@ def _draw_counts(cfg: ExperimentConfig) -> np.ndarray:
     """
     cdf = _support_cdf(cfg.mu)
     reps, last = cfg.replications, cfg.checkpoints[-1]
-    width = min(last, frechet_solver._CHUNK_CELLS)
-    rows = min(reps, frechet_solver._CHUNK_CELLS // width)
+    width = min(last, metric_core._CHUNK_CELLS)
+    rows = min(reps, metric_core._CHUNK_CELLS // width)
     # stretches: the draws between consecutive checkpoints, cut at every block edge
     starts = np.array(sorted({0, *cfg.checkpoints[:-1], *range(0, last, width)}))
     below = np.empty((reps, len(starts), len(cdf)), dtype=np.int64)  # stretch draws below each cdf[j]
@@ -679,7 +679,7 @@ class _Engine:
     def chunk(self, rows: np.ndarray) -> int:
         """How many of a checkpoint's distinct count rows ``rows`` to score at once: sized
         from the table rows that the cut and the bound keep for all of them, which hold every chunk's."""
-        return max(1, frechet_solver._CHUNK_CELLS // max(self.width, self.row_cells(rows)))
+        return max(1, metric_core._CHUNK_CELLS // max(self.width, self.row_cells(rows)))
 
     def _set_ids(self, ties: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """The id in ``sets`` of each row's tied positions, the row's slice of
@@ -740,13 +740,13 @@ class _Engine:
         if self.restricted:
             observed = counts[:, self.sup_order] > 0
             sup_scores = _product(counts, self.sup_powers, self.exact)
-            best, rows, pos, starts = _min_ties(sup_scores, self.exact, observed)
+            drawn = np.where(observed, sup_scores, np.iinfo(np.int64).max if sup_scores.dtype == np.int64 else np.inf)
+            best, rows, pos, starts = _min_ties(drawn, self.exact)  # an unobserved point scores above all
             pop, pop_best = self.pop_sup[pos], self.pop_best[1]
             # upper bound: min over theta* of T_n(theta*) + min_{x' observed} |Fhat(x') - Fhat(theta*)|;
             # Fhat is a positive multiple of the score, so the bound is taken on scores
             theta_scores = sup_scores[:, self.theta_res]
-            gaps = np.abs(sup_scores[:, None, :] - theta_scores[:, :, None])
-            gaps = np.where(observed[:, None, :], gaps, gaps.max()).min(axis=2)
+            gaps = np.abs(drawn[:, None, :] - theta_scores[:, :, None]).min(axis=2)
             cols.update(
                 sigma_hat_res=self._excess(best, n),
                 mean_set_res=self._set_ids(self.sup_rows[pos], starts),
@@ -789,7 +789,7 @@ def _outer_limits(
     # idx, starts and outside are now the Kuratowski estimate's; a point of the target is at distance 0 from it
     points, pos = np.unique(idx[outside], return_inverse=True)
     near = np.zeros(len(idx), dtype=np.int64 if space.exact else np.float64)  # each point's distance to the target
-    near[outside] = space.nearest(points, target_idx, frechet_solver._CHUNK_CELLS)[pos]
+    near[outside] = space.nearest(points, target_idx)[pos]
     fields["kuratowski_target_gap"] = [space.as_distance(max(d)) if d else 0 for d in _index_tuples(near, starts)]
     return fields
 
@@ -930,10 +930,6 @@ def _sandwich_ok(lower, middle, upper, exact: bool):
     return (lower <= middle + tol) & (middle <= upper + tol)
 
 
-# Rows of report.csv made and written at a time; it bounds the writer's
-# working set, and the bytes do not depend on it.
-_REPORT_ROWS = 1 << 12
-
 # report.csv columns after replication and n: (header, statistic, cell kind)
 _CSV_COLUMNS = (
     ("sigma_hat", "sigma_hat", "value"),
@@ -1003,7 +999,7 @@ def write_report_csv(result: ExperimentResult, path) -> None:
         rows = zip(*(map(cells.__getitem__, where.tolist()) for cells, where in columns))
         tails.append(np.array([f",{n},{','.join(row)}\r\n" for row in rows], dtype=object))
     header = ["replication", "n", *(header for header, _, _ in spec)]
-    block = max(1, _REPORT_ROWS // len(cfg.checkpoints))
+    block = max(1, metric_core._CHUNK_CELLS // (2 * len(tails)))  # replications, each 2 cells per checkpoint
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, cfg.replications, block):
@@ -1068,10 +1064,12 @@ def _abs_errors(result: ExperimentResult, stat: str, pos: int) -> tuple:
     return _median_and_max(np.abs(result.stats[stat][pos]), result.denominators[pos])
 
 
-def _budget(cfg: ExperimentConfig):
-    """The outer limits' gap budget ``2*epsilon``, a float epsilon read as the Fraction it equals."""
-    eps = cfg.limit_params.epsilon
-    return 2 * (eps if eps == math.inf else Fraction(eps))
+def _track_gaps(result: ExperimentResult, suffix: str = "") -> tuple:
+    """A track's outer-limit gaps, sorted as they are (ints, Fractions and floats compare exactly), their budget
+    ``2*epsilon``, a float epsilon read as the Fraction it equals, and their exact median, from its picks alone."""
+    eps, gaps = result.config.limit_params.epsilon, sorted(result.limits[f"kuratowski_target_gap{suffix}"])
+    median = (Fraction(gaps[len(gaps) // 2]) + Fraction(gaps[~(len(gaps) // 2)])) / 2
+    return gaps, 2 * (eps if eps == math.inf else Fraction(eps)), median
 
 
 def _rate(flags) -> float:
@@ -1145,12 +1143,11 @@ def build_summary(result: ExperimentResult) -> dict:
 
     if cfg.limit_params is not None:
         lim = result.limits
-        budget = _budget(cfg)
-        median, top = map(_to_float, _median_and_max([Fraction(g) for g in lim["kuratowski_target_gap"]]))
+        gaps, budget, median = _track_gaps(result)
         block = {
-            "kuratowski_median_target_gap": median,
-            "kuratowski_max_target_gap": top,
-            "kuratowski_gap_within_budget_rate": _rate([Fraction(g) <= budget for g in lim["kuratowski_target_gap"]]),
+            "kuratowski_median_target_gap": _to_float(median),
+            "kuratowski_max_target_gap": _to_float(gaps[-1]),
+            "kuratowski_gap_within_budget_rate": _rate([g <= budget for g in gaps]),
             "mean_tail_size": float(np.mean([len(t) for t in lim["tail_estimate"]])),
             "mean_kuratowski_size": float(np.mean([len(k) for k in lim["kuratowski"]])),
         }
@@ -1158,8 +1155,7 @@ def build_summary(result: ExperimentResult) -> dict:
             block[f"tail_inclusion_rate{t.suffix}"] = _rate(lim[f"tail_included{t.suffix}"])
             block[f"kuratowski_inclusion_rate{t.suffix}"] = _rate(lim[f"kuratowski_included{t.suffix}"])
         if cfg.restricted and budget > 0:  # judged like the unrestricted gap; epsilon = 0 runs judge inclusion
-            gaps_res = [Fraction(g) for g in lim["kuratowski_target_gap_res"]]
-            block["kuratowski_median_target_gap_res"] = _to_float(_median_and_max(gaps_res)[0])
+            block["kuratowski_median_target_gap_res"] = _to_float(_track_gaps(result, "_res")[2])
         summary["outer_limit"] = block
     return summary
 
@@ -1200,10 +1196,9 @@ def summary_blocks(result: ExperimentResult, summary: dict | None = None) -> lis
             blocks.append((f"{t.prefix}variance-trend", last <= first, detail))
 
     if summary["outer_limit"] is not None:
-        budget = _budget(cfg)
         for t in tracks:
+            _, budget, gap = _track_gaps(result, t.suffix)
             if budget > 0:
-                gap = _median_and_max([Fraction(g) for g in result.limits[f"kuratowski_target_gap{t.suffix}"]])[0]
                 text = f"median worst {t.estimate}-to-target distance {_to_float(gap):.6g}"
                 passed, detail = gap <= budget, f"{text} (budget 2*epsilon = {_to_float(budget):.6g})"
             else:

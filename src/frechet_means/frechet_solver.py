@@ -22,12 +22,12 @@ candidate as ``d**r @ weights``, with ``d**r`` from
 :func:`metric_core._power_block`.  Exact scores are integers in the dtype
 :func:`metric_core._exact_dtype` picks, so BLAS sums them exactly in any
 order; a float score is summed one support column at a time, in support
-order.  Scores are made a tile of at most ``_CHUNK_CELLS`` cells at a time,
-into one buffer, and one reducer, :func:`_min_ties`, takes each tile as it
-is made and keeps each row's running minimum and ties; no score row is held
-whole, and no result depends on the tiles.  Exact ties are the scores equal
-to the exact minimum, so tie sets are bit-reproducible; float ties are the
-scores <= optimum * (1 + 1e-9), a tolerance that is part of the contract.
+order.  Scores are made a tile of at most ``metric_core._CHUNK_CELLS`` cells
+at a time, into one buffer, and one reducer, :func:`_min_ties`, takes each
+tile as it is made and keeps each row's running minimum and ties; no score
+row is held whole, and no result depends on the tiles.  Exact ties are the
+scores equal to the exact minimum, so tie sets are bit-reproducible; float
+ties are the scores <= optimum * (1 + 1e-9), a tolerance of the contract.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import metric_core
 from .graph_space import _AllGraphs, _mask_labels, _Orbits
 from .metric_core import (
     DiscreteMeasure,
@@ -60,10 +61,6 @@ __all__ = [
 ]
 
 FLOAT_TIE_RTOL = 1e-9
-
-# The most cells of a score tile (weight rows x positions), of the blocks it is
-# made from, of the engine's count chunks and of its draw blocks; no result depends on it.
-_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,9 +94,8 @@ def _tied(scores: np.ndarray, best, exact: bool) -> np.ndarray:
     return scores == best if exact else scores <= best * (1.0 + FLOAT_TIE_RTOL)
 
 
-def _min_ties(tiles, exact: bool, competes: np.ndarray | None = None) -> tuple:
-    """Each row's minimum score and the positions tied with it, among the
-    positions where ``competes`` holds (None: all; each row has at least one).
+def _min_ties(tiles, exact: bool) -> tuple:
+    """Each row's minimum score and the positions tied with it.
 
     ``tiles`` yields ``(lo, tile)`` in ascending ``lo``, ``tile[k, c]`` being
     row k's score at position ``lo + c`` (an array is one tile at 0), and
@@ -113,9 +109,6 @@ def _min_ties(tiles, exact: bool, competes: np.ndarray | None = None) -> tuple:
     best, merged = None, False
     rows = cols = np.empty(0, dtype=np.intp)
     for lo, tile in tiles:
-        if competes is not None:
-            inside = competes[:, lo : lo + tile.shape[1]]
-            tile = np.where(inside, tile, np.iinfo(np.int64).max if tile.dtype == np.int64 else np.inf)  # above all
         low = tile.min(axis=1)
         if best is None:
             best, values = low, tile[:0, 0]
@@ -126,8 +119,6 @@ def _min_ties(tiles, exact: bool, competes: np.ndarray | None = None) -> tuple:
         if not _tied(low, best, exact).any():
             continue  # no row's minimum is in this tile
         tied = _tied(tile, best[:, None], exact)
-        if competes is not None:
-            tied &= inside
         r, c = np.divmod(np.flatnonzero(tied), tile.shape[1])  # np.nonzero is slow on 2-D masks
         if len(rows):
             rows, cols, values = (np.concatenate(pair) for pair in ((rows, r), (cols, c + lo), (values, tile[r, c])))
@@ -195,11 +186,11 @@ def _scorer(space: MetricSpace, sup_idx: np.ndarray, r, exact: bool, total: int,
         tiles, powers = orbits.scorer(r, total)
 
         def ties(weights: np.ndarray) -> tuple:
-            orbit_of, _, scores = tiles(weights, _CHUNK_CELLS)
+            orbit_of, _, scores = tiles(weights)
             best, rows, positions, starts = _min_ties(scores, True)
             return best, rows, orbit_of(positions), starts
 
-        return ties, powers, orbits.support, orbits.graphs, lambda w: tiles(w, _CHUNK_CELLS)[1]
+        return ties, powers, orbits.support, orbits.graphs, lambda w: tiles(w)[1]
     size, m = len(space) if full else len(sup_idx), len(sup_idx)
     dtype = _exact_dtype(space, r, total) if exact else np.float64
 
@@ -209,7 +200,7 @@ def _scorer(space: MetricSpace, sup_idx: np.ndarray, r, exact: bool, total: int,
 
     def tiles(weights: np.ndarray):
         weights = weights.astype(dtype)
-        step = max(1, _CHUNK_CELLS // max(len(weights), m))  # candidates per tile
+        step = max(1, metric_core._CHUNK_CELLS // max(len(weights), m))  # candidates per tile
         buffers = np.empty((2, len(weights) * min(step, size)), dtype)
         for lo in range(0, size, step):
             block = powers(np.arange(lo, min(lo + step, size)))
@@ -224,10 +215,10 @@ def _scorer(space: MetricSpace, sup_idx: np.ndarray, r, exact: bool, total: int,
 
 def _labels(space: MetricSpace, indices: Sequence) -> Iterator[str]:
     """The label of each point ``space.points[i]`` of ``indices``, in order, made as they are read:
-    on a full graph space from the edge masks i, a block of at most ``_CHUNK_CELLS`` characters at
-    a time, with no Graph built (:func:`graph_space._mask_labels`); elsewhere by the space's ``label``."""
+    on a full graph space from the edge masks i, within the cell budget and with no Graph built
+    (:func:`graph_space._mask_labels`); elsewhere by the space's ``label``."""
     if isinstance(space.points, _AllGraphs):
-        return _mask_labels(space.points.nv, indices, _CHUNK_CELLS)
+        return _mask_labels(space.points.nv, indices)
     return map(space.label, map(space.points.__getitem__, indices))
 
 

@@ -21,6 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import metric_core
 from .metric_core import _INT64_SAFE, MetricSpace, _exact_dtype, _to_float
 
 __all__ = [
@@ -213,12 +214,12 @@ class _Orbits:
         and b.  ``powers(orbits)`` gives the orbits' ``d^r``, a row per support
         graph, in the dtype :func:`metric_core._exact_dtype` picks (Python ints
         once the binomials pass int64), so a float64 matmul is exact.
-        ``tiles(weights, cells)`` takes integer weights on the support (a
+        ``tiles(weights)`` takes integer weights on the support (a
         matrix, each row summing to at most ``total_weight``) and gives the
         orbit id of each position it scores (the product of the table rows
         that the cut and the bound both keep), the cells each weight row holds
         beside its tiles, and the ``(lo, tile)`` pairs, ``tile[k]`` holding
-        row k's scores of the positions from ``lo`` on, at most ``cells``
+        row k's scores of the positions from ``lo`` on, at most ``_CHUNK_CELLS``
         cells or one row of ``b`` per weight row.  A tile is a range of b's
         kept rows of ``sum_j C(r, j) (b^(r-j) * w) @ (a^j).T``, the scores by
         the binomial theorem, whose ``j = 0`` and ``j = r`` terms are outer
@@ -233,10 +234,10 @@ class _Orbits:
 
         last = {}  # the kept rows of the last integer weights, by their bytes: the engine sizes a chunk from them first
 
-        def tiles(weights: np.ndarray, cells: int) -> tuple:
+        def tiles(weights: np.ndarray) -> tuple:
             key = weights.tobytes() if weights.dtype != object else None
             if key is None or key not in last:
-                (ia, ib), bound = self.cut(weights, cells), self.bound(weights, r).any(axis=0)
+                (ia, ib), bound = self.cut(weights), self.bound(weights, r).any(axis=0)
                 last.clear()
                 last[key] = ia[bound[ia]], ib[bound[len(a) + ib]]
             (ia, ib), rows = last[key], weights.astype(dtype)
@@ -256,7 +257,7 @@ class _Orbits:
                     middle = slice(2 + (j - 1) * m, 2 + j * m)
                     np.multiply(math.comb(r, j) * kb ** (r - j), rows[:, None], out=left[:, :, middle])
                     right[:, middle] = (ka**j).T
-                step = min(len(ib), max(1, cells // (len(rows) * len(ia))))  # rows of b per tile
+                step = min(len(ib), max(1, metric_core._CHUNK_CELLS // (len(rows) * len(ia))))  # rows of b per tile
                 buffer = np.empty(len(rows) * step * len(ia), dtype)
                 for lo in range(0, len(ib), step):
                     out = buffer[: len(rows) * min(step, len(ib) - lo) * len(ia)].reshape(len(rows), -1, len(ia))
@@ -292,7 +293,7 @@ class _Orbits:
             limit = ((u * w.sum(axis=1) ** (r - 1)) ** (1 / r) * (1 + 1e-9))[:, None]
         return np.hstack([ones[0] <= limit - low[1], ones[1] <= limit - low[0]]) | ~np.isfinite(limit)
 
-    def cut(self, weights: np.ndarray, cells: int) -> tuple:
+    def cut(self, weights: np.ndarray) -> tuple:
         """The ascending rows of each distance table, ``a`` and ``b``, that
         can hold a minimum of some row of ``weights``: all of them for a row
         of no positive weight.
@@ -308,18 +309,18 @@ class _Orbits:
         A table keeps the rows that break no rule among its group's types for
         some row's A, so the product of the kept rows holds every row's
         minimizers.  Each distinct A is checked once, the new ones in blocks
-        of about ``cells`` cells, and remembered while the remembered rows
-        hold at most ``cells`` cells (past that they are dropped).
+        of about ``_CHUNK_CELLS`` cells, and remembered while the remembered
+        rows hold at most ``_CHUNK_CELLS`` cells (past that they are dropped).
         """
         active = np.ascontiguousarray(weights > 0)
         data, m = active.tobytes(), active.shape[1]
         keys = dict.fromkeys(data[i : i + m] for i in range(0, len(data), m))
         parts = [self._cuts[key] for key in keys if key in self._cuts]
         new = [key for key in keys if key not in self._cuts]
-        room = cells // sum(self.sizes)  # the remembered rows hold at most ``cells`` cells
+        room = metric_core._CHUNK_CELLS // sum(self.sizes)  # active sets whose rows may be remembered
         if len(self._cuts) + len(new) > room:
             self._cuts.clear()
-        step = max(1, cells // ((sum(self.sizes) + m) * max(1, len(self.counts))))  # active sets per rule check
+        step = max(1, metric_core._CHUNK_CELLS // ((sum(self.sizes) + m) * max(1, len(self.counts))))  # sets per check
         for lo in range(0, len(new), step):
             block = new[lo : lo + step]
             kept = self._kept(np.frombuffer(b"".join(block), bool).reshape(len(block), m))
@@ -512,13 +513,13 @@ def format_graph(g: Graph) -> str:
     return f"{g.nv}:{bin(g.edges | 1 << n_edge_slots(g.nv))[:2:-1]}"
 
 
-def _mask_labels(nv: int, masks: Sequence, cells: int) -> Iterator[str]:
+def _mask_labels(nv: int, masks: Sequence) -> Iterator[str]:
     """The label :func:`format_graph` gives the graph on ``nv`` vertices of
-    each edge mask of ``masks``, in order, written from the masks' bits a
-    block of at most ``cells`` characters at a time: no Graph is built."""
+    each edge mask of ``masks``, in order, written from the masks' bits a block
+    of at most ``metric_core._CHUNK_CELLS`` characters at a time: no Graph is built."""
     head, slots = np.frombuffer(f"{nv}:".encode(), np.uint8), n_edge_slots(nv)
     width = len(head) + slots
-    step = max(1, cells // width)  # labels per block
+    step = max(1, metric_core._CHUNK_CELLS // width)  # labels per block
     for lo in range(0, len(masks), step):
         octets = np.asarray(masks[lo : lo + step], dtype="<u8").view(np.uint8).reshape(-1, 8)  # bit k: slot k
         text = np.empty((len(octets), width), dtype=np.uint8)  # one label per row

@@ -57,6 +57,12 @@ _INT64_SAFE = 2**62
 # modulus_of_continuity); their n x n blocks stay a few hundred MB at most.
 _EXHAUSTIVE_MAX_POINTS = 4096
 
+# The package's one working-set budget: the most cells of a score tile (weight
+# rows x positions) and of the blocks it is made from, of a distance, label or
+# report block, and of the engine's count chunks and draw blocks.  Every blocked
+# loop reads it here when it runs; no result depends on it.
+_CHUNK_CELLS = 1 << 16
+
 
 def _to_float(value, denominator: int = 1) -> float:
     """``value / denominator`` as a float: ``value`` an int, a Fraction or a
@@ -206,13 +212,13 @@ class MetricSpace:
             return self._float_block_fn(rows, cols)
         return self._int_block_fn(rows, cols).astype(np.float64) * float(self.scale)
 
-    def nearest(self, rows, cols, cells: int) -> np.ndarray:
+    def nearest(self, rows, cols) -> np.ndarray:
         """Each row point's least distance-block entry to the points ``cols``
-        (+inf for none), from blocks of at most ``cells`` entries reduced as
-        they are made: the package's one d(x, A).  By symmetry a block's rows
+        (+inf for none), from blocks of at most ``_CHUNK_CELLS`` entries reduced
+        as they are made: the package's one d(x, A).  By symmetry a block's rows
         are ``cols``, so a minimum runs down contiguous columns (~40x faster)."""
-        block, width = self.int_block if self.exact else self.float_block, max(1, min(len(cols), cells))
-        step = max(1, cells // width)  # a block: width points of cols by step of rows
+        block, width = self.int_block if self.exact else self.float_block, max(1, min(len(cols), _CHUNK_CELLS))
+        step = max(1, _CHUNK_CELLS // width)  # a block: width points of cols by step of rows
         near = np.full(len(rows), np.iinfo(np.int64).max if self.exact and len(cols) else np.inf)
         for lo in range(0, len(rows), step):
             for at in range(0, len(cols), width):
@@ -247,8 +253,7 @@ class MetricSpace:
 
     def set_distance(self, x, points: Iterable):
         """d(x, A), the one-row case of :meth:`nearest` (so d(x, empty) = +inf)."""
-        from .frechet_solver import _CHUNK_CELLS  # the cell budget; that module imports this one
-        return self.as_distance(self.nearest([self.index(x)], self.indices(points), _CHUNK_CELLS)[0])
+        return self.as_distance(self.nearest([self.index(x)], self.indices(points))[0])
 
     @classmethod
     def _from_matrix(cls, points: Sequence, matrix, dtype, backend: str, bound_M, **options) -> "MetricSpace":

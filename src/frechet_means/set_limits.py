@@ -28,11 +28,11 @@ in the set's neighbourhood {x : d(x, A) < epsilon}, found once per distinct
 set and then counted by ``_recurrent_rows``.  On an exact space d < epsilon
 is ``d_int <= bound`` for an integer lattice bound, a finite float epsilon
 taken as the Fraction it equals (``MetricSpace._below``, which
-``modulus_of_continuity`` shares).  On a proper metric,
-where that bound is 0 (epsilon = 0, or epsilon at most the lattice step, as
-epsilon = 1 on Hamming spaces), the neighbourhood is the set itself and no
-distance is computed.  Pseudo-metrics and positive bounds scan the space once
-per distinct set, in blocks of at most the cell budget (``nearest``).
+``modulus_of_continuity`` shares).  On a proper metric, where that bound is 0
+(epsilon = 0, or epsilon at most the lattice step, as epsilon = 1 on Hamming
+spaces), the neighbourhood is the set itself and no distance is computed.
+Pseudo-metrics and positive bounds scan the space once per distinct set, in
+blocks of at most ``metric_core._CHUNK_CELLS`` cells (``MetricSpace.nearest``).
 
 A :class:`SetTrajectory` holds each set as the tuple of its sorted space
 indices, the form in which the solver and the experiment engine produce
@@ -48,7 +48,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import frechet_solver
 from .metric_core import MetricSpace
 
 __all__ = [
@@ -156,7 +155,7 @@ def _kuratowski_rows(space: MetricSpace, rows: np.ndarray, sets: list, epsilon, 
     # zero-distance twins, and a positive bound takes a scan of the space.
     if bound != 0 or space.is_pseudo:
         all_idx = np.arange(len(space), dtype=np.intp)
-        sets = [np.flatnonzero(space.nearest(all_idx, s, frechet_solver._CHUNK_CELLS) <= bound).tolist() for s in sets]
+        sets = [np.flatnonzero(space.nearest(all_idx, s) <= bound).tolist() for s in sets]
     return _recurrent_rows(rows, sets, min_visits)
 
 

@@ -13,8 +13,8 @@ sys.path.insert(0, str(Path(__file__).parent))  # expose oracles.py to test modu
 from frechet_means import (
     DiscreteMeasure,
     enumerate_space,
-    frechet_solver,
     interval_grid,
+    metric_core,
     parse_graph,
 )
 from frechet_means.graph_space import _Orbits
@@ -34,8 +34,10 @@ WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 @pytest.fixture(scope="session")
 def cell_budget():
     """``cell_budget(cells)``: a context that sets the package's one cell
-    budget (score tiles, the engine's count chunks and its draw blocks)."""
-    return lambda cells: mock.patch.object(frechet_solver, "_CHUNK_CELLS", cells)
+    budget, ``metric_core._CHUNK_CELLS`` (score tiles, the slot-swap cut and
+    its memo, the engine's count chunks and its draw blocks, and distance,
+    label and report blocks)."""
+    return lambda cells: mock.patch.object(metric_core, "_CHUNK_CELLS", cells)
 
 
 @pytest.fixture(scope="session")

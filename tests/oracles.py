@@ -154,6 +154,27 @@ def certificate_by_enumeration(space, pairs, counts, r, candidates):
     return max(abs(e - p) for e, p in zip(empirical, population)), min(off) - best if off else None, theta
 
 
+def restricted_upper_by_enumeration(space, pairs, items, r):
+    """The upper end of the restricted sandwich at the sample ``items`` of the
+    measure ``pairs`` = (point, weight), in Fractions: with ``Theta_res`` the
+    support points of least F and ``sigma*`` that least F, the least over
+    theta in ``Theta_res`` of ``Fhat_n(theta) + min |Fhat_n(x') - Fhat_n(theta)|``
+    over the drawn points x', minus ``sigma*``.  A point of ``Theta_res`` that
+    was never drawn still counts, through its own ``Fhat_n``.
+    """
+    support = [x for x, _ in pairs]
+    population = {x: functional_by_enumeration(space, pairs, r, x) for x in support}
+    sigma = min(population.values())
+    empirical = {x: functional_by_enumeration(space, [(y, Fraction(1, len(items))) for y in items], r, x) for x in support}
+    drawn = set(items)
+    upper = min(
+        empirical[theta] + min(abs(empirical[x] - empirical[theta]) for x in drawn)
+        for theta in support
+        if population[theta] == sigma
+    )
+    return upper - sigma
+
+
 def functional_by_enumeration(space, pairs, r, candidate):
     """sum d(x, candidate)^r w(x) as a Fraction; pairs = (point, weight)."""
     return sum(Fraction(oracle_distance(space, x, candidate)) ** r * Fraction(w) for x, w in pairs)

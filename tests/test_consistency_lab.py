@@ -665,7 +665,7 @@ def test_float_engine_working_set_stays_within_the_cell_budget():
     # one held 2^15 x 40 block of float powers takes 10 MB (20 MB traced)
     import tracemalloc
 
-    from frechet_means import Graph, enumerate_space, frechet_solver
+    from frechet_means import Graph, enumerate_space, metric_core
 
     space = enumerate_space(6)
     rng = np.random.default_rng(6)
@@ -681,7 +681,7 @@ def test_float_engine_working_set_stays_within_the_cell_budget():
     finally:
         tracemalloc.stop()
     assert not result.population.exact
-    assert peak < 8 * 8 * frechet_solver._CHUNK_CELLS, peak
+    assert peak < 8 * 8 * metric_core._CHUNK_CELLS, peak
 
 
 def test_exact_engine_score_chunks_stay_within_the_cell_budget(cell_budget, monkeypatch):

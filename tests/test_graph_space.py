@@ -23,9 +23,9 @@ from frechet_means import (
     read_graph_lines,
     restricted_sample_mean_set,
 )
-from frechet_means.frechet_solver import _CHUNK_CELLS, _labels
+from frechet_means.frechet_solver import _labels
 from frechet_means.graph_space import _Orbits, n_edge_slots, slot_pairs
-from frechet_means.metric_core import _weights
+from frechet_means.metric_core import _CHUNK_CELLS, _weights
 from oracles import hamming_by_edge_sets, hamming_distance, mean_set_by_enumeration, population_by_enumeration
 
 
@@ -295,7 +295,7 @@ def test_benchmark_supports_have_the_pinned_orbit_and_cut_counts(bench_inputs, g
     # the nv = 6 simulate support: 4,608 orbits, 540 = 30 x 18 of them in the
     # cut once every support graph is drawn
     assert g6_orbits.size == 4608
-    ia, ib = g6_orbits.cut(np.ones((1, 5), dtype=np.int64), _CHUNK_CELLS)
+    ia, ib = g6_orbits.cut(np.ones((1, 5), dtype=np.int64))
     assert (len(ia), len(ib)) == (30, 18)
     # the nv = 7, r = 2 mean sample: no rule binds within a group, so the cut
     # keeps both tables whole, and the order-1 bound keeps 97 x 89 of their
@@ -303,11 +303,11 @@ def test_benchmark_supports_have_the_pinned_orbit_and_cut_counts(bench_inputs, g
     space = enumerate_space(7)
     sup_idx, weights, total, _ = _weights(space, Sample(tuple(read_graph_file(bench_inputs / "mean-b-r2.graphs"))), 2)
     orbits = _Orbits(space, sup_idx)
-    ia, ib = orbits.cut(weights[None], _CHUNK_CELLS)
+    ia, ib = orbits.cut(weights[None])
     assert orbits.sizes == [2048, 1024] and ia.tolist() == list(range(2048)) and ib.tolist() == list(range(1024))
     kept = orbits.bound(weights[None], 2)[0]
     assert (kept[:2048].sum(), kept[2048:].sum()) == (97, 89)
-    _, _, scores = orbits.scorer(2, total)[0](weights[None], _CHUNK_CELLS)
+    _, _, scores = orbits.scorer(2, total)[0](weights[None])
     assert [tile.shape for _, tile in scores] == [(1, 97 * 89)]
 
 
@@ -327,7 +327,7 @@ def test_population_mean_in_python_ints_scores_only_the_bounded_orbits():
     # leaves 36,366, scored in one tile
     space = enumerate_space(7)
     sup_idx, weights, total, _ = _weights(space, _measure_over_2_62(7, 50, 7), 2)
-    _, _, scores = _Orbits(space, sup_idx).scorer(2, total)[0](weights[None], _CHUNK_CELLS)
+    _, _, scores = _Orbits(space, sup_idx).scorer(2, total)[0](weights[None])
     assert [(tile.dtype, tile.size) for _, tile in scores] == [(object, 36366)]
     # the same draws on nv = 5 (8 graphs) give the enumeration oracle's mean set
     space, mu = enumerate_space(5), _measure_over_2_62(5, 8, 7)
@@ -343,7 +343,7 @@ def test_cuts_keep_the_weighted_support_orbits_and_the_population_mean_set(g6_or
     theta = np.flatnonzero(scores == scores.min())
     for active in itertools.product((0, 1), repeat=5):
         row = np.array(active) * np.arange(1, 6)  # positive weights on the active points
-        ia, ib = orbits.cut(row[None], _CHUNK_CELLS)
+        ia, ib = orbits.cut(row[None])
         kept = set((ib[:, None] * orbits.sizes[0] + ia).ravel().tolist())
         assert set(orbits.support[row > 0].tolist()) <= kept
         if all(active):

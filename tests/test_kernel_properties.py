@@ -56,13 +56,15 @@ from frechet_means import (
     tail_limsup,
     ziezold_limcsup,
 )
-from frechet_means import consistency_lab, frechet_solver
+from frechet_means import consistency_lab, frechet_solver, metric_core
 from frechet_means.cli import load_config_file
 from frechet_means.consistency_lab import (
     _draw_indices,
     _median_and_max,
     _support_cdf,
+    build_summary,
     replication_rng,
+    summary_blocks,
     write_report_csv,
     write_summary_json,
 )
@@ -78,6 +80,7 @@ from oracles import (
     median_and_max_by_sorting,
     order1_bound_by_enumeration,
     population_by_enumeration,
+    restricted_upper_by_enumeration,
     tail_limsup_by_counting,
     zero_distance_hull,
 )
@@ -331,7 +334,7 @@ def test_split_scorer_is_exact_in_each_dtype_tier(limit, above, data, nv, r):
     sup_idx, weights, lcd, exact = _weights(space, mu, r)
     assert (max(space.bound_M, 1) ** r * lcd < limit) != above
     tiles, _ = _Orbits(space, sup_idx).scorer(r, lcd)
-    assert next(tiles(weights[None], 1 << 16)[2])[1].dtype == _tier(space, r, lcd)
+    assert next(tiles(weights[None])[2])[1].dtype == _tier(space, r, lcd)
     res = population_mean_set(space, mu, r)
     assert res.exact
     pairs = list(zip(mu.support, mu.weights))
@@ -364,7 +367,7 @@ def _orbit_scores(space, items, r):
     orbits = _Orbits(space, sup_idx)
     tiles, _ = orbits.scorer(r, normalizer)
     # beside a row of no positive weight, which cuts no orbit, the tiles score every orbit
-    _, _, scores = tiles(np.stack([weights, 0 * weights]), 1 << 16)
+    _, _, scores = tiles(np.stack([weights, 0 * weights]))
     return orbits, np.concatenate([tile[0].copy() for _, tile in scores]), normalizer
 
 
@@ -451,7 +454,7 @@ def test_orbits_expand_together_to_the_masks_of_each_orbit(data, nv):
     scale=st.sampled_from([1, 2**60, 2**98]),
     zero_row=st.booleans(),
 )
-def test_cut_tables_hold_every_minimum_of_each_weight_row(data, nv, r, cells, scale, zero_row):
+def test_cut_tables_hold_every_minimum_of_each_weight_row(data, nv, r, cells, scale, zero_row, cell_budget):
     # rows of one matrix with different zeros: a rule taken from their common
     # active set alone would cut some row's minimizers.  Weights up to 3 keep
     # the order-1 bound's float64 sums exact; weights near 2^62 (int64) and
@@ -467,10 +470,11 @@ def test_cut_tables_hold_every_minimum_of_each_weight_row(data, nv, r, cells, sc
     best, tie_rows, ties, starts = frechet_solver._min_ties(
         frechet_solver._product(weights, powers(np.arange(orbits.size)), True), True
     )  # every orbit scored, by its distances to the support
-    ia, ib = orbits.cut(weights, cells)
-    assert set(ties.tolist()) <= set((ib[:, None] * orbits.sizes[0] + ia).ravel().tolist())
-    orbit_of, _, scores = tiles(weights, cells)
-    cut_best, cut_rows, cut_ties, cut_starts = frechet_solver._min_ties(scores, True)
+    with cell_budget(cells):
+        ia, ib = orbits.cut(weights)
+        assert set(ties.tolist()) <= set((ib[:, None] * orbits.sizes[0] + ia).ravel().tolist())
+        orbit_of, _, scores = tiles(weights)
+        cut_best, cut_rows, cut_ties, cut_starts = frechet_solver._min_ties(scores, True)
     assert cut_best.tolist() == best.tolist() and cut_starts.tolist() == starts.tolist()
     assert cut_rows.tolist() == tie_rows.tolist() and orbit_of(cut_ties).tolist() == ties.tolist()
     # each row's bound is the same alone as among the other rows, and within the oracle's (one graph per orbit)
@@ -711,7 +715,7 @@ def test_nearest_is_the_least_block_entry_within_the_cell_budget(data, name, cel
         return block(r, c)
 
     with cell_budget(cells), mock.patch.object(space, kind, counting):
-        near = space.nearest(np.array(rows), np.array(cols, dtype=np.intp), cells)
+        near = space.nearest(np.array(rows), np.array(cols, dtype=np.intp))
         d = space.set_distance(space.points[rows[0]], [space.points[i] for i in cols])
     expected = block(rows, cols).min(axis=1) if cols else np.full(len(rows), np.inf)
     assert near.tolist() == expected.tolist()
@@ -1002,7 +1006,7 @@ def _distinct_count_rows(cfg, space) -> list:
         # tile, 3 tiles; 7 replications per draw block
         (
             GridSpec("-1", "1", "0.001"), {"-1": "1/5", "1/4": "3/10", "1": "1/2"}, (10, 1000, 9000), 70, False,
-            frechet_solver._CHUNK_CELLS, 0,
+            metric_core._CHUNK_CELLS, 0,
         ),
         # 2^15 graphs in 432 = 24 x 18 slot-type orbits, restricted: once all
         # four points are drawn the cut keeps 72 = 9 x 8; with 2^6 score cells
@@ -1105,6 +1109,82 @@ def test_outer_limits_equal_the_per_replication_estimators(name, epsilon):
             grown += bool(got[2].points - got[0])
     assert seen == {(False, True), (True, True), (True, False)}  # empty, inside and outside estimates
     assert (grown > 0) == (epsilon > 0)  # epsilon > 0 credits points near the mean sets
+
+
+@pytest.mark.parametrize("epsilon", [0.0, Fraction(3, 4)], ids=["plane-0", "plane-3/4"])
+def test_summary_gap_statistics_equal_those_of_the_gaps_as_fractions(epsilon):
+    # the plane runs above, on a float space: at epsilon 0 some Kuratowski
+    # estimates are empty, so the gaps mix the int 0 with floats, and the
+    # summary sorts them as they are
+    mu = DiscreteMeasure(tuple(PLANE.points[i] for i in (0, 1, 2)), (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)))
+    lp = LimitParams(epsilon=epsilon, burn_in=2, min_visits=2)
+    cfg = ExperimentConfig(
+        space_spec=None, mu=mu, r=2, n_max=20, checkpoints=(2, 3, 5, 8, 13, 20),
+        replications=150, seed=11, restricted=True, limit_params=lp,
+    )
+    result = run_consistency_experiment(cfg, PLANE)
+    summary = build_summary(result)
+    block, verdicts = summary["outer_limit"], {name: passed for name, passed, _ in summary_blocks(result, summary)}
+    gaps, budget = result.limits["kuratowski_target_gap"], 2 * Fraction(epsilon)
+    assert len(gaps) % 2 == 0 and (int in set(map(type, gaps))) == (epsilon == 0)  # the median averages two gaps
+    fractions = [Fraction(g) for g in gaps]
+    assert block["kuratowski_median_target_gap"] == _to_float(statistics.median(fractions))
+    assert block["kuratowski_max_target_gap"] == _to_float(max(fractions))
+    assert block["kuratowski_gap_within_budget_rate"] == sum(f <= budget for f in fractions) / len(fractions)
+    if budget > 0:  # the restricted median, and each track's verdict on its median
+        for suffix, prefix in (("", ""), ("_res", "restricted-")):
+            median = statistics.median(map(Fraction, result.limits[f"kuratowski_target_gap{suffix}"]))
+            assert verdicts[f"{prefix}outer-limit"] == (median <= budget)
+        assert block["kuratowski_median_target_gap_res"] == _to_float(median)
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(ENGINE_SPACES)),
+    r=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    checkpoints=st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True).map(sorted),
+)
+def test_restricted_upper_bound_matches_enumeration(data, name, r, seed, checkpoints):
+    space, spec = ENGINE_SPACES[name]
+    mu = data.draw(measures(space))
+    cfg = ExperimentConfig(
+        space_spec=spec, mu=mu, r=r, n_max=checkpoints[-1], checkpoints=tuple(checkpoints),
+        replications=3, seed=seed, restricted=True, limit_params=None,
+    )
+    _assert_restricted_upper_matches_enumeration(run_consistency_experiment(cfg, space))
+
+
+def _assert_restricted_upper_matches_enumeration(result) -> int:
+    """Every row's ``t_res_upper`` equals the oracle's on its own draws; returns
+    how many rows have not drawn some point of the restricted population mean set."""
+    space, cfg = result.space, result.config
+    pairs, missed = list(zip(cfg.mu.support, cfg.mu.weights)), 0
+    for rec in result.records:
+        idx = _draw_indices(_support_cdf(cfg.mu), cfg.n_max, replication_rng(cfg.seed, rec.replication))
+        for stat in rec.stats:
+            drawn = [cfg.mu.support[i] for i in idx[: stat.n]]
+            assert stat.t_res_upper == restricted_upper_by_enumeration(space, pairs, drawn, cfg.r)
+            missed += not set(result.population_restricted.argmin) <= set(drawn)
+    return missed
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_SPACES))
+def test_restricted_upper_bound_counts_undrawn_mean_points(name):
+    # a 3-point line whose restricted mean set is its midpoint, drawn least:
+    # early rows miss it, and at r = 3 a row that drew both ends scores each
+    # end 4 times farther than the midpoint, so only the drawn points may
+    # close the midpoint's gap (one undrawn, as if at score 0, would halve it)
+    space, spec = ENGINE_SPACES[name]
+    points = tuple(space.points[i] for i in {"g4": (0, 1, 3), "grid": (0, 4, 8)}[name])
+    mu = DiscreteMeasure(points, (Fraction(2, 5), Fraction(1, 5), Fraction(2, 5)))
+    cfg = ExperimentConfig(
+        space_spec=spec, mu=mu, r=3, n_max=6, checkpoints=(1, 2, 6), replications=12, seed=3, restricted=True,
+    )
+    result = run_consistency_experiment(cfg, space)
+    assert result.population_restricted.argmin == (points[1],)
+    assert _assert_restricted_upper_matches_enumeration(result) > 3
 
 
 @pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(2)], ids=["0", "2"])

@@ -9,7 +9,6 @@ import numpy as np
 from frechet_means import Sample, enumerate_space, read_graph_file
 from frechet_means.cli import _EXIT_CODES, main
 from frechet_means.consistency_lab import _CONFIG_KEYS, _CSV_COLUMNS, _CSV_COLUMNS_RES, _STRUCTURAL_KEYS
-from frechet_means.frechet_solver import _CHUNK_CELLS
 from frechet_means.graph_space import _Orbits
 from frechet_means.metric_core import _weights
 
@@ -65,7 +64,7 @@ def test_readme_orbit_counts_match_the_scorer(g6_orbits, bench_inputs):
     sentence = r"support of 5 graphs has ([\d,]+)\s+orbits.*?its cut\s+keeps ([\d,]+) of them \((\d+) × (\d+)\)"
     quoted = re.search(sentence, README, re.S)
     size, cut, *tables = (int(number.replace(",", "")) for number in quoted.groups())
-    ia, ib = g6_orbits.cut(np.ones((1, 5), dtype=np.int64), _CHUNK_CELLS)  # every support graph drawn
+    ia, ib = g6_orbits.cut(np.ones((1, 5), dtype=np.int64))  # every support graph drawn
     assert (size, cut, *tables) == (g6_orbits.size, len(ia) * len(ib), len(ia), len(ib))
     # the order-1 bound's rows on the nv = 7 mean sample at r = 2, of both tables whole
     sentence = r"the bound keeps (\d+) × (\d+) of the\s+([\d,]+) × ([\d,]+) table rows: ([\d,]+) of 2\^(\d+) orbits"
@@ -75,8 +74,8 @@ def test_readme_orbit_counts_match_the_scorer(g6_orbits, bench_inputs):
     sup_idx, weights, total, _ = _weights(space, Sample(tuple(read_graph_file(bench_inputs / "mean-b-r2.graphs"))), 2)
     orbits = _Orbits(space, sup_idx)
     kept = orbits.bound(weights[None], 2)[0]
-    ia, ib = orbits.cut(weights[None], _CHUNK_CELLS)
+    ia, ib = orbits.cut(weights[None])
     ia, ib = ia[kept[ia]], ib[kept[orbits.sizes[0] + ib]]
-    _, _, scores = orbits.scorer(2, total)[0](weights[None], _CHUNK_CELLS)
+    _, _, scores = orbits.scorer(2, total)[0](weights[None])
     assert (kept_a, kept_b, size_a, size_b) == (len(ia), len(ib), *orbits.sizes)
     assert (cells, 2**slots) == (sum(tile.size for _, tile in scores), orbits.size)

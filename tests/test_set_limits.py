@@ -7,9 +7,9 @@ from frechet_means import (
     MetricSpace,
     SetTrajectory,
     enumerate_space,
-    frechet_solver,
     interval_grid,
     kuratowski_limsup,
+    metric_core,
     population_mean_set,
     tail_limsup,
     ziezold_limcsup,
@@ -223,7 +223,7 @@ def test_kuratowski_scan_stays_within_the_cell_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 8 * frechet_solver._CHUNK_CELLS, peak
+    assert peak < 8 * 8 * metric_core._CHUNK_CELLS, peak
     # d < 2 is Hamming distance at most 1, and each set is visited twice
     near = {x ^ bit for s in sets for x in s for bit in (0, *(1 << k for k in range(15)))}
     assert rows.tolist() == [0] * len(near) and idx.tolist() == sorted(near)
