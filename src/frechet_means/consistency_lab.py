@@ -18,10 +18,12 @@ the seeds of all streams are hashed at once, one PCG64 is set to each
 stream in turn, only the draws up to the last checkpoint are taken, and
 their counts per checkpoint fill one replications x checkpoints x support
 array.  Replications with one count row share every statistic, so each
-checkpoint scores its distinct count rows a chunk at a time: their counts
-form one matrix, scored by the solver's scorer a tile at a time, and the
-row-wise minima and ties each tile is reduced to give every statistic,
-gathered back to the replications by row id.  The
+checkpoint scores its distinct count rows a chunk at a time, as many as the
+engine's own cells per row let the cell budget hold: their counts form one
+matrix, scored by the solver's scorer a tile at a time (on slot-type orbits
+in groups of rows that the scorer sizes itself), and the row-wise minima and
+ties each tile is reduced to give every statistic, gathered back to the
+replications by row id.  The
 tail and Kuratowski visits of all replications' mean sets are counted per
 track by the counters of :mod:`set_limits`, whose one-row case is each
 estimator.  The result keeps each statistic as a column over replications
@@ -629,18 +631,21 @@ class _Engine:
     |space| x |support| block and no score row is held.
 
     :meth:`columns` scores a chunk of a checkpoint's distinct count rows at
-    once into the rows' minima and ties, and the scores that the statistics
-    read (at the population mean set and at the support, and the
-    population's at the ties) are direct products of those positions'
-    ``d**r`` with the weights.  Both tracks (all points compete; only
-    sampled support points compete) read every statistic off them.  On the
-    exact path every score is an integer, and each value is kept as an
-    integer numerator over the checkpoint's denominator ``n * d * q`` (d the
-    weights' common denominator, ``scale**r = p / q``); off it values are
-    float64.  A mean set is the sorted space indices of a row's ties, kept
-    as its id in ``sets``, the distinct mean sets of both tracks in order of
-    first appearance: a row's tied positions are looked up by their bytes,
-    and each distinct tuple of them is expanded to space indices once.
+    once into the rows' minima and ties (a chunk holds ``_CHUNK_CELLS //
+    width`` rows, ``width`` the cells a row takes beside the scorer's tiles;
+    the orbit scorer cuts, bounds and groups the chunk's rows itself), and
+    the scores that the statistics read (at the population mean set and at
+    the support, and the population's at the ties) are direct products of
+    those positions' ``d**r`` with the weights.  Both tracks (all points
+    compete; only sampled support points compete) read every statistic off
+    them.  On the exact path every score is an integer, and each value is
+    kept as an integer numerator over the checkpoint's denominator ``n * d *
+    q`` (d the weights' common denominator, ``scale**r = p / q``); off it
+    values are float64.  A mean set is the sorted space indices of a row's
+    ties, kept as its id in ``sets``, the distinct mean sets of both tracks
+    in order of first appearance: a row's tied positions are looked up by
+    their bytes, and each distinct tuple of them is expanded to space
+    indices once.
     """
 
     def __init__(self, space: MetricSpace, cfg: ExperimentConfig):
@@ -649,9 +654,7 @@ class _Engine:
         self.sup_idx, self.weights, self.pop_denominator, self.exact = _weights(space, cfg.mu, r)
         self.scale_r = space.scale**r
         total = 2 * max(cfg.n_max, self.pop_denominator)  # t_res_upper adds two scores
-        self.ties, self.powers, sup_rows, self.expand, self.row_cells = _scorer(
-            space, self.sup_idx, r, self.exact, total
-        )
+        self.ties, self.powers, sup_rows, self.expand = _scorer(space, self.sup_idx, r, self.exact, total)
         if self.exact:  # every numerator is at most 2 max(M, 1)^r n_max d p in size
             bound = 2 * cfg.n_max * self.pop_denominator * self.scale_r.numerator
             self.num_dtype = object if _exact_dtype(space, r, bound) is object else np.int64
@@ -675,11 +678,6 @@ class _Engine:
             self.width = max(self.width + len(self.sup_idx), len(self.theta_res) * len(self.sup_idx))  # the gaps
         self.sets = []  # every distinct mean set, a sorted tuple of space indices, by first appearance
         self._ids = {}  # the bytes of a tuple of tied positions -> the id of its set
-
-    def chunk(self, rows: np.ndarray) -> int:
-        """How many of a checkpoint's distinct count rows ``rows`` to score at once: sized
-        from the table rows that the cut and the bound keep for all of them, which hold every chunk's."""
-        return max(1, metric_core._CHUNK_CELLS // max(self.width, self.row_cells(rows)))
 
     def _set_ids(self, ties: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """The id in ``sets`` of each row's tied positions, the row's slice of
@@ -821,7 +819,7 @@ def run_consistency_experiment(
         distinct = {}  # each distinct count row's bytes -> its id, by first replication
         ids = np.array([distinct.setdefault(data[a : a + width], len(distinct)) for a in range(0, len(data), width)])
         rows = np.frombuffer(b"".join(distinct), np.int64).reshape(len(distinct), -1)
-        step = engine.chunk(rows)
+        step = max(1, metric_core._CHUNK_CELLS // engine.width)  # rows per chunk
         parts = [engine.columns(rows[lo : lo + step], n) for lo in range(0, len(rows), step)]
         for name in parts[0]:
             stats.setdefault(name, []).append(np.concatenate([part[name] for part in parts])[ids])
@@ -1042,16 +1040,15 @@ def _mean_set_block(result: ExperimentResult, name: str) -> dict:
     }
 
 
-def _median_and_max(values, denominator: int = 1) -> tuple:
+def _median_and_max(values: np.ndarray, denominator: int = 1) -> tuple:
     """The median and the maximum of ``values / denominator``, exact.
 
-    ``values`` are rationals over ``denominator`` (integer numerators, or
-    Fractions over 1), or floats over 1.  They are sorted as they are (a list
-    by Python, as numpy would make its ints past int64 float64) and an even
-    count's middle pair is averaged: the picks are Fractions for rationals,
-    and floats for floats, averaged as ``statistics.median`` averages them.
+    ``values`` is an array of integer numerators over ``denominator`` (int64,
+    or Python ints past it), or of floats over 1.  An even count's middle pair
+    is averaged: the picks are Fractions for integers, and floats for floats,
+    averaged as ``statistics.median`` averages them.
     """
-    nums = sorted(values) if isinstance(values, list) else np.sort(values).tolist()
+    nums = np.sort(values).tolist()
     mid = len(nums) // 2
     pick, den = (nums[mid], denominator) if len(nums) % 2 else (nums[mid - 1] + nums[mid], 2 * denominator)
     if isinstance(pick, float):
@@ -1197,8 +1194,8 @@ def summary_blocks(result: ExperimentResult, summary: dict | None = None) -> lis
 
     if summary["outer_limit"] is not None:
         for t in tracks:
-            _, budget, gap = _track_gaps(result, t.suffix)
-            if budget > 0:
+            if cfg.limit_params.epsilon > 0:  # judged by the gaps; epsilon = 0 runs judge inclusion
+                _, budget, gap = _track_gaps(result, t.suffix)
                 text = f"median worst {t.estimate}-to-target distance {_to_float(gap):.6g}"
                 passed, detail = gap <= budget, f"{text} (budget 2*epsilon = {_to_float(budget):.6g})"
             else:

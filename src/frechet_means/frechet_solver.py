@@ -15,7 +15,8 @@ points (``argmin``) only when they are first read.
 One factory, :func:`_scorer`, scores for the solver and the consistency
 engine alike.  Exact scores over a full graph space come per slot-type orbit
 of the support from :class:`graph_space._Orbits`, only for the orbits that
-a cut and a bound admit, and the tied orbits expand to their graphs (at r = 1
+a cut and a bound admit for some weight row, the rows in groups whose factors
+fit the cell budget, and the tied orbits expand to their graphs (at r = 1
 the solver reads the argmin cube off per-slot weights instead,
 :func:`_order1_cube`); every other case scores each
 candidate as ``d**r @ weights``, with ``d**r`` from
@@ -166,31 +167,37 @@ def _product(weights: np.ndarray, powers: np.ndarray, exact: bool, out=None, ter
 
 
 def _scorer(space: MetricSpace, sup_idx: np.ndarray, r, exact: bool, total: int, full: bool = True) -> tuple:
-    """``(ties, powers, support, expand, row_cells)``: the scores of weights on
-    the support ``sup_idx`` at every point (``full``) or support point.
+    """``(ties, powers, support, expand)``: the scores of weights on the
+    support ``sup_idx`` at every point (``full``) or support point.
 
     The scores stand for positions, slot-type orbits on a full graph space
     with exact scores and candidates elsewhere; ``support`` holds each
     support point's.  ``ties(weights)`` gives each weight row's minimum and
     tied positions as :func:`_min_ties` does, from tiles of at most
-    ``_CHUNK_CELLS`` cells, and each row holds ``row_cells(weights)`` cells
-    beside them.  On the orbits only those that the slot-swap cut and the
-    order-1 bound keep are scored (:meth:`graph_space._Orbits.scorer`); off
-    them a tile is a range of candidates, made from its power block.
-    ``powers(positions)`` gives the positions' ``d**r`` for :func:`_product`,
-    and ``expand(positions)`` each position's space indices and the offsets
-    where they start.
+    ``_CHUNK_CELLS`` cells.  On the orbits only those that the slot-swap cut
+    and the order-1 bound keep for some row are scored, and the rows come in
+    groups whose factors fit the same budget
+    (:meth:`graph_space._Orbits.scorer`), each group reduced alone and the
+    results stacked; off them a tile is a range of candidates, made from its
+    power block.  ``powers(positions)`` gives the positions' ``d**r`` for
+    :func:`_product`, and ``expand(positions)`` each position's space indices
+    and the offsets where they start.
     """
     if exact and full and isinstance(space.points, _AllGraphs):
         orbits = _Orbits(space, sup_idx)
         tiles, powers = orbits.scorer(r, total)
 
         def ties(weights: np.ndarray) -> tuple:
-            orbit_of, _, scores = tiles(weights)
-            best, rows, positions, starts = _min_ties(scores, True)
-            return best, rows, orbit_of(positions), starts
+            orbit_of, groups = tiles(weights)
+            parts, lo = [], 0
+            for group in groups:
+                best, rows, positions, _ = _min_ties(group, True)
+                parts.append((best, rows + lo, positions))
+                lo += len(best)
+            best, rows, positions = map(np.concatenate, zip(*parts))
+            return best, rows, orbit_of(positions), np.searchsorted(rows, np.arange(len(best)))
 
-        return ties, powers, orbits.support, orbits.graphs, lambda w: tiles(w)[1]
+        return ties, powers, orbits.support, orbits.graphs
     size, m = len(space) if full else len(sup_idx), len(sup_idx)
     dtype = _exact_dtype(space, r, total) if exact else np.float64
 
@@ -210,7 +217,7 @@ def _scorer(space: MetricSpace, sup_idx: np.ndarray, r, exact: bool, total: int,
     def expand(positions: np.ndarray) -> tuple:
         return positions if full else sup_idx[positions], np.arange(len(positions) + 1)
 
-    return lambda w: _min_ties(tiles(w), exact), powers, sup_idx if full else np.arange(m), expand, lambda w: 1
+    return lambda w: _min_ties(tiles(w), exact), powers, sup_idx if full else np.arange(m), expand
 
 
 def _labels(space: MetricSpace, indices: Sequence) -> Iterator[str]:
@@ -235,7 +242,7 @@ def _solve(space: MetricSpace, data: Sample | DiscreteMeasure, r, domain: str) -
     if exact and full and r == 1 and isinstance(space.points, _AllGraphs):
         best, ties = _order1_cube(space, sup_idx, weights, normalizer)
     else:
-        ties_of, _, _, expand, _ = _scorer(space, sup_idx, r, exact, normalizer, full)
+        ties_of, _, _, expand = _scorer(space, sup_idx, r, exact, normalizer, full)
         (best,), _, tied, _ = ties_of(weights[None])
         ties = np.sort(expand(tied)[0])
     return _mean_set(space, best, ties, r, normalizer, exact, domain)

@@ -170,7 +170,6 @@ class _Orbits:
         self.space = space
         self.base = np.uint64(sup_idx[0])
         self._choices = {}  # (t, j) -> the masks of :meth:`_chosen`
-        self._cuts = {}  # the bytes of an active set -> its kept table rows, of :meth:`cut`
         slot_bits = np.uint64(1) << np.arange(space.bound_M, dtype=np.uint64)
         patterns = ((sup_idx[0] ^ sup_idx).astype(np.uint64) & slot_bits[:, None] > 0).astype(np.int64)
         ids = {}  # each pattern's type, numbered in order of its first slot
@@ -214,17 +213,20 @@ class _Orbits:
         and b.  ``powers(orbits)`` gives the orbits' ``d^r``, a row per support
         graph, in the dtype :func:`metric_core._exact_dtype` picks (Python ints
         once the binomials pass int64), so a float64 matmul is exact.
-        ``tiles(weights)`` takes integer weights on the support (a
-        matrix, each row summing to at most ``total_weight``) and gives the
-        orbit id of each position it scores (the product of the table rows
-        that the cut and the bound both keep), the cells each weight row holds
-        beside its tiles, and the ``(lo, tile)`` pairs, ``tile[k]`` holding
-        row k's scores of the positions from ``lo`` on, at most ``_CHUNK_CELLS``
-        cells or one row of ``b`` per weight row.  A tile is a range of b's
-        kept rows of ``sum_j C(r, j) (b^(r-j) * w) @ (a^j).T``, the scores by
-        the binomial theorem, whose ``j = 0`` and ``j = r`` terms are outer
-        sums, made by one matmul into one buffer from the kept rows' powers
-        (when every ``c_t`` is 1 the orbits are the graphs).
+        ``tiles(weights)`` takes integer weights on the support (a matrix,
+        each row summing to at most ``total_weight``), runs the cut and the
+        bound once for all its rows, and gives the orbit id of each position
+        it scores (the product of the table rows ia and ib that both keep)
+        and the tiles of each group of consecutive rows.  A group holds at
+        most ``_CHUNK_CELLS // (k (|ia| + |ib|))`` rows (at least one), so its
+        factors below hold at most ``_CHUNK_CELLS`` cells, and its tiles are
+        ``(lo, tile)`` pairs, ``tile[k]`` holding the group's row k's scores
+        of the positions from ``lo`` on, at most ``_CHUNK_CELLS`` cells or one
+        row of ``b`` per weight row.  A tile is a range of b's kept rows of
+        ``sum_j C(r, j) (b^(r-j) * w) @ (a^j).T``, the scores by the binomial
+        theorem, whose ``j = 0`` and ``j = r`` terms are outer sums, made by
+        one matmul into one buffer from the kept rows' powers (when every
+        ``c_t`` is 1 the orbits are the graphs).
         """
         # the binomials C(r, j) pass int64 from r = 67, where M = 1 keeps the scores themselves small
         dtype = object if math.comb(r, r // 2) >= _INT64_SAFE else _exact_dtype(self.space, r, total_weight)
@@ -232,21 +234,15 @@ class _Orbits:
         a, b = self.tables
         m, k = a.shape[1], 2 + (r - 1) * a.shape[1]  # k: each factor's length, 2 outer-sum slots and m per middle term
 
-        last = {}  # the kept rows of the last integer weights, by their bytes: the engine sizes a chunk from them first
-
         def tiles(weights: np.ndarray) -> tuple:
-            key = weights.tobytes() if weights.dtype != object else None
-            if key is None or key not in last:
-                (ia, ib), bound = self.cut(weights), self.bound(weights, r).any(axis=0)
-                last.clear()
-                last[key] = ia[bound[ia]], ib[bound[len(a) + ib]]
-            (ia, ib), rows = last[key], weights.astype(dtype)
+            (ia, ib), kept = self.cut(weights), self.bound(weights, r).any(axis=0)
+            ia, ib = ia[kept[ia]], ib[kept[len(a) + ib]]
+            ka, kb, weights = a[ia].astype(ints), b[ib].astype(ints), weights.astype(dtype)
 
             def orbit(positions: np.ndarray) -> np.ndarray:
                 return ib[positions // len(ia)] * len(a) + ia[positions % len(ia)]
 
-            def made():
-                ka, kb = a[ia].astype(ints), b[ib].astype(ints)
+            def made(rows: np.ndarray):
                 left = np.empty((len(rows), len(ib), k), dtype)
                 left[:, :, 0] = rows @ (kb**r).T  # the j = 0 term, sum_i w_i b^r, is an outer sum
                 left[:, :, 1] = 1
@@ -263,7 +259,8 @@ class _Orbits:
                     out = buffer[: len(rows) * min(step, len(ib) - lo) * len(ia)].reshape(len(rows), -1, len(ia))
                     yield lo * len(ia), np.matmul(left[:, lo : lo + step], right, out=out).reshape(len(rows), -1)
 
-            return orbit, k * (len(ia) + len(ib)), made()
+            group = max(1, metric_core._CHUNK_CELLS // (k * (len(ia) + len(ib))))  # weight rows per group
+            return orbit, (made(weights[lo : lo + group]) for lo in range(0, len(weights), group))
 
         def powers(orbits: np.ndarray) -> np.ndarray:
             jb, ja = np.divmod(orbits, len(a))
@@ -308,26 +305,15 @@ class _Orbits:
         ``j_t > 0`` where P_t misses A, and ``j_t < c_t`` where P_t holds A.
         A table keeps the rows that break no rule among its group's types for
         some row's A, so the product of the kept rows holds every row's
-        minimizers.  Each distinct A is checked once, the new ones in blocks
-        of about ``_CHUNK_CELLS`` cells, and remembered while the remembered
-        rows hold at most ``_CHUNK_CELLS`` cells (past that they are dropped).
+        minimizers.  Each distinct A is checked once, in blocks of about
+        ``_CHUNK_CELLS`` cells.
         """
         active = np.ascontiguousarray(weights > 0)
         data, m = active.tobytes(), active.shape[1]
-        keys = dict.fromkeys(data[i : i + m] for i in range(0, len(data), m))
-        parts = [self._cuts[key] for key in keys if key in self._cuts]
-        new = [key for key in keys if key not in self._cuts]
-        room = metric_core._CHUNK_CELLS // sum(self.sizes)  # active sets whose rows may be remembered
-        if len(self._cuts) + len(new) > room:
-            self._cuts.clear()
+        sets = np.frombuffer(b"".join(dict.fromkeys(data[i : i + m] for i in range(0, len(data), m))), bool)
+        sets = sets.reshape(-1, m)
         step = max(1, metric_core._CHUNK_CELLS // ((sum(self.sizes) + m) * max(1, len(self.counts))))  # sets per check
-        for lo in range(0, len(new), step):
-            block = new[lo : lo + step]
-            kept = self._kept(np.frombuffer(b"".join(block), bool).reshape(len(block), m))
-            parts.append(kept.any(axis=0))
-            if len(self._cuts) + len(block) <= room:
-                self._cuts.update(zip(block, kept))
-        keep = np.logical_or.reduce(parts)
+        keep = np.logical_or.reduce([self._kept(sets[lo : lo + step]).any(axis=0) for lo in range(0, len(sets), step)])
         return np.flatnonzero(keep[: self.sizes[0]]), np.flatnonzero(keep[self.sizes[0] :])
 
     def _kept(self, sets: np.ndarray) -> np.ndarray:

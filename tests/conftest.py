@@ -34,9 +34,9 @@ WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 @pytest.fixture(scope="session")
 def cell_budget():
     """``cell_budget(cells)``: a context that sets the package's one cell
-    budget, ``metric_core._CHUNK_CELLS`` (score tiles, the slot-swap cut and
-    its memo, the engine's count chunks and its draw blocks, and distance,
-    label and report blocks)."""
+    budget, ``metric_core._CHUNK_CELLS`` (score tiles, the orbit scorer's
+    groups of weight rows, the slot-swap cut, the engine's count chunks and
+    its draw blocks, and distance, label and report blocks)."""
     return lambda cells: mock.patch.object(metric_core, "_CHUNK_CELLS", cells)
 
 

@@ -684,15 +684,16 @@ def test_float_engine_working_set_stays_within_the_cell_budget():
     assert peak < 8 * 8 * metric_core._CHUNK_CELLS, peak
 
 
-def test_exact_engine_score_chunks_stay_within_the_cell_budget(cell_budget, monkeypatch):
+def test_exact_engine_score_groups_stay_within_the_cell_budget(cell_budget, monkeypatch):
     # an exact restricted simulate on nv = 6 with a 6-graph support and 2^12
-    # score cells: at n = 5 the distinct count rows miss different support
-    # points, so a chunk's cut differs from its checkpoint's, and each
-    # checkpoint ends in a partial chunk; every chunk, the partial ones too,
-    # holds at most the cell budget beside its tiles (at n = 100 the 464
-    # distinct rows take chunks of 6, the cut's 656 cells a row)
+    # score cells: each call of the orbit scorer cuts and bounds the table rows
+    # once for all its weight rows, then scores the rows in groups whose
+    # factors, k (|ia| + |ib|) cells a row over the kept table rows, hold at
+    # most the cell budget (or one row); at n = 5 the distinct count rows miss
+    # different support points and take several groups
     from frechet_means import Graph, enumerate_space
     from frechet_means.consistency_lab import _Engine
+    from frechet_means.graph_space import _Orbits
 
     space = enumerate_space(6)
     rng = np.random.default_rng(6)
@@ -701,19 +702,40 @@ def test_exact_engine_score_chunks_stay_within_the_cell_budget(cell_budget, monk
         space_spec=GraphSpec(6), mu=mu, r=2, n_max=100, checkpoints=(5, 20, 100), replications=464, seed=1,
         restricted=True,
     )
-    chunks = []  # (checkpoint, rows, cells per row beside the tiles) of each chunk scored
-    columns = _Engine.columns
+    groups, calls, current = [], [], [None]  # (checkpoint, rows, cells a row) of each group; rows of each call
+    columns, scorer = _Engine.columns, _Orbits.scorer
 
-    def counting(engine, counts, n):
-        chunks.append((n, len(counts), max(engine.width, engine.row_cells(counts))))
+    def at_checkpoint(engine, counts, n):
+        current[0] = n
         return columns(engine, counts, n)
 
-    monkeypatch.setattr(_Engine, "columns", counting)
+    def recording(orbits, r, total):
+        tiles, powers = scorer(orbits, r, total)
+
+        def recorded(weights):
+            ia, ib = orbits.cut(weights)
+            kept = orbits.bound(weights, r).any(axis=0)
+            cells = (2 + (r - 1) * weights.shape[1]) * int(kept[ia].sum() + kept[orbits.sizes[0] + ib].sum())
+            calls.append(len(weights))
+
+            def group_of(made):
+                for lo, tile in made:
+                    if lo == 0:  # a group's first tile
+                        groups.append((current[0], len(tile), cells))
+                    yield lo, tile
+
+            orbit, made = tiles(weights)
+            return orbit, map(group_of, made)
+
+        return recorded, powers
+
+    monkeypatch.setattr(_Engine, "columns", at_checkpoint)
+    monkeypatch.setattr(_Orbits, "scorer", recording)
     with cell_budget(1 << 12):
         run_consistency_experiment(cfg, space)
-    assert all(rows == 1 or rows * cells <= 1 << 12 for _, rows, cells in chunks), chunks  # or one row
-    first = [rows for n, rows, _ in chunks if n == 5]
-    assert len(first) > 2 and first[-1] < first[0] and len({cells for n, _, cells in chunks if n == 5}) > 2
+    assert sum(calls) == sum(rows for _, rows, _ in groups)  # the groups of a call hold each of its rows once
+    assert all(rows == 1 or rows * cells <= 1 << 12 for _, rows, cells in groups), groups  # or one row
+    assert len([rows for n, rows, _ in groups if n == 5]) >= 2
 
 
 def test_outer_limits_of_a_whole_space_target_end_by_their_verdicts(tmp_path):

@@ -307,7 +307,7 @@ def test_benchmark_supports_have_the_pinned_orbit_and_cut_counts(bench_inputs, g
     assert orbits.sizes == [2048, 1024] and ia.tolist() == list(range(2048)) and ib.tolist() == list(range(1024))
     kept = orbits.bound(weights[None], 2)[0]
     assert (kept[:2048].sum(), kept[2048:].sum()) == (97, 89)
-    _, _, scores = orbits.scorer(2, total)[0](weights[None])
+    _, (scores,) = orbits.scorer(2, total)[0](weights[None])  # one weight row, one group
     assert [tile.shape for _, tile in scores] == [(1, 97 * 89)]
 
 
@@ -327,7 +327,7 @@ def test_population_mean_in_python_ints_scores_only_the_bounded_orbits():
     # leaves 36,366, scored in one tile
     space = enumerate_space(7)
     sup_idx, weights, total, _ = _weights(space, _measure_over_2_62(7, 50, 7), 2)
-    _, _, scores = _Orbits(space, sup_idx).scorer(2, total)[0](weights[None])
+    _, (scores,) = _Orbits(space, sup_idx).scorer(2, total)[0](weights[None])  # one weight row, one group
     assert [(tile.dtype, tile.size) for _, tile in scores] == [(object, 36366)]
     # the same draws on nv = 5 (8 graphs) give the enumeration oracle's mean set
     space, mu = enumerate_space(5), _measure_over_2_62(5, 8, 7)

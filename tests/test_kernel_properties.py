@@ -334,7 +334,7 @@ def test_split_scorer_is_exact_in_each_dtype_tier(limit, above, data, nv, r):
     sup_idx, weights, lcd, exact = _weights(space, mu, r)
     assert (max(space.bound_M, 1) ** r * lcd < limit) != above
     tiles, _ = _Orbits(space, sup_idx).scorer(r, lcd)
-    assert next(tiles(weights[None])[2])[1].dtype == _tier(space, r, lcd)
+    assert next(next(tiles(weights[None])[1]))[1].dtype == _tier(space, r, lcd)  # the first group's first tile
     res = population_mean_set(space, mu, r)
     assert res.exact
     pairs = list(zip(mu.support, mu.weights))
@@ -367,8 +367,21 @@ def _orbit_scores(space, items, r):
     orbits = _Orbits(space, sup_idx)
     tiles, _ = orbits.scorer(r, normalizer)
     # beside a row of no positive weight, which cuts no orbit, the tiles score every orbit
-    _, _, scores = tiles(np.stack([weights, 0 * weights]))
+    _, (scores,) = tiles(np.stack([weights, 0 * weights]))  # both rows fit one group at nv <= 5
     return orbits, np.concatenate([tile[0].copy() for _, tile in scores]), normalizer
+
+
+def _stacked_ties(groups) -> tuple:
+    """The row groups of one ``tiles`` call, each reduced alone by ``_min_ties``
+    and stacked as one matrix's: the minima, rows, positions and row starts."""
+    best, rows, positions = [], [], []
+    for group in groups:
+        low, row, position, _ = frechet_solver._min_ties(group, True)
+        rows.append(row + sum(map(len, best)))
+        best.append(low)
+        positions.append(position)
+    rows = np.concatenate(rows)
+    return np.concatenate(best), rows, np.concatenate(positions), np.searchsorted(rows, np.arange(sum(map(len, best))))
 
 
 def _masks(orbits, ids) -> list:
@@ -473,8 +486,8 @@ def test_cut_tables_hold_every_minimum_of_each_weight_row(data, nv, r, cells, sc
     with cell_budget(cells):
         ia, ib = orbits.cut(weights)
         assert set(ties.tolist()) <= set((ib[:, None] * orbits.sizes[0] + ia).ravel().tolist())
-        orbit_of, _, scores = tiles(weights)
-        cut_best, cut_rows, cut_ties, cut_starts = frechet_solver._min_ties(scores, True)
+        orbit_of, groups = tiles(weights)
+        cut_best, cut_rows, cut_ties, cut_starts = _stacked_ties(groups)
     assert cut_best.tolist() == best.tolist() and cut_starts.tolist() == starts.tolist()
     assert cut_rows.tolist() == tie_rows.tolist() and orbit_of(cut_ties).tolist() == ties.tolist()
     # each row's bound is the same alone as among the other rows, and within the oracle's (one graph per orbit)
@@ -485,6 +498,38 @@ def test_cut_tables_hold_every_minimum_of_each_weight_row(data, nv, r, cells, sc
         assert kept[k].tolist() == orbits.bound(weights[k : k + 1], r)[0].tolist()
         must, may = order1_bound_by_enumeration(distances, orbits.sizes, row, r)
         assert (kept[k] >= must).all() and (kept[k] <= may).all()
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), nv=st.integers(1, 5), r=st.integers(1, 4), group=st.integers(1, 3))
+def test_grouped_orbit_ties_match_each_weight_row_alone(data, nv, r, group, cell_budget):
+    # tie-heavy integer weights of 0 to 2 on a tie-heavy support, more rows
+    # than a group holds under a budget of ``group`` rows' factors: the rows'
+    # ties, reduced a group at a time and stacked, are each row's alone, and
+    # the first row's mean set is the enumeration oracle's
+    space = FULL_GRAPH_SPACES[nv]
+    items = data.draw(tie_heavy_samples(nv))
+    sup_idx = np.unique([g.edges for g in items])
+    row = st.lists(st.integers(0, 2), min_size=len(sup_idx), max_size=len(sup_idx))
+    rows = [data.draw(row.filter(any))] + data.draw(st.lists(row, min_size=group, max_size=group + 3))
+    weights = np.array(rows, dtype=np.int64)
+    total = max(map(sum, rows))
+    orbits = _Orbits(space, sup_idx)
+    ia, ib = orbits.cut(weights)
+    kept = orbits.bound(weights, r).any(axis=0)
+    cells = (2 + (r - 1) * len(sup_idx)) * int(kept[ia].sum() + kept[orbits.sizes[0] + ib].sum())  # a row's factors
+    ties, _, _, expand = frechet_solver._scorer(space, sup_idx, r, True, total)
+    with cell_budget(group * cells):
+        best, tie_rows, positions, starts = ties(weights)
+    assert tie_rows.tolist() == sorted(tie_rows.tolist()) and len(best) == len(rows)
+    ends = [*starts[1:].tolist(), len(positions)]
+    for k in range(len(rows)):
+        (low,), _, alone, _ = ties(weights[k : k + 1])
+        assert best[k] == low and positions[starts[k] : ends[k]].tolist() == alone.tolist()
+    sample = [Graph(nv, int(mask)) for mask, w in zip(sup_idx.tolist(), rows[0]) for _ in range(w)]
+    expected = mean_set_by_enumeration(space, sample, r, space.points)
+    argmin = tuple(space.points[i] for i in sorted(expand(positions[: starts[1]])[0].tolist()))
+    assert (Fraction(int(best[0]), sum(rows[0])), argmin) == expected
 
 
 @PROPERTY_SETTINGS
@@ -762,9 +807,10 @@ def test_trajectory_from_indices_equals_trajectory_from_points(data, name):
 def test_summary_median_and_max_match_sorting(values):
     if isinstance(values[0], Fraction):  # integer numerators over a shared denominator
         common = math.lcm(*(v.denominator for v in values))
-        args = ([v.numerator * (common // v.denominator) for v in values], common)
+        nums = [v.numerator * (common // v.denominator) for v in values]
+        args = (np.array(nums, dtype=np.int64 if max(nums) < 2**63 else object), common)  # as the columns hold them
     else:
-        args = (values,)
+        args = (np.array(values),)
     exact = _median_and_max(*args)  # Fractions of the numerators, floats of floats
     assert exact == (statistics.median(values), max(values))
     assert tuple(map(_to_float, exact)) == median_and_max_by_sorting(values)

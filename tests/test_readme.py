@@ -76,6 +76,6 @@ def test_readme_orbit_counts_match_the_scorer(g6_orbits, bench_inputs):
     kept = orbits.bound(weights[None], 2)[0]
     ia, ib = orbits.cut(weights[None])
     ia, ib = ia[kept[ia]], ib[kept[orbits.sizes[0] + ib]]
-    _, _, scores = orbits.scorer(2, total)[0](weights[None])
+    _, (scores,) = orbits.scorer(2, total)[0](weights[None])  # one weight row, one group
     assert (kept_a, kept_b, size_a, size_b) == (len(ia), len(ib), *orbits.sizes)
     assert (cells, 2**slots) == (sum(tile.size for _, tile in scores), orbits.size)
